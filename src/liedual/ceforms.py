@@ -44,7 +44,7 @@ class AbelianAlgebra:
         return iter(())
 
 
-def _sort_sign(idx):
+def sort_sign(idx):
     """Sort an index tuple; return (sorted tuple, permutation sign) or
     (None, 0) when an index repeats."""
     idx = list(idx)
@@ -85,7 +85,7 @@ class InvariantForm:
 
     def value_on_indices(self, idx):
         """Value on a tuple of basis indices (any order)."""
-        key, sign = _sort_sign(idx)
+        key, sign = sort_sign(idx)
         if sign == 0:
             return Fraction(0)
         return sign * self.terms.get(key, Fraction(0))
@@ -164,7 +164,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
         for kb, vb in b.terms.items():
             if sa & set(kb):
                 continue
-            key, sign = _sort_sign(ka + kb)
+            key, sign = sort_sign(ka + kb)
             out[key] = out.get(key, Fraction(0)) + sign * va * vb
     return InvariantForm(a.algebra, a.degree + b.degree, out, a.tag * b.tag)
 
@@ -247,7 +247,7 @@ def cartan_three_form(L) -> InvariantForm:
         for i, v in vals.items():
             if i == j or i == k:
                 continue
-            key, sign = _sort_sign((i, j, k))
+            key, sign = sort_sign((i, j, k))
             stored = sign * v
             prev = terms.get(key)
             if prev is None:

@@ -7,18 +7,12 @@ usage/input error.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import chevalley, rootdatum, tduality
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_datum(args):
@@ -59,7 +53,7 @@ def cmd_info(args):
         "ade": rootdatum.is_ade(d),
         "pi1": rootdatum.fundamental_group(d),
         "type": rootdatum.classify_label(d),
-        "cartan": [[_frac_str(v) for v in row] for row in rootdatum.cartan_matrix(d)],
+        "cartan": [[tduality.frac_str(v) for v in row] for row in rootdatum.cartan_matrix(d)],
     }
     if d.label:
         out["label"] = d.label
@@ -75,7 +69,7 @@ def cmd_dualize(args):
 
 def cmd_cartan(args):
     d = _load_datum(args)
-    _emit([[_frac_str(v) for v in row] for row in rootdatum.cartan_matrix(d)], args.out)
+    _emit([[tduality.frac_str(v) for v in row] for row in rootdatum.cartan_matrix(d)], args.out)
     return EXIT_OK
 
 
@@ -94,9 +88,10 @@ def cmd_verify(args):
     if d.rank > args.max_rank_guard:
         raise ValueError(
             f"rank {d.rank} exceeds the guard ({args.max_rank_guard}); "
-            "the triple sweep is large — pass --max-rank-guard to override"
+            "the Jacobi certificates and Cartan 3-forms grow quickly with rank — "
+            "pass --max-rank-guard to override"
         )
-    report = tduality.verify_all(d, scales=tuple(args.scale), jobs=args.jobs)
+    report = tduality.verify_all(d, scales=tuple(args.scale))
     _emit(report.as_dict(timing=not args.no_timing), args.out)
     return EXIT_OK if report.overall else EXIT_MATH_FAIL
 
@@ -135,7 +130,6 @@ def main(argv=None):
                    help="additionally verify with this integer multiple of F and H (repeatable)")
     p.add_argument("--max-rank-guard", type=int, default=6,
                    help="refuse data of rank above this bound (default 6)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the triple sweep")
     p.add_argument("--no-timing", action="store_true", help="omit timing fields for byte-stable output")
     p.set_defaults(func=cmd_verify)
 

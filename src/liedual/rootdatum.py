@@ -515,12 +515,34 @@ def to_json(d: RootDatum) -> str:
     return json.dumps(to_json_dict(d), sort_keys=True)
 
 
+def _json_int(x, what):
+    if type(x) is not int:   # rejects bool, float and str alike
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_vectors(obj, key):
+    if not isinstance(obj[key], list) or not all(isinstance(v, list) for v in obj[key]):
+        raise ValueError(f"{key} must be a list of integer lists")
+    return tuple(tuple(_json_int(x, f"{key} coordinate") for x in v) for v in obj[key])
+
+
 def from_json_dict(obj: dict) -> RootDatum:
+    """Strict reader of the root-datum schema: raises ValueError on unknown
+    keys, non-int rank or coordinates (bool included) and a non-str label."""
+    if not isinstance(obj, dict):
+        raise ValueError("root datum must be a JSON object")
+    unknown = sorted(set(obj) - {"rank", "roots", "coroots", "label"})
+    if unknown:
+        raise ValueError(f"unknown root datum keys: {unknown}")
+    label = obj.get("label")
+    if "label" in obj and not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
     return RootDatum(
-        rank=int(obj["rank"]),
-        roots=tuple(tuple(int(x) for x in r) for r in obj["roots"]),
-        coroots=tuple(tuple(int(x) for x in c) for c in obj["coroots"]),
-        label=obj.get("label"),
+        rank=_json_int(obj["rank"], "rank"),
+        roots=_json_vectors(obj, "roots"),
+        coroots=_json_vectors(obj, "coroots"),
+        label=label,
     )
 
 

@@ -9,7 +9,6 @@ the T-duality definition as an exact algebraic identity.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import ceforms, chevalley, exactlin, rootdatum
 from .ceforms import InvariantForm, TAG_CARTAN
@@ -57,6 +56,7 @@ class ProductPair:
     Ldual: ReductiveLieAlgebra
     product: ProductAlgebra
     spanning_set: list = field(default_factory=list)       # (name, vector)
+    owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
 
     def embed_left(self, v):
         return list(v) + [Fraction(0)] * self.Ldual.dim
@@ -85,7 +85,8 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
 
 def build_pair(d: RootDatum) -> ProductPair:
     """Build g, g_dual on a shared simple system, check the isomorphism,
-    and assemble the spanning set of the fiber-product tangent space."""
+    assemble the spanning set S of the fiber-product tangent space, and
+    pick the basis B of span(S) that the flux check runs on."""
     L = build_lie_algebra(d)
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd, simple_indices=L.simple_indices) if d.nroots else build_lie_algebra(dd)
@@ -93,31 +94,62 @@ def build_pair(d: RootDatum) -> ProductPair:
     pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual))
 
     S = []
+    basis = []
     seen = set()
 
-    def add(name, vec):
+    def add(name, vec, in_basis):
         key = tuple(vec)
         if key not in seen:
             seen.add(key)
+            if in_basis:
+                basis.append(len(S))
             S.append((name, vec))
 
+    # B = {h[simple], hdual[simple], x+phix[alpha] for every root, z, zdual}.
+    simple = set(L.simple_indices)
     for ri in range(d.nroots):
-        add(f"h[{ri}]", pairobj.embed_left(L.coroot_vector(ri)))
+        add(f"h[{ri}]", pairobj.embed_left(L.coroot_vector(ri)), ri in simple)
         # X_xi + phi(X_xi); the Y-vector of xi is the X-vector of -xi.
         xv = [Fraction(0)] * pairobj.product.dim
         xv[L.index[("x", ri)]] = Fraction(1)
         xv[L.dim + Ldual.index[("x", ri)]] = Fraction(1)
-        add(f"x+phix[{ri}]", xv)
-        add(f"hdual[{ri}]", pairobj.embed_right(Ldual.coroot_vector(ri)))
+        add(f"x+phix[{ri}]", xv, True)
+        add(f"hdual[{ri}]", pairobj.embed_right(Ldual.coroot_vector(ri)), ri in simple)
     for k in range(len(L.radical_basis)):
         zv = [Fraction(0)] * pairobj.product.dim
         zv[L.index[("z", k)]] = Fraction(1)
-        add(f"z[{k}]", zv)
+        add(f"z[{k}]", zv, True)
         wv = [Fraction(0)] * pairobj.product.dim
         wv[L.dim + Ldual.index[("z", k)]] = Fraction(1)
-        add(f"zdual[{k}]", wv)
+        add(f"zdual[{k}]", wv, True)
     pairobj.spanning_set = S
+    pairobj.owner = basis_owners(S, basis)
     return pairobj
+
+
+def basis_owners(S, basis):
+    """Map each product index to (position in S, coefficient) of the one
+    member of B = [S[p] for p in basis] whose support holds it.
+
+    Raises unless the supports in B are disjoint and cover every index, and
+    every other member of S is supported on indices owned by single-index
+    members of B, so that B is a basis of span(S).
+    """
+    owner = {}
+    for p in basis:
+        for i, c in enumerate(S[p][1]):
+            if c:
+                if i in owner:
+                    raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
+                owner[i] = (p, c)
+    dim = len(S[0][1]) if S else 0
+    if len(owner) != dim:
+        raise RuntimeError(f"B covers {len(owner)} of {dim} indices")
+    size = {p: sum(1 for c in S[p][1] if c) for p in basis}
+    for p, (name, vec) in enumerate(S):
+        if p not in size and any(c and size[owner[i][0]] != 1 for i, c in enumerate(vec)):
+            raise RuntimeError(f"{name} is not spanned by the single-index members of B")
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -176,89 +208,34 @@ def flux_residual_form(pairobj: ProductPair, scale=1) -> InvariantForm:
     return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
 
 
-def _sweep_range(phi_terms, vectors, start, stop):
-    """Evaluate the 3-form on all triples (u, v, w) with start <= u < stop,
-    u < v < w; return the first nonzero triple or None."""
-    supports = [{i: c for i, c in enumerate(v) if c} for v in vectors]
-    nvec = len(vectors)
-    for u in range(start, stop):
-        su = supports[u]
-        # Rows of the contraction iota_u Phi: row[j][k] = (iota_u Phi)(e_j, e_k).
-        row = {}
+def check_flux_equation(pairobj: ProductPair, scale=1):
+    """dF = q*H - qdual*Hdual on span(S), checked on the basis B of span(S).
 
-        def put(j, k, x):
-            rj = row.setdefault(j, {})
-            rj[k] = rj.get(k, Fraction(0)) + x
-            rk = row.setdefault(k, {})
-            rk[j] = rk.get(j, Fraction(0)) - x
-
-        for (a, b, c), v in phi_terms.items():
-            if a in su:
-                put(b, c, su[a] * v)
-            if b in su:
-                put(a, c, -su[b] * v)
-            if c in su:
-                put(a, b, su[c] * v)
-        if not row:
-            continue
-        for v_i in range(u + 1, nvec):
-            one = {}
-            for j, cj in supports[v_i].items():
-                for k, val in row.get(j, {}).items():
-                    one[k] = one.get(k, Fraction(0)) + cj * val
-            one = {k: v for k, v in one.items() if v}
-            if not one:
-                continue
-            for w_i in range(v_i + 1, nvec):
-                total = Fraction(0)
-                for k, ck in supports[w_i].items():
-                    t = one.get(k)
-                    if t is not None:
-                        total += ck * t
-                if total:
-                    return (u, v_i, w_i, total)
-    return None
-
-
-def check_flux_equation(pairobj: ProductPair, scale=1, jobs=1):
-    """dF = q*H - qdual*Hdual on every triple from the spanning set."""
+    The residual phi is trilinear, so it vanishes on S^3 iff it vanishes on
+    B^3.  The members of B have disjoint supports, so a term e_i^e_j^e_k of
+    phi contributes to phi(b_p, b_q, b_r) only when i, j, k have the three
+    distinct owners p, q, r, and then with the sign of that permutation
+    times the owners' coefficients.  One pass over phi.terms thus gives phi
+    on every triple of B; a failure names the smallest nonzero triple.
+    """
     t0 = time.monotonic()
     phi = flux_residual_form(pairobj, scale)
-    vectors = [v for _, v in pairobj.spanning_set]
-    names = [n for n, _ in pairobj.spanning_set]
-    bad = None
-    if jobs > 1 and len(vectors) > 4 * jobs:
-        bad = _parallel_sweep(phi.terms, vectors, jobs)
-    else:
-        bad = _sweep_range(phi.terms, vectors, 0, len(vectors))
+    sums = {}
+    for key, v in phi.terms.items():
+        (p, a), (q, b), (r, c) = (pairobj.owner[i] for i in key)
+        triple, sign = ceforms.sort_sign((p, q, r))
+        if sign:
+            sums[triple] = sums.get(triple, 0) + sign * a * b * c * v
+    bad = min((t for t, r in sums.items() if r), default=None)
     if bad is None:
         return CheckRecord("flux_equation", True, None, None, time.monotonic() - t0)
-    u, v, w, r = bad
     return CheckRecord(
         "flux_equation",
         False,
-        [names[u], names[v], names[w]],
-        f"{r.numerator}/{r.denominator}",
+        [pairobj.spanning_set[p][0] for p in bad],
+        frac_str(sums[bad]),
         time.monotonic() - t0,
     )
-
-
-def _parallel_sweep(phi_terms, vectors, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = len(vectors)
-    bounds = [(n * t) // jobs for t in range(jobs + 1)]
-    hits = []
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futs = [
-            ex.submit(_sweep_range, phi_terms, vectors, bounds[t], bounds[t + 1])
-            for t in range(jobs)
-        ]
-        for f in futs:
-            r = f.result()
-            if r is not None:
-                hits.append(r)
-    return min(hits) if hits else None
 
 
 def full_space_residual(pairobj: ProductPair):
@@ -300,7 +277,7 @@ class CheckRecord:
         return out
 
 
-def _frac_str(x):
+def frac_str(x):
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -344,7 +321,7 @@ def check_nondegeneracy(pairobj: ProductPair):
             return CheckRecord(
                 "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", None, time.monotonic() - t0
             )
-    return CheckRecord("nondegeneracy", True, None, _frac_str(det), time.monotonic() - t0)
+    return CheckRecord("nondegeneracy", True, None, frac_str(det), time.monotonic() - t0)
 
 
 def lattice_pairing_matrix(pairobj: ProductPair, scale=1):
@@ -373,7 +350,7 @@ def check_integrality(pairobj: ProductPair, scale=1):
         for b, v in enumerate(row):
             if v.denominator != 1:
                 return CheckRecord(
-                    "integrality", False, f"lattice pairing ({a},{b})", _frac_str(v), time.monotonic() - t0
+                    "integrality", False, f"lattice pairing ({a},{b})", frac_str(v), time.monotonic() - t0
                 )
     return CheckRecord("integrality", True, None, None, time.monotonic() - t0)
 
@@ -387,7 +364,7 @@ def check_angle_positivity(pairobj: ProductPair):
             v = pair(d.coroots[j], d.roots[i]) * pair(d.coroots[i], d.roots[j])
             if v < 0 or v > 4:
                 return CheckRecord(
-                    "angle_positivity", False, [i, j], _frac_str(v), time.monotonic() - t0
+                    "angle_positivity", False, [i, j], frac_str(v), time.monotonic() - t0
                 )
     return CheckRecord("angle_positivity", True, None, None, time.monotonic() - t0)
 
@@ -403,8 +380,8 @@ def check_ade_symmetry(d: RootDatum):
         False,
         {
             "roots": [i, j],
-            "alpha(h_beta)": _frac_str(pair(d.coroots[j], d.roots[i])),
-            "beta(h_alpha)": _frac_str(pair(d.coroots[i], d.roots[j])),
+            "alpha(h_beta)": frac_str(pair(d.coroots[j], d.roots[i])),
+            "beta(h_alpha)": frac_str(pair(d.coroots[i], d.roots[j])),
         },
         None,
         time.monotonic() - t0,
@@ -445,7 +422,7 @@ class VerificationReport:
         }
 
 
-def verify_all(d: RootDatum, scales=(), jobs=1) -> VerificationReport:
+def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     """Run the full T-duality check pipeline on a root datum.
 
     Order: ADE symmetry (abort on failure), nondegeneracy, integrality,
@@ -469,12 +446,12 @@ def verify_all(d: RootDatum, scales=(), jobs=1) -> VerificationReport:
     report.checks.append(check_nondegeneracy(pairobj))
     report.checks.append(check_integrality(pairobj))
     report.checks.append(check_angle_positivity(pairobj))
-    report.checks.append(check_flux_equation(pairobj, jobs=jobs))
+    report.checks.append(check_flux_equation(pairobj))
     for n in scales:
         if n == 0:
             raise ValueError("scale must be a nonzero integer")
         report.scaled_n.append(n)
-        rec = check_flux_equation(pairobj, scale=n, jobs=jobs)
+        rec = check_flux_equation(pairobj, scale=n)
         rec.name = f"flux_equation[scale={n}]"
         report.checks.append(rec)
         rec = check_integrality(pairobj, scale=n)

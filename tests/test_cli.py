@@ -111,6 +111,28 @@ def test_input_file_with_invalid_datum(capsys, tmp_path):
     assert code == 2 and "axioms" in err
 
 
+A1_JSON = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]]}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"roots": [[2.7], [-2]]},
+        {"roots": [["2"], [-2]]},
+        {"coroots": [[True], [-1]]},
+        {"extra": 1},
+    ],
+    ids=["float", "str", "bool", "unknown-key"],
+)
+def test_malformed_input_file_exits_2(capsys, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**A1_JSON, **bad}))
+    code, out, err = run(capsys, "verify", "--input", str(path), "--no-timing")
+    assert code == 2 and out == "" and "error" in err
+    path.write_text(json.dumps(A1_JSON))
+    assert run(capsys, "verify", "--input", str(path), "--no-timing")[0] == 0
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "info", "--input", "/nonexistent/datum.json")
     assert code == 2

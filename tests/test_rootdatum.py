@@ -109,6 +109,20 @@ def test_json_round_trip():
     assert set(obj) >= {"rank", "roots", "coroots"}
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"rank": 1.0}, {"rank": "1"}, {"rank": True}, {"roots": [[2.0], [-2]]}, {"coroots": [[1], [False]]},
+     {"label": 5}, {"label": None}, {"isogeny": "sc"}, {"roots": [2, -2]}],
+)
+def test_from_json_dict_is_strict(bad):
+    obj = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "label": "A1"}
+    assert rootdatum.from_json_dict(obj).roots == ((2,), (-2,))
+    with pytest.raises(ValueError):
+        rootdatum.from_json_dict({**obj, **bad})
+    with pytest.raises(ValueError):
+        rootdatum.from_json_dict([obj])
+
+
 def test_validation_rejects_broken_data():
     d = build("A1:sc")
     broken = rootdatum.RootDatum(rank=d.rank, roots=d.roots, coroots=tuple((3,) for _ in d.coroots))

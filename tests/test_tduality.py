@@ -101,11 +101,6 @@ def test_flux_equation_passes(typ):
     assert check_flux_equation(build_pair(build(typ))).passed
 
 
-def test_flux_equation_parallel_agrees():
-    pair = build_pair(build("D4:sc"))
-    assert check_flux_equation(pair, jobs=2).passed
-
-
 @pytest.mark.parametrize("typ", ["A1:sc", "A2:sc", "A3:adj", "D4:sc"])
 def test_full_space_residual_is_nonzero(typ):
     assert full_space_residual(build_pair(build(typ))) != 0
