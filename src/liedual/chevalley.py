@@ -140,6 +140,13 @@ class ReductiveLieAlgebra:
 # Structure constants
 
 
+def _simple_coords(vectors, simple_indices, v):
+    """Exact coordinates of v in the simple members of vectors (the roots
+    or the coroots of a datum), or None when v is outside their span."""
+    A = [[Fraction(vectors[s][r]) for s in simple_indices] for r in range(len(v))]
+    return exactlin.solve_exact(A, [Fraction(x) for x in v])
+
+
 def _root_sum_sq(datum, i):
     """K(h_alpha, h_alpha) computed by the root-sum formula (exact int)."""
     return sum(pair(datum.coroots[i], r) ** 2 for r in datum.roots)
@@ -159,12 +166,9 @@ class _NTable:
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: _root_sum_sq(datum, i) for i in range(datum.nroots)}
         # Simple-root coordinates for height and ordering.
-        simple_mat = [[Fraction(x) for x in datum.roots[s]] for s in simple_indices]
-        A = [[simple_mat[c][r] for c in range(len(simple_indices))] for r in range(datum.rank)]
-        self.coords = {}
-        for v in self.pos:
-            sol = exactlin.solve_exact(A, [Fraction(x) for x in v])
-            self.coords[v] = tuple(int(c) for c in sol)
+        self.coords = {
+            v: tuple(int(c) for c in _simple_coords(datum.roots, simple_indices, v)) for v in self.pos
+        }
         self.order = {
             v: (sum(self.coords[v]), self.coords[v]) for v in self.pos
         }
@@ -285,14 +289,11 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
     )
     index = {lab: i for i, lab in enumerate(labels)}
     nz = len(radical_basis)
-    ns = len(simple_indices)
 
     # Coroot coordinates in the simple-coroot basis.
-    simple_coroots = [[Fraction(x) for x in d.coroots[s]] for s in simple_indices]
-    A = [[simple_coroots[c][r] for c in range(ns)] for r in range(d.rank)]
     coroot_coords = {}
     for ri in root_order:
-        sol = exactlin.solve_exact(A, [Fraction(x) for x in d.coroots[ri]])
+        sol = _simple_coords(d.coroots, simple_indices, d.coroots[ri])
         if sol is None:
             raise ValueError("coroot outside the span of simple coroots")
         coroot_coords[ri] = tuple(sol)
@@ -342,11 +343,9 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
 
 def _positive_from_simples(d, simple_indices):
     """Positive root indices generated by a prescribed simple system."""
-    simple_mat = [[Fraction(x) for x in d.roots[s]] for s in simple_indices]
-    A = [[simple_mat[c][r] for c in range(len(simple_indices))] for r in range(d.rank)]
     pos = []
     for i in range(d.nroots):
-        sol = exactlin.solve_exact(A, [Fraction(x) for x in d.roots[i]])
+        sol = _simple_coords(d.roots, simple_indices, d.roots[i])
         if sol is None or any(v.denominator != 1 for v in sol):
             raise ValueError("prescribed simple set does not span the root lattice")
         if all(v >= 0 for v in sol) and any(v > 0 for v in sol):
@@ -500,7 +499,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
             i, j = lab[1]
             target = None
             for ri in range(d.nroots):
-                raw = _simple_coords(L, ri)
+                raw = [int(v) for v in _simple_coords(d.roots, L.simple_indices, d.roots[ri])]
                 coords = [raw[chain[k]] for k in range(len(raw))]
                 lo = [k for k, c in enumerate(coords) if c == 1]
                 hi = [k for k, c in enumerate(coords) if c == -1]
@@ -535,14 +534,6 @@ def _chain_order(L):
         nxt = [b for b in adj[chain[-1]] if b not in chain]
         chain.append(nxt[0])
     return chain
-
-
-def _simple_coords(L, ri):
-    d = L.datum
-    simple_mat = [[Fraction(x) for x in d.roots[s]] for s in L.simple_indices]
-    A = [[simple_mat[c][r] for c in range(len(L.simple_indices))] for r in range(d.rank)]
-    sol = exactlin.solve_exact(A, [Fraction(x) for x in d.roots[ri]])
-    return [int(v) for v in sol]
 
 
 def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:

@@ -24,8 +24,10 @@ class RootDatum:
     label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(tuple(int(x) for x in r) for r in self.roots))
-        object.__setattr__(self, "coroots", tuple(tuple(int(x) for x in c) for c in self.coroots))
+        _require_int(self.rank, "rank")
+        for key in ("roots", "coroots"):
+            vecs = tuple(tuple(_require_int(x, f"{key} coordinate") for x in v) for v in getattr(self, key))
+            object.__setattr__(self, key, vecs)
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be index-aligned lists of equal length")
         for v in self.roots + self.coroots:
@@ -35,6 +37,12 @@ class RootDatum:
     @property
     def nroots(self):
         return len(self.roots)
+
+
+def _require_int(x, what):
+    if type(x) is not int:   # rejects bool, float, str and Fraction alike
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def pair(coroot, root):
@@ -515,21 +523,16 @@ def to_json(d: RootDatum) -> str:
     return json.dumps(to_json_dict(d), sort_keys=True)
 
 
-def _json_int(x, what):
-    if type(x) is not int:   # rejects bool, float and str alike
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def _json_vectors(obj, key):
     if not isinstance(obj[key], list) or not all(isinstance(v, list) for v in obj[key]):
         raise ValueError(f"{key} must be a list of integer lists")
-    return tuple(tuple(_json_int(x, f"{key} coordinate") for x in v) for v in obj[key])
+    return obj[key]
 
 
 def from_json_dict(obj: dict) -> RootDatum:
     """Strict reader of the root-datum schema: raises ValueError on unknown
-    keys, non-int rank or coordinates (bool included) and a non-str label."""
+    keys, a non-str label and vectors that are not lists; RootDatum itself
+    rejects a non-int rank or coordinate (bool included)."""
     if not isinstance(obj, dict):
         raise ValueError("root datum must be a JSON object")
     unknown = sorted(set(obj) - {"rank", "roots", "coroots", "label"})
@@ -539,7 +542,7 @@ def from_json_dict(obj: dict) -> RootDatum:
     if "label" in obj and not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")
     return RootDatum(
-        rank=_json_int(obj["rank"], "rank"),
+        rank=obj["rank"],
         roots=_json_vectors(obj, "roots"),
         coroots=_json_vectors(obj, "coroots"),
         label=label,
@@ -557,7 +560,6 @@ def from_json(text: str) -> RootDatum:
 def classify_label(d: RootDatum) -> str:
     """Human-readable type string recovered from the Cartan matrix."""
     A = cartan_matrix(d)
-    n = len(A)
     comps = _components(A)
     names = [_classify_component(A, comp) for comp in comps]
     free = central_free_rank(d)
@@ -587,35 +589,25 @@ def _components(A):
 
 
 def _classify_component(A, comp):
+    """Dynkin type of one connected component, read off its diagram.
+
+    A triple edge is G.  A double edge is B when its short node is an end
+    of the chain, C when its long node is, and F when neither is.  A branch
+    node is D when two of its neighbours are ends, E otherwise.  A chain is
+    A.  Exact for every finite-type Cartan matrix, at every rank.
+    """
     k = len(comp)
-    sub = [[A[i][j] for j in comp] for i in comp]
-    for fam in "ABCDEFG":
-        if fam in _LEGAL and _LEGAL[fam](k):
-            ref = family_cartan(fam, k)
-            if _cartan_isomorphic(sub, ref):
-                return f"{fam}{k}"
-    return f"?{k}"
-
-
-def _cartan_isomorphic(A, B):
-    """Equality up to simultaneous reordering of simple roots."""
-    from itertools import permutations
-
-    n = len(A)
-    if n > 8:
-        # Families of higher rank in this artifact are A/B/C/D; match by a
-        # degree-based canonical form instead of brute force.
-        return _chain_signature(A) == _chain_signature(B)
-    for perm in permutations(range(n)):
-        if all(A[perm[i]][perm[j]] == B[i][j] for i in range(n) for j in range(n)):
-            return True
-    return False
-
-
-def _chain_signature(A):
-    # Per-node signature keeps edge orientation so B and C stay distinct.
-    n = len(A)
-    return sorted(
-        sorted((A[i][j], A[j][i]) for j in range(n) if j != i and A[i][j] != 0)
-        for i in range(n)
-    )
+    nbrs = {i: [j for j in comp if j != i and A[i][j]] for i in comp}
+    ends = {i for i in comp if len(nbrs[i]) == 1}
+    # A[i][j] = <h_i, alpha_j> is -2 or -3 only when alpha_i is the short
+    # node of a multiple edge to alpha_j.
+    multi = [(i, j) for i in comp for j in nbrs[i] if A[i][j] < -1]
+    branch = [i for i in comp if len(nbrs[i]) > 2]
+    if multi:
+        short, long_ = multi[0]
+        fam = "G" if A[short][long_] == -3 else "B" if short in ends else "C" if long_ in ends else "F"
+    elif branch:
+        fam = "D" if len(ends.intersection(nbrs[branch[0]])) > 1 else "E"
+    else:
+        fam = "A"
+    return f"{fam}{k}" if _LEGAL[fam](k) else f"?{k}"

@@ -55,6 +55,8 @@ class ProductPair:
     L: ReductiveLieAlgebra
     Ldual: ReductiveLieAlgebra
     product: ProductAlgebra
+    iso: dict = field(default_factory=dict)                # label of g -> label of g_dual
+    F: InvariantForm = None                                # F0 + F_P on the product
     spanning_set: list = field(default_factory=list)       # (name, vector)
     owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
 
@@ -85,13 +87,14 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
 
 def build_pair(d: RootDatum) -> ProductPair:
     """Build g, g_dual on a shared simple system, check the isomorphism,
-    assemble the spanning set S of the fiber-product tangent space, and
-    pick the basis B of span(S) that the flux check runs on."""
+    build the dualizing 2-form F = F0 + F_P, assemble the spanning set S of
+    the fiber-product tangent space, and pick the basis B of span(S) that
+    the flux check runs on."""
     L = build_lie_algebra(d)
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd, simple_indices=L.simple_indices) if d.nroots else build_lie_algebra(dd)
-    good_isomorphism(L, Ldual)
-    pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual))
+    pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
+    pairobj.F = tautological_two_form(pairobj).add(poincare_correction(pairobj))
 
     S = []
     basis = []
@@ -198,18 +201,19 @@ def pullback_second(pairobj, w: InvariantForm) -> InvariantForm:
     )
 
 
-def flux_residual_form(pairobj: ProductPair, scale=1) -> InvariantForm:
-    """d(n F + n F_P) - (n q*H - n qdual*Hdual) as a stored 3-form on the
-    full product; identically zero only after restriction to span(S)."""
-    F = tautological_two_form(pairobj).add(poincare_correction(pairobj)).scale(scale)
-    dF = ceforms.ce_differential(F)
-    H = ceforms.cartan_three_form(pairobj.L).scale(scale)
-    Hd = ceforms.cartan_three_form(pairobj.Ldual).scale(scale)
+def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
+    """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the full
+    product; identically zero only after restriction to span(S).  phi is
+    linear in (F, H, Hdual) together, so the residual at scale n is
+    phi.scale(n)."""
+    dF = ceforms.ce_differential(pairobj.F)
+    H = ceforms.cartan_three_form(pairobj.L)
+    Hd = ceforms.cartan_three_form(pairobj.Ldual)
     return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
 
 
-def check_flux_equation(pairobj: ProductPair, scale=1):
-    """dF = q*H - qdual*Hdual on span(S), checked on the basis B of span(S).
+def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
+    """phi = 0 on span(S), checked on the basis B of span(S).
 
     The residual phi is trilinear, so it vanishes on S^3 iff it vanishes on
     B^3.  The members of B have disjoint supports, so a term e_i^e_j^e_k of
@@ -219,7 +223,6 @@ def check_flux_equation(pairobj: ProductPair, scale=1):
     on every triple of B; a failure names the smallest nonzero triple.
     """
     t0 = time.monotonic()
-    phi = flux_residual_form(pairobj, scale)
     sums = {}
     for key, v in phi.terms.items():
         (p, a), (q, b), (r, c) = (pairobj.owner[i] for i in key)
@@ -282,12 +285,9 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def fiber_pairing_matrix(pairobj: ProductPair, include_correction=True, scale=1):
-    """Matrix of F (+ F_P) on the Cartan bases of the two factors."""
-    F = tautological_two_form(pairobj)
-    if include_correction:
-        F = F.add(poincare_correction(pairobj))
-    F = F.scale(scale)
+def fiber_pairing_matrix(pairobj: ProductPair):
+    """Matrix of F on the Cartan bases of the two factors."""
+    F = pairobj.F
     L, Ld = pairobj.L, pairobj.Ldual
     n_cartan = len(L.radical_basis) + len(L.simple_indices)
     n = pairobj.product.offset
@@ -324,11 +324,11 @@ def check_nondegeneracy(pairobj: ProductPair):
     return CheckRecord("nondegeneracy", True, None, frac_str(det), time.monotonic() - t0)
 
 
-def lattice_pairing_matrix(pairobj: ProductPair, scale=1):
-    """Values of n(F0 + F_P) on the lattice bases of the two fibers: rows
-    over the standard basis of the weight lattice, columns over its dual."""
+def lattice_pairing_matrix(pairobj: ProductPair):
+    """Values of F on the lattice bases of the two fibers: rows over the
+    standard basis of the weight lattice, columns over its dual."""
     d = pairobj.datum
-    F = tautological_two_form(pairobj).add(poincare_correction(pairobj)).scale(scale)
+    F = pairobj.F
     n = pairobj.product.offset
     rows = []
     for a in range(d.rank):
@@ -343,9 +343,9 @@ def lattice_pairing_matrix(pairobj: ProductPair, scale=1):
     return rows
 
 
-def check_integrality(pairobj: ProductPair, scale=1):
+def check_integrality(M):
+    """Every entry of the lattice pairing matrix M is an integer."""
     t0 = time.monotonic()
-    M = lattice_pairing_matrix(pairobj, scale)
     for a, row in enumerate(M):
         for b, v in enumerate(row):
             if v.denominator != 1:
@@ -427,7 +427,7 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
 
     Order: ADE symmetry (abort on failure), nondegeneracy, integrality,
     angle positivity, flux equation, then the flux and integrality checks
-    again for each requested nonzero integer scale.
+    again for each requested nonzero integer scale n, on n*phi and n*M.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
@@ -437,24 +437,23 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     report.checks.append(sym)
     if not sym.passed:
         return report
-    report.dual = rootdatum.canonicalize(rootdatum.dualize(d))
     pairobj = build_pair(d)
-    report.phi = {
-        f"{a[0]}{a[1]}": f"{b[0]}{b[1]}"
-        for a, b in good_isomorphism(pairobj.L, pairobj.Ldual).items()
-    }
+    report.dual = rootdatum.canonicalize(pairobj.dual_datum)
+    report.phi = {f"{a[0]}{a[1]}": f"{b[0]}{b[1]}" for a, b in pairobj.iso.items()}
     report.checks.append(check_nondegeneracy(pairobj))
-    report.checks.append(check_integrality(pairobj))
+    M = lattice_pairing_matrix(pairobj)
+    report.checks.append(check_integrality(M))
     report.checks.append(check_angle_positivity(pairobj))
-    report.checks.append(check_flux_equation(pairobj))
+    phi = flux_residual_form(pairobj)
+    report.checks.append(check_flux_equation(pairobj, phi))
     for n in scales:
         if n == 0:
             raise ValueError("scale must be a nonzero integer")
         report.scaled_n.append(n)
-        rec = check_flux_equation(pairobj, scale=n)
+        rec = check_flux_equation(pairobj, phi.scale(n))
         rec.name = f"flux_equation[scale={n}]"
         report.checks.append(rec)
-        rec = check_integrality(pairobj, scale=n)
+        rec = check_integrality([[n * v for v in row] for row in M])
         rec.name = f"integrality[scale={n}]"
         report.checks.append(rec)
     return report

@@ -1,10 +1,12 @@
 """The flux check on the basis B of span(S) against the full triple sweep
 over S, kept here as the reference implementation: both must agree on the
-true residual, on seeded defects and on random perturbations of phi."""
+true residual, on seeded defects and on random perturbations of phi.  The
+scaled checks on n*phi and n*M are compared with phi and M rebuilt from
+n*F, n*H and n*Hdual, the way each scale was checked before."""
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import ceforms, tduality
-from liedual.tduality import basis_owners, build_pair, check_flux_equation
+from liedual.tduality import (
+    basis_owners,
+    build_pair,
+    check_flux_equation,
+    check_integrality,
+    lattice_pairing_matrix,
+)
 
 ORACLE_TYPES = ["T2", "A1xT1:sc", "A1:sc", "A2:sc", "A3:adj", "D4:sc"]
 DEFECT_TYPES = [t for t in ORACLE_TYPES if t != "T2"]
@@ -71,8 +79,7 @@ def pair_and_phi(typ):
 
 def both_checks(pair, phi):
     """(basis check record, oracle hit) for a given residual form."""
-    with mock.patch.object(tduality, "flux_residual_form", lambda p, scale=1: phi):
-        rec = check_flux_equation(pair)
+    rec = check_flux_equation(pair, phi)
     return rec, sweep_range(phi.terms, [v for _, v in pair.spanning_set])
 
 
@@ -82,12 +89,16 @@ def test_true_phi_passes_both(typ):
     assert rec.passed and rec.witness is None and hit is None
 
 
+def doubled_F(pair):
+    """The pair with the seeded defect F = 2 F0 + F_P."""
+    F = tduality.tautological_two_form(pair).scale(2).add(tduality.poincare_correction(pair))
+    return dataclasses.replace(pair, F=F)
+
+
 @pytest.mark.parametrize("typ", DEFECT_TYPES)
 def test_doubled_F_fails_both(typ):
-    pair = pair_and_phi(typ)[0]
-    F = tduality.tautological_two_form
-    with mock.patch.object(tduality, "tautological_two_form", lambda p: F(p).scale(2)):
-        phi = tduality.flux_residual_form(pair)
+    pair = doubled_F(pair_and_phi(typ)[0])
+    phi = tduality.flux_residual_form(pair)
     rec, hit = both_checks(pair, phi)
     assert hit is not None and not rec.passed
     names = [n for n, _ in pair.spanning_set]
@@ -96,6 +107,52 @@ def test_doubled_F_fails_both(typ):
     # The witness is phi on the three named members of S, exactly.
     vecs = [pair.spanning_set[names.index(n)][1] for n in rec.witness]
     assert phi.evaluate(*vecs) == Fraction(rec.residual)
+
+
+def rebuilt_phi(pair, n):
+    """phi at scale n rebuilt from n*F, n*H and n*Hdual."""
+    dF = ceforms.ce_differential(pair.F.scale(n))
+    H = ceforms.cartan_three_form(pair.L).scale(n)
+    Hd = ceforms.cartan_three_form(pair.Ldual).scale(n)
+    return dF.sub(tduality.pullback_first(pair, H)).add(tduality.pullback_second(pair, Hd))
+
+
+@pytest.mark.parametrize("n", [2, -1])
+@pytest.mark.parametrize("typ", DEFECT_TYPES)
+@pytest.mark.parametrize("defect", [False, True])
+def test_scaled_phi_matches_the_rebuilt_oracle(typ, n, defect):
+    pair = pair_and_phi(typ)[0]
+    if defect:
+        pair = doubled_F(pair)
+    phi = tduality.flux_residual_form(pair)
+    oracle = rebuilt_phi(pair, n)
+    assert phi.scale(n).terms == oracle.terms
+    rec = check_flux_equation(pair, phi.scale(n))
+    want = check_flux_equation(pair, oracle)
+    assert (rec.passed, rec.witness, rec.residual) == (want.passed, want.witness, want.residual)
+    assert rec.passed != defect
+    if defect:
+        unscaled = check_flux_equation(pair, phi)
+        assert rec.witness == unscaled.witness
+        assert Fraction(rec.residual) == n * Fraction(unscaled.residual)
+
+
+@pytest.mark.parametrize("n", [2, -1, 5])
+@pytest.mark.parametrize("typ", ["A3:adj", "A1xT1:sc"])
+@pytest.mark.parametrize("defect", [False, True])
+def test_scaled_lattice_pairing_matches_the_rebuilt_oracle(typ, n, defect):
+    pair = pair_and_phi(typ)[0]
+    if defect:
+        # F/5 has fractional lattice values (5 divides no entry of M), which
+        # only a scale divisible by 5 clears.
+        pair = dataclasses.replace(pair, F=pair.F.scale(Fraction(1, 5)))
+    M = lattice_pairing_matrix(pair)
+    oracle = lattice_pairing_matrix(dataclasses.replace(pair, F=pair.F.scale(n)))
+    assert [[n * v for v in row] for row in M] == oracle
+    rec = check_integrality([[n * v for v in row] for row in M])
+    want = check_integrality(oracle)
+    assert (rec.passed, rec.witness, rec.residual) == (want.passed, want.witness, want.residual)
+    assert rec.passed == (not defect or n % 5 == 0)
 
 
 def bumped(phi, deltas):

@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
 from liedual import exactlin, rootdatum
@@ -71,7 +74,7 @@ def test_sc_dual_is_adjoint_of_dual_type():
     assert rootdatum.fundamental_group(dual) == [2]
 
 
-@pytest.mark.parametrize("typ", ALL_TYPES)
+@pytest.mark.parametrize("typ", ALL_TYPES + ["E7:sc", "E8:sc", "A9:sc", "B9:sc", "C9:sc", "D9:sc"])
 def test_classification_recovers_the_type(typ):
     d = build(typ)
     expected = typ.split(":")[0].replace("x", " x ")
@@ -123,6 +126,17 @@ def test_from_json_dict_is_strict(bad):
         rootdatum.from_json_dict([obj])
 
 
+@pytest.mark.parametrize("bad", [2.7, "2", True, Fraction(5, 2)])
+def test_root_datum_rejects_non_int_values(bad):
+    assert rootdatum.RootDatum(rank=1, roots=[[2], [-2]], coroots=[[1], [-1]]).roots == ((2,), (-2,))
+    with pytest.raises(ValueError, match="must be an integer"):
+        rootdatum.RootDatum(rank=1, roots=((bad,), (-2,)), coroots=((1,), (-1,)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        rootdatum.RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (bad,)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        rootdatum.RootDatum(rank=bad, roots=(), coroots=())
+
+
 def test_validation_rejects_broken_data():
     d = build("A1:sc")
     broken = rootdatum.RootDatum(rank=d.rank, roots=d.roots, coroots=tuple((3,) for _ in d.coroots))
@@ -141,3 +155,50 @@ def test_descriptor_products_and_tori():
     assert d.rank == 5
     assert d.nroots == 6 + 8
     assert rootdatum.parse_descriptor("T3").torus_rank == 3
+
+
+# ---------------------------------------------------------------------------
+# Properties over descriptors of rank <= 4
+
+FAMILY_RANKS = [("A", n) for n in range(1, 5)] + [
+    (fam, n) for fam in "BC" for n in range(2, 5)
+] + [("D", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
+@st.composite
+def small_data(draw):
+    """A root datum from build_from_dynkin with total rank <= 4."""
+    factors, rank = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        fam, n = draw(st.sampled_from([fr for fr in FAMILY_RANKS if fr[1] <= 4 - rank]))
+        factors.append((fam, n, draw(st.sampled_from(["sc", "adj"]))))
+        rank += n
+        if rank == 4:
+            break
+    torus = draw(st.integers(0, 4 - rank))
+    return rootdatum.build_from_dynkin(rootdatum.DynkinDescriptor(tuple(factors), torus))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data())
+def test_dualize_twice_is_the_identity(d):
+    assert rootdatum.dualize(rootdatum.dualize(d)) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_to_json_ignores_the_order_of_root_pairs(d, data):
+    order = data.draw(st.permutations(range(d.nroots)))
+    shuffled = rootdatum.RootDatum(
+        rank=d.rank,
+        roots=tuple(d.roots[i] for i in order),
+        coroots=tuple(d.coroots[i] for i in order),
+        label=d.label,
+    )
+    assert rootdatum.to_json(shuffled) == rootdatum.to_json(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data())
+def test_json_round_trip_is_canonicalize(d):
+    assert rootdatum.from_json(rootdatum.to_json(d)) == rootdatum.canonicalize(d)

@@ -1,10 +1,13 @@
+import contextlib
+import dataclasses
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from conftest import build
-from liedual import exactlin, rootdatum, tduality
+from liedual import ceforms, exactlin, rootdatum, tduality
 from liedual.tduality import (
     NotADEError,
     build_pair,
@@ -13,6 +16,7 @@ from liedual.tduality import (
     check_integrality,
     check_nondegeneracy,
     fiber_pairing_matrix,
+    flux_residual_form,
     full_space_residual,
     good_isomorphism,
     lattice_pairing_matrix,
@@ -49,6 +53,7 @@ def test_good_isomorphism_refuses_non_ade():
 def test_good_isomorphism_fixes_coroots_and_generators():
     pair = build_pair(build("A1:sc"))
     phi = good_isomorphism(pair.L, pair.Ldual)
+    assert phi == pair.iso
     assert all(a == b for a, b in phi.items())
     # h_alpha goes to the dual coroot through the index-identity map.
     ri = pair.L.simple_indices[0]
@@ -92,13 +97,14 @@ def test_flux_equation_a1_detail():
         rootdatum.pair(d.coroots[ri], d.roots[rj]) ** 2 for rj in range(d.nroots)
     ) // 2 * 2
     assert total == 8
-    rec = check_flux_equation(pair)
+    rec = check_flux_equation(pair, flux_residual_form(pair))
     assert rec.passed
 
 
 @pytest.mark.parametrize("typ", PASSING)
 def test_flux_equation_passes(typ):
-    assert check_flux_equation(build_pair(build(typ))).passed
+    pair = build_pair(build(typ))
+    assert check_flux_equation(pair, flux_residual_form(pair)).passed
 
 
 @pytest.mark.parametrize("typ", ["A1:sc", "A2:sc", "A3:adj", "D4:sc"])
@@ -128,9 +134,9 @@ def test_eigen_constant_values():
 
 def test_pairing_is_singular_without_the_correction():
     pair = build_pair(build("A2xT1:sc"))
-    M = fiber_pairing_matrix(pair, include_correction=False)
+    M = fiber_pairing_matrix(dataclasses.replace(pair, F=tautological_two_form(pair)))
     assert exactlin.det_exact(M) == 0
-    M2 = fiber_pairing_matrix(pair, include_correction=True)
+    M2 = fiber_pairing_matrix(pair)
     assert exactlin.det_exact(M2) != 0
 
 
@@ -143,6 +149,12 @@ def test_lattice_pairing_is_integral(typ):
 
 def test_torus_lattice_pairing_is_the_identity():
     assert lattice_pairing_matrix(build_pair(build("T1"))) == [[1]]
+
+
+def test_integrality_names_the_first_fractional_entry():
+    rec = check_integrality([[Fraction(1), Fraction(2)], [Fraction(3, 2), Fraction(1, 3)]])
+    assert not rec.passed and rec.witness == "lattice pairing (1,0)" and rec.residual == "3/2"
+    assert check_integrality([[Fraction(-4)]]).passed
 
 
 def test_angle_positivity_values():
@@ -162,6 +174,23 @@ def test_scaled_runs_preserve_verdicts(typ):
     rep = verify_all(build(typ), scales=(-2, -1, 2, 3))
     assert rep.overall
     assert rep.scaled_n == [-2, -1, 2, 3]
+
+
+@pytest.mark.parametrize("scales", [(), (2,), (-2, -1, 2, 3)])
+def test_verify_all_builds_each_derived_object_once(scales):
+    targets = [
+        (tduality, "tautological_two_form"),
+        (tduality, "good_isomorphism"),
+        (tduality, "flux_residual_form"),
+        (ceforms, "cartan_three_form"),
+    ]
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(mod, name, wraps=getattr(mod, name)))
+            for mod, name in targets
+        ]
+        assert verify_all(build("A1xT1:sc"), scales=scales).overall
+    assert [spy.call_count for spy in spies] == [1, 1, 1, 2]
 
 
 def test_scale_zero_is_rejected():
