@@ -2,9 +2,10 @@
 Lie algebra: wedge products, the invariant-form differential, the Cartan
 3-form, extended-root 1-forms, and the flat-torus duality transform.
 
-Forms are stored sparsely on sorted index subsets with exact rational
-coefficients; a transcendental prefactor (a rational multiple of a power of
-pi) rides along as a NormalizationTag and is never mixed into coefficients.
+Forms are stored sparsely on sorted index subsets with exact coefficients
+(ints on a Chevalley basis); a transcendental prefactor (a rational multiple
+of a power of pi) rides along as a NormalizationTag and is never mixed into
+coefficients.
 """
 
 from dataclasses import dataclass
@@ -71,7 +72,6 @@ class InvariantForm:
         self.tag = tag
         clean = {}
         for key, val in (terms or {}).items():
-            val = Fraction(val)
             if len(key) != degree:
                 raise ValueError("term arity does not match the degree")
             if list(key) != sorted(set(key)):
@@ -87,15 +87,15 @@ class InvariantForm:
         """Value on a tuple of basis indices (any order)."""
         key, sign = sort_sign(idx)
         if sign == 0:
-            return Fraction(0)
-        return sign * self.terms.get(key, Fraction(0))
+            return 0
+        return sign * self.terms.get(key, 0)
 
     def evaluate(self, *vectors):
         """Multilinear evaluation on coefficient vectors."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
         supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
-        total = Fraction(0)
+        total = 0
         def rec(pos, chosen, coeff):
             nonlocal total
             if pos == len(supports):
@@ -103,11 +103,10 @@ class InvariantForm:
                 return
             for i, c in supports[pos]:
                 rec(pos + 1, chosen + (i,), coeff * c)
-        rec(0, (), Fraction(1))
+        rec(0, (), 1)
         return total
 
     def scale(self, c):
-        c = Fraction(c)
         return InvariantForm(
             self.algebra, self.degree, {k: c * v for k, v in self.terms.items()}, self.tag
         )
@@ -119,7 +118,7 @@ class InvariantForm:
             raise ValueError("cannot add forms with different normalization tags")
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return InvariantForm(self.algebra, self.degree, out, self.tag)
 
     def sub(self, other):
@@ -165,7 +164,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
             if sa & set(kb):
                 continue
             key, sign = sort_sign(ka + kb)
-            out[key] = out.get(key, Fraction(0)) + sign * va * vb
+            out[key] = out.get(key, 0) + sign * va * vb
     return InvariantForm(a.algebra, a.degree + b.degree, out, a.tag * b.tag)
 
 
@@ -189,7 +188,7 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
                         candidates.add(tuple(sorted(cand)))
     out = {}
     for cand in candidates:
-        total = Fraction(0)
+        total = 0
         for a, b in combinations(range(len(cand)), 2):
             rest = tuple(cand[t] for t in range(len(cand)) if t != a and t != b)
             sgn = (-1) ** (a + b)
@@ -223,7 +222,7 @@ def is_invariant(w: InvariantForm) -> bool:
                     if len(cand) == w.degree:
                         candidates.add(tuple(sorted(cand)))
         for cand in candidates:
-            total = Fraction(0)
+            total = 0
             for a in range(len(cand)):
                 for k, c in alg.bracket_basis(g, cand[a]).items():
                     replaced = cand[:a] + (k,) + cand[a + 1 :]
@@ -235,17 +234,19 @@ def is_invariant(w: InvariantForm) -> bool:
 
 def cartan_three_form(L) -> InvariantForm:
     """H(x,y,z) = K(x,[y,z]) on basis triples, carrying the -1/(4 pi^2)
-    normalization as a tag.  Total antisymmetry is verified while filling."""
+    normalization as a tag.  Each bracket [e_j, e_k] = sum_m c_m e_m meets
+    only the nonzero entries of the columns m of K.  Total antisymmetry is
+    verified while filling."""
     K = L.killing_matrix()
+    cols = [{i: row[m] for i, row in enumerate(K) if row[m]} for m in range(L.dim)]
     terms = {}
     for j, k, outs in L.brackets():
         vals = {}
-        for i in range(L.dim):
-            v = sum((c * K[i][m] for m, c in outs.items()), Fraction(0))
-            if v:
-                vals[i] = v
+        for m, c in outs.items():
+            for i, v in cols[m].items():
+                vals[i] = vals.get(i, 0) + c * v
         for i, v in vals.items():
-            if i == j or i == k:
+            if not v or i == j or i == k:
                 continue
             key, sign = sort_sign((i, j, k))
             stored = sign * v
@@ -264,7 +265,7 @@ def extended_root_form(L, root_index) -> InvariantForm:
     for b in range(len(L.radical_basis) + len(L.simple_indices)):
         v = L.root_value(root_index, b)
         if v:
-            terms[(b,)] = Fraction(v)
+            terms[(b,)] = v
     return InvariantForm(L, 1, terms)
 
 
@@ -287,7 +288,7 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
         raise ValueError("torus transform requires an abelian base")
     if len(pairing) != n or any(len(row) != n for row in pairing):
         raise ValueError("pairing must be an n x n matrix")
-    if exactlin.det_exact([[Fraction(x) for x in row] for row in pairing]) == 0:
+    if exactlin.det_exact(pairing) == 0:
         raise ValueError("pairing form is degenerate")
 
     product = AbelianAlgebra(2 * n)
@@ -295,7 +296,7 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
     f0 = InvariantForm(
         product,
         2,
-        {(i, n + j): Fraction(pairing[i][j]) for i in range(n) for j in range(n) if pairing[i][j]},
+        {(i, n + j): pairing[i][j] for i in range(n) for j in range(n) if pairing[i][j]},
     )
     # w ^ exp(F0): graded pieces of every degree, truncated at 2n.
     pieces = [lifted]

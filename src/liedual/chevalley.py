@@ -3,8 +3,9 @@ adjoint action, Killing form, and the structural identity checks.
 
 Basis labels are tuples: ("z", k) for the radical block, ("h", i) for the
 i-th simple coroot, ("x", ri) for the root vector of root index ri.
-Structure constants are exact rationals; the sign convention comes from the
-extraspecial-pair method and is certified post hoc by a full Jacobi sweep.
+Structure constants, Killing values and coroot coordinates are exact ints
+(integral by the Chevalley basis theorem); the sign convention comes from the
+extraspecial-pair method and is certified post hoc by a Jacobi sweep.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ class ReductiveLieAlgebra:
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(labels)}
         self.dim = len(labels)
-        self.table = table                      # {(i, j) i<j: {k: Fraction}}
+        self.table = table                      # {(i, j) i<j: {k: int}}
         self.radical_basis = radical_basis      # integer vectors in Lambda
         self.simple_indices = tuple(simple_indices)
         self.coroot_coords = coroot_coords      # root index -> coords in simple coroots
@@ -49,7 +50,7 @@ class ReductiveLieAlgebra:
         """Bilinear extension of the basis table to coefficient vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vectors must have length dim")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         nz_x = [(i, c) for i, c in enumerate(x) if c]
         nz_y = [(j, c) for j, c in enumerate(y) if c]
         for i, a in nz_x:
@@ -63,7 +64,7 @@ class ReductiveLieAlgebra:
         out = {}
         for j in range(self.dim):
             for k, c in self.bracket_basis(i, j).items():
-                out[(k, j)] = out.get((k, j), Fraction(0)) + c
+                out[(k, j)] = out.get((k, j), 0) + c
         return out
 
     # -- Killing form -----------------------------------------------------
@@ -72,10 +73,10 @@ class ReductiveLieAlgebra:
         """Exact trace form Tr(ad X ad Y) on the basis, cached."""
         if self._killing is None:
             ads = [self.ad_entries(i) for i in range(self.dim)]
-            K = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+            K = [[0] * self.dim for _ in range(self.dim)]
             for i in range(self.dim):
                 for j in range(i, self.dim):
-                    s = Fraction(0)
+                    s = 0
                     for (r, c), v in ads[j].items():
                         w = ads[i].get((c, r))
                         if w is not None:
@@ -86,7 +87,7 @@ class ReductiveLieAlgebra:
 
     def killing_form(self, x, y):
         K = self.killing_matrix()
-        out = Fraction(0)
+        out = 0
         for i, a in enumerate(x):
             if not a:
                 continue
@@ -101,29 +102,23 @@ class ReductiveLieAlgebra:
     def cartan_vector(self, t_vec):
         """Express a vector of Lambda (x) Q in the (z, h) basis, as a basis
         coefficient vector; raises if it is not in the Cartan span."""
-        cols = [list(map(Fraction, z)) for z in self.radical_basis] + [
-            [Fraction(x) for x in self.datum.coroots[i]] for i in self.simple_indices
-        ]
-        A = [[cols[c][r] for c in range(len(cols))] for r in range(self.datum.rank)]
-        sol = exactlin.solve_exact(A, [Fraction(v) for v in t_vec])
+        cols = self.radical_basis + [self.datum.coroots[i] for i in self.simple_indices]
+        A = [[col[r] for col in cols] for r in range(self.datum.rank)]
+        sol = exactlin.solve_exact(A, t_vec)
         if sol is None:
             raise ValueError("vector outside the Cartan subalgebra")
-        out = [Fraction(0)] * self.dim
-        for c, v in enumerate(sol):
-            out[c] = v
-        return out
+        return sol + [0] * (self.dim - len(sol))
 
     def coroot_vector(self, root_index):
         """h_alpha as a basis coefficient vector."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         nz = len(self.radical_basis)
-        for s, c in enumerate(self.coroot_coords[root_index]):
-            out[nz + s] = Fraction(c)
+        out[nz : nz + len(self.simple_indices)] = self.coroot_coords[root_index]
         return out
 
     def root_vector(self, root_index):
-        out = [Fraction(0)] * self.dim
-        out[self.index[("x", root_index)]] = Fraction(1)
+        out = [0] * self.dim
+        out[self.index[("x", root_index)]] = 1
         return out
 
     def root_value(self, root_index, basis_index):
@@ -141,10 +136,14 @@ class ReductiveLieAlgebra:
 
 
 def _simple_coords(vectors, simple_indices, v):
-    """Exact coordinates of v in the simple members of vectors (the roots
-    or the coroots of a datum), or None when v is outside their span."""
-    A = [[Fraction(vectors[s][r]) for s in simple_indices] for r in range(len(v))]
-    return exactlin.solve_exact(A, [Fraction(x) for x in v])
+    """Integer coordinates of v in the simple members of vectors (the roots
+    or the coroots of a datum); raises ValueError unless v lies in their
+    integer span."""
+    A = [[vectors[s][r] for s in simple_indices] for r in range(len(v))]
+    sol = exactlin.solve_exact(A, v)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        raise ValueError(f"{v} is not an integral combination of the simple vectors")
+    return tuple(c.numerator for c in sol)
 
 
 def _root_sum_sq(datum, i):
@@ -166,9 +165,7 @@ class _NTable:
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: _root_sum_sq(datum, i) for i in range(datum.nroots)}
         # Simple-root coordinates for height and ordering.
-        self.coords = {
-            v: tuple(int(c) for c in _simple_coords(datum.roots, simple_indices, v)) for v in self.pos
-        }
+        self.coords = {v: _simple_coords(datum.roots, simple_indices, v) for v in self.pos}
         self.order = {
             v: (sum(self.coords[v]), self.coords[v]) for v in self.pos
         }
@@ -199,7 +196,7 @@ class _NTable:
             if not specials:
                 continue
             a1, b1 = specials[0]
-            self._set(a1, b1, Fraction(self._p(a1, b1) + 1))
+            self._set(a1, b1, self._p(a1, b1) + 1)
             for a, b in specials[1:]:
                 self._derive(a, b, a1, b1, gamma)
 
@@ -210,11 +207,11 @@ class _NTable:
     def _derive(self, a, b, a1, b1, gamma):
         # Jacobi on (x_{a1}, x_{-a}, x_{-b}); all terms land in g_{-b1}.
         neg = lambda v: tuple(-x for x in v)
-        t1 = Fraction(0)
+        t1 = 0
         d = tuple(x - y for x, y in zip(a1, a))
         if d in self.by_vec:
             t1 = self.get(a1, neg(a)) * self.get(d, neg(b))
-        t2 = Fraction(0)
+        t2 = 0
         d2 = tuple(x - y for x, y in zip(a1, b))
         if d2 in self.by_vec:
             t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
@@ -223,8 +220,16 @@ class _NTable:
         n_neg = -(t1 + t2) / coeff
         self._set(a, b, -n_neg)
 
+    def constant(self, a, b):
+        """N_{a,b} as an int.  The ratio steps of get() are exact; a value
+        they leave non-integral means the table is wrong."""
+        n = self.get(a, b)
+        if n.denominator != 1:
+            raise ValueError(f"non-integral structure constant N{a, b} = {n}")
+        return n.numerator
+
     def get(self, a, b):
-        """N_{a,b} for roots a, b with a+b a root."""
+        """N_{a,b} for roots a, b with a+b a root (exact rational)."""
         s = tuple(x + y for x, y in zip(a, b))
         if s not in self.by_vec:
             raise ValueError("a+b is not a root")
@@ -247,25 +252,19 @@ class _NTable:
         return self.get(c, a) * Fraction(self.K[b], self.K[c])
 
 
-def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
+def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     """Construct the reductive Lie algebra of a valid root datum.
 
     The radical block is the integral kernel of the roots on Lambda; the
     semisimple block is built on the simple coroots and one root vector per
-    root.  Jacobi is verified on all basis triples before returning.
-
-    simple_indices optionally prescribes the simple system (root indices);
-    the induced positive system must be a genuine chamber.
+    root.  Jacobi is verified on every basis triple that meets a nonzero
+    bracket before returning.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
         raise ValueError(f"invalid root datum: {rep.as_dict()}")
 
-    if simple_indices is None:
-        pos_indices, simple_indices = rootdatum.positive_system(d)
-    else:
-        simple_indices = list(simple_indices)
-        pos_indices = _positive_from_simples(d, simple_indices)
+    pos_indices, simple_indices = rootdatum.positive_system(d)
 
     if d.nroots:
         radical_basis = exactlin.integer_kernel([list(r) for r in d.roots])
@@ -291,12 +290,7 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
     nz = len(radical_basis)
 
     # Coroot coordinates in the simple-coroot basis.
-    coroot_coords = {}
-    for ri in root_order:
-        sol = _simple_coords(d.coroots, simple_indices, d.coroots[ri])
-        if sol is None:
-            raise ValueError("coroot outside the span of simple coroots")
-        coroot_coords[ri] = tuple(sol)
+    coroot_coords = {ri: _simple_coords(d.coroots, simple_indices, d.coroots[ri]) for ri in root_order}
 
     table = {}
 
@@ -315,7 +309,7 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
         for ri in root_order:
             v = pair(d.coroots[si], d.roots[ri])
             if v:
-                put(hi, index[("x", ri)], {index[("x", ri)]: Fraction(v)})
+                put(hi, index[("x", ri)], {index[("x", ri)]: v})
 
     by_vec = {d.roots[i]: i for i in range(d.nroots)}
     for ri, rj in combinations(root_order, 2):
@@ -324,15 +318,9 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
         i, j = index[("x", ri)], index[("x", rj)]
         if all(x == 0 for x in s):
             # [x_alpha, x_{-alpha}] = h_alpha; orientation: alpha = roots[ri].
-            out = {}
-            for c, v in enumerate(coroot_coords[ri]):
-                if v:
-                    out[nz + c] = Fraction(v)
-            put(i, j, out)
+            put(i, j, {nz + c: v for c, v in enumerate(coroot_coords[ri])})
         elif s in by_vec:
-            n = ntab.get(a, b)
-            if n:
-                put(i, j, {index[("x", by_vec[s])]: n})
+            put(i, j, {index[("x", by_vec[s])]: ntab.constant(a, b)})
 
     L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords)
     bad = jacobi_witness(L)
@@ -341,33 +329,18 @@ def build_lie_algebra(d: RootDatum, simple_indices=None) -> ReductiveLieAlgebra:
     return L
 
 
-def _positive_from_simples(d, simple_indices):
-    """Positive root indices generated by a prescribed simple system."""
-    pos = []
-    for i in range(d.nroots):
-        sol = _simple_coords(d.roots, simple_indices, d.roots[i])
-        if sol is None or any(v.denominator != 1 for v in sol):
-            raise ValueError("prescribed simple set does not span the root lattice")
-        if all(v >= 0 for v in sol) and any(v > 0 for v in sol):
-            pos.append(i)
-        elif not all(v <= 0 for v in sol):
-            raise ValueError("prescribed simple set is not a simple system")
-    if 2 * len(pos) != d.nroots:
-        raise ValueError("prescribed simple set is not a simple system")
-    return pos
-
-
 def jacobi_witness(L: ReductiveLieAlgebra):
-    """First basis triple violating Jacobi, or None."""
-    dim = L.dim
-    # Only triples meeting at least one nonzero bracket can fail.
-    for i, j, k in combinations(range(dim), 3):
+    """First basis triple violating Jacobi, in combinations order, or None."""
+    T = L.table
+    for i, j, k in combinations(range(L.dim), 3):
+        # A triple whose three brackets all vanish cannot fail.
+        if (i, j) not in T and (j, k) not in T and (i, k) not in T:
+            continue
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = L.bracket_basis(a, b)
-            for m, cm in inner.items():
+            for m, cm in L.bracket_basis(a, b).items():
                 for n, cn in L.bracket_basis(m, c).items():
-                    acc[n] = acc.get(n, Fraction(0)) + cm * cn
+                    acc[n] = acc.get(n, 0) + cm * cn
         if any(v for v in acc.values()):
             return (i, j, k)
     return None
@@ -383,9 +356,9 @@ def verify_coroot_identity(L: ReductiveLieAlgebra):
         ha = L.coroot_vector(ri)
         kaa = L.killing_form(ha, ha)
         for b in range(nz + ns):
-            hvec = [Fraction(0)] * L.dim
-            hvec[b] = Fraction(1)
-            lhs = Fraction(L.root_value(ri, b)) * kaa
+            hvec = [0] * L.dim
+            hvec[b] = 1
+            lhs = L.root_value(ri, b) * kaa
             rhs = 2 * L.killing_form(hvec, ha)
             if lhs != rhs:
                 failures.append((ri, L.labels[b]))
@@ -419,24 +392,24 @@ class SlnOracle:
 
     def matrix(self, b):
         n = self.n
-        M = [[Fraction(0)] * n for _ in range(n)]
+        M = [[0] * n for _ in range(n)]
         lab = self.labels[b]
         if lab[0] == "h":
             i = lab[1]
-            M[i][i] = Fraction(1)
-            M[i + 1][i + 1] = Fraction(-1)
+            M[i][i] = 1
+            M[i + 1][i + 1] = -1
         else:
             i, j = lab[1]
-            M[i][j] = Fraction(1)
+            M[i][j] = 1
         return M
 
     def _from_matrix(self, M):
         """Coordinates of a traceless matrix in the basis."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for k, (i, j) in enumerate(self.pairs):
             out[self.n - 1 + k] = M[i][j]
         # Diagonal part: partial sums give H-coordinates.
-        acc = Fraction(0)
+        acc = 0
         for i in range(self.n - 1):
             acc += M[i][i]
             out[i] = acc
@@ -455,7 +428,7 @@ class SlnOracle:
         return self._from_matrix(comm)
 
     def _lincomb(self, x):
-        M = [[Fraction(0)] * self.n for _ in range(self.n)]
+        M = [[0] * self.n for _ in range(self.n)]
         for b, c in enumerate(x):
             if c:
                 Mb = self.matrix(b)
@@ -466,7 +439,7 @@ class SlnOracle:
 
     def killing_matrix(self):
         """K(X, Y) = 2n Tr(XY), the trace form of sl(n)."""
-        K = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        K = [[0] * self.dim for _ in range(self.dim)]
         mats = [self.matrix(b) for b in range(self.dim)]
         for a in range(self.dim):
             for b in range(a, self.dim):
@@ -499,7 +472,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
             i, j = lab[1]
             target = None
             for ri in range(d.nroots):
-                raw = [int(v) for v in _simple_coords(d.roots, L.simple_indices, d.roots[ri])]
+                raw = _simple_coords(d.roots, L.simple_indices, d.roots[ri])
                 coords = [raw[chain[k]] for k in range(len(raw))]
                 lo = [k for k, c in enumerate(coords) if c == 1]
                 hi = [k for k, c in enumerate(coords) if c == -1]

@@ -88,7 +88,7 @@ def cmd_verify(args):
     if d.rank > args.max_rank_guard:
         raise ValueError(
             f"rank {d.rank} exceeds the guard ({args.max_rank_guard}); "
-            "the Jacobi certificates and Cartan 3-forms grow quickly with rank — "
+            "the Jacobi certificates grow as dim^3 and dominate above it — "
             "pass --max-rank-guard to override"
         )
     report = tduality.verify_all(d, scales=tuple(args.scale))

@@ -7,28 +7,11 @@ Matrices and vectors are plain lists; nothing here ever rounds.
 from fractions import Fraction
 from math import gcd, lcm
 
-Scalar = Fraction
-
-
-def identity(n):
-    """n x n identity matrix with Fraction entries."""
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
 
 def mat_vec(A, v):
     if A and len(A[0]) != len(v):
         raise ValueError("dimension mismatch in mat_vec")
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A]
-
-
-def mat_mul(A, B):
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("dimension mismatch in mat_mul")
-    n = len(B[0]) if B else 0
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(n)]
-        for i in range(len(A))
-    ]
 
 
 def transpose(A):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactlin
-from .exactlin import Fraction as Frac
 
 
 @dataclass(frozen=True)
@@ -357,8 +356,8 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
             # Express the coroot in the lattice basis B (must be integral)
             # and the root in the dual basis of B: y = B . c.
             x = exactlin.solve_exact(
-                [[Frac(B[i][j]) for i in range(ss_rank)] for j in range(ss_rank)],
-                [Frac(v) for v in cw_full],
+                [[Fraction(B[i][j]) for i in range(ss_rank)] for j in range(ss_rank)],
+                [Fraction(v) for v in cw_full],
             )
             if x is None or any(v.denominator != 1 for v in x):
                 raise ValueError("coroot does not lie in the chosen lattice")
@@ -373,16 +372,16 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
 
 def _check_between_lattices(B, blocks, ss_rank):
     """Custom lattice must satisfy Z-span(coroots) <= Lambda <= coweights."""
-    Bq = [[Frac(x) for x in row] for row in B]
+    Bq = [[Fraction(x) for x in row] for row in B]
     if exactlin.det_exact(Bq) == 0:
         raise ValueError("custom basis is singular")
     # Coroot rows in coweight coordinates.
     off = 0
     for fam, n, iso, A, _ in blocks:
         for i in range(n):
-            cw = [Frac(0)] * ss_rank
+            cw = [Fraction(0)] * ss_rank
             for j in range(n):
-                cw[off + j] = Frac(A[i][j])
+                cw[off + j] = Fraction(A[i][j])
             x = exactlin.solve_exact([[Bq[r][c] for r in range(ss_rank)] for c in range(ss_rank)], cw)
             if x is None or any(v.denominator != 1 for v in x):
                 raise ValueError("custom lattice does not contain the coroot lattice")
@@ -482,7 +481,7 @@ def central_free_rank(d: RootDatum) -> int:
     if not d.coroots:
         return d.rank
     return d.rank - exactlin.rank_exact(
-        [[Frac(x) for x in c] for c in d.coroots]
+        [[Fraction(x) for x in c] for c in d.coroots]
     )
 
 
@@ -531,13 +530,16 @@ def _json_vectors(obj, key):
 
 def from_json_dict(obj: dict) -> RootDatum:
     """Strict reader of the root-datum schema: raises ValueError on unknown
-    keys, a non-str label and vectors that are not lists; RootDatum itself
-    rejects a non-int rank or coordinate (bool included)."""
+    or missing keys, a non-str label and vectors that are not lists;
+    RootDatum itself rejects a non-int rank or coordinate (bool included)."""
     if not isinstance(obj, dict):
         raise ValueError("root datum must be a JSON object")
     unknown = sorted(set(obj) - {"rank", "roots", "coroots", "label"})
     if unknown:
         raise ValueError(f"unknown root datum keys: {unknown}")
+    missing = sorted({"rank", "roots", "coroots"} - set(obj))
+    if missing:
+        raise ValueError(f"missing root datum keys: {missing}")
     label = obj.get("label")
     if "label" in obj and not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")

@@ -61,16 +61,17 @@ class ProductPair:
     owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
 
     def embed_left(self, v):
-        return list(v) + [Fraction(0)] * self.Ldual.dim
+        return list(v) + [0] * self.Ldual.dim
 
     def embed_right(self, v):
-        return [Fraction(0)] * self.L.dim + list(v)
+        return [0] * self.L.dim + list(v)
 
 
 def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     """Coroot-preserving isomorphism g -> g_dual for ADE data.
 
-    With the dual algebra built on the same simple indices, the map sending
+    The dual algebra is built on the same simple indices, because
+    positive_system commutes with dualization; the map sending
     each basis vector to its namesake (h_i to h_i^dual, x_alpha to
     x_alpha^dual, radical to the dual radical basis) does the job; it is
     certified as a bracket homomorphism by comparing structure tables.
@@ -92,7 +93,7 @@ def build_pair(d: RootDatum) -> ProductPair:
     the flux check runs on."""
     L = build_lie_algebra(d)
     dd = rootdatum.dualize(d)
-    Ldual = build_lie_algebra(dd, simple_indices=L.simple_indices) if d.nroots else build_lie_algebra(dd)
+    Ldual = build_lie_algebra(dd)
     pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
     pairobj.F = tautological_two_form(pairobj).add(poincare_correction(pairobj))
 
@@ -113,17 +114,17 @@ def build_pair(d: RootDatum) -> ProductPair:
     for ri in range(d.nroots):
         add(f"h[{ri}]", pairobj.embed_left(L.coroot_vector(ri)), ri in simple)
         # X_xi + phi(X_xi); the Y-vector of xi is the X-vector of -xi.
-        xv = [Fraction(0)] * pairobj.product.dim
-        xv[L.index[("x", ri)]] = Fraction(1)
-        xv[L.dim + Ldual.index[("x", ri)]] = Fraction(1)
+        xv = [0] * pairobj.product.dim
+        xv[L.index[("x", ri)]] = 1
+        xv[L.dim + Ldual.index[("x", ri)]] = 1
         add(f"x+phix[{ri}]", xv, True)
         add(f"hdual[{ri}]", pairobj.embed_right(Ldual.coroot_vector(ri)), ri in simple)
     for k in range(len(L.radical_basis)):
-        zv = [Fraction(0)] * pairobj.product.dim
-        zv[L.index[("z", k)]] = Fraction(1)
+        zv = [0] * pairobj.product.dim
+        zv[L.index[("z", k)]] = 1
         add(f"z[{k}]", zv, True)
-        wv = [Fraction(0)] * pairobj.product.dim
-        wv[L.dim + Ldual.index[("z", k)]] = Fraction(1)
+        wv = [0] * pairobj.product.dim
+        wv[L.dim + Ldual.index[("z", k)]] = 1
         add(f"zdual[{k}]", wv, True)
     pairobj.spanning_set = S
     pairobj.owner = basis_owners(S, basis)
@@ -170,7 +171,7 @@ def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
         for (i,), va in a.terms.items():
             for (j,), vb in b.terms.items():
                 key = (i, n + j)
-                terms[key] = terms.get(key, Fraction(0)) + va * vb
+                terms[key] = terms.get(key, 0) + va * vb
     return InvariantForm(P, 2, terms, TAG_CARTAN)
 
 
@@ -183,7 +184,7 @@ def poincare_correction(pairobj: ProductPair) -> InvariantForm:
     for k in range(len(pairobj.L.radical_basis)):
         i = pairobj.L.index[("z", k)]
         j = pairobj.Ldual.index[("z", k)]
-        terms[(i, n + j)] = Fraction(1)
+        terms[(i, n + j)] = 1
     return InvariantForm(P, 2, terms, TAG_CARTAN)
 
 
@@ -299,25 +300,24 @@ def fiber_pairing_matrix(pairobj: ProductPair):
 
 def check_nondegeneracy(pairobj: ProductPair):
     """det of the fiber pairing is nonzero, and the eigen-relation
-    sum_alpha alpha(h_beta) h_alpha = (K(h_beta,h_beta)/2) h_beta holds
-    for every coroot."""
+    2 sum_alpha alpha(h_beta) h_alpha = K(h_beta,h_beta) h_beta holds for
+    every coroot."""
     t0 = time.monotonic()
     M = fiber_pairing_matrix(pairobj)
-    det = exactlin.det_exact(M) if M else Fraction(1)
+    det = exactlin.det_exact(M)
     if det == 0:
         return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1", time.monotonic() - t0)
     d = pairobj.datum
     L = pairobj.L
     for ri in range(d.nroots):
         hb = L.coroot_vector(ri)
-        c = L.killing_form(hb, hb) / 2
-        lhs = [Fraction(0)] * d.rank
+        c = L.killing_form(hb, hb)
+        lhs = [0] * d.rank
         for rj in range(d.nroots):
             a_on_hb = pair(d.coroots[ri], d.roots[rj])
             for t in range(d.rank):
                 lhs[t] += a_on_hb * d.coroots[rj][t]
-        rhs = [c * x for x in d.coroots[ri]]
-        if lhs != rhs:
+        if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
             return CheckRecord(
                 "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", None, time.monotonic() - t0
             )
@@ -327,20 +327,11 @@ def check_nondegeneracy(pairobj: ProductPair):
 def lattice_pairing_matrix(pairobj: ProductPair):
     """Values of F on the lattice bases of the two fibers: rows over the
     standard basis of the weight lattice, columns over its dual."""
-    d = pairobj.datum
-    F = pairobj.F
-    n = pairobj.product.offset
-    rows = []
-    for a in range(d.rank):
-        lam = [Fraction(1) if t == a else Fraction(0) for t in range(d.rank)]
-        lam_vec = pairobj.embed_left(pairobj.L.cartan_vector(lam))
-        row = []
-        for b in range(d.rank):
-            mu = [Fraction(1) if t == b else Fraction(0) for t in range(d.rank)]
-            mu_vec = pairobj.embed_right(pairobj.Ldual.cartan_vector(mu))
-            row.append(F.evaluate(lam_vec, mu_vec))
-        rows.append(row)
-    return rows
+    rank = pairobj.datum.rank
+    units = [[1 if t == a else 0 for t in range(rank)] for a in range(rank)]
+    lams = [pairobj.embed_left(pairobj.L.cartan_vector(u)) for u in units]
+    mus = [pairobj.embed_right(pairobj.Ldual.cartan_vector(u)) for u in units]
+    return [[pairobj.F.evaluate(lam, mu) for mu in mus] for lam in lams]
 
 
 def check_integrality(M):

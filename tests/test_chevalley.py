@@ -104,7 +104,7 @@ def test_dual_algebra_shares_the_structure_table_for_ade():
     for typ in ("A2:sc", "D4:sc", "E6:sc"):
         d = build(typ)
         L = build_lie_algebra(d)
-        Ld = build_lie_algebra(rootdatum.dualize(d), simple_indices=L.simple_indices)
+        Ld = build_lie_algebra(rootdatum.dualize(d))
         assert L.labels == Ld.labels
         assert L.table == Ld.table
 

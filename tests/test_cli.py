@@ -133,6 +133,14 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, bad):
     assert run(capsys, "verify", "--input", str(path), "--no-timing")[0] == 0
 
 
+def test_input_file_without_rank_names_the_missing_key(capsys, tmp_path):
+    path = tmp_path / "norank.json"
+    path.write_text(json.dumps({"roots": [[2], [-2]], "coroots": [[1], [-1]]}))
+    code, out, err = run(capsys, "info", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "missing root datum keys: ['rank']" in err
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "info", "--input", "/nonexistent/datum.json")
     assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
-from liedual import exactlin, rootdatum
+from liedual import exactlin, rootdatum, tduality
 
 ALL_TYPES = [
     "A1:sc", "A1:adj", "A2:sc", "A2:adj", "A3:sc", "A3:adj",
@@ -97,6 +97,24 @@ def test_ade_symmetry_witness():
     assert rootdatum.ade_symmetry_witness(build("D4:sc")) is None
 
 
+RANK8_TYPES = [
+    f"{fam}{n}:{iso}"
+    for fam, ranks in (("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(3, 9)),
+                       ("E", range(6, 9)), ("F", (4,)), ("G", (2,)))
+    for n in ranks
+    for iso in ("sc", "adj")
+] + ["T1", "T2", "A1xT1:sc", "A2xT1:sc", "B2xA1:sc", "G2xT1", "A1xA1:sc", "A1:adjxA1:adj",
+     "A1xA2:adj", "D4:adj x T2"]
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_positive_system_commutes_with_dualize(typ):
+    # build_pair builds the dual algebra on its own positive system and
+    # relies on it being the one of the datum, index for index.
+    d = build(typ)
+    assert rootdatum.positive_system(rootdatum.dualize(d)) == rootdatum.positive_system(d)
+
+
 def test_simple_system_size_is_semisimple_rank():
     for typ, n in (("A2:sc", 2), ("D4:sc", 4), ("A1xT1:sc", 1), ("T2", 0)):
         _, simples = rootdatum.positive_system(build(typ))
@@ -124,6 +142,14 @@ def test_from_json_dict_is_strict(bad):
         rootdatum.from_json_dict({**obj, **bad})
     with pytest.raises(ValueError):
         rootdatum.from_json_dict([obj])
+
+
+@pytest.mark.parametrize("missing", [["rank"], ["roots"], ["coroots"], ["coroots", "rank", "roots"]])
+def test_from_json_dict_names_missing_keys(missing):
+    obj = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "label": "A1"}
+    with pytest.raises(ValueError) as exc:
+        rootdatum.from_json_dict({k: v for k, v in obj.items() if k not in missing})
+    assert str(exc.value) == f"missing root datum keys: {missing}"
 
 
 @pytest.mark.parametrize("bad", [2.7, "2", True, Fraction(5, 2)])
@@ -202,3 +228,47 @@ def test_to_json_ignores_the_order_of_root_pairs(d, data):
 @given(d=small_data())
 def test_json_round_trip_is_canonicalize(d):
     assert rootdatum.from_json(rootdatum.to_json(d)) == rootdatum.canonicalize(d)
+
+
+@st.composite
+def unimodular_pair(draw, n):
+    """U in GL_n(Z) and its inverse V, built from drawn elementary moves."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
+    for _ in range(draw(st.integers(0, 6))):
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            k = draw(st.sampled_from([-2, -1, 1, 2]))
+            U[i] = [a + k * b for a, b in zip(U[i], U[j])]   # row i += k row j
+            for row in V:                                     # column j -= k column i
+                row[j] -= k * row[i]
+        elif n:
+            i = draw(st.integers(0, n - 1))
+            U[i] = [-a for a in U[i]]
+            for row in V:
+                row[i] = -row[i]
+    return U, V
+
+
+def _checks(d):
+    return [(c.name, c.passed) for c in tduality.verify_all(d).checks]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_verdicts_and_invariants_survive_a_change_of_lattice_basis(d, data):
+    n = d.rank
+    U, V = data.draw(unimodular_pair(n))
+    assert [[sum(U[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)]
+    # Coroots x -> U x and roots y -> V^T y keep every pairing.
+    e = rootdatum.RootDatum(
+        rank=n,
+        roots=[[sum(V[k][i] * r[k] for k in range(n)) for i in range(n)] for r in d.roots],
+        coroots=[[sum(U[i][k] * c[k] for k in range(n)) for i in range(n)] for c in d.coroots],
+    )
+    assert rootdatum.fundamental_group(e) == rootdatum.fundamental_group(d)
+    # The label lists the factors in the order of the simple roots, which
+    # follows the lattice coordinates; the factors themselves are invariant.
+    assert sorted(rootdatum.classify_label(e).split(" x ")) == sorted(rootdatum.classify_label(d).split(" x "))
+    assert _checks(e) == _checks(d)

@@ -151,6 +151,14 @@ def test_torus_lattice_pairing_is_the_identity():
     assert lattice_pairing_matrix(build_pair(build("T1"))) == [[1]]
 
 
+@pytest.mark.parametrize("typ", ["A1xT1:sc", "A3:adj", "E6:sc"])
+def test_lattice_pairing_solves_once_per_lattice_basis_vector(typ):
+    pair = build_pair(build(typ))
+    with mock.patch.object(exactlin, "solve_exact", wraps=exactlin.solve_exact) as spy:
+        lattice_pairing_matrix(pair)
+    assert spy.call_count == 2 * pair.datum.rank
+
+
 def test_integrality_names_the_first_fractional_entry():
     rec = check_integrality([[Fraction(1), Fraction(2)], [Fraction(3, 2), Fraction(1, 3)]])
     assert not rec.passed and rec.witness == "lattice pairing (1,0)" and rec.residual == "3/2"
