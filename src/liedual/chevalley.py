@@ -8,6 +8,7 @@ Structure constants, Killing values and coroot coordinates are exact ints
 extraspecial-pair method and is certified post hoc by a Jacobi sweep.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,15 +136,30 @@ class ReductiveLieAlgebra:
 # Structure constants
 
 
-def _simple_coords(vectors, simple_indices, v):
-    """Integer coordinates of v in the simple members of vectors (the roots
-    or the coroots of a datum); raises ValueError unless v lies in their
+def _simple_coords(vectors, simple_indices, targets):
+    """Integer coordinates of each target in the simple members of vectors
+    (the roots or the coroots of a datum), from one elimination of
+    [A | t_1 ... t_n]; raises ValueError unless every target lies in their
     integer span."""
-    A = [[vectors[s][r] for s in simple_indices] for r in range(len(v))]
-    sol = exactlin.solve_exact(A, v)
-    if sol is None or any(c.denominator != 1 for c in sol):
-        raise ValueError(f"{v} is not an integral combination of the simple vectors")
-    return tuple(c.numerator for c in sol)
+    if not targets:
+        return []
+    ns = len(simple_indices)
+    R, pivots = exactlin.rref(
+        [[vectors[s][r] for s in simple_indices] + [t[r] for t in targets] for r in range(len(targets[0]))]
+    )
+    pivots = [c for c in pivots if c < ns]
+    out = []
+    for col, t in enumerate(targets, start=ns):
+        sol = [0] * ns
+        for r, c in enumerate(pivots):
+            sol[c] = R[r][col]
+        # Below the simple pivots the A-part is zero, so a nonzero entry
+        # there puts t outside the span.
+        outside = any(R[r][col] for r in range(len(pivots), len(R)))
+        if outside or any(c.denominator != 1 for c in sol if c):
+            raise ValueError(f"{t} is not an integral combination of the simple vectors")
+        out.append(tuple(int(c) for c in sol))
+    return out
 
 
 def _root_sum_sq(datum, i):
@@ -165,7 +181,8 @@ class _NTable:
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: _root_sum_sq(datum, i) for i in range(datum.nroots)}
         # Simple-root coordinates for height and ordering.
-        self.coords = {v: _simple_coords(datum.roots, simple_indices, v) for v in self.pos}
+        pos = list(self.pos)
+        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
         self.order = {
             v: (sum(self.coords[v]), self.coords[v]) for v in self.pos
         }
@@ -290,7 +307,8 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     nz = len(radical_basis)
 
     # Coroot coordinates in the simple-coroot basis.
-    coroot_coords = {ri: _simple_coords(d.coroots, simple_indices, d.coroots[ri]) for ri in root_order}
+    coroots = [d.coroots[ri] for ri in root_order]
+    coroot_coords = dict(zip(root_order, _simple_coords(d.coroots, simple_indices, coroots)))
 
     table = {}
 
@@ -330,19 +348,39 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 
 
 def jacobi_witness(L: ReductiveLieAlgebra):
-    """First basis triple violating Jacobi, in combinations order, or None."""
-    T = L.table
-    for i, j, k in combinations(range(L.dim), 3):
-        # A triple whose three brackets all vanish cannot fail.
-        if (i, j) not in T and (j, k) not in T and (i, k) not in T:
-            continue
-        acc = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in L.bracket_basis(a, b).items():
-                for n, cn in L.bracket_basis(m, c).items():
-                    acc[n] = acc.get(n, 0) + cm * cn
-        if any(v for v in acc.values()):
-            return (i, j, k)
+    """First basis triple violating Jacobi, in combinations order, or None.
+
+    Only triples that meet a table entry are visited: a triple whose three
+    brackets all vanish cannot fail.  The signed adjacency ``ad`` is built
+    from ``L.table`` on every call, so an edited table is read as it is."""
+    dim = L.dim
+    ad = [{} for _ in range(dim)]          # ad[a][b]: [e_a, e_b] as ((k, c), ...)
+    for (i, j), out in L.table.items():
+        ad[i][j] = tuple(out.items())
+        ad[j][i] = tuple((k, -c) for k, c in out.items())
+    nbrs = [sorted(row) for row in ad]
+    for i in range(dim):
+        ad_i = ad[i]
+        for j in range(i + 1, dim):
+            ad_j = ad[j]
+            ij = ad_i.get(j)
+            if ij is None:
+                ks = sorted(set(nbrs[i][bisect_right(nbrs[i], j):]).union(nbrs[j][bisect_right(nbrs[j], j):]))
+            else:
+                ks = range(j + 1, dim)
+            for k in ks:
+                acc = {}
+                for m, cm in ij or ():
+                    for n, cn in ad[m].get(k, ()):
+                        acc[n] = acc.get(n, 0) + cm * cn
+                for m, cm in ad_j.get(k, ()):
+                    for n, cn in ad[m].get(i, ()):
+                        acc[n] = acc.get(n, 0) + cm * cn
+                for m, cm in ad[k].get(i, ()):
+                    for n, cn in ad[m].get(j, ()):
+                        acc[n] = acc.get(n, 0) + cm * cn
+                if any(acc.values()):
+                    return (i, j, k)
     return None
 
 
@@ -464,6 +502,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
     chain = _chain_order(L)
     # Each root of A_{n-1} is an interval sum of chain-ordered simple
     # roots: coords with c_k = 1 for a <= k < b give the matrix unit E_ab.
+    coords_all = _simple_coords(d.roots, L.simple_indices, d.roots)
     perm = []
     for lab in oracle.labels:
         if lab[0] == "h":
@@ -472,7 +511,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
             i, j = lab[1]
             target = None
             for ri in range(d.nroots):
-                raw = _simple_coords(d.roots, L.simple_indices, d.roots[ri])
+                raw = coords_all[ri]
                 coords = [raw[chain[k]] for k in range(len(raw))]
                 lo = [k for k, c in enumerate(coords) if c == 1]
                 hi = [k for k, c in enumerate(coords) if c == -1]

@@ -88,7 +88,8 @@ def cmd_verify(args):
     if d.rank > args.max_rank_guard:
         raise ValueError(
             f"rank {d.rank} exceeds the guard ({args.max_rank_guard}); "
-            "the Jacobi certificates grow as dim^3 and dominate above it — "
+            "the two Jacobi certificates visit O(dim^3) basis triples and are "
+            "the largest cost above it — "
             "pass --max-rank-guard to override"
         )
     report = tduality.verify_all(d, scales=tuple(args.scale))

@@ -11,6 +11,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import exactlin
 
@@ -46,7 +48,7 @@ def _require_int(x, what):
 
 def pair(coroot, root):
     """The canonical lattice pairing <coroot, root> (standard dot product)."""
-    return sum(a * b for a, b in zip(coroot, root))
+    return sum(map(mul, coroot, root))
 
 
 @dataclass
@@ -93,55 +95,47 @@ def validate(d: RootDatum) -> AxiomReport:
             rep.pairing_two = False
             rep.pairing_witness = i
             break
+    P = [[pair(c, r) for r in d.roots] for c in d.coroots]     # P[i][j] = <c_i, r_j>
     coroot_set = set(d.coroots)
     root_set = set(d.roots)
     for j in range(d.nroots):
         if not rep.reflection:
             break
         for i in range(d.nroots):
-            # Reflect coroot i in root j (acts on the cocharacter lattice).
-            n = pair(d.coroots[i], d.roots[j])
-            refl_c = tuple(a - n * b for a, b in zip(d.coroots[i], d.coroots[j]))
-            # Reflect root i in coroot j (acts on the character lattice).
-            m = pair(d.coroots[j], d.roots[i])
-            refl_r = tuple(a - m * b for a, b in zip(d.roots[i], d.roots[j]))
-            if refl_c not in coroot_set or refl_r not in root_set:
+            n, m = P[i][j], P[j][i]
+            # Reflect coroot i in root j (cocharacter lattice) and root i in
+            # coroot j (character lattice); a zero pairing is the identity.
+            bad = (n and tuple(a - n * b for a, b in zip(d.coroots[i], d.coroots[j])) not in coroot_set) or (
+                m and tuple(a - m * b for a, b in zip(d.roots[i], d.roots[j])) not in root_set
+            )
+            if bad:
                 rep.reflection = False
                 rep.reflection_witness = (i, j)
                 break
-    # Reducedness: if x and c*x are both coroots then c = +-1.
-    for i, c in enumerate(d.coroots):
-        for j, c2 in enumerate(d.coroots):
-            if i == j:
-                continue
-            ratio = _scalar_ratio(c2, c)
-            if ratio is not None and ratio not in (1, -1):
-                rep.reduced = False
-                rep.reduced_witness = (i, j)
-                break
-        if not rep.reduced:
+    # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
+    # nonzero coroots on one line have the same content; a zero coroot is
+    # 0 times every other.
+    prim = [_primitive(c) for c in d.coroots]
+    for i, pi in enumerate(prim):
+        if pi is None:
+            continue
+        j = next((j for j, pj in enumerate(prim) if pj is None or (pj[0] == pi[0] and pj[1] != pi[1])), None)
+        if j is not None:
+            rep.reduced = False
+            rep.reduced_witness = (i, j)
             break
     return rep
 
 
-def _scalar_ratio(v, w):
-    """Return c with v = c*w (exact rational), or None."""
-    if all(x == 0 for x in w):
+def _primitive(v):
+    """(primitive direction, content) of a nonzero integer vector, the
+    direction's first nonzero entry positive; None for the zero vector."""
+    g = gcd(*v)
+    if g == 0:
         return None
-    c = None
-    for a, b in zip(v, w):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = Fraction(a, b)
-        if c is None:
-            c = r
-        elif c != r:
-            return None
-    if c is None:
-        return None
-    return c if all(Fraction(a) == c * b for a, b in zip(v, w)) else None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v), abs(g)
 
 
 def dualize(d: RootDatum) -> RootDatum:

@@ -169,6 +169,84 @@ def test_validation_rejects_broken_data():
     assert not rootdatum.validate(broken).ok
 
 
+def oracle_validate(d):
+    """The root-datum axioms as first written: both reflections for every
+    pair, and reducedness through exact Fraction ratios of coroot pairs."""
+    rep = rootdatum.AxiomReport()
+    for i, r in enumerate(d.roots):
+        if all(x == 0 for x in r):
+            rep.nonzero = False
+            rep.nonzero_witness = i
+            break
+    for i in range(d.nroots):
+        if rootdatum.pair(d.coroots[i], d.roots[i]) != 2:
+            rep.pairing_two = False
+            rep.pairing_witness = i
+            break
+    coroot_set = set(d.coroots)
+    root_set = set(d.roots)
+    for j in range(d.nroots):
+        if not rep.reflection:
+            break
+        for i in range(d.nroots):
+            n = rootdatum.pair(d.coroots[i], d.roots[j])
+            refl_c = tuple(a - n * b for a, b in zip(d.coroots[i], d.coroots[j]))
+            m = rootdatum.pair(d.coroots[j], d.roots[i])
+            refl_r = tuple(a - m * b for a, b in zip(d.roots[i], d.roots[j]))
+            if refl_c not in coroot_set or refl_r not in root_set:
+                rep.reflection = False
+                rep.reflection_witness = (i, j)
+                break
+    for i, c in enumerate(d.coroots):
+        for j, c2 in enumerate(d.coroots):
+            if i == j:
+                continue
+            ratio = _scalar_ratio(c2, c)
+            if ratio is not None and ratio not in (1, -1):
+                rep.reduced = False
+                rep.reduced_witness = (i, j)
+                break
+        if not rep.reduced:
+            break
+    return rep
+
+
+def _scalar_ratio(v, w):
+    """Return c with v = c*w (exact rational), or None."""
+    if all(x == 0 for x in w):
+        return None
+    c = None
+    for a, b in zip(v, w):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        r = Fraction(a, b)
+        if c is None:
+            c = r
+        elif c != r:
+            return None
+    if c is None:
+        return None
+    return c if all(Fraction(a) == c * b for a, b in zip(v, w)) else None
+
+
+@pytest.mark.parametrize(
+    "coroots,reduced_witness",
+    [
+        (((1,), (-1,), (1,)), None),           # a duplicate coroot: ratio 1 is allowed
+        (((1,), (-1,), (0,)), (0, 2)),         # a zero coroot is 0 times the first
+        (((1,), (-1,), (-2,)), (0, 2)),        # ratio -2
+        (((0,), (0,)), None),                  # zero against zero has no ratio
+    ],
+)
+def test_validate_reducedness_edge_cases_match_the_oracle(coroots, reduced_witness):
+    d = rootdatum.RootDatum(rank=1, roots=tuple((2,) for _ in coroots), coroots=coroots)
+    rep = rootdatum.validate(d)
+    assert rep == oracle_validate(d)
+    assert rep.reduced_witness == reduced_witness
+
+
 def test_descriptor_errors():
     for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", ""):
         with pytest.raises(ValueError):
@@ -248,6 +326,35 @@ def unimodular_pair(draw, n):
             for row in V:
                 row[i] = -row[i]
     return U, V
+
+
+@st.composite
+def perturbed_data(draw):
+    """A rank <= 4 datum with some coroots and roots scaled, duplicated,
+    zeroed or negated."""
+    d = draw(small_data())
+    roots, coroots = list(d.roots), list(d.coroots)
+    for _ in range(draw(st.integers(1, 3)) if d.nroots else 0):
+        key = draw(st.sampled_from(["roots", "coroots"]))
+        vecs = roots if key == "roots" else coroots
+        i = draw(st.integers(0, d.nroots - 1))
+        move = draw(st.sampled_from(["scale", "duplicate", "zero", "negate"]))
+        if move == "scale":
+            k = draw(st.sampled_from([-3, -2, 2, 3]))
+            vecs[i] = tuple(k * x for x in vecs[i])
+        elif move == "duplicate":
+            vecs[i] = vecs[draw(st.integers(0, d.nroots - 1))]
+        elif move == "zero":
+            vecs[i] = (0,) * d.rank
+        else:
+            vecs[i] = tuple(-x for x in vecs[i])
+    return rootdatum.RootDatum(rank=d.rank, roots=tuple(roots), coroots=tuple(coroots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=perturbed_data())
+def test_validate_matches_the_oracle_on_perturbed_data(d):
+    assert rootdatum.validate(d) == oracle_validate(d)
 
 
 def _checks(d):

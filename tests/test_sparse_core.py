@@ -1,17 +1,23 @@
 """The sparse Jacobi certificate and the sparse Cartan 3-form against the
-dense loops they replaced, kept here as oracles: both must agree on passing
-types and on seeded defects.  Also checks that the Chevalley core stores
-plain ints, and that a non-integral value is refused rather than truncated."""
+loops they replaced, kept here as oracles: all must agree on passing types
+and on seeded defects.  Also checks that the Chevalley core stores plain
+ints, that a non-integral value is refused rather than truncated, and that
+the batched simple-coordinate solve matches one solve per vector."""
 
 import copy
+import re
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
-from liedual import ceforms, chevalley, rootdatum, tduality
+from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
+from test_rootdatum import RANK8_TYPES
 
 ORACLE_TYPES = ["A2:sc", "D4:sc", "A3:adj", "B3:sc", "G2:sc", "A1xT1:sc"]
 
@@ -24,6 +30,23 @@ def dense_jacobi_witness(L):
             for m, cm in L.bracket_basis(a, b).items():
                 for n, cn in L.bracket_basis(m, c).items():
                     acc[n] = acc.get(n, Fraction(0)) + cm * cn
+        if any(v for v in acc.values()):
+            return (i, j, k)
+    return None
+
+
+def streaming_jacobi_witness(L):
+    """First basis triple violating Jacobi, over every triple, skipping those
+    whose three brackets are all absent from the table."""
+    T = L.table
+    for i, j, k in combinations(range(L.dim), 3):
+        if (i, j) not in T and (j, k) not in T and (i, k) not in T:
+            continue
+        acc = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in L.bracket_basis(a, b).items():
+                for n, cn in L.bracket_basis(m, c).items():
+                    acc[n] = acc.get(n, 0) + cm * cn
         if any(v for v in acc.values()):
             return (i, j, k)
     return None
@@ -56,8 +79,16 @@ def dense_cartan_three_form(L):
 def test_sparse_loops_match_the_dense_oracles(typ):
     L = build_lie_algebra(build(typ))
     assert chevalley.jacobi_witness(L) is None
+    assert streaming_jacobi_witness(L) is None
     assert dense_jacobi_witness(L) is None
     assert ceforms.cartan_three_form(L).terms == dense_cartan_three_form(L)
+
+
+@pytest.mark.parametrize("typ", ["D5:sc", "E6:sc"])
+def test_jacobi_sweep_matches_the_streaming_oracle(typ):
+    L = build_lie_algebra(build(typ))
+    assert chevalley.jacobi_witness(L) is None
+    assert streaming_jacobi_witness(L) is None
 
 
 BRACKET_SHAPES = {"weight": ("h", "x", "x"), "coroot": ("x", "x", "h"), "N": ("x", "x", "x")}
@@ -81,9 +112,32 @@ def test_a_flipped_structure_constant_gives_the_same_witness(typ, kind):
     key = _first_entry(L, kind)
     L.table = dict(L.table)
     L.table[key] = {k: -c for k, c in L.table[key].items()}
+    table = copy.deepcopy(L.table)
+    witness = chevalley.jacobi_witness(L)
+    assert L.table == table
+    assert witness is not None
+    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+
+
+@pytest.fixture(scope="module")
+def perturbation_bases():
+    return {typ: build_lie_algebra(build(typ)) for typ in ["A2:sc", "A3:adj", "B3:sc", "G2:sc"]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_perturbed_table_entry_gives_the_same_witness_from_all_sweeps(perturbation_bases, data):
+    base = perturbation_bases[data.draw(st.sampled_from(sorted(perturbation_bases)))]
+    key = data.draw(st.sampled_from(sorted(base.table)))
+    k = data.draw(st.sampled_from(sorted(base.table[key])))
+    change = data.draw(st.sampled_from(["flip", 1, -1]))
+    out = dict(base.table[key])
+    out[k] = -out[k] if change == "flip" else out[k] + change
+    L = copy.copy(base)
+    L.table = {**base.table, key: out}
     witness = chevalley.jacobi_witness(L)
     assert witness is not None
-    assert witness == dense_jacobi_witness(L)
+    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
 
 
 @pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A1xT1:sc"])
@@ -131,13 +185,39 @@ def test_a_non_integral_structure_constant_is_refused():
 def test_simple_coordinates_are_ints_or_refused():
     d = build("A2:sc")
     _, simple = rootdatum.positive_system(d)
-    for r in d.roots:
-        assert all(type(c) is int for c in chevalley._simple_coords(d.roots, simple, r))
+    assert all(type(c) is int for coords in chevalley._simple_coords(d.roots, simple, d.roots) for c in coords)
     # (1, 0) is a weight of A2:sc but not in the root lattice: coordinates 2/3, 1/3.
-    with pytest.raises(ValueError, match="not an integral combination"):
-        chevalley._simple_coords(d.roots, simple, (1, 0))
+    with pytest.raises(ValueError, match=re.escape("(1, 0) is not an integral combination")):
+        chevalley._simple_coords(d.roots, simple, [d.roots[0], (1, 0), d.roots[1]])
     t = build("A1xT1:sc")
     _, simple = rootdatum.positive_system(t)
+    # (1, 0) is non-integral, (0, 1) lies outside the span of the roots.
     for v in ((1, 0), (0, 1)):
-        with pytest.raises(ValueError, match="not an integral combination"):
-            chevalley._simple_coords(t.roots, simple, v)
+        with pytest.raises(ValueError, match=re.escape(f"{v} is not an integral combination")):
+            chevalley._simple_coords(t.roots, simple, list(t.roots) + [v])
+    assert chevalley._simple_coords(t.roots, simple, []) == []
+
+
+def per_vector_simple_coords(vectors, simple_indices, v):
+    """One exact solve per vector, as before the batched elimination."""
+    A = [[vectors[s][r] for s in simple_indices] for r in range(len(v))]
+    sol = exactlin.solve_exact(A, v)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        raise ValueError(f"{v} is not an integral combination of the simple vectors")
+    return tuple(c.numerator for c in sol)
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if "x" not in t and t[0] != "T"])
+def test_batched_simple_coordinates_match_one_solve_per_vector(typ):
+    d = build(typ)
+    _, simple = rootdatum.positive_system(d)
+    for vectors in (d.roots, d.coroots):
+        expected = [per_vector_simple_coords(vectors, simple, v) for v in vectors]
+        assert chevalley._simple_coords(vectors, simple, vectors) == expected
+
+
+def test_build_lie_algebra_runs_one_elimination_per_coordinate_batch():
+    d = build("E6:sc")
+    with mock.patch.object(exactlin, "rref", wraps=exactlin.rref) as spy:
+        build_lie_algebra(d)
+    assert spy.call_count == 2
