@@ -5,7 +5,9 @@ Basis labels are tuples: ("z", k) for the radical block, ("h", i) for the
 i-th simple coroot, ("x", ri) for the root vector of root index ri.
 Structure constants, Killing values and coroot coordinates are exact ints
 (integral by the Chevalley basis theorem); the sign convention comes from the
-extraspecial-pair method and is certified post hoc by a Jacobi sweep.
+extraspecial-pair method and is certified post hoc on the generators: the
+simple root vectors and the radical generate the algebra, and the ad of
+each is a derivation.  A table that fails this is swept for a witness.
 """
 
 from bisect import bisect_right
@@ -60,29 +62,28 @@ class ReductiveLieAlgebra:
                     out[k] += a * b * c
         return out
 
-    def ad_entries(self, i):
-        """Sparse matrix of ad(e_i): {(row, col): coeff}."""
-        out = {}
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
-                out[(k, j)] = out.get((k, j), 0) + c
-        return out
-
     # -- Killing form -----------------------------------------------------
 
     def killing_matrix(self):
-        """Exact trace form Tr(ad X ad Y) on the basis, cached."""
+        """Exact trace form Tr(ad X ad Y) on the basis, cached.
+
+        K[i][j] sums [e_i, e_m]_k [e_j, e_k]_m over the table's entries,
+        grouped by (m, k): each group of [e_i, e_m]_k meets the group of
+        [e_j, e_k]_m."""
         if self._killing is None:
-            ads = [self.ad_entries(i) for i in range(self.dim)]
+            meets = {}                      # (m, k) -> [(i, [e_i, e_m]_k)]
+            for (i, j), out in self.table.items():
+                for k, c in out.items():
+                    meets.setdefault((j, k), []).append((i, c))
+                    meets.setdefault((i, k), []).append((j, -c))
             K = [[0] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    s = 0
-                    for (r, c), v in ads[j].items():
-                        w = ads[i].get((c, r))
-                        if w is not None:
-                            s += v * w
-                    K[i][j] = K[j][i] = s
+            for (m, k), left in meets.items():
+                right = meets.get((k, m))
+                if right:
+                    for i, c in left:
+                        K_i = K[i]
+                        for j, v in right:
+                            K_i[j] += c * v
             self._killing = K
         return self._killing
 
@@ -201,15 +202,13 @@ class _NTable:
     def _fill(self):
         positives = sorted(self.pos, key=lambda v: self.order[v])
         for gamma in positives:
-            specials = sorted(
-                (
-                    (a, tuple(x - y for x, y in zip(gamma, a)))
-                    for a in self.pos
-                    if tuple(x - y for x, y in zip(gamma, a)) in self.pos
-                    and self.order[a] < self.order[tuple(x - y for x, y in zip(gamma, a))]
-                ),
-                key=lambda ab: self.order[ab[0]],
-            )
+            specials = []               # (a, b) with a + b = gamma, a < b, in order of a
+            for a in positives:
+                if 2 * self.order[a][0] > self.order[gamma][0]:
+                    break               # a < b forces ht(a) <= ht(gamma) / 2
+                b = tuple(x - y for x, y in zip(gamma, a))
+                if b in self.pos and self.order[a] < self.order[b]:
+                    specials.append((a, b))
             if not specials:
                 continue
             a1, b1 = specials[0]
@@ -274,8 +273,7 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 
     The radical block is the integral kernel of the roots on Lambda; the
     semisimple block is built on the simple coroots and one root vector per
-    root.  Jacobi is verified on every basis triple that meets a nonzero
-    bracket before returning.
+    root.  Jacobi is certified by ``jacobi_witness`` before returning.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
@@ -350,14 +348,88 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 def jacobi_witness(L: ReductiveLieAlgebra):
     """First basis triple violating Jacobi, in combinations order, or None.
 
-    Only triples that meet a table entry are visited: a triple whose three
-    brackets all vanish cannot fail.  The signed adjacency ``ad`` is built
-    from ``L.table`` on every call, so an edited table is read as it is."""
-    dim = L.dim
-    ad = [{} for _ in range(dim)]          # ad[a][b]: [e_a, e_b] as ((k, c), ...)
-    for (i, j), out in L.table.items():
+    A generator certificate runs first: if the simple root vectors
+    x_a, x_-a and the radical basis z_k generate the algebra, and the ad of
+    each of them is a derivation, Jacobi holds.  (The x whose ad x is a
+    derivation form a subalgebra: ad [x, y] = [ad x, ad y].)  Otherwise the
+    sweep over every triple that meets a nonzero bracket supplies the
+    witness.  The signed rows are built from ``L.table`` on every call, so an
+    edited table is read as it is."""
+    ad = _signed_rows(L.table, L.dim)
+    gens = _generators(L)
+    if _generates(ad, gens) and _derivations(ad, gens):
+        return None
+    return _jacobi_sweep(ad)
+
+
+def _signed_rows(table, dim):
+    """ad[a][b]: [e_a, e_b] as ((k, c), ...), for both orders of each entry."""
+    ad = [{} for _ in range(dim)]
+    for (i, j), out in table.items():
         ad[i][j] = tuple(out.items())
         ad[j][i] = tuple((k, -c) for k, c in out.items())
+    return ad
+
+
+def _generators(L):
+    """Basis indices of z_k and of x_a, x_-a for each simple root a."""
+    roots = L.datum.roots
+    gens = list(range(len(L.radical_basis)))
+    for ri in L.simple_indices:
+        neg = roots.index(tuple(-x for x in roots[ri]))
+        gens += [L.index[("x", ri)], L.index[("x", neg)]]
+    return gens
+
+
+def _generates(ad, gens):
+    """True when every basis index is reached from gens by bracketing with
+    a generator, counting only brackets that are one nonzero term c e_k."""
+    reached = set(gens)
+    todo = list(gens)
+    while todo:
+        r = todo.pop()
+        for g in gens:
+            out = [k for k, c in ad[g].get(r, ()) if c]
+            if len(out) == 1 and out[0] not in reached:
+                reached.add(out[0])
+                todo.append(out[0])
+    return len(reached) == len(ad)
+
+
+def _derivations(ad, gens):
+    """True when ad g is a derivation for every g in gens:
+    J(g, e_j, e_k) = [g, [e_j, e_k]] - [e_j, [g, e_k]] - [[g, e_j], e_k]
+    vanishes for every j < k.  For each j the three terms are summed over
+    the k > j where [e_j, e_k], [g, e_k] or [[g, e_j], e_k] is nonzero."""
+    for g in gens:
+        ad_g = ad[g]
+        for j, ad_j in enumerate(ad):
+            acc = {}                        # (k, n) -> J(g, e_j, e_k)_n
+            for k, out in ad_j.items():
+                if k > j:
+                    for m, cm in out:
+                        for n, cn in ad_g.get(m, ()):
+                            acc[k, n] = acc.get((k, n), 0) + cm * cn
+            for k, out in ad_g.items():
+                if k > j:
+                    for m, cm in out:
+                        for n, cn in ad_j.get(m, ()):
+                            acc[k, n] = acc.get((k, n), 0) - cm * cn
+            for m, cm in ad_g.get(j, ()):
+                for k, out in ad[m].items():
+                    if k > j:
+                        for n, cn in out:
+                            acc[k, n] = acc.get((k, n), 0) - cm * cn
+            if any(acc.values()):
+                return False
+    return True
+
+
+def _jacobi_sweep(ad):
+    """First triple i < j < k with J(e_i, e_j, e_k) != 0, or None.  Only
+    triples that meet a nonzero bracket are visited: a triple whose three
+    brackets all vanish cannot fail."""
+    dim = len(ad)
     nbrs = [sorted(row) for row in ad]
     for i in range(dim):
         ad_i = ad[i]

@@ -85,13 +85,6 @@ def cmd_export_algebra(args):
 
 def cmd_verify(args):
     d = _load_datum(args)
-    if d.rank > args.max_rank_guard:
-        raise ValueError(
-            f"rank {d.rank} exceeds the guard ({args.max_rank_guard}); "
-            "the two Jacobi certificates visit O(dim^3) basis triples and are "
-            "the largest cost above it — "
-            "pass --max-rank-guard to override"
-        )
     report = tduality.verify_all(d, scales=tuple(args.scale))
     _emit(report.as_dict(timing=not args.no_timing), args.out)
     return EXIT_OK if report.overall else EXIT_MATH_FAIL
@@ -129,8 +122,6 @@ def main(argv=None):
     p.add_argument("--out", help="write JSON to a file instead of stdout")
     p.add_argument("--scale", type=int, action="append", default=[],
                    help="additionally verify with this integer multiple of F and H (repeatable)")
-    p.add_argument("--max-rank-guard", type=int, default=6,
-                   help="refuse data of rank above this bound (default 6)")
     p.add_argument("--no-timing", action="store_true", help="omit timing fields for byte-stable output")
     p.set_defaults(func=cmd_verify)
 

@@ -1,8 +1,9 @@
-"""The sparse Jacobi certificate and the sparse Cartan 3-form against the
-loops they replaced, kept here as oracles: all must agree on passing types
-and on seeded defects.  Also checks that the Chevalley core stores plain
-ints, that a non-integral value is refused rather than truncated, and that
-the batched simple-coordinate solve matches one solve per vector."""
+"""The Jacobi certificates, the sparse Cartan 3-form, the Killing matrix
+and the N-table fill against the loops they replaced, kept here as oracles:
+all must agree on passing types and on seeded defects.  Also checks that
+the Chevalley core stores plain ints, that a non-integral value is refused
+rather than truncated, and that the batched simple-coordinate solve matches
+one solve per vector."""
 
 import copy
 import re
@@ -75,6 +76,52 @@ def dense_cartan_three_form(L):
     return terms
 
 
+def dense_killing_matrix(L):
+    """Tr(ad e_i ad e_j), with ad e_i built from a bracket_basis call for
+    every basis element."""
+
+    def ad_entries(i):
+        out = {}
+        for j in range(L.dim):
+            for k, c in L.bracket_basis(i, j).items():
+                out[(k, j)] = out.get((k, j), 0) + c
+        return out
+
+    ads = [ad_entries(i) for i in range(L.dim)]
+    K = [[0] * L.dim for _ in range(L.dim)]
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            s = 0
+            for (r, c), v in ads[j].items():
+                w = ads[i].get((c, r))
+                if w is not None:
+                    s += v * w
+            K[i][j] = K[j][i] = s
+    return K
+
+
+def legacy_fill(ntab):
+    """_NTable._fill as it was: gamma - a is built three times for every
+    pair of positive roots."""
+    positives = sorted(ntab.pos, key=lambda v: ntab.order[v])
+    for gamma in positives:
+        specials = sorted(
+            (
+                (a, tuple(x - y for x, y in zip(gamma, a)))
+                for a in ntab.pos
+                if tuple(x - y for x, y in zip(gamma, a)) in ntab.pos
+                and ntab.order[a] < ntab.order[tuple(x - y for x, y in zip(gamma, a))]
+            ),
+            key=lambda ab: ntab.order[ab[0]],
+        )
+        if not specials:
+            continue
+        a1, b1 = specials[0]
+        ntab._set(a1, b1, ntab._p(a1, b1) + 1)
+        for a, b in specials[1:]:
+            ntab._derive(a, b, a1, b1, gamma)
+
+
 @pytest.mark.parametrize("typ", ORACLE_TYPES)
 def test_sparse_loops_match_the_dense_oracles(typ):
     L = build_lie_algebra(build(typ))
@@ -138,6 +185,104 @@ def test_a_perturbed_table_entry_gives_the_same_witness_from_all_sweeps(perturba
     witness = chevalley.jacobi_witness(L)
     assert witness is not None
     assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+
+
+def perturbed(base, key, k, change):
+    """A shallow copy of base whose table entry key has coefficient k
+    flipped or moved by +-1, with no cached Killing matrix."""
+    out = dict(base.table[key])
+    out[k] = -out[k] if change == "flip" else out[k] + change
+    L = copy.copy(base)
+    L.table = {**base.table, key: out}
+    L._killing = None
+    return L
+
+
+def certificate(L):
+    """(generated, derivations) of the generator certificate on L.table."""
+    ad = chevalley._signed_rows(L.table, L.dim)
+    gens = chevalley._generators(L)
+    return chevalley._generates(ad, gens), chevalley._derivations(ad, gens)
+
+
+CERTIFIED_TYPES = [t for t in RANK8_TYPES if "x" not in t and t[0] != "T"] + ["A1xT1:sc", "T2"]
+
+
+@pytest.mark.parametrize("typ", CERTIFIED_TYPES)
+def test_the_generator_certificate_passes_without_the_sweep(typ):
+    with mock.patch.object(chevalley, "jacobi_witness", wraps=chevalley.jacobi_witness) as witness, \
+            mock.patch.object(chevalley, "_jacobi_sweep", wraps=chevalley._jacobi_sweep) as sweep:
+        build_lie_algebra(build(typ))
+    assert witness.call_count == 1
+    assert sweep.call_count == 0
+
+
+def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
+    seen = cut_off = 0
+    for base in perturbation_bases.values():
+        for key, out in base.table.items():
+            for k in out:
+                for change in ("flip", 1, -1):
+                    generated, derivations = certificate(perturbed(base, key, k, change))
+                    assert not (generated and derivations)
+                    seen += 1
+                    cut_off += not generated
+    assert (seen, cut_off) == (786, 18)
+
+
+def test_generation_reaches_only_through_one_nonzero_term():
+    # [e_0, e_1] = e_2 + e_1 puts e_1 + e_2 in the generated subalgebra,
+    # not e_2; a zero coefficient is no term.
+    def generates(out):
+        return chevalley._generates(chevalley._signed_rows({(0, 1): out}, 3), [0, 1])
+
+    assert generates({2: 1})
+    assert generates({2: -2, 1: 0})
+    assert not generates({2: 1, 1: 1})
+    assert not generates({2: 0})
+
+
+def test_a_zeroed_constant_that_cuts_a_root_vector_off_is_refused():
+    # [x_a1, x_a2] = x_(a1+a2) for the simple roots of A2: with the
+    # constant at 0, no bracket with a generator reaches x_(a1+a2).
+    base = build_lie_algebra(build("A2:sc"))
+    key = tuple(sorted(base.index[("x", ri)] for ri in base.simple_indices))
+    ((theta, c),) = base.table[key].items()
+    assert c == 1
+    L = perturbed(base, key, theta, -1)
+    assert certificate(L)[0] is False
+    with mock.patch.object(chevalley, "_jacobi_sweep", wraps=chevalley._jacobi_sweep) as sweep:
+        witness = chevalley.jacobi_witness(L)
+    assert sweep.call_count == 1
+    assert witness is not None
+    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+
+
+@pytest.mark.parametrize("typ", ORACLE_TYPES + ["D5:sc", "E6:sc"])
+def test_killing_matrix_matches_the_dense_trace(typ):
+    L = build_lie_algebra(build(typ))
+    assert L.killing_matrix() == dense_killing_matrix(L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_killing_matrix_of_a_perturbed_table_matches_the_dense_trace(perturbation_bases, data):
+    base = perturbation_bases[data.draw(st.sampled_from(sorted(perturbation_bases)))]
+    key = data.draw(st.sampled_from(sorted(base.table)))
+    k = data.draw(st.sampled_from(sorted(base.table[key])))
+    L = perturbed(base, key, k, data.draw(st.sampled_from(["flip", 1, -1])))
+    assert L.killing_matrix() == dense_killing_matrix(L)
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
+def test_fill_matches_the_three_difference_sweep(typ):
+    d = build(typ)
+    pos, simple = rootdatum.positive_system(d)
+    ntab = chevalley._NTable(d, pos, simple)
+    old = copy.copy(ntab)
+    old.table = {}
+    legacy_fill(old)
+    assert old.table == ntab.table
 
 
 @pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A1xT1:sc"])
