@@ -11,7 +11,6 @@ each is a derivation.  A table that fails this is swept for a witness.
 """
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import combinations
 
 from . import exactlin, rootdatum
@@ -139,33 +138,19 @@ class ReductiveLieAlgebra:
 
 def _simple_coords(vectors, simple_indices, targets):
     """Integer coordinates of each target in the simple members of vectors
-    (the roots or the coroots of a datum), from one elimination of
-    [A | t_1 ... t_n]; raises ValueError unless every target lies in their
-    integer span."""
-    if not targets:
-        return []
-    ns = len(simple_indices)
-    R, pivots = exactlin.rref(
-        [[vectors[s][r] for s in simple_indices] + [t[r] for t in targets] for r in range(len(targets[0]))]
-    )
-    pivots = [c for c in pivots if c < ns]
-    out = []
-    for col, t in enumerate(targets, start=ns):
-        sol = [0] * ns
-        for r, c in enumerate(pivots):
-            sol[c] = R[r][col]
-        # Below the simple pivots the A-part is zero, so a nonzero entry
-        # there puts t outside the span.
-        outside = any(R[r][col] for r in range(len(pivots), len(R)))
-        if outside or any(c.denominator != 1 for c in sol if c):
+    (the roots or the coroots of a datum), from one integer solve for the
+    batch; raises ValueError unless every target lies in their integer
+    span."""
+    coords = exactlin.integer_coordinates([vectors[s] for s in simple_indices], targets)
+    for t, x in zip(targets, coords):
+        if x is None:
             raise ValueError(f"{t} is not an integral combination of the simple vectors")
-        out.append(tuple(int(c) for c in sol))
-    return out
+    return coords
 
 
 def _root_sum_sq(datum, i):
     """K(h_alpha, h_alpha) computed by the root-sum formula (exact int)."""
-    return sum(pair(datum.coroots[i], r) ** 2 for r in datum.roots)
+    return sum(v * v for v in datum.pairing[i])
 
 
 class _NTable:
@@ -231,21 +216,28 @@ class _NTable:
         d2 = tuple(x - y for x, y in zip(a1, b))
         if d2 in self.by_vec:
             t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
-        # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0).
-        coeff = self.table[(a1, b1)] * Fraction(self.K[gamma], self.K[b1])
-        n_neg = -(t1 + t2) / coeff
-        self._set(a, b, -n_neg)
+        # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0),
+        # and N(a, b) = (t1 + t2) / N(-gamma, a1).
+        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], self.table[(a1, b1)] * self.K[gamma]))
+
+    def _ratio(self, a, b, num, den):
+        """N_{a,b} = num / den, refused unless the division is exact."""
+        q, r = divmod(num, den)
+        if r:
+            raise ValueError(f"non-integral structure constant N{a, b} = {num}/{den}")
+        return q
 
     def constant(self, a, b):
-        """N_{a,b} as an int.  The ratio steps of get() are exact; a value
-        they leave non-integral means the table is wrong."""
+        """N_{a,b} as an int.  The ratio steps of get() are exact integer
+        divisions; a table value that is not integral means the table is
+        wrong."""
         n = self.get(a, b)
         if n.denominator != 1:
             raise ValueError(f"non-integral structure constant N{a, b} = {n}")
         return n.numerator
 
     def get(self, a, b):
-        """N_{a,b} for roots a, b with a+b a root (exact rational)."""
+        """N_{a,b} for roots a, b with a+b a root."""
         s = tuple(x + y for x, y in zip(a, b))
         if s not in self.by_vec:
             raise ValueError("a+b is not a root")
@@ -262,10 +254,9 @@ class _NTable:
         c = neg(s)
         if s in self.pos:
             # (-b, -c) are positive with sum a.
-            n_bc = -self.get(neg(b), neg(c))
-            return n_bc * Fraction(self.K[a], self.K[c])
+            return self._ratio(a, b, -self.get(neg(b), neg(c)) * self.K[a], self.K[c])
         # (c, a) are positive with sum -b.
-        return self.get(c, a) * Fraction(self.K[b], self.K[c])
+        return self._ratio(a, b, self.get(c, a) * self.K[b], self.K[c])
 
 
 def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
@@ -323,7 +314,7 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     for s, si in enumerate(simple_indices):
         hi = nz + s
         for ri in root_order:
-            v = pair(d.coroots[si], d.roots[ri])
+            v = d.pairing[si][ri]
             if v:
                 put(hi, index[("x", ri)], {index[("x", ri)]: v})
 

@@ -46,7 +46,6 @@ def _add_input_args(sub):
 
 def cmd_info(args):
     d = _load_datum(args)
-    _, simples = rootdatum.positive_system(d)
     out = {
         "rank": d.rank,
         "roots": d.nroots,

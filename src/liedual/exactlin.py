@@ -6,6 +6,7 @@ Matrices and vectors are plain lists; nothing here ever rounds.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def mat_vec(A, v):
@@ -64,6 +65,35 @@ def solve_exact(A, b):
     return x
 
 
+def integer_coordinates(V, targets):
+    """Integer coordinates x of each target t in the rows of V (t = sum_i
+    x_i V_i), or None for a target outside their integer span.
+
+    The rows of V must be independent.  One elimination inverts the Gram
+    matrix G = V V^T, scaled to ints by a common denominator; each target
+    is then solved in ints from G x = V t, and the x found is kept only when
+    it gives back t.  That test decides membership on its own: the solution
+    is unique, so a quotient that is not exact, or the projection of a
+    target outside the span of V, cannot give back t.
+    """
+    k = len(V)
+    inv, den = [], 1
+    if k:
+        G = [[sum(map(mul, u, v)) for v in V] for u in V]
+        R, pivots = rref([row + [int(i == j) for j in range(k)] for i, row in enumerate(G)])
+        if pivots[:k] != list(range(k)):
+            raise ValueError("basis rows are linearly dependent")
+        den = lcm(*(x.denominator for row in R for x in row[k:]))
+        inv = [[x.numerator * (den // x.denominator) for x in row[k:]] for row in R]   # den * G^-1
+    out = []
+    for t in targets:
+        Vt = [sum(map(mul, v, t)) for v in V]
+        x = tuple(sum(map(mul, row, Vt)) // den for row in inv)
+        back = [sum(xi * v[c] for xi, v in zip(x, V)) for c in range(len(t))]
+        out.append(x if back == list(t) else None)
+    return out
+
+
 def det_exact(A):
     """Exact determinant via fraction-free (Bareiss) elimination."""
     n = len(A)
@@ -94,12 +124,6 @@ def det_exact(A):
             M[i][k] = 0
         prev = M[k][k]
     return Fraction(sign * M[n - 1][n - 1], 1) / scale
-
-
-def rank_exact(A):
-    if not A:
-        return 0
-    return len(rref(A)[1])
 
 
 def smith_normal_form(A):

@@ -9,8 +9,8 @@ basis, and the two lists are index-aligned (roots[i] <-> coroots[i]).
 
 import json
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -25,7 +25,8 @@ class RootDatum:
     label: str | None = None
 
     def __post_init__(self):
-        _require_int(self.rank, "rank")
+        if _require_int(self.rank, "rank") < 0:
+            raise ValueError(f"rank must be nonnegative, got {self.rank}")
         for key in ("roots", "coroots"):
             vecs = tuple(tuple(_require_int(x, f"{key} coordinate") for x in v) for v in getattr(self, key))
             object.__setattr__(self, key, vecs)
@@ -38,6 +39,24 @@ class RootDatum:
     @property
     def nroots(self):
         return len(self.roots)
+
+    # Derived facts, computed once per datum.  cached_property writes the
+    # instance __dict__, which equality, hashing and JSON never read.
+
+    @cached_property
+    def pairing(self):
+        """P[i][j] = <coroot_i, root_j>."""
+        return tuple(tuple(sum(map(mul, c, r)) for r in self.roots) for c in self.coroots)
+
+    @cached_property
+    def axioms(self):
+        """The AxiomReport of validate."""
+        return _check_axioms(self)
+
+    @cached_property
+    def chamber(self):
+        """(positive, simple) root indices of positive_system, as tuples."""
+        return _positive_system(self)
 
 
 def _require_int(x, what):
@@ -83,32 +102,38 @@ class AxiomReport:
 
 
 def validate(d: RootDatum) -> AxiomReport:
-    """Check the root-datum axioms exactly; failures are reported, not raised."""
+    """Check the root-datum axioms exactly; failures are reported, not raised.
+    The report is computed once per datum and shared by every caller."""
+    return d.axioms
+
+
+def _check_axioms(d):
     rep = AxiomReport()
     for i, r in enumerate(d.roots):
         if all(x == 0 for x in r):
             rep.nonzero = False
             rep.nonzero_witness = i
             break
+    P = d.pairing
     for i in range(d.nroots):
-        if pair(d.coroots[i], d.roots[i]) != 2:
+        if P[i][i] != 2:
             rep.pairing_two = False
             rep.pairing_witness = i
             break
-    P = [[pair(c, r) for r in d.roots] for c in d.coroots]     # P[i][j] = <c_i, r_j>
-    coroot_set = set(d.coroots)
-    root_set = set(d.roots)
+    # Reflect coroot i in root j (cocharacter lattice) and root i in coroot
+    # j (character lattice); a zero pairing is the identity.  Membership is
+    # tested on an integer functional that is injective on every vector
+    # involved, so each reflection costs two int operations.
+    reach = 1 + max((abs(x) for row in P for x in row), default=0)
+    fc = _injective_values(d.coroots, reach)
+    fr = _injective_values(d.roots, reach)
+    coroot_set, root_set = set(fc), set(fr)
     for j in range(d.nroots):
         if not rep.reflection:
             break
         for i in range(d.nroots):
             n, m = P[i][j], P[j][i]
-            # Reflect coroot i in root j (cocharacter lattice) and root i in
-            # coroot j (character lattice); a zero pairing is the identity.
-            bad = (n and tuple(a - n * b for a, b in zip(d.coroots[i], d.coroots[j])) not in coroot_set) or (
-                m and tuple(a - m * b for a, b in zip(d.roots[i], d.roots[j])) not in root_set
-            )
-            if bad:
+            if (n and fc[i] - n * fc[j] not in coroot_set) or (m and fr[i] - m * fr[j] not in root_set):
                 rep.reflection = False
                 rep.reflection_witness = (i, j)
                 break
@@ -125,6 +150,16 @@ def validate(d: RootDatum) -> AxiomReport:
             rep.reduced_witness = (i, j)
             break
     return rep
+
+
+def _injective_values(vectors, reach):
+    """v -> sum_k M^k v_k on each vector, with M so large that the map is
+    injective on integer vectors whose entries are at most reach times the
+    largest entry of vectors in absolute value: on the vectors and on every
+    u - n v with |n| < reach."""
+    M = 2 * reach * max((abs(x) for v in vectors for x in v), default=0) + 1
+    powers = [M ** k for k in range(len(vectors[0]))] if vectors else []
+    return [sum(map(mul, powers, v)) for v in vectors]
 
 
 def _primitive(v):
@@ -206,12 +241,12 @@ def parse_descriptor(text: str) -> DynkinDescriptor:
 
 
 def _simple_euclidean_roots(family, n):
-    """Simple roots of one family in an ambient Euclidean space (Bourbaki)."""
-    F = Fraction
+    """Simple roots of one family in an ambient Euclidean space (Bourbaki),
+    doubled so that every coordinate is an integer."""
 
     def e(i, dim):
-        v = [F(0)] * dim
-        v[i] = F(1)
+        v = [0] * dim
+        v[i] = 2
         return v
 
     if family == "A":
@@ -228,47 +263,31 @@ def _simple_euclidean_roots(family, n):
             out.append([a + b for a, b in zip(e(n - 2, dim), e(n - 1, dim))])
         return out
     if family == "E":
-        dim = 8
-        a1 = [F(1, 2), *([F(-1, 2)] * 6), F(1, 2)]
-        a2 = [F(1), F(1)] + [F(0)] * 6
-        simples = [a1, a2]
+        simples = [[1, *([-1] * 6), 1], [2, 2] + [0] * 6]
         for i in range(6):
-            v = [F(0)] * 8
-            v[i] = F(-1)
-            v[i + 1] = F(1)
+            v = [0] * 8
+            v[i] = -2
+            v[i + 1] = 2
             simples.append(v)
         return simples[:n]
     if family == "F":
-        dim = 4
-        return [
-            [F(0), F(1), F(-1), F(0)],
-            [F(0), F(0), F(1), F(-1)],
-            [F(0), F(0), F(0), F(1)],
-            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
-        ]
+        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
     if family == "G":
-        return [
-            [F(1), F(-1), F(0)],
-            [F(-2), F(1), F(1)],
-        ]
+        return [[2, -2, 0], [-4, 2, 2]]
     raise ValueError(family)
 
 
 def family_cartan(family, n):
     """Cartan matrix A[i][j] = <h_i, alpha_j> of one simple family."""
     simples = _simple_euclidean_roots(family, n)
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
     A = []
     for i in range(n):
         row = []
         for j in range(n):
-            val = 2 * dot(simples[i], simples[j]) / dot(simples[i], simples[i])
-            if val.denominator != 1:
+            val, rem = divmod(2 * pair(simples[i], simples[j]), pair(simples[i], simples[i]))
+            if rem:
                 raise RuntimeError("non-integer Cartan entry")
-            row.append(int(val))
+            row.append(val)
         A.append(row)
     return A
 
@@ -334,31 +353,29 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
                     B[off + i][off + j] = A[i][j] if iso == "sc" else (1 if i == j else 0)
             off += n
 
-    roots = []
-    coroots = []
+    # Each coroot in coweight coordinates of the block is m . A (rows of A
+    # are the simple coroots in coweight coordinates); the root has simple
+    # root coordinates c.
+    coweights, root_coords = [], []
     off = 0
     for fam, n, iso, A, rc_pairs in blocks:
         for root_c, coroot_m in rc_pairs:
-            # Coroot in coweight coords of the block: m . A  (rows of A are
-            # the simple coroots in coweight coordinates).
-            cw = [sum(m * A[i][j] for i, m in enumerate(coroot_m)) for j in range(n)]
-            cw_full = [0] * ss_rank
-            rt_full = [0] * ss_rank
+            cw = [0] * ss_rank
+            rt = [0] * ss_rank
             for j in range(n):
-                cw_full[off + j] = cw[j]
-                rt_full[off + j] = root_c[j]
-            # Express the coroot in the lattice basis B (must be integral)
-            # and the root in the dual basis of B: y = B . c.
-            x = exactlin.solve_exact(
-                [[Fraction(B[i][j]) for i in range(ss_rank)] for j in range(ss_rank)],
-                [Fraction(v) for v in cw_full],
-            )
-            if x is None or any(v.denominator != 1 for v in x):
-                raise ValueError("coroot does not lie in the chosen lattice")
-            y = [sum(B[i][j] * rt_full[j] for j in range(ss_rank)) for i in range(ss_rank)]
-            coroots.append(tuple(int(v) for v in x) + (0,) * desc.torus_rank)
-            roots.append(tuple(int(v) for v in y) + (0,) * desc.torus_rank)
+                cw[off + j] = sum(m * A[i][j] for i, m in enumerate(coroot_m))
+                rt[off + j] = root_c[j]
+            coweights.append(cw)
+            root_coords.append(rt)
         off += n
+    # Express each coroot in the lattice basis B (it must be integral) and
+    # each root in the dual basis of B: y = B . c.
+    coroots = exactlin.integer_coordinates(B, coweights)
+    if None in coroots:
+        raise ValueError("coroot does not lie in the chosen lattice")
+    torus = (0,) * desc.torus_rank
+    roots = [tuple(sum(map(mul, row, rt)) for row in B) + torus for rt in root_coords]
+    coroots = [x + torus for x in coroots]
 
     label = _descriptor_label(desc)
     return RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), label=label)
@@ -366,20 +383,19 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
 
 def _check_between_lattices(B, blocks, ss_rank):
     """Custom lattice must satisfy Z-span(coroots) <= Lambda <= coweights."""
-    Bq = [[Fraction(x) for x in row] for row in B]
-    if exactlin.det_exact(Bq) == 0:
+    if exactlin.det_exact(B) == 0:
         raise ValueError("custom basis is singular")
-    # Coroot rows in coweight coordinates.
+    # Simple coroot rows in coweight coordinates.
+    simple_coroots = []
     off = 0
     for fam, n, iso, A, _ in blocks:
         for i in range(n):
-            cw = [Fraction(0)] * ss_rank
-            for j in range(n):
-                cw[off + j] = Fraction(A[i][j])
-            x = exactlin.solve_exact([[Bq[r][c] for r in range(ss_rank)] for c in range(ss_rank)], cw)
-            if x is None or any(v.denominator != 1 for v in x):
-                raise ValueError("custom lattice does not contain the coroot lattice")
+            cw = [0] * ss_rank
+            cw[off : off + n] = A[i]
+            simple_coroots.append(cw)
         off += n
+    if None in exactlin.integer_coordinates(B, simple_coroots):
+        raise ValueError("custom lattice does not contain the coroot lattice")
 
 
 def _descriptor_label(desc):
@@ -406,6 +422,13 @@ def _swap_key(d, i):
 
 
 def positive_system(d: RootDatum):
+    """Indices of positive roots and of simple roots, as fresh lists of the
+    chamber computed once per datum."""
+    pos, simple = d.chamber
+    return list(pos), list(simple)
+
+
+def _positive_system(d):
     """Indices of positive roots and of simple roots.
 
     Two candidate chambers are cut out by the generic functional
@@ -416,7 +439,7 @@ def positive_system(d: RootDatum):
     with dualization and cartan_matrix(dualize(d)) is an exact transpose.
     """
     if d.nroots == 0:
-        return [], []
+        return (), ()
     f = _functional(d.roots)
     g = _functional(d.coroots)
     cand_root = frozenset(i for i in range(d.nroots) if f(d.roots[i]) > 0)
@@ -435,13 +458,14 @@ def positive_system(d: RootDatum):
         ):
             simple.append(i)
     simple.sort(key=lambda i: _swap_key(d, i))
-    return pos, simple
+    return tuple(pos), tuple(simple)
 
 
 def cartan_matrix(d: RootDatum):
     """Cartan matrix A[i][j] = <h_{beta_i}, alpha_j> over the simple roots."""
-    _, simple = positive_system(d)
-    return [[pair(d.coroots[i], d.roots[j]) for j in simple] for i in simple]
+    _, simple = d.chamber
+    P = d.pairing
+    return [[P[i][j] for j in simple] for i in simple]
 
 
 def is_ade(d: RootDatum) -> bool:
@@ -455,9 +479,10 @@ def is_ade(d: RootDatum) -> bool:
 
 def ade_symmetry_witness(d: RootDatum):
     """First root pair (i, j) with alpha_i(h_j) != alpha_j(h_i), or None."""
+    P = d.pairing
     for i in range(d.nroots):
         for j in range(d.nroots):
-            if pair(d.coroots[j], d.roots[i]) != pair(d.coroots[i], d.roots[j]):
+            if P[j][i] != P[i][j]:
                 return (i, j)
     return None
 
@@ -471,12 +496,9 @@ def fundamental_group(d: RootDatum):
 
 
 def central_free_rank(d: RootDatum) -> int:
-    """Rank of the free central part: rank - rank(coroot span)."""
-    if not d.coroots:
-        return d.rank
-    return d.rank - exactlin.rank_exact(
-        [[Fraction(x) for x in c] for c in d.coroots]
-    )
+    """Rank of the free central part: rank - rank(coroot span).  The simple
+    coroots are a basis of the coroot span, so that rank is |simple|."""
+    return d.rank - len(d.chamber[1])
 
 
 # ---------------------------------------------------------------------------

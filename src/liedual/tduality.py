@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import ceforms, chevalley, exactlin, rootdatum
 from .ceforms import InvariantForm, TAG_CARTAN
 from .chevalley import ReductiveLieAlgebra, build_lie_algebra
-from .rootdatum import RootDatum, pair
+from .rootdatum import RootDatum
 
 
 class NotADEError(ValueError):
@@ -313,8 +313,7 @@ def check_nondegeneracy(pairobj: ProductPair):
         hb = L.coroot_vector(ri)
         c = L.killing_form(hb, hb)
         lhs = [0] * d.rank
-        for rj in range(d.nroots):
-            a_on_hb = pair(d.coroots[ri], d.roots[rj])
+        for rj, a_on_hb in enumerate(d.pairing[ri]):
             for t in range(d.rank):
                 lhs[t] += a_on_hb * d.coroots[rj][t]
         if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
@@ -349,10 +348,10 @@ def check_integrality(M):
 def check_angle_positivity(pairobj: ProductPair):
     """alpha(h_beta) beta(h_alpha) lies in {0,...,4} for all root pairs."""
     t0 = time.monotonic()
-    d = pairobj.datum
-    for i in range(d.nroots):
-        for j in range(d.nroots):
-            v = pair(d.coroots[j], d.roots[i]) * pair(d.coroots[i], d.roots[j])
+    P = pairobj.datum.pairing
+    for i in range(len(P)):
+        for j in range(len(P)):
+            v = P[j][i] * P[i][j]
             if v < 0 or v > 4:
                 return CheckRecord(
                     "angle_positivity", False, [i, j], frac_str(v), time.monotonic() - t0
@@ -371,8 +370,8 @@ def check_ade_symmetry(d: RootDatum):
         False,
         {
             "roots": [i, j],
-            "alpha(h_beta)": frac_str(pair(d.coroots[j], d.roots[i])),
-            "beta(h_alpha)": frac_str(pair(d.coroots[i], d.roots[j])),
+            "alpha(h_beta)": frac_str(d.pairing[j][i]),
+            "beta(h_alpha)": frac_str(d.pairing[i][j]),
         },
         None,
         time.monotonic() - t0,

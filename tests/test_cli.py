@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -137,6 +138,29 @@ def test_input_file_without_rank_names_the_missing_key(capsys, tmp_path):
     code, out, err = run(capsys, "info", "--input", str(path))
     assert code == 2 and out == ""
     assert "missing root datum keys: ['rank']" in err
+
+
+def test_negative_rank_exits_2(capsys, tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"rank": -1, "roots": [], "coroots": []}))
+    code, out, err = run(capsys, "verify", "--input", str(path), "--no-timing")
+    assert code == 2 and out == ""
+    assert "rank must be nonnegative" in err
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "A1xT1:sc", "D4:adj"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_verify_checks_the_axioms_once_per_datum(capsys, tmp_path, typ, from_file):
+    source = ["--type", typ]
+    if from_file:
+        path = tmp_path / "datum.json"
+        path.write_text(rootdatum.to_json(rootdatum.build_from_dynkin(rootdatum.parse_descriptor(typ))))
+        source = ["--input", str(path)]
+    with mock.patch.object(rootdatum, "_check_axioms", wraps=rootdatum._check_axioms) as spy:
+        code, _, _ = run(capsys, "verify", *source, "--no-timing")
+    assert code == 0 and spy.call_count == 2
+    d, dual = (call.args[0] for call in spy.call_args_list)
+    assert dual == rootdatum.dualize(d)
 
 
 def test_missing_input_file(capsys):

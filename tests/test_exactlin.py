@@ -3,8 +3,18 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedual import exactlin
+
+
+def rank_exact(A):
+    """Rank of a matrix from one Fraction rref: the oracle for
+    rootdatum.central_free_rank, which reads the simple system instead."""
+    if not A:
+        return 0
+    return len(exactlin.rref(A)[1])
 
 
 def _perm_det(A):
@@ -50,7 +60,7 @@ def test_solve_exact_underdetermined_sets_free_vars_to_zero():
 
 
 def test_rank_and_rref():
-    assert exactlin.rank_exact([[1, 2], [2, 4]]) == 1
+    assert rank_exact([[1, 2], [2, 4]]) == 1
     R, pivots = exactlin.rref([[0, 2], [3, 0]])
     assert pivots == [0, 1]
     assert R == [[1, 0], [0, 1]]
@@ -87,3 +97,49 @@ def test_integer_kernel():
         assert sum(a * b for a, b in zip(A[0], k)) == 0
     assert len(exactlin.integer_kernel(A)) == 2
     assert exactlin.integer_kernel([[1, 0], [0, 1]]) == []
+
+
+def solve_exact_coordinates(V, t):
+    """Integer coordinates of t in the rows of V from one Fraction solve of
+    V^T x = t, or None: the oracle for exactlin.integer_coordinates."""
+    x = exactlin.solve_exact([list(col) for col in zip(*V)], t) if V else ([] if not any(t) else None)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return tuple(c.numerator for c in x)
+
+
+@st.composite
+def basis_and_targets(draw):
+    """Independent integer rows V (k <= n <= 4) and integer targets, half of
+    them integral combinations of V."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    entry = st.integers(-3, 3)
+    V = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    if rank_exact(V) < k:
+        V = []
+    targets = []
+    for _ in range(draw(st.integers(0, 5))):
+        if V and draw(st.booleans()):
+            x = draw(st.lists(entry, min_size=len(V), max_size=len(V)))
+            targets.append(tuple(sum(c * v[i] for c, v in zip(x, V)) for i in range(n)))
+        else:
+            targets.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    return V, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=basis_and_targets())
+def test_integer_coordinates_match_one_fraction_solve_per_target(case):
+    V, targets = case
+    assert exactlin.integer_coordinates(V, targets) == [solve_exact_coordinates(V, t) for t in targets]
+
+
+def test_integer_coordinates_refuse_non_integral_and_outside_targets():
+    V = [[2, 0, 0], [0, 1, 1]]
+    assert exactlin.integer_coordinates(V, [(4, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 0)]) == [
+        (2, -1), None, None, (0, 0)]
+    assert exactlin.integer_coordinates([], [(0, 0), (1, 0)]) == [(), None]
+    assert exactlin.integer_coordinates(V, []) == []
+    with pytest.raises(ValueError, match="linearly dependent"):
+        exactlin.integer_coordinates([[1, 2], [2, 4]], [(1, 2)])

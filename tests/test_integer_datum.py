@@ -1,0 +1,244 @@
+"""The integer datum layer against the Fraction code it replaced, kept here
+as oracles: build_from_dynkin with one Fraction solve per root, the N-table
+with Fraction ratio steps, and central_free_rank from a Fraction rank.  All
+must agree on every A-G type up to rank 8, on products, tori and custom
+lattices, and under changes of lattice basis."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build
+from liedual import chevalley, exactlin, rootdatum
+from test_exactlin import rank_exact
+from test_rootdatum import RANK8_TYPES, small_data, unimodular_pair
+
+
+def legacy_build_from_dynkin(desc):
+    """build_from_dynkin as it was: one Fraction solve_exact per root, and
+    one per simple coroot in the custom-lattice check."""
+    blocks = []
+    for fam, n, iso in desc.factors:
+        A = rootdatum.family_cartan(fam, n)
+        blocks.append((fam, n, iso, A, rootdatum.generate_root_pairs(A)))
+    ss_rank = sum(n for _, n, _, _, _ in blocks)
+    rank = ss_rank + desc.torus_rank
+    if desc.custom_basis is not None:
+        B = [list(map(int, row)) for row in desc.custom_basis]
+        if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
+            raise ValueError("custom basis must be square of semisimple rank")
+        legacy_check_between_lattices(B, blocks, ss_rank)
+    else:
+        B = [[0] * ss_rank for _ in range(ss_rank)]
+        off = 0
+        for fam, n, iso, A, _ in blocks:
+            for i in range(n):
+                for j in range(n):
+                    B[off + i][off + j] = A[i][j] if iso == "sc" else (1 if i == j else 0)
+            off += n
+    roots, coroots = [], []
+    off = 0
+    for fam, n, iso, A, rc_pairs in blocks:
+        for root_c, coroot_m in rc_pairs:
+            cw = [sum(m * A[i][j] for i, m in enumerate(coroot_m)) for j in range(n)]
+            cw_full = [0] * ss_rank
+            rt_full = [0] * ss_rank
+            for j in range(n):
+                cw_full[off + j] = cw[j]
+                rt_full[off + j] = root_c[j]
+            x = exactlin.solve_exact(
+                [[Fraction(B[i][j]) for i in range(ss_rank)] for j in range(ss_rank)],
+                [Fraction(v) for v in cw_full],
+            )
+            if x is None or any(v.denominator != 1 for v in x):
+                raise ValueError("coroot does not lie in the chosen lattice")
+            y = [sum(B[i][j] * rt_full[j] for j in range(ss_rank)) for i in range(ss_rank)]
+            coroots.append(tuple(int(v) for v in x) + (0,) * desc.torus_rank)
+            roots.append(tuple(int(v) for v in y) + (0,) * desc.torus_rank)
+        off += n
+    return rootdatum.RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots),
+                               label=rootdatum._descriptor_label(desc))
+
+
+def legacy_check_between_lattices(B, blocks, ss_rank):
+    Bq = [[Fraction(x) for x in row] for row in B]
+    if exactlin.det_exact(Bq) == 0:
+        raise ValueError("custom basis is singular")
+    off = 0
+    for fam, n, iso, A, _ in blocks:
+        for i in range(n):
+            cw = [Fraction(0)] * ss_rank
+            for j in range(n):
+                cw[off + j] = Fraction(A[i][j])
+            x = exactlin.solve_exact([[Bq[r][c] for r in range(ss_rank)] for c in range(ss_rank)], cw)
+            if x is None or any(v.denominator != 1 for v in x):
+                raise ValueError("custom lattice does not contain the coroot lattice")
+        off += n
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_build_from_dynkin_matches_one_fraction_solve_per_root(typ):
+    desc = rootdatum.parse_descriptor(typ)
+    assert rootdatum.build_from_dynkin(desc) == legacy_build_from_dynkin(desc)
+
+
+def lattice_basis(gens):
+    """A Z-basis of the integer span of gens (rows), by integer row echelon."""
+    rows = [list(g) for g in gens]
+    basis = []
+    for c in range(len(rows[0])):
+        while len([r for r in rows if r[c]]) > 1:
+            nz = [r for r in rows if r[c]]
+            p = min(nz, key=lambda r: abs(r[c]))
+            for r in nz:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is not None:
+            basis.append(pivot)
+            rows.remove(pivot)
+    return basis
+
+
+def intermediate(typ, *coweights):
+    """Descriptor of the lattice spanned by the coroots and the given sums of
+    fundamental coweights (tuples of coweight indices), in coweight
+    coordinates of the semisimple block."""
+    desc = rootdatum.parse_descriptor(typ)
+    ss_rank = sum(n for _, n, _ in desc.factors)
+    gens, off = [], 0
+    for fam, n, _ in desc.factors:
+        gens += [[0] * off + row + [0] * (ss_rank - off - n) for row in rootdatum.family_cartan(fam, n)]
+        off += n
+    gens += [[int(i in ks) for i in range(ss_rank)] for ks in coweights]
+    return rootdatum.DynkinDescriptor(desc.factors, desc.torus_rank, tuple(map(tuple, lattice_basis(gens))))
+
+
+# (descriptor, pi1): SL4/mu2, SL6/mu2, SL6/mu3, SO(8), the two half-spin
+# quotients of Spin(8), SO(10), SO(4), SO(4) x T1, and the simply connected
+# and adjoint lattices written out.
+CUSTOM_LATTICES = [
+    (intermediate("A3", (1,)), [2]),
+    (intermediate("A5", (2,)), [2]),
+    (intermediate("A5", (1,)), [3]),
+    (intermediate("D4", (0,)), [2]),
+    (intermediate("D4", (2,)), [2]),
+    (intermediate("D4", (3,)), [2]),
+    (intermediate("D5", (0,)), [2]),
+    (intermediate("A1xA1", (0, 1)), [2]),
+    (intermediate("A1xA1xT1", (0, 1)), [2]),
+    (intermediate("B3xG2"), []),
+    (intermediate("C3", (0,), (1,), (2,)), [2]),
+]
+
+
+@pytest.mark.parametrize("desc,pi1", CUSTOM_LATTICES)
+def test_custom_lattices_match_the_fraction_build(desc, pi1):
+    d = rootdatum.build_from_dynkin(desc)
+    assert d == legacy_build_from_dynkin(desc)
+    assert rootdatum.validate(d).ok
+    assert rootdatum.fundamental_group(d) == pi1
+
+
+@pytest.mark.parametrize(
+    "typ,basis,message",
+    [
+        ("A2", ((3, 0), (0, 1)), "custom lattice does not contain the coroot lattice"),
+        ("A1xA1", ((1, 0), (0, 4)), "custom lattice does not contain the coroot lattice"),
+        ("A2", ((1, 1), (2, 2)), "custom basis is singular"),
+        ("A2", ((1, 0),), "custom basis must be square"),
+    ],
+)
+def test_a_bad_custom_basis_gives_the_fraction_builds_error(typ, basis, message):
+    desc = rootdatum.parse_descriptor(typ)
+    desc = rootdatum.DynkinDescriptor(desc.factors, desc.torus_rank, basis)
+    for builder in (rootdatum.build_from_dynkin, legacy_build_from_dynkin):
+        with pytest.raises(ValueError, match=message):
+            builder(desc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_central_free_rank_matches_the_rank_of_the_coroots(d, data):
+    n = d.rank
+    U, V = data.draw(unimodular_pair(n))
+    e = rootdatum.RootDatum(
+        rank=n,
+        roots=[[sum(V[k][i] * r[k] for k in range(n)) for i in range(n)] for r in d.roots],
+        coroots=[[sum(U[i][k] * c[k] for k in range(n)) for i in range(n)] for c in d.coroots],
+    )
+    for x in (d, e):
+        assert rootdatum.central_free_rank(x) == x.rank - rank_exact([list(c) for c in x.coroots])
+    assert rootdatum.central_free_rank(e) == rootdatum.central_free_rank(d)
+
+
+class FractionNTable(chevalley._NTable):
+    """The N-table with its ratio steps over Fraction, as before."""
+
+    def _derive(self, a, b, a1, b1, gamma):
+        neg = lambda v: tuple(-x for x in v)
+        t1 = 0
+        d = tuple(x - y for x, y in zip(a1, a))
+        if d in self.by_vec:
+            t1 = self.get(a1, neg(a)) * self.get(d, neg(b))
+        t2 = 0
+        d2 = tuple(x - y for x, y in zip(a1, b))
+        if d2 in self.by_vec:
+            t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
+        coeff = self.table[(a1, b1)] * Fraction(self.K[gamma], self.K[b1])
+        self._set(a, b, (t1 + t2) / coeff)
+
+    def get(self, a, b):
+        s = tuple(x + y for x, y in zip(a, b))
+        if s not in self.by_vec:
+            raise ValueError("a+b is not a root")
+        if (a, b) in self.table:
+            return self.table[(a, b)]
+        neg = lambda v: tuple(-x for x in v)
+        if a not in self.pos and b not in self.pos:
+            return -self.get(neg(a), neg(b))
+        if a in self.pos and b in self.pos:
+            raise KeyError((a, b))
+        if b in self.pos:
+            return -self.get(b, a)
+        c = neg(s)
+        if s in self.pos:
+            return -self.get(neg(b), neg(c)) * Fraction(self.K[a], self.K[c])
+        return self.get(c, a) * Fraction(self.K[b], self.K[c])
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
+def test_int_n_table_matches_the_fraction_steps(typ):
+    d = build(typ)
+    pos, simple = rootdatum.positive_system(d)
+    new = chevalley._NTable(d, pos, simple)
+    old = FractionNTable(d, pos, simple)
+    assert new.table == old.table
+    assert all(type(v) is int for v in new.table.values())
+    for a in d.roots:
+        for b in d.roots:
+            if tuple(x + y for x, y in zip(a, b)) in new.by_vec:
+                assert new.constant(a, b) == old.constant(a, b)
+
+
+def test_a_non_integral_ratio_step_is_refused():
+    d = build("B2:sc")
+    pos, simple = rootdatum.positive_system(d)
+    ntab = chevalley._NTable(d, pos, simple)
+    # Mixed pairs reach N through a ratio of Killing values; with every
+    # positive-pair value set to +-1, a ratio of 1/2 has no integral image.
+    for key, v in ntab.table.items():
+        ntab.table[key] = 1 if v > 0 else -1
+    mixed = [(a, b) for a in d.roots for b in d.roots
+             if a in ntab.pos and b not in ntab.pos and tuple(x + y for x, y in zip(a, b)) in ntab.by_vec]
+    outcomes = []
+    for a, b in mixed:
+        try:
+            outcomes.append(type(ntab.get(a, b)))
+        except ValueError as exc:
+            assert "non-integral structure constant" in str(exc)
+            outcomes.append(ValueError)
+    assert set(outcomes) == {int, ValueError}

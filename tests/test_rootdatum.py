@@ -163,6 +163,26 @@ def test_root_datum_rejects_non_int_values(bad):
         rootdatum.RootDatum(rank=bad, roots=(), coroots=())
 
 
+def test_root_datum_rejects_a_negative_rank():
+    assert rootdatum.RootDatum(rank=0, roots=(), coroots=()).rank == 0
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        rootdatum.RootDatum(rank=-1, roots=(), coroots=())
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        rootdatum.from_json_dict({"rank": -1, "roots": [], "coroots": []})
+
+
+def test_derived_facts_are_cached_outside_equality_hash_and_json():
+    d = build("B2xT1:sc")
+    e = build("B2xT1:sc")
+    text = rootdatum.to_json(d)
+    assert rootdatum.validate(d) is rootdatum.validate(d) is d.axioms
+    assert rootdatum.positive_system(d) == rootdatum.positive_system(d) == tuple(map(list, d.chamber))
+    assert rootdatum.positive_system(d)[0] is not rootdatum.positive_system(d)[0]
+    assert d.pairing == tuple(tuple(rootdatum.pair(c, r) for r in d.roots) for c in d.coroots)
+    assert {"axioms", "chamber", "pairing"} <= set(vars(d)) and not {"axioms", "chamber", "pairing"} & set(vars(e))
+    assert d == e and hash(d) == hash(e) and rootdatum.to_json(d) == text == rootdatum.to_json(e)
+
+
 def test_validation_rejects_broken_data():
     d = build("A1:sc")
     broken = rootdatum.RootDatum(rank=d.rank, roots=d.roots, coroots=tuple((3,) for _ in d.coroots))
@@ -354,6 +374,40 @@ def perturbed_data(draw):
 @settings(max_examples=150, deadline=None)
 @given(d=perturbed_data())
 def test_validate_matches_the_oracle_on_perturbed_data(d):
+    assert rootdatum.validate(d) == oracle_validate(d)
+
+
+@st.composite
+def arbitrary_data(draw):
+    """Root and coroot lists of rank <= 3 with entries in [-2, 2], closed
+    under negation and not otherwise constrained."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    pairs = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=3))
+    pairs += [(tuple(-x for x in r), tuple(-x for x in c)) for r, c in pairs]
+    return rootdatum.RootDatum(rank=n, roots=tuple(r for r, _ in pairs), coroots=tuple(c for _, c in pairs))
+
+
+# Data whose reflection witness a weaker functional (base reach * max + 1
+# in place of 2 * reach * max + 1) gets wrong: a reflected vector outside
+# the list then collides with a member of it.
+COLLIDING_DATA = [
+    (((2, 0), (-2, 0), (1, -1), (-2, 0), (2, 0), (-1, 1)), ((0, 0), (0, -1), (0, 0), (0, 0), (0, 1), (0, 0))),
+    (((1, -1), (1, 0), (-1, 1), (-1, 0)), ((-1, -1), (1, 1), (1, 1), (-1, -1))),
+    (((-2, 0), (-2, 0), (1, -1), (2, 0), (2, 0), (-1, 1)), ((2, 0), (-1, 2), (-1, 1), (-2, 0), (1, -2), (1, -1))),
+    (((-1, -1), (2, -1), (1, 1), (-2, 1)), ((0, 0), (0, -1), (0, 0), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("roots,coroots", COLLIDING_DATA)
+def test_validate_matches_the_oracle_where_a_weak_functional_collides(roots, coroots):
+    d = rootdatum.RootDatum(rank=2, roots=roots, coroots=coroots)
+    assert rootdatum.validate(d) == oracle_validate(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=arbitrary_data())
+def test_validate_matches_the_oracle_on_arbitrary_data(d):
     assert rootdatum.validate(d) == oracle_validate(d)
 
 
