@@ -23,9 +23,6 @@ class NormalizationTag:
     def __mul__(self, other):
         return NormalizationTag(self.rat * other.rat, self.pi_pow + other.pi_pow)
 
-    def as_dict(self):
-        return {"rat": f"{self.rat.numerator}/{self.rat.denominator}", "pi_pow": self.pi_pow}
-
 
 TAG_ONE = NormalizationTag()
 TAG_CARTAN = NormalizationTag(Fraction(-1, 4), -2)
@@ -133,22 +130,6 @@ class InvariantForm:
             and self.terms == other.terms
         )
 
-    def as_dict(self):
-        labels = getattr(self.algebra, "labels", None)
-        def name(i):
-            if labels is not None:
-                lab = labels[i]
-                return f"{lab[0]}{lab[1]}"
-            return str(i)
-        return {
-            "degree": self.degree,
-            "tag": self.tag.as_dict(),
-            "terms": [
-                {"labels": [name(i) for i in key], "coeff": f"{v.numerator}/{v.denominator}"}
-                for key, v in sorted(self.terms.items())
-            ],
-        }
-
 
 def zero_form(algebra, degree, tag=TAG_ONE):
     return InvariantForm(algebra, degree, {}, tag)
@@ -197,39 +178,6 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
         if total:
             out[cand] = total
     return InvariantForm(alg, w.degree + 1, out, w.tag)
-
-
-def is_closed(w: InvariantForm) -> bool:
-    return ce_differential(w).is_zero()
-
-
-def is_invariant(w: InvariantForm) -> bool:
-    """Infinitesimal invariance: sum_a w(.., [z, x_a], ..) = 0 for every
-    basis generator z and every basis tuple."""
-    alg = w.algebra
-    for g in range(alg.dim):
-        rev = {}
-        for j in range(alg.dim):
-            for k, c in alg.bracket_basis(g, j).items():
-                rev.setdefault(k, {})[j] = c
-        candidates = set()
-        for key in w.terms:
-            for k in key:
-                for j in rev.get(k, ()):
-                    cand = set(key)
-                    cand.discard(k)
-                    cand.add(j)
-                    if len(cand) == w.degree:
-                        candidates.add(tuple(sorted(cand)))
-        for cand in candidates:
-            total = 0
-            for a in range(len(cand)):
-                for k, c in alg.bracket_basis(g, cand[a]).items():
-                    replaced = cand[:a] + (k,) + cand[a + 1 :]
-                    total += c * w.value_on_indices(replaced)
-            if total:
-                return False
-    return True
 
 
 def cartan_three_form(L) -> InvariantForm:

@@ -48,19 +48,6 @@ class ReductiveLieAlgebra:
         for (i, j), out in self.table.items():
             yield i, j, out
 
-    def bracket(self, x, y):
-        """Bilinear extension of the basis table to coefficient vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vectors must have length dim")
-        out = [0] * self.dim
-        nz_x = [(i, c) for i, c in enumerate(x) if c]
-        nz_y = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in nz_x:
-            for j, b in nz_y:
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += a * b * c
-        return out
-
     # -- Killing form -----------------------------------------------------
 
     def killing_matrix(self):
@@ -115,11 +102,6 @@ class ReductiveLieAlgebra:
         out = [0] * self.dim
         nz = len(self.radical_basis)
         out[nz : nz + len(self.simple_indices)] = self.coroot_coords[root_index]
-        return out
-
-    def root_vector(self, root_index):
-        out = [0] * self.dim
-        out[self.index[("x", root_index)]] = 1
         return out
 
     def root_value(self, root_index, basis_index):
@@ -227,15 +209,6 @@ class _NTable:
             raise ValueError(f"non-integral structure constant N{a, b} = {num}/{den}")
         return q
 
-    def constant(self, a, b):
-        """N_{a,b} as an int.  The ratio steps of get() are exact integer
-        divisions; a table value that is not integral means the table is
-        wrong."""
-        n = self.get(a, b)
-        if n.denominator != 1:
-            raise ValueError(f"non-integral structure constant N{a, b} = {n}")
-        return n.numerator
-
     def get(self, a, b):
         """N_{a,b} for roots a, b with a+b a root."""
         s = tuple(x + y for x, y in zip(a, b))
@@ -327,7 +300,7 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
             # [x_alpha, x_{-alpha}] = h_alpha; orientation: alpha = roots[ri].
             put(i, j, {nz + c: v for c, v in enumerate(coroot_coords[ri])})
         elif s in by_vec:
-            put(i, j, {index[("x", by_vec[s])]: ntab.constant(a, b)})
+            put(i, j, {index[("x", by_vec[s])]: ntab.get(a, b)})
 
     L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords)
     bad = jacobi_witness(L)
@@ -445,170 +418,6 @@ def _jacobi_sweep(ad):
                 if any(acc.values()):
                     return (i, j, k)
     return None
-
-
-def verify_coroot_identity(L: ReductiveLieAlgebra):
-    """Check alpha(h) K(h_a,h_a) = 2 K(h, h_a) for every root and every
-    Cartan-block basis vector; returns the list of failing pairs."""
-    failures = []
-    nz = len(L.radical_basis)
-    ns = len(L.simple_indices)
-    for ri in range(L.datum.nroots):
-        ha = L.coroot_vector(ri)
-        kaa = L.killing_form(ha, ha)
-        for b in range(nz + ns):
-            hvec = [0] * L.dim
-            hvec[b] = 1
-            lhs = L.root_value(ri, b) * kaa
-            rhs = 2 * L.killing_form(hvec, ha)
-            if lhs != rhs:
-                failures.append((ri, L.labels[b]))
-    return failures
-
-
-# ---------------------------------------------------------------------------
-# sl(n) matrix oracle
-
-
-class SlnOracle:
-    """Traceless-matrix realization of sl(n), 2 <= n <= 4.
-
-    Basis: H_1..H_{n-1} (E_ii - E_{i+1,i+1}) then E_ij (i != j) ordered so
-    positive root vectors (i < j) precede negatives, matching the Chevalley
-    basis of the A_{n-1} simply-connected datum under h_i -> H_i and
-    x_{e_i - e_j} -> E_ij.
-    """
-
-    def __init__(self, n):
-        if not 2 <= n <= 4:
-            raise ValueError("sl(n) oracle supports 2 <= n <= 4")
-        self.n = n
-        ij_pos = sorted(
-            ((i, j) for i in range(n) for j in range(n) if i < j),
-            key=lambda p: (p[1] - p[0], p),
-        )
-        self.pairs = ij_pos + [(j, i) for i, j in ij_pos]
-        self.labels = [("h", i) for i in range(n - 1)] + [("e", p) for p in self.pairs]
-        self.dim = len(self.labels)
-
-    def matrix(self, b):
-        n = self.n
-        M = [[0] * n for _ in range(n)]
-        lab = self.labels[b]
-        if lab[0] == "h":
-            i = lab[1]
-            M[i][i] = 1
-            M[i + 1][i + 1] = -1
-        else:
-            i, j = lab[1]
-            M[i][j] = 1
-        return M
-
-    def _from_matrix(self, M):
-        """Coordinates of a traceless matrix in the basis."""
-        out = [0] * self.dim
-        for k, (i, j) in enumerate(self.pairs):
-            out[self.n - 1 + k] = M[i][j]
-        # Diagonal part: partial sums give H-coordinates.
-        acc = 0
-        for i in range(self.n - 1):
-            acc += M[i][i]
-            out[i] = acc
-        return out
-
-    def bracket(self, x, y):
-        Mx = self._lincomb(x)
-        My = self._lincomb(y)
-        comm = [
-            [
-                sum(Mx[i][k] * My[k][j] - My[i][k] * Mx[k][j] for k in range(self.n))
-                for j in range(self.n)
-            ]
-            for i in range(self.n)
-        ]
-        return self._from_matrix(comm)
-
-    def _lincomb(self, x):
-        M = [[0] * self.n for _ in range(self.n)]
-        for b, c in enumerate(x):
-            if c:
-                Mb = self.matrix(b)
-                for i in range(self.n):
-                    for j in range(self.n):
-                        M[i][j] += c * Mb[i][j]
-        return M
-
-    def killing_matrix(self):
-        """K(X, Y) = 2n Tr(XY), the trace form of sl(n)."""
-        K = [[0] * self.dim for _ in range(self.dim)]
-        mats = [self.matrix(b) for b in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                tr = sum(
-                    mats[a][i][j] * mats[b][j][i]
-                    for i in range(self.n)
-                    for j in range(self.n)
-                )
-                K[a][b] = K[b][a] = 2 * self.n * tr
-        return K
-
-
-def sl_n_oracle(n) -> SlnOracle:
-    return SlnOracle(n)
-
-
-def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
-    """Killing matrix of the Chevalley algebra of A_{n-1} (sc), re-indexed
-    through the generator-matching map onto the oracle basis order."""
-    n = oracle.n
-    d = L.datum
-    chain = _chain_order(L)
-    # Each root of A_{n-1} is an interval sum of chain-ordered simple
-    # roots: coords with c_k = 1 for a <= k < b give the matrix unit E_ab.
-    coords_all = _simple_coords(d.roots, L.simple_indices, d.roots)
-    perm = []
-    for lab in oracle.labels:
-        if lab[0] == "h":
-            perm.append(L.index[("h", chain[lab[1]])])
-        else:
-            i, j = lab[1]
-            target = None
-            for ri in range(d.nroots):
-                raw = coords_all[ri]
-                coords = [raw[chain[k]] for k in range(len(raw))]
-                lo = [k for k, c in enumerate(coords) if c == 1]
-                hi = [k for k, c in enumerate(coords) if c == -1]
-                if i < j and not hi and lo == list(range(i, j)):
-                    target = ri
-                    break
-                if i > j and not lo and hi == list(range(j, i)):
-                    target = ri
-                    break
-            perm.append(L.index[("x", target)])
-    K = L.killing_matrix()
-    return [[K[perm[a]][perm[b]] for b in range(oracle.dim)] for a in range(oracle.dim)]
-
-
-def _chain_order(L):
-    """Order the simple system of an A-type algebra along its Dynkin path."""
-    d = L.datum
-    ns = len(L.simple_indices)
-    adj = {a: [] for a in range(ns)}
-    for a in range(ns):
-        for b in range(a + 1, ns):
-            if pair(d.coroots[L.simple_indices[a]], d.roots[L.simple_indices[b]]):
-                adj[a].append(b)
-                adj[b].append(a)
-    if ns == 1:
-        return [0]
-    ends = sorted(a for a in range(ns) if len(adj[a]) == 1)
-    if len(ends) != 2 or any(len(v) > 2 for v in adj.values()):
-        raise ValueError("simple system is not an A-type chain")
-    chain = [ends[0]]
-    while len(chain) < ns:
-        nxt = [b for b in adj[chain[-1]] if b not in chain]
-        chain.append(nxt[0])
-    return chain
 
 
 def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:

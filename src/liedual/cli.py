@@ -5,6 +5,7 @@ usage/input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,12 +37,6 @@ def _emit(obj, out_path=None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _add_input_args(sub):
-    grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--type", help="Dynkin descriptor, e.g. A2:sc, D4:adj, A1xT1:sc, T2")
-    grp.add_argument("--input", help="path to a root-datum JSON file")
 
 
 def cmd_info(args):
@@ -89,42 +84,40 @@ def cmd_verify(args):
     return EXIT_OK if report.overall else EXIT_MATH_FAIL
 
 
-def main(argv=None):
+COMMANDS = (
+    ("info", cmd_info, "rank, root count, ADE flag, Cartan matrix, fundamental group"),
+    ("dualize", cmd_dualize, "write the Langlands-dual root datum"),
+    ("cartan", cmd_cartan, "Cartan matrix of the canonical simple system"),
+    ("export-algebra", cmd_export_algebra, "Chevalley structure constants as JSON"),
+    ("verify", cmd_verify, "run the full T-duality check suite"),
+)
+
+
+@functools.cache
+def _parser():
+    """The argument parser, built once per process from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="liedual",
         description="Exact verification of T-duality between reductive groups and their Langlands duals",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, func, text in COMMANDS:
+        p = subs.add_parser(name, help=text)
+        grp = p.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--type", help="Dynkin descriptor, e.g. A2:sc, D4:adj, A1xT1:sc, T2")
+        grp.add_argument("--input", help="path to a root-datum JSON file")
+        p.add_argument("--out", help="write JSON to a file instead of stdout")
+        if func is cmd_verify:
+            # append copies the list before it appends, so the shared default stays empty.
+            p.add_argument("--scale", type=int, action="append", default=[],
+                           help="additionally verify with this integer multiple of F and H (repeatable)")
+            p.add_argument("--no-timing", action="store_true", help="omit timing fields for byte-stable output")
+        p.set_defaults(func=func)
+    return parser
 
-    p = subs.add_parser("info", help="rank, root count, ADE flag, Cartan matrix, fundamental group")
-    _add_input_args(p)
-    p.add_argument("--out", help="write JSON to a file instead of stdout")
-    p.set_defaults(func=cmd_info)
 
-    p = subs.add_parser("dualize", help="write the Langlands-dual root datum")
-    _add_input_args(p)
-    p.add_argument("--out", help="write JSON to a file instead of stdout")
-    p.set_defaults(func=cmd_dualize)
-
-    p = subs.add_parser("cartan", help="Cartan matrix of the canonical simple system")
-    _add_input_args(p)
-    p.add_argument("--out", help="write JSON to a file instead of stdout")
-    p.set_defaults(func=cmd_cartan)
-
-    p = subs.add_parser("export-algebra", help="Chevalley structure constants as JSON")
-    _add_input_args(p)
-    p.add_argument("--out", help="write JSON to a file instead of stdout")
-    p.set_defaults(func=cmd_export_algebra)
-
-    p = subs.add_parser("verify", help="run the full T-duality check suite")
-    _add_input_args(p)
-    p.add_argument("--out", help="write JSON to a file instead of stdout")
-    p.add_argument("--scale", type=int, action="append", default=[],
-                   help="additionally verify with this integer multiple of F and H (repeatable)")
-    p.add_argument("--no-timing", action="store_true", help="omit timing fields for byte-stable output")
-    p.set_defaults(func=cmd_verify)
-
-    args = parser.parse_args(argv)
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

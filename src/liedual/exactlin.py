@@ -9,16 +9,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-def mat_vec(A, v):
-    if A and len(A[0]) != len(v):
-        raise ValueError("dimension mismatch in mat_vec")
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def rref(M):
     """Reduced row echelon form.  Returns (rows, pivot column indices)."""
     R = [[Fraction(x) for x in row] for row in M]

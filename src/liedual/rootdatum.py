@@ -469,12 +469,9 @@ def cartan_matrix(d: RootDatum):
 
 
 def is_ade(d: RootDatum) -> bool:
-    """ADE-type test: the pairing is symmetric in root pairs.
-
-    Equivalent to a symmetric Cartan matrix; vacuously true for a torus.
-    """
-    A = cartan_matrix(d)
-    return all(A[i][j] == A[j][i] for i in range(len(A)) for j in range(len(A)))
+    """ADE-type test: the pairing is symmetric in root pairs, which for a
+    valid datum is a symmetric Cartan matrix; vacuously true for a torus."""
+    return ade_symmetry_witness(d) is None
 
 
 def ade_symmetry_witness(d: RootDatum):
@@ -506,24 +503,19 @@ def central_free_rank(d: RootDatum) -> int:
 
 
 def canonicalize(d: RootDatum) -> RootDatum:
-    """Sort index-aligned (root, coroot) pairs by positive-system functional
-    then lexicographically; this is the writer order of the JSON schema."""
+    """Sort index-aligned (root, coroot) pairs by the generic functional of
+    the roots, descending (positive roots first), then lexicographically;
+    this is the writer order of the JSON schema."""
     if d.nroots == 0:
         return d
-    M = 1 + max(abs(x) for r in d.roots for x in r)
-    order = sorted(range(d.nroots), key=lambda i: (_neg_first_key(d.roots[i], M), d.roots[i]))
+    f = _functional(d.roots)
+    order = sorted(range(d.nroots), key=lambda i: (-f(d.roots[i]), d.roots[i]))
     return RootDatum(
         rank=d.rank,
         roots=tuple(d.roots[i] for i in order),
         coroots=tuple(d.coroots[i] for i in order),
         label=d.label,
     )
-
-
-def _neg_first_key(v, M):
-    # Positive roots first (descending functional would also do; any fixed
-    # deterministic rule works, the schema reader accepts every order).
-    return -sum((M ** k) * x for k, x in enumerate(v))
 
 
 def to_json_dict(d: RootDatum) -> dict:
@@ -546,8 +538,9 @@ def _json_vectors(obj, key):
 
 def from_json_dict(obj: dict) -> RootDatum:
     """Strict reader of the root-datum schema: raises ValueError on unknown
-    or missing keys, a non-str label and vectors that are not lists;
-    RootDatum itself rejects a non-int rank or coordinate (bool included)."""
+    or missing keys, a non-str label, vectors that are not lists and a
+    (root, coroot) pair listed twice; RootDatum itself rejects a non-int
+    rank or coordinate (bool included)."""
     if not isinstance(obj, dict):
         raise ValueError("root datum must be a JSON object")
     unknown = sorted(set(obj) - {"rank", "roots", "coroots", "label"})
@@ -559,12 +552,18 @@ def from_json_dict(obj: dict) -> RootDatum:
     label = obj.get("label")
     if "label" in obj and not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")
-    return RootDatum(
+    d = RootDatum(
         rank=obj["rank"],
         roots=_json_vectors(obj, "roots"),
         coroots=_json_vectors(obj, "coroots"),
         label=label,
     )
+    seen = set()
+    for r, c in zip(d.roots, d.coroots):
+        if (r, c) in seen:
+            raise ValueError(f"(root, coroot) pair ({list(r)}, {list(c)}) is listed twice")
+        seen.add((r, c))
+    return d
 
 
 def from_json(text: str) -> RootDatum:

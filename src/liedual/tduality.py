@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ceforms, chevalley, exactlin, rootdatum
+from . import ceforms, exactlin, rootdatum
 from .ceforms import InvariantForm, TAG_CARTAN
 from .chevalley import ReductiveLieAlgebra, build_lie_algebra
 from .rootdatum import RootDatum
@@ -240,26 +240,6 @@ def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
         frac_str(sums[bad]),
         time.monotonic() - t0,
     )
-
-
-def full_space_residual(pairobj: ProductPair):
-    """The flux residual on a triple outside span(S): (h, X, Y) of the
-    first root, embedded in the first factor only.  Nonzero whenever the
-    group is nonabelian — the restriction to E0 is essential."""
-    if pairobj.datum.nroots == 0:
-        return None
-    phi = flux_residual_form(pairobj)
-    L = pairobj.L
-    ri = L.simple_indices[0]
-    neg = next(
-        j
-        for j in range(pairobj.datum.nroots)
-        if pairobj.datum.roots[j] == tuple(-x for x in pairobj.datum.roots[ri])
-    )
-    h = pairobj.embed_left(L.coroot_vector(ri))
-    x = pairobj.embed_left(L.root_vector(ri))
-    y = pairobj.embed_left(L.root_vector(neg))
-    return phi.evaluate(h, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,332 @@
+"""Reference implementations that only the tests use.
+
+Each is an independent or older way to compute something the verifier
+computes, kept to cross-check it: the sl(n) matrix model, the coroot
+identity, the bilinear bracket, the flux residual off span(S), closedness
+and invariance of forms, the Cartan-matrix ADE test, the N-table with
+Fraction ratio steps, and two small matrix helpers.
+"""
+
+from fractions import Fraction
+
+from liedual import chevalley
+from liedual.ceforms import InvariantForm, ce_differential
+from liedual.chevalley import ReductiveLieAlgebra, _simple_coords
+from liedual.rootdatum import RootDatum, cartan_matrix, pair
+from liedual.tduality import ProductPair, flux_residual_form
+
+
+# ---------------------------------------------------------------------------
+# Matrices
+
+
+def mat_vec(A, v):
+    if A and len(A[0]) != len(v):
+        raise ValueError("dimension mismatch in mat_vec")
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)] if A else []
+
+
+# ---------------------------------------------------------------------------
+# Root data
+
+
+def cartan_is_ade(d: RootDatum) -> bool:
+    """ADE-type test: the pairing is symmetric in root pairs.
+
+    Equivalent to a symmetric Cartan matrix; vacuously true for a torus.
+    """
+    A = cartan_matrix(d)
+    return all(A[i][j] == A[j][i] for i in range(len(A)) for j in range(len(A)))
+
+
+# ---------------------------------------------------------------------------
+# Lie algebras
+
+
+def bracket(L, x, y):
+    """Bilinear extension of the basis table to coefficient vectors."""
+    if len(x) != L.dim or len(y) != L.dim:
+        raise ValueError("vectors must have length dim")
+    out = [0] * L.dim
+    nz_x = [(i, c) for i, c in enumerate(x) if c]
+    nz_y = [(j, c) for j, c in enumerate(y) if c]
+    for i, a in nz_x:
+        for j, b in nz_y:
+            for k, c in L.bracket_basis(i, j).items():
+                out[k] += a * b * c
+    return out
+
+
+def root_vector(L, root_index):
+    out = [0] * L.dim
+    out[L.index[("x", root_index)]] = 1
+    return out
+
+
+def verify_coroot_identity(L: ReductiveLieAlgebra):
+    """Check alpha(h) K(h_a,h_a) = 2 K(h, h_a) for every root and every
+    Cartan-block basis vector; returns the list of failing pairs."""
+    failures = []
+    nz = len(L.radical_basis)
+    ns = len(L.simple_indices)
+    for ri in range(L.datum.nroots):
+        ha = L.coroot_vector(ri)
+        kaa = L.killing_form(ha, ha)
+        for b in range(nz + ns):
+            hvec = [0] * L.dim
+            hvec[b] = 1
+            lhs = L.root_value(ri, b) * kaa
+            rhs = 2 * L.killing_form(hvec, ha)
+            if lhs != rhs:
+                failures.append((ri, L.labels[b]))
+    return failures
+
+
+class FractionNTable(chevalley._NTable):
+    """The N-table with its ratio steps over Fraction, as before."""
+
+    def _derive(self, a, b, a1, b1, gamma):
+        neg = lambda v: tuple(-x for x in v)
+        t1 = 0
+        d = tuple(x - y for x, y in zip(a1, a))
+        if d in self.by_vec:
+            t1 = self.get(a1, neg(a)) * self.get(d, neg(b))
+        t2 = 0
+        d2 = tuple(x - y for x, y in zip(a1, b))
+        if d2 in self.by_vec:
+            t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
+        coeff = self.table[(a1, b1)] * Fraction(self.K[gamma], self.K[b1])
+        self._set(a, b, (t1 + t2) / coeff)
+
+    def get(self, a, b):
+        s = tuple(x + y for x, y in zip(a, b))
+        if s not in self.by_vec:
+            raise ValueError("a+b is not a root")
+        if (a, b) in self.table:
+            return self.table[(a, b)]
+        neg = lambda v: tuple(-x for x in v)
+        if a not in self.pos and b not in self.pos:
+            return -self.get(neg(a), neg(b))
+        if a in self.pos and b in self.pos:
+            raise KeyError((a, b))
+        if b in self.pos:
+            return -self.get(b, a)
+        c = neg(s)
+        if s in self.pos:
+            return -self.get(neg(b), neg(c)) * Fraction(self.K[a], self.K[c])
+        return self.get(c, a) * Fraction(self.K[b], self.K[c])
+
+    def constant(self, a, b):
+        """N_{a,b} as an int.  The ratio steps of get() are exact integer
+        divisions; a table value that is not integral means the table is
+        wrong."""
+        n = self.get(a, b)
+        if n.denominator != 1:
+            raise ValueError(f"non-integral structure constant N{a, b} = {n}")
+        return n.numerator
+
+
+# ---------------------------------------------------------------------------
+# sl(n) matrix oracle
+
+
+class SlnOracle:
+    """Traceless-matrix realization of sl(n), 2 <= n <= 4.
+
+    Basis: H_1..H_{n-1} (E_ii - E_{i+1,i+1}) then E_ij (i != j) ordered so
+    positive root vectors (i < j) precede negatives, matching the Chevalley
+    basis of the A_{n-1} simply-connected datum under h_i -> H_i and
+    x_{e_i - e_j} -> E_ij.
+    """
+
+    def __init__(self, n):
+        if not 2 <= n <= 4:
+            raise ValueError("sl(n) oracle supports 2 <= n <= 4")
+        self.n = n
+        ij_pos = sorted(
+            ((i, j) for i in range(n) for j in range(n) if i < j),
+            key=lambda p: (p[1] - p[0], p),
+        )
+        self.pairs = ij_pos + [(j, i) for i, j in ij_pos]
+        self.labels = [("h", i) for i in range(n - 1)] + [("e", p) for p in self.pairs]
+        self.dim = len(self.labels)
+
+    def matrix(self, b):
+        n = self.n
+        M = [[0] * n for _ in range(n)]
+        lab = self.labels[b]
+        if lab[0] == "h":
+            i = lab[1]
+            M[i][i] = 1
+            M[i + 1][i + 1] = -1
+        else:
+            i, j = lab[1]
+            M[i][j] = 1
+        return M
+
+    def _from_matrix(self, M):
+        """Coordinates of a traceless matrix in the basis."""
+        out = [0] * self.dim
+        for k, (i, j) in enumerate(self.pairs):
+            out[self.n - 1 + k] = M[i][j]
+        # Diagonal part: partial sums give H-coordinates.
+        acc = 0
+        for i in range(self.n - 1):
+            acc += M[i][i]
+            out[i] = acc
+        return out
+
+    def bracket(self, x, y):
+        Mx = self._lincomb(x)
+        My = self._lincomb(y)
+        comm = [
+            [
+                sum(Mx[i][k] * My[k][j] - My[i][k] * Mx[k][j] for k in range(self.n))
+                for j in range(self.n)
+            ]
+            for i in range(self.n)
+        ]
+        return self._from_matrix(comm)
+
+    def _lincomb(self, x):
+        M = [[0] * self.n for _ in range(self.n)]
+        for b, c in enumerate(x):
+            if c:
+                Mb = self.matrix(b)
+                for i in range(self.n):
+                    for j in range(self.n):
+                        M[i][j] += c * Mb[i][j]
+        return M
+
+    def killing_matrix(self):
+        """K(X, Y) = 2n Tr(XY), the trace form of sl(n)."""
+        K = [[0] * self.dim for _ in range(self.dim)]
+        mats = [self.matrix(b) for b in range(self.dim)]
+        for a in range(self.dim):
+            for b in range(a, self.dim):
+                tr = sum(
+                    mats[a][i][j] * mats[b][j][i]
+                    for i in range(self.n)
+                    for j in range(self.n)
+                )
+                K[a][b] = K[b][a] = 2 * self.n * tr
+        return K
+
+
+def sl_n_oracle(n) -> SlnOracle:
+    return SlnOracle(n)
+
+
+def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
+    """Killing matrix of the Chevalley algebra of A_{n-1} (sc), re-indexed
+    through the generator-matching map onto the oracle basis order."""
+    n = oracle.n
+    d = L.datum
+    chain = _chain_order(L)
+    # Each root of A_{n-1} is an interval sum of chain-ordered simple
+    # roots: coords with c_k = 1 for a <= k < b give the matrix unit E_ab.
+    coords_all = _simple_coords(d.roots, L.simple_indices, d.roots)
+    perm = []
+    for lab in oracle.labels:
+        if lab[0] == "h":
+            perm.append(L.index[("h", chain[lab[1]])])
+        else:
+            i, j = lab[1]
+            target = None
+            for ri in range(d.nroots):
+                raw = coords_all[ri]
+                coords = [raw[chain[k]] for k in range(len(raw))]
+                lo = [k for k, c in enumerate(coords) if c == 1]
+                hi = [k for k, c in enumerate(coords) if c == -1]
+                if i < j and not hi and lo == list(range(i, j)):
+                    target = ri
+                    break
+                if i > j and not lo and hi == list(range(j, i)):
+                    target = ri
+                    break
+            perm.append(L.index[("x", target)])
+    K = L.killing_matrix()
+    return [[K[perm[a]][perm[b]] for b in range(oracle.dim)] for a in range(oracle.dim)]
+
+
+def _chain_order(L):
+    """Order the simple system of an A-type algebra along its Dynkin path."""
+    d = L.datum
+    ns = len(L.simple_indices)
+    adj = {a: [] for a in range(ns)}
+    for a in range(ns):
+        for b in range(a + 1, ns):
+            if pair(d.coroots[L.simple_indices[a]], d.roots[L.simple_indices[b]]):
+                adj[a].append(b)
+                adj[b].append(a)
+    if ns == 1:
+        return [0]
+    ends = sorted(a for a in range(ns) if len(adj[a]) == 1)
+    if len(ends) != 2 or any(len(v) > 2 for v in adj.values()):
+        raise ValueError("simple system is not an A-type chain")
+    chain = [ends[0]]
+    while len(chain) < ns:
+        nxt = [b for b in adj[chain[-1]] if b not in chain]
+        chain.append(nxt[0])
+    return chain
+
+
+# ---------------------------------------------------------------------------
+# Invariant forms and the flux residual
+
+
+def is_closed(w: InvariantForm) -> bool:
+    return ce_differential(w).is_zero()
+
+
+def is_invariant(w: InvariantForm) -> bool:
+    """Infinitesimal invariance: sum_a w(.., [z, x_a], ..) = 0 for every
+    basis generator z and every basis tuple."""
+    alg = w.algebra
+    for g in range(alg.dim):
+        rev = {}
+        for j in range(alg.dim):
+            for k, c in alg.bracket_basis(g, j).items():
+                rev.setdefault(k, {})[j] = c
+        candidates = set()
+        for key in w.terms:
+            for k in key:
+                for j in rev.get(k, ()):
+                    cand = set(key)
+                    cand.discard(k)
+                    cand.add(j)
+                    if len(cand) == w.degree:
+                        candidates.add(tuple(sorted(cand)))
+        for cand in candidates:
+            total = 0
+            for a in range(len(cand)):
+                for k, c in alg.bracket_basis(g, cand[a]).items():
+                    replaced = cand[:a] + (k,) + cand[a + 1 :]
+                    total += c * w.value_on_indices(replaced)
+            if total:
+                return False
+    return True
+
+
+def full_space_residual(pairobj: ProductPair):
+    """The flux residual on a triple outside span(S): (h, X, Y) of the
+    first root, embedded in the first factor only.  Nonzero whenever the
+    group is nonabelian — the restriction to E0 is essential."""
+    if pairobj.datum.nroots == 0:
+        return None
+    phi = flux_residual_form(pairobj)
+    L = pairobj.L
+    ri = L.simple_indices[0]
+    neg = next(
+        j
+        for j in range(pairobj.datum.nroots)
+        if pairobj.datum.roots[j] == tuple(-x for x in pairobj.datum.roots[ri])
+    )
+    h = pairobj.embed_left(L.coroot_vector(ri))
+    x = pairobj.embed_left(root_vector(L, ri))
+    y = pairobj.embed_left(root_vector(L, neg))
+    return phi.evaluate(h, x, y)

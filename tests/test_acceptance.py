@@ -9,7 +9,8 @@ from itertools import combinations
 import pytest
 
 from conftest import build
-from liedual import ceforms, chevalley, cli, exactlin, rootdatum, tduality
+from liedual import ceforms, chevalley, cli, rootdatum, tduality
+from oracles import full_space_residual, sl_n_oracle, sln_matching_killing, transpose
 
 MAIN_INPUTS = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc", "D5:sc", "E6:sc"]
 NONABELIAN_ADE = [t for t in MAIN_INPUTS if not t.startswith("T")]
@@ -56,7 +57,7 @@ def test_criterion_2_negative_controls(report, capsys):
             sym = out["checks"][0]
             assert sym["name"] == "ade_symmetry" and sym["pass"] is False and sym["witness"]
         for typ in NONABELIAN_ADE:
-            residual = tduality.full_space_residual(tduality.build_pair(build(typ)))
+            residual = full_space_residual(tduality.build_pair(build(typ)))
             assert residual is not None and residual != 0, typ
 
     report(2, "negative controls", check)
@@ -79,7 +80,7 @@ def test_criterion_3_duality_involution_and_transposition(report):
         for typ in types:
             d = build(typ)
             assert rootdatum.to_json(rootdatum.dualize(rootdatum.dualize(d))) == rootdatum.to_json(d), typ
-            assert rootdatum.cartan_matrix(rootdatum.dualize(d)) == exactlin.transpose(
+            assert rootdatum.cartan_matrix(rootdatum.dualize(d)) == transpose(
                 rootdatum.cartan_matrix(d)
             ), typ
         b3dual = rootdatum.dualize(build("B3:sc"))
@@ -92,9 +93,9 @@ def test_criterion_3_duality_involution_and_transposition(report):
 def test_criterion_4_structural_oracles(report):
     def check():
         for n in (2, 3, 4):
-            oracle = chevalley.sl_n_oracle(n)
+            oracle = sl_n_oracle(n)
             L = chevalley.build_lie_algebra(build(f"A{n-1}:sc"))
-            assert chevalley.sln_matching_killing(L, oracle) == oracle.killing_matrix(), n
+            assert sln_matching_killing(L, oracle) == oracle.killing_matrix(), n
         for typ in MAIN_INPUTS:
             L = chevalley.build_lie_algebra(build(typ))
             assert chevalley.jacobi_witness(L) is None, typ

@@ -1,3 +1,4 @@
+import argparse
 import json
 from unittest import mock
 
@@ -161,6 +162,34 @@ def test_verify_checks_the_axioms_once_per_datum(capsys, tmp_path, typ, from_fil
     assert code == 0 and spy.call_count == 2
     d, dual = (call.args[0] for call in spy.call_args_list)
     assert dual == rootdatum.dualize(d)
+
+
+REPEATED_PAIR_JSON = {"rank": 1, "roots": [[2], [-2], [2], [-2]], "coroots": [[1], [-1], [1], [-1]]}
+
+
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+def test_a_repeated_pair_exits_2(capsys, tmp_path, cmd):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(REPEATED_PAIR_JSON))
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2 and out == ""
+    assert "(root, coroot) pair ([2], [1]) is listed twice" in err
+
+
+def test_the_parser_is_built_once(capsys):
+    cli._parser.cache_clear()
+    # The spy stands in for the module as cli sees it, so argparse's own
+    # references to ArgumentParser (super() calls, subparsers) stay real.
+    with mock.patch.object(cli, "argparse", wraps=argparse) as spy:
+        for argv in (["info", "--type", "A1:sc"], ["cartan", "--type", "A2:sc"], ["dualize", "--type", "T1"]):
+            assert run(capsys, *argv)[0] == 0
+    assert spy.ArgumentParser.call_count == 1
+
+
+def test_scale_lists_are_not_shared_between_calls(capsys):
+    for argv, scaled in ((["--scale", "2"], [2]), ([], [])):
+        code, out, _ = run(capsys, "verify", "--type", "A1:sc", *argv, "--no-timing")
+        assert code == 0 and json.loads(out)["scaled_n"] == scaled
 
 
 def test_missing_input_file(capsys):

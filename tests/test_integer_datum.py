@@ -1,8 +1,8 @@
-"""The integer datum layer against the Fraction code it replaced, kept here
-as oracles: build_from_dynkin with one Fraction solve per root, the N-table
-with Fraction ratio steps, and central_free_rank from a Fraction rank.  All
-must agree on every A-G type up to rank 8, on products, tori and custom
-lattices, and under changes of lattice basis."""
+"""The integer datum layer against the Fraction code it replaced, kept as
+oracles: build_from_dynkin with one Fraction solve per root, the N-table
+with Fraction ratio steps (in oracles.py), and central_free_rank from a
+Fraction rank.  All must agree on every A-G type up to rank 8, on
+products, tori and custom lattices, and under changes of lattice basis."""
 
 from fractions import Fraction
 
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import chevalley, exactlin, rootdatum
+from oracles import FractionNTable
 from test_exactlin import rank_exact
-from test_rootdatum import RANK8_TYPES, small_data, unimodular_pair
+from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
 
 
 def legacy_build_from_dynkin(desc):
@@ -163,51 +164,10 @@ def test_a_bad_custom_basis_gives_the_fraction_builds_error(typ, basis, message)
 @settings(max_examples=60, deadline=None)
 @given(d=small_data(), data=st.data())
 def test_central_free_rank_matches_the_rank_of_the_coroots(d, data):
-    n = d.rank
-    U, V = data.draw(unimodular_pair(n))
-    e = rootdatum.RootDatum(
-        rank=n,
-        roots=[[sum(V[k][i] * r[k] for k in range(n)) for i in range(n)] for r in d.roots],
-        coroots=[[sum(U[i][k] * c[k] for k in range(n)) for i in range(n)] for c in d.coroots],
-    )
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
     for x in (d, e):
         assert rootdatum.central_free_rank(x) == x.rank - rank_exact([list(c) for c in x.coroots])
     assert rootdatum.central_free_rank(e) == rootdatum.central_free_rank(d)
-
-
-class FractionNTable(chevalley._NTable):
-    """The N-table with its ratio steps over Fraction, as before."""
-
-    def _derive(self, a, b, a1, b1, gamma):
-        neg = lambda v: tuple(-x for x in v)
-        t1 = 0
-        d = tuple(x - y for x, y in zip(a1, a))
-        if d in self.by_vec:
-            t1 = self.get(a1, neg(a)) * self.get(d, neg(b))
-        t2 = 0
-        d2 = tuple(x - y for x, y in zip(a1, b))
-        if d2 in self.by_vec:
-            t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
-        coeff = self.table[(a1, b1)] * Fraction(self.K[gamma], self.K[b1])
-        self._set(a, b, (t1 + t2) / coeff)
-
-    def get(self, a, b):
-        s = tuple(x + y for x, y in zip(a, b))
-        if s not in self.by_vec:
-            raise ValueError("a+b is not a root")
-        if (a, b) in self.table:
-            return self.table[(a, b)]
-        neg = lambda v: tuple(-x for x in v)
-        if a not in self.pos and b not in self.pos:
-            return -self.get(neg(a), neg(b))
-        if a in self.pos and b in self.pos:
-            raise KeyError((a, b))
-        if b in self.pos:
-            return -self.get(b, a)
-        c = neg(s)
-        if s in self.pos:
-            return -self.get(neg(b), neg(c)) * Fraction(self.K[a], self.K[c])
-        return self.get(c, a) * Fraction(self.K[b], self.K[c])
 
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
@@ -221,7 +181,7 @@ def test_int_n_table_matches_the_fraction_steps(typ):
     for a in d.roots:
         for b in d.roots:
             if tuple(x + y for x, y in zip(a, b)) in new.by_vec:
-                assert new.constant(a, b) == old.constant(a, b)
+                assert type(new.get(a, b)) is int and new.get(a, b) == old.constant(a, b)
 
 
 def test_a_non_integral_ratio_step_is_refused():

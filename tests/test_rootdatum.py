@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
-from liedual import exactlin, rootdatum, tduality
+from liedual import rootdatum, tduality
+from oracles import cartan_is_ade, transpose
 
 ALL_TYPES = [
     "A1:sc", "A1:adj", "A2:sc", "A2:adj", "A3:sc", "A3:adj",
@@ -46,7 +47,7 @@ def test_dual_cartan_matrix_is_the_transpose(typ):
     d = build(typ)
     A = rootdatum.cartan_matrix(d)
     B = rootdatum.cartan_matrix(rootdatum.dualize(d))
-    assert B == exactlin.transpose(A)
+    assert B == transpose(A)
 
 
 def test_dual_swaps_b_and_c():
@@ -161,6 +162,15 @@ def test_root_datum_rejects_non_int_values(bad):
         rootdatum.RootDatum(rank=1, roots=((2,), (-2,)), coroots=((1,), (bad,)))
     with pytest.raises(ValueError, match="must be an integer"):
         rootdatum.RootDatum(rank=bad, roots=(), coroots=())
+
+
+def test_from_json_dict_rejects_a_repeated_pair():
+    obj = {"rank": 1, "roots": [[2], [-2], [2], [-2]], "coroots": [[1], [-1], [1], [-1]]}
+    assert rootdatum.RootDatum(rank=1, roots=obj["roots"], coroots=obj["coroots"]).nroots == 4
+    with pytest.raises(ValueError, match=r"^\(root, coroot\) pair \(\[2\], \[1\]\) is listed twice$"):
+        rootdatum.from_json_dict(obj)
+    # The same root with two different coroots is not a repeated pair.
+    assert rootdatum.from_json_dict({**obj, "coroots": [[1], [-1], [3], [-3]]}).nroots == 4
 
 
 def test_root_datum_rejects_a_negative_rank():
@@ -348,6 +358,17 @@ def unimodular_pair(draw, n):
     return U, V
 
 
+def change_basis(d, U, V):
+    """d in the lattice basis changed by U in GL_n(Z) with inverse V:
+    coroots x -> U x and roots y -> V^T y, which keeps every pairing."""
+    n = d.rank
+    return rootdatum.RootDatum(
+        rank=n,
+        roots=[[sum(V[k][i] * r[k] for k in range(n)) for i in range(n)] for r in d.roots],
+        coroots=[[sum(U[i][k] * c[k] for k in range(n)) for i in range(n)] for c in d.coroots],
+    )
+
+
 @st.composite
 def perturbed_data(draw):
     """A rank <= 4 datum with some coroots and roots scaled, duplicated,
@@ -422,14 +443,22 @@ def test_verdicts_and_invariants_survive_a_change_of_lattice_basis(d, data):
     U, V = data.draw(unimodular_pair(n))
     assert [[sum(U[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
         [int(i == j) for j in range(n)] for i in range(n)]
-    # Coroots x -> U x and roots y -> V^T y keep every pairing.
-    e = rootdatum.RootDatum(
-        rank=n,
-        roots=[[sum(V[k][i] * r[k] for k in range(n)) for i in range(n)] for r in d.roots],
-        coroots=[[sum(U[i][k] * c[k] for k in range(n)) for i in range(n)] for c in d.coroots],
-    )
+    e = change_basis(d, U, V)
     assert rootdatum.fundamental_group(e) == rootdatum.fundamental_group(d)
     # The label lists the factors in the order of the simple roots, which
     # follows the lattice coordinates; the factors themselves are invariant.
     assert sorted(rootdatum.classify_label(e).split(" x ")) == sorted(rootdatum.classify_label(d).split(" x "))
     assert _checks(e) == _checks(d)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_is_ade_matches_the_cartan_matrix_oracle(typ):
+    d = build(typ)
+    assert rootdatum.is_ade(d) == cartan_is_ade(d) == (not any(f in typ for f in "BCFG"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_is_ade_matches_the_cartan_matrix_oracle_after_a_change_of_lattice_basis(d, data):
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert rootdatum.is_ade(e) == cartan_is_ade(e) == cartan_is_ade(d)

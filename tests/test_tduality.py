@@ -17,13 +17,13 @@ from liedual.tduality import (
     check_nondegeneracy,
     fiber_pairing_matrix,
     flux_residual_form,
-    full_space_residual,
     good_isomorphism,
     lattice_pairing_matrix,
     poincare_correction,
     tautological_two_form,
     verify_all,
 )
+from oracles import full_space_residual
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
