@@ -5,13 +5,15 @@ Basis labels are tuples: ("z", k) for the radical block, ("h", i) for the
 i-th simple coroot, ("x", ri) for the root vector of root index ri.
 Structure constants, Killing values and coroot coordinates are exact ints
 (integral by the Chevalley basis theorem); the sign convention comes from the
-extraspecial-pair method and is certified post hoc on the generators: the
-simple root vectors and the radical generate the algebra, and the ad of
-each is a derivation.  A table that fails this is swept for a witness.
+extraspecial-pair method, and each positive triple a + b = s of the N-table
+gives the six brackets of its roots and their negatives.  The table is
+certified post hoc on the generators: the simple root vectors and the
+radical generate the algebra, the Chevalley involution is an automorphism of
+the table, and ad z_k and ad x_a (a simple) are derivations.  A table that
+fails this is swept for a witness.
 """
 
 from bisect import bisect_right
-from itertools import combinations
 
 from . import exactlin, rootdatum
 from .rootdatum import RootDatum, pair
@@ -73,18 +75,6 @@ class ReductiveLieAlgebra:
             self._killing = K
         return self._killing
 
-    def killing_form(self, x, y):
-        K = self.killing_matrix()
-        out = 0
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = K[i]
-            for j, b in enumerate(y):
-                if b:
-                    out += a * b * row[j]
-        return out
-
     # -- coordinates ------------------------------------------------------
 
     def cartan_vector(self, t_vec):
@@ -136,11 +126,13 @@ def _root_sum_sq(datum, i):
 
 
 class _NTable:
-    """Chevalley constants N_{a,b} for all root pairs with a+b a root.
+    """Chevalley constants N_{a,b} for every root pair with a+b a root,
+    keyed by root vectors.
 
-    Positive-pair values are fixed by the extraspecial-pair method; mixed
-    and negative pairs reduce through N_{-a,-b} = -N_{a,b} and the cyclic
-    relation N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0.
+    Positive-pair values are fixed by the extraspecial-pair method in order
+    of height.  Each one fixes the other five pairs of its triple in closed
+    form, through N_{-a,-b} = -N_{a,b} and the cyclic relation
+    N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0.
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
@@ -154,7 +146,8 @@ class _NTable:
         self.order = {
             v: (sum(self.coords[v]), self.coords[v]) for v in self.pos
         }
-        self.table = {}
+        self.table = {}     # (a, b) -> N_{a,b}, both orders, all signs
+        self.triples = []   # (a, b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
         self._fill()
 
     def _p(self, a, b):
@@ -183,24 +176,35 @@ class _NTable:
             for a, b in specials[1:]:
                 self._derive(a, b, a1, b1, gamma)
 
-    def _set(self, a, b, val):
-        self.table[(a, b)] = val
-        self.table[(b, a)] = -val
+    def _set(self, a, b, n):
+        """N_{a,b} = n for positive a, b, and the other pairs of the triple
+        a + b + c = 0 and of its negative."""
+        s = tuple(x + y for x, y in zip(a, b))
+        na, nb, c = (tuple(-x for x in v) for v in (a, b, s))
+        K = self.K
+        n_bc = self._ratio(b, c, n * K[c], K[a])
+        n_ca = self._ratio(c, a, n * K[c], K[b])
+        T = self.table
+        T[a, b], T[b, a], T[na, nb], T[nb, na] = n, -n, -n, n
+        T[b, c], T[c, b], T[nb, s], T[s, nb] = n_bc, -n_bc, -n_bc, n_bc
+        T[c, a], T[a, c], T[s, na], T[na, s] = n_ca, -n_ca, -n_ca, n_ca
+        self.triples.append((a, b, n, n_bc, n_ca))
 
     def _derive(self, a, b, a1, b1, gamma):
         # Jacobi on (x_{a1}, x_{-a}, x_{-b}); all terms land in g_{-b1}.
-        neg = lambda v: tuple(-x for x in v)
+        T = self.table
+        na, nb = tuple(-x for x in a), tuple(-x for x in b)
         t1 = 0
         d = tuple(x - y for x, y in zip(a1, a))
         if d in self.by_vec:
-            t1 = self.get(a1, neg(a)) * self.get(d, neg(b))
+            t1 = T[a1, na] * T[d, nb]
         t2 = 0
         d2 = tuple(x - y for x, y in zip(a1, b))
         if d2 in self.by_vec:
-            t2 = self.get(neg(b), a1) * self.get(d2, neg(a))
+            t2 = T[nb, a1] * T[d2, na]
         # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0),
         # and N(a, b) = (t1 + t2) / N(-gamma, a1).
-        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], self.table[(a1, b1)] * self.K[gamma]))
+        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], T[a1, b1] * self.K[gamma]))
 
     def _ratio(self, a, b, num, den):
         """N_{a,b} = num / den, refused unless the division is exact."""
@@ -208,28 +212,6 @@ class _NTable:
         if r:
             raise ValueError(f"non-integral structure constant N{a, b} = {num}/{den}")
         return q
-
-    def get(self, a, b):
-        """N_{a,b} for roots a, b with a+b a root."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if s not in self.by_vec:
-            raise ValueError("a+b is not a root")
-        if (a, b) in self.table:
-            return self.table[(a, b)]
-        neg = lambda v: tuple(-x for x in v)
-        if a not in self.pos and b not in self.pos:
-            return -self.get(neg(a), neg(b))
-        if a in self.pos and b in self.pos:
-            raise KeyError((a, b))  # must already be tabulated
-        if b in self.pos:
-            return -self.get(b, a)
-        # Mixed: a positive, b negative.  c = -a-b closes the cycle.
-        c = neg(s)
-        if s in self.pos:
-            # (-b, -c) are positive with sum a.
-            return self._ratio(a, b, -self.get(neg(b), neg(c)) * self.K[a], self.K[c])
-        # (c, a) are positive with sum -b.
-        return self._ratio(a, b, self.get(c, a) * self.K[b], self.K[c])
 
 
 def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
@@ -255,52 +237,50 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     # Basis order: radical, simple coroots, root vectors (positives by
     # height/lex, then the matching negatives).
     pos_sorted = sorted(pos_indices, key=lambda i: ntab.order[d.roots[i]])
-    neg_of = {}
-    for i in pos_sorted:
-        neg = tuple(-x for x in d.roots[i])
-        neg_of[i] = next(j for j in range(d.nroots) if d.roots[j] == neg)
-    root_order = pos_sorted + [neg_of[i] for i in pos_sorted]
+    by_vec = {r: i for i, r in enumerate(d.roots)}
+    neg_sorted = [by_vec[tuple(-x for x in d.roots[i])] for i in pos_sorted]
+    root_order = pos_sorted + neg_sorted
+    nz, ns = len(radical_basis), len(simple_indices)
     labels = (
-        [("z", k) for k in range(len(radical_basis))]
-        + [("h", i) for i in range(len(simple_indices))]
+        [("z", k) for k in range(nz)]
+        + [("h", i) for i in range(ns)]
         + [("x", ri) for ri in root_order]
     )
-    index = {lab: i for i, lab in enumerate(labels)}
-    nz = len(radical_basis)
 
     # Coroot coordinates in the simple-coroot basis.
     coroots = [d.coroots[ri] for ri in root_order]
     coroot_coords = dict(zip(root_order, _simple_coords(d.coroots, simple_indices, coroots)))
 
     table = {}
-
-    def put(i, j, out):
-        out = {k: v for k, v in out.items() if v}
-        if not out:
-            return
-        if i < j:
-            table[(i, j)] = out
-        else:
-            table[(j, i)] = {k: -v for k, v in out.items()}
-
     # [h, x_alpha] = alpha(h) x_alpha ; the radical brackets to zero.
+    first_x = nz + ns
     for s, si in enumerate(simple_indices):
-        hi = nz + s
-        for ri in root_order:
-            v = d.pairing[si][ri]
-            if v:
-                put(hi, index[("x", ri)], {index[("x", ri)]: v})
+        row = d.pairing[si]
+        for x, ri in enumerate(root_order, first_x):
+            if row[ri]:
+                table[nz + s, x] = {x: row[ri]}
 
-    by_vec = {d.roots[i]: i for i in range(d.nroots)}
-    for ri, rj in combinations(root_order, 2):
-        a, b = d.roots[ri], d.roots[rj]
-        s = tuple(x + y for x, y in zip(a, b))
-        i, j = index[("x", ri)], index[("x", rj)]
-        if all(x == 0 for x in s):
-            # [x_alpha, x_{-alpha}] = h_alpha; orientation: alpha = roots[ri].
-            put(i, j, {nz + c: v for c, v in enumerate(coroot_coords[ri])})
-        elif s in by_vec:
-            put(i, j, {index[("x", by_vec[s])]: ntab.get(a, b)})
+    # [x_alpha, x_{-alpha}] = h_alpha for alpha positive; x_a (x_-a) is the
+    # basis element first_x + t (first_x + npos + t) for a = pos_sorted[t].
+    npos = len(pos_sorted)
+    for t, ri in enumerate(pos_sorted):
+        table[first_x + t, first_x + npos + t] = {nz + c: v for c, v in enumerate(coroot_coords[ri]) if v}
+
+    # Each positive triple a + b = s gives its six brackets, with c = -s:
+    # [x_a, x_b] = N_ab x_s, [x_-a, x_-b] = -N_ab x_-s, [x_b, x_c] = N_bc x_-a,
+    # [x_-b, x_s] = -N_bc x_a, [x_c, x_a] = N_ca x_-b, [x_s, x_-a] = -N_ca x_b.
+    # Positives precede negatives, so each key below has i < j.
+    x_pos = {d.roots[ri]: first_x + t for t, ri in enumerate(pos_sorted)}
+    for a, b, n, n_bc, n_ca in ntab.triples if ntab else ():
+        xa, xb = x_pos[a], x_pos[b]
+        xs = x_pos[tuple(x + y for x, y in zip(a, b))]
+        ya, yb, ys = xa + npos, xb + npos, xs + npos
+        table[xa, xb] = {xs: n}
+        table[ya, yb] = {ys: -n}
+        table[xb, ys] = {ya: n_bc}
+        table[xs, yb] = {xa: n_bc}
+        table[xa, ys] = {yb: -n_ca}
+        table[xs, ya] = {xb: -n_ca}
 
     L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords)
     bad = jacobi_witness(L)
@@ -312,16 +292,20 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 def jacobi_witness(L: ReductiveLieAlgebra):
     """First basis triple violating Jacobi, in combinations order, or None.
 
-    A generator certificate runs first: if the simple root vectors
-    x_a, x_-a and the radical basis z_k generate the algebra, and the ad of
-    each of them is a derivation, Jacobi holds.  (The x whose ad x is a
-    derivation form a subalgebra: ad [x, y] = [ad x, ad y].)  Otherwise the
-    sweep over every triple that meets a nonzero bracket supplies the
-    witness.  The signed rows are built from ``L.table`` on every call, so an
-    edited table is read as it is."""
+    A generator certificate runs first.  If the simple root vectors x_a,
+    x_-a and the radical basis z_k generate the algebra, the Chevalley
+    involution omega (x_a -> -x_-a, h -> -h, z -> -z) is an automorphism of
+    the table, and ad z_k and ad x_a (a simple) are derivations, Jacobi
+    holds: ad x_-a = -omega ad x_a omega^-1 is then a derivation too, and
+    the x whose ad x is a derivation form a subalgebra (ad [x, y] =
+    [ad x, ad y]).  Otherwise the sweep over every triple that meets a
+    nonzero bracket supplies the witness.  The signed rows are built from
+    ``L.table`` on every call, so an edited table is read as it is."""
     ad = _signed_rows(L.table, L.dim)
-    gens = _generators(L)
-    if _generates(ad, gens) and _derivations(ad, gens):
+    sigma = _involution(L)
+    gens = _generators(L, sigma)
+    if (_generates(ad, gens) and _is_automorphism(L.table, sigma)
+            and _derivations(ad, [g for g in gens if g <= sigma[g]])):
         return None
     return _jacobi_sweep(ad)
 
@@ -335,14 +319,34 @@ def _signed_rows(table, dim):
     return ad
 
 
-def _generators(L):
+def _generators(L, sigma):
     """Basis indices of z_k and of x_a, x_-a for each simple root a."""
+    xs = [L.index[("x", ri)] for ri in L.simple_indices]
+    return list(range(len(L.radical_basis))) + xs + [sigma[x] for x in xs]
+
+
+def _involution(L):
+    """sigma with omega(e_i) = -e_sigma(i) for the Chevalley involution:
+    sigma swaps x_a and x_-a and fixes the Cartan block."""
     roots = L.datum.roots
-    gens = list(range(len(L.radical_basis)))
-    for ri in L.simple_indices:
-        neg = roots.index(tuple(-x for x in roots[ri]))
-        gens += [L.index[("x", ri)], L.index[("x", neg)]]
-    return gens
+    by_vec = {r: i for i, r in enumerate(roots)}
+    sigma = list(range(L.dim))
+    for lab, i in L.index.items():
+        if lab[0] == "x":
+            sigma[i] = L.index[("x", by_vec[tuple(-x for x in roots[lab[1]])])]
+    return sigma
+
+
+def _is_automorphism(table, sigma):
+    """True when omega maps every table entry [e_i, e_j] = sum c e_k to the
+    entry of its image pair: [e_si, e_sj] = -sum c e_sk.  omega permutes
+    the pairs, so zero brackets then map to zero brackets."""
+    for (i, j), out in table.items():
+        si, sj = sigma[i], sigma[j]
+        key, sign = ((si, sj), -1) if si < sj else ((sj, si), 1)
+        if table.get(key) != {sigma[k]: sign * c for k, c in out.items()}:
+            return False
+    return True
 
 
 def _generates(ad, gens):

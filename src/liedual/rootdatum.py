@@ -45,7 +45,12 @@ class RootDatum:
 
     @cached_property
     def pairing(self):
-        """P[i][j] = <coroot_i, root_j>."""
+        """P[i][j] = <coroot_i, root_j>.  dualize and canonicalize leave a
+        datum the means to read it off their source's pairing, when that is
+        already computed; it is used when the pairing is first read."""
+        derive = self.__dict__.pop("_derive_pairing", None)
+        if derive is not None:
+            return derive()
         return tuple(tuple(sum(map(mul, c, r)) for r in self.roots) for c in self.coroots)
 
     @cached_property
@@ -185,7 +190,11 @@ def dualize(d: RootDatum) -> RootDatum:
         label = d.label[5:-1]
     else:
         label = f"dual({d.label})"
-    return RootDatum(rank=d.rank, roots=d.coroots, coroots=d.roots, label=label)
+    dd = RootDatum(rank=d.rank, roots=d.coroots, coroots=d.roots, label=label)
+    if "pairing" in d.__dict__:
+        # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.
+        dd.__dict__["_derive_pairing"] = lambda: tuple(zip(*d.pairing))
+    return dd
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +519,19 @@ def canonicalize(d: RootDatum) -> RootDatum:
         return d
     f = _functional(d.roots)
     order = sorted(range(d.nroots), key=lambda i: (-f(d.roots[i]), d.roots[i]))
-    return RootDatum(
+    c = RootDatum(
         rank=d.rank,
         roots=tuple(d.roots[i] for i in order),
         coroots=tuple(d.coroots[i] for i in order),
         label=d.label,
     )
+    if "pairing" in d.__dict__:
+        def permuted():
+            # Permute the rows, then the columns (as rows of the transpose).
+            cols = tuple(zip(*(d.pairing[i] for i in order)))
+            return tuple(zip(*(cols[j] for j in order)))
+        c.__dict__["_derive_pairing"] = permuted
+    return c
 
 
 def to_json_dict(d: RootDatum) -> dict:

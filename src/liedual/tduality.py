@@ -9,6 +9,8 @@ the T-duality definition as an exact algebraic identity.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from . import ceforms, exactlin, rootdatum
 from .ceforms import InvariantForm, TAG_CARTAN
@@ -289,13 +291,16 @@ def check_nondegeneracy(pairobj: ProductPair):
         return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1", time.monotonic() - t0)
     d = pairobj.datum
     L = pairobj.L
-    for ri in range(d.nroots):
-        hb = L.coroot_vector(ri)
-        c = L.killing_form(hb, hb)
-        lhs = [0] * d.rank
-        for rj, a_on_hb in enumerate(d.pairing[ri]):
-            for t in range(d.rank):
-                lhs[t] += a_on_hb * d.coroots[rj][t]
+    # K(h_beta, h_beta) reads the Cartan block of the Killing matrix at the
+    # simple-coroot coordinates of h_beta; the sum over alpha reads only the
+    # nonzero alpha(h_beta).
+    nz = len(L.radical_basis)
+    K = L.killing_matrix()
+    for ri, row in enumerate(d.pairing):
+        coords = [(nz + s, u) for s, u in enumerate(L.coroot_coords[ri]) if u]
+        c = sum(u * v * K[s][t] for s, u in coords for t, v in coords)
+        values = list(compress(row, row))
+        lhs = [sum(map(mul, values, col)) for col in zip(*compress(d.coroots, row))]
         if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
             return CheckRecord(
                 "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", None, time.monotonic() - t0

@@ -4,16 +4,19 @@ Each is an independent or older way to compute something the verifier
 computes, kept to cross-check it: the sl(n) matrix model, the coroot
 identity, the bilinear bracket, the flux residual off span(S), closedness
 and invariance of forms, the Cartan-matrix ADE test, the N-table with
-Fraction ratio steps, and two small matrix helpers.
+Fraction ratio steps and the pairwise structure-table builder, the
+eigen-relation loop over every pairing entry, and two small matrix
+helpers.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from liedual import chevalley
 from liedual.ceforms import InvariantForm, ce_differential
 from liedual.chevalley import ReductiveLieAlgebra, _simple_coords
-from liedual.rootdatum import RootDatum, cartan_matrix, pair
-from liedual.tduality import ProductPair, flux_residual_form
+from liedual.exactlin import det_exact, integer_kernel
+from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
+from liedual.tduality import ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,12 @@ def root_vector(L, root_index):
     return out
 
 
+def killing_form(L, x, y):
+    """K(x, y) for basis coefficient vectors x, y, from the Killing matrix."""
+    K = L.killing_matrix()
+    return sum(a * b * K[i][j] for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
+
+
 def verify_coroot_identity(L: ReductiveLieAlgebra):
     """Check alpha(h) K(h_a,h_a) = 2 K(h, h_a) for every root and every
     Cartan-block basis vector; returns the list of failing pairs."""
@@ -75,19 +84,62 @@ def verify_coroot_identity(L: ReductiveLieAlgebra):
     ns = len(L.simple_indices)
     for ri in range(L.datum.nroots):
         ha = L.coroot_vector(ri)
-        kaa = L.killing_form(ha, ha)
+        kaa = killing_form(L, ha, ha)
         for b in range(nz + ns):
             hvec = [0] * L.dim
             hvec[b] = 1
             lhs = L.root_value(ri, b) * kaa
-            rhs = 2 * L.killing_form(hvec, ha)
+            rhs = 2 * killing_form(L, hvec, ha)
             if lhs != rhs:
                 failures.append((ri, L.labels[b]))
     return failures
 
 
-class FractionNTable(chevalley._NTable):
-    """The N-table with its ratio steps over Fraction, as before."""
+class FractionNTable:
+    """The N-table as it was built before the triple walk: the
+    extraspecial-pair values of the positive pairs, and every other pair
+    reached by the recursive get() over Fraction ratio steps.  A standalone
+    copy, so it does not move with the table it checks."""
+
+    def __init__(self, datum, pos_indices, simple_indices):
+        self.datum = datum
+        self.by_vec = {datum.roots[i]: i for i in range(datum.nroots)}
+        self.pos = set(datum.roots[i] for i in pos_indices)
+        self.K = {datum.roots[i]: sum(v * v for v in datum.pairing[i]) for i in range(datum.nroots)}
+        pos = list(self.pos)
+        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
+        self.order = {v: (sum(self.coords[v]), self.coords[v]) for v in self.pos}
+        self.table = {}
+        self._fill()
+
+    def _p(self, a, b):
+        p = 0
+        cur = tuple(x - y for x, y in zip(b, a))
+        while cur in self.by_vec:
+            p += 1
+            cur = tuple(x - y for x, y in zip(cur, a))
+        return p
+
+    def _fill(self):
+        positives = sorted(self.pos, key=lambda v: self.order[v])
+        for gamma in positives:
+            specials = []
+            for a in positives:
+                if 2 * self.order[a][0] > self.order[gamma][0]:
+                    break
+                b = tuple(x - y for x, y in zip(gamma, a))
+                if b in self.pos and self.order[a] < self.order[b]:
+                    specials.append((a, b))
+            if not specials:
+                continue
+            a1, b1 = specials[0]
+            self._set(a1, b1, self._p(a1, b1) + 1)
+            for a, b in specials[1:]:
+                self._derive(a, b, a1, b1, gamma)
+
+    def _set(self, a, b, val):
+        self.table[(a, b)] = val
+        self.table[(b, a)] = -val
 
     def _derive(self, a, b, a1, b1, gamma):
         neg = lambda v: tuple(-x for x in v)
@@ -121,13 +173,63 @@ class FractionNTable(chevalley._NTable):
         return self.get(c, a) * Fraction(self.K[b], self.K[c])
 
     def constant(self, a, b):
-        """N_{a,b} as an int.  The ratio steps of get() are exact integer
-        divisions; a table value that is not integral means the table is
-        wrong."""
+        """N_{a,b} as an int; a table value that is not integral means the
+        table is wrong."""
         n = self.get(a, b)
         if n.denominator != 1:
             raise ValueError(f"non-integral structure constant N{a, b} = {n}")
         return n.numerator
+
+
+def pairwise_structure_table(d: RootDatum):
+    """(labels, table) of build_lie_algebra as it was before the triple
+    walk: every pair of root vectors from combinations(), a sum tuple for
+    each, and N from the recursive FractionNTable.constant."""
+    pos_indices, simple_indices = positive_system(d)
+    nz = len(integer_kernel([list(r) for r in d.roots])) if d.nroots else d.rank
+    ntab = FractionNTable(d, pos_indices, simple_indices) if d.nroots else None
+    pos_sorted = sorted(pos_indices, key=lambda i: ntab.order[d.roots[i]])
+    neg_of = {}
+    for i in pos_sorted:
+        neg = tuple(-x for x in d.roots[i])
+        neg_of[i] = next(j for j in range(d.nroots) if d.roots[j] == neg)
+    root_order = pos_sorted + [neg_of[i] for i in pos_sorted]
+    labels = (
+        [("z", k) for k in range(nz)]
+        + [("h", i) for i in range(len(simple_indices))]
+        + [("x", ri) for ri in root_order]
+    )
+    index = {lab: i for i, lab in enumerate(labels)}
+    coroots = [d.coroots[ri] for ri in root_order]
+    coroot_coords = dict(zip(root_order, _simple_coords(d.coroots, simple_indices, coroots)))
+
+    table = {}
+
+    def put(i, j, out):
+        out = {k: v for k, v in out.items() if v}
+        if not out:
+            return
+        if i < j:
+            table[(i, j)] = out
+        else:
+            table[(j, i)] = {k: -v for k, v in out.items()}
+
+    for s, si in enumerate(simple_indices):
+        for ri in root_order:
+            v = d.pairing[si][ri]
+            if v:
+                put(nz + s, index[("x", ri)], {index[("x", ri)]: v})
+
+    by_vec = {d.roots[i]: i for i in range(d.nroots)}
+    for ri, rj in combinations(root_order, 2):
+        a, b = d.roots[ri], d.roots[rj]
+        s = tuple(x + y for x, y in zip(a, b))
+        i, j = index[("x", ri)], index[("x", rj)]
+        if all(x == 0 for x in s):
+            put(i, j, {nz + c: v for c, v in enumerate(coroot_coords[ri])})
+        elif s in by_vec:
+            put(i, j, {index[("x", by_vec[s])]: ntab.constant(a, b)})
+    return labels, table
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +432,25 @@ def full_space_residual(pairobj: ProductPair):
     x = pairobj.embed_left(root_vector(L, ri))
     y = pairobj.embed_left(root_vector(L, neg))
     return phi.evaluate(h, x, y)
+
+
+def loop_nondegeneracy(pairobj: ProductPair):
+    """check_nondegeneracy as it was: K(h_beta, h_beta) from killing_form on
+    the full coroot vector, and the eigen-relation summed over every
+    pairing entry, zeros included.  Returns (passed, witness, residual)."""
+    M = fiber_pairing_matrix(pairobj)
+    det = det_exact(M)
+    if det == 0:
+        return False, "fiber pairing matrix is singular", "0/1"
+    d = pairobj.datum
+    L = pairobj.L
+    for ri in range(d.nroots):
+        hb = L.coroot_vector(ri)
+        c = killing_form(L, hb, hb)
+        lhs = [0] * d.rank
+        for rj, a_on_hb in enumerate(d.pairing[ri]):
+            for t in range(d.rank):
+                lhs[t] += a_on_hb * d.coroots[rj][t]
+        if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
+            return False, f"eigen-relation fails for coroot {ri}", None
+    return True, None, frac_str(det)

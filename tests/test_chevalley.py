@@ -5,7 +5,7 @@ import pytest
 from conftest import build
 from liedual import chevalley, rootdatum
 from liedual.chevalley import build_lie_algebra
-from oracles import bracket, root_vector, sl_n_oracle, sln_matching_killing, verify_coroot_identity
+from oracles import bracket, killing_form, root_vector, sl_n_oracle, sln_matching_killing, verify_coroot_identity
 
 
 DIMS = {"A1:sc": 3, "A1:adj": 3, "A2:sc": 8, "B2:sc": 10, "G2": 14,
@@ -35,14 +35,14 @@ def test_sl2_relations():
     assert bracket(L, x, y) == h
     assert bracket(L, h, x) == [2 * v for v in x]
     assert bracket(L, h, y) == [-2 * v for v in y]
-    assert L.killing_form(h, h) == 8
+    assert killing_form(L, h, h) == 8
 
 
 def test_a2_killing_value():
     L = build_lie_algebra(build("A2:sc"))
     h1 = [Fraction(0)] * L.dim
     h1[L.index[("h", 0)]] = Fraction(1)
-    assert L.killing_form(h1, h1) == 12
+    assert killing_form(L, h1, h1) == 12
 
 
 def test_killing_form_kills_the_radical():
@@ -52,7 +52,7 @@ def test_killing_form_kills_the_radical():
     K = L.killing_matrix()
     zi = L.index[("z", 0)]
     assert all(K[zi][j] == 0 for j in range(L.dim))
-    assert L.killing_form(z, z) == 0
+    assert killing_form(L, z, z) == 0
 
 
 @pytest.mark.parametrize("typ", ["A2:sc", "B2:sc", "G2", "D4:sc"])

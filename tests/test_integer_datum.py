@@ -172,32 +172,30 @@ def test_central_free_rank_matches_the_rank_of_the_coroots(d, data):
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
 def test_int_n_table_matches_the_fraction_steps(typ):
+    # The int table holds every ordered pair (a, b) with a+b a root, each
+    # equal to the recursive Fraction oracle's value.
     d = build(typ)
     pos, simple = rootdatum.positive_system(d)
     new = chevalley._NTable(d, pos, simple)
     old = FractionNTable(d, pos, simple)
-    assert new.table == old.table
+    pairs = [(a, b) for a in d.roots for b in d.roots if tuple(x + y for x, y in zip(a, b)) in new.by_vec]
+    assert set(new.table) == set(pairs)
     assert all(type(v) is int for v in new.table.values())
-    for a in d.roots:
-        for b in d.roots:
-            if tuple(x + y for x, y in zip(a, b)) in new.by_vec:
-                assert type(new.get(a, b)) is int and new.get(a, b) == old.constant(a, b)
+    for a, b in pairs:
+        assert new.table[a, b] == old.constant(a, b)
 
 
 def test_a_non_integral_ratio_step_is_refused():
     d = build("B2:sc")
     pos, simple = rootdatum.positive_system(d)
     ntab = chevalley._NTable(d, pos, simple)
-    # Mixed pairs reach N through a ratio of Killing values; with every
-    # positive-pair value set to +-1, a ratio of 1/2 has no integral image.
-    for key, v in ntab.table.items():
-        ntab.table[key] = 1 if v > 0 else -1
-    mixed = [(a, b) for a in d.roots for b in d.roots
-             if a in ntab.pos and b not in ntab.pos and tuple(x + y for x, y in zip(a, b)) in ntab.by_vec]
+    # Each positive pair fixes the mixed pairs of its triple through a ratio
+    # of Killing values; with N = +-1, a ratio of 1/2 has no integral image.
     outcomes = []
-    for a, b in mixed:
+    for a, b, n, _, _ in list(ntab.triples):
         try:
-            outcomes.append(type(ntab.get(a, b)))
+            ntab._set(a, b, 1 if n > 0 else -1)
+            outcomes.append(int)
         except ValueError as exc:
             assert "non-integral structure constant" in str(exc)
             outcomes.append(ValueError)

@@ -369,6 +369,48 @@ def change_basis(d, U, V):
     )
 
 
+def fresh(d):
+    """The same lists as d in a new RootDatum, with nothing cached."""
+    return rootdatum.RootDatum(rank=d.rank, roots=d.roots, coroots=d.coroots, label=d.label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_derived_data_inherit_the_pairing(d, data):
+    d = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    d.pairing
+    dual, canon = rootdatum.dualize(d), rootdatum.canonicalize(d)
+    for derived in (dual, canon):
+        assert derived.pairing == fresh(derived).pairing
+        assert all(type(row) is tuple for row in derived.pairing)
+    assert rootdatum.dualize(dual).pairing == d.pairing
+    assert rootdatum.canonicalize(dual).pairing == fresh(rootdatum.canonicalize(dual)).pairing
+
+
+@pytest.mark.parametrize("typ", ["B3:sc", "G2xT1", "A2:adj"])
+def test_derived_pairings_are_read_off_the_source(typ):
+    # A marked source pairing shows through: the derived datum transposes
+    # or permutes what the source holds instead of computing its own.
+    d = fresh(build(typ))
+    marked = tuple(tuple(10 * i + j for j in range(d.nroots)) for i in range(d.nroots))
+    d.__dict__["pairing"] = marked
+    assert rootdatum.dualize(d).pairing == tuple(zip(*marked))
+    canon = rootdatum.canonicalize(d)
+    order = [d.roots.index(r) for r in canon.roots]
+    assert canon.pairing == tuple(tuple(marked[i][j] for j in order) for i in order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_a_source_without_a_pairing_leaves_it_lazy(d, data):
+    d = fresh(change_basis(d, *data.draw(unimodular_pair(d.rank))))
+    for derived in (rootdatum.dualize(d), rootdatum.canonicalize(d)):
+        if derived is not d:
+            assert derived.pairing == tuple(
+                tuple(sum(x * y for x, y in zip(c, r)) for r in derived.roots) for c in derived.coroots)
+    assert "pairing" not in d.__dict__
+
+
 @st.composite
 def perturbed_data(draw):
     """A rank <= 4 datum with some coroots and roots scaled, duplicated,

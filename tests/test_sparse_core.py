@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import build
 from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
-from oracles import FractionNTable
+from oracles import FractionNTable, pairwise_structure_table
 from test_rootdatum import RANK8_TYPES
 
 ORACLE_TYPES = ["A2:sc", "D4:sc", "A3:adj", "B3:sc", "G2:sc", "A1xT1:sc"]
@@ -200,10 +200,29 @@ def perturbed(base, key, k, change):
 
 
 def certificate(L):
-    """(generated, derivations) of the generator certificate on L.table."""
+    """(generated, omega, derivations) of the generator certificate on
+    L.table: the generators span the algebra, the Chevalley involution is
+    an automorphism, and ad is a derivation on one generator of each omega
+    orbit (z_k and x_a, a simple)."""
     ad = chevalley._signed_rows(L.table, L.dim)
-    gens = chevalley._generators(L)
-    return chevalley._generates(ad, gens), chevalley._derivations(ad, gens)
+    sigma = chevalley._involution(L)
+    gens = chevalley._generators(L, sigma)
+    return (chevalley._generates(ad, gens), chevalley._is_automorphism(L.table, sigma),
+            chevalley._derivations(ad, [g for g in gens if g <= sigma[g]]))
+
+
+def omega_perturbed(base, key, k, change):
+    """perturbed(base, key, k, change) with the omega image of the changed
+    coefficient changed to match: omega(e_i) = -e_sigma(i), so
+    [e_si, e_sj] = -sum c e_sk.  A coefficient that is its own image
+    ([x_a, x_-a] = h_a, read in the other order) is changed once."""
+    sigma = chevalley._involution(base)
+    L = perturbed(base, key, k, change)
+    si, sj = sigma[key[0]], sigma[key[1]]
+    image, sign = ((si, sj), -1) if si < sj else ((sj, si), 1)
+    if (image, sigma[k]) != (key, k):
+        L.table[image] = {**L.table[image], sigma[k]: sign * L.table[key][k]}
+    return L
 
 
 CERTIFIED_TYPES = [t for t in RANK8_TYPES if "x" not in t and t[0] != "T"] + ["A1xT1:sc", "T2"]
@@ -219,16 +238,118 @@ def test_the_generator_certificate_passes_without_the_sweep(typ):
 
 
 def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
-    seen = cut_off = 0
+    seen = cut_off = keep_omega = 0
     for base in perturbation_bases.values():
         for key, out in base.table.items():
             for k in out:
                 for change in ("flip", 1, -1):
-                    generated, derivations = certificate(perturbed(base, key, k, change))
-                    assert not (generated and derivations)
+                    generated, omega, derivations = certificate(perturbed(base, key, k, change))
+                    assert not (generated and omega and derivations)
                     seen += 1
                     cut_off += not generated
-    assert (seen, cut_off) == (786, 18)
+                    keep_omega += omega
+    assert (seen, cut_off, keep_omega) == (786, 18, 126)
+
+
+@pytest.fixture(scope="module")
+def omega_bases(perturbation_bases):
+    return {**perturbation_bases, **{typ: build_lie_algebra(build(typ)) for typ in ["D4:sc", "A1xT1:sc"]}}
+
+
+@pytest.fixture(scope="module")
+def central_bases():
+    return {typ: build_lie_algebra(build(typ)) for typ in ["A1xT1:sc", "A2xT1:sc"]}
+
+
+def central_perturbations(base):
+    """base with one zero bracket [e_i, e_j] set to +-z_0.  On A2xT1,
+    [x_-theta, x_-a] = z_0 (theta the highest root, a simple) keeps ad z_0
+    and ad x_b (b simple) derivations and generation intact, but breaks
+    Jacobi on (h, x_-theta, x_-a); omega maps the pair to one whose bracket
+    is 0."""
+    z = base.index[("z", 0)]
+    for i in range(base.dim):
+        for j in range(i + 1, base.dim):
+            if (i, j) not in base.table:
+                for c in (1, -1):
+                    L = copy.copy(base)
+                    L.table = {**base.table, (i, j): {z: c}}
+                    L._killing = None
+                    yield (i, j), c, L
+
+
+def certificate_faults(bases, central):
+    """Every single and every omega-symmetric coefficient perturbation of
+    bases and every central perturbation of central, checked against
+    dense_jacobi_witness.  Returns the counts and the faults: a passing
+    certificate on a table that fails Jacobi, an omega-symmetric table
+    that satisfies Jacobi and generates but fails the certificate, or a
+    central perturbation whose jacobi_witness differs from the dense one."""
+    counts = dict.fromkeys(["single", "single_omega", "single_pass", "symmetric", "symmetric_pass",
+                            "symmetric_jacobi", "central", "central_pass"], 0)
+    faults = []
+    for typ, base in sorted(bases.items()):
+        sigma = chevalley._involution(base)
+        orbits = set()
+        for key, out in base.table.items():
+            for k in out:
+                si, sj = sigma[key[0]], sigma[key[1]]
+                orbit = frozenset([(key, k), ((min(si, sj), max(si, sj)), sigma[k])])
+                first = orbit not in orbits
+                orbits.add(orbit)
+                for change in ("flip", 1, -1):
+                    generated, omega, derivations = certificate(perturbed(base, key, k, change))
+                    passed = generated and omega and derivations
+                    counts["single"] += 1
+                    counts["single_omega"] += omega
+                    counts["single_pass"] += passed
+                    if passed and dense_jacobi_witness(perturbed(base, key, k, change)) is not None:
+                        faults.append((typ, "single", key, k, change))
+                    if not first:
+                        continue
+                    L = omega_perturbed(base, key, k, change)
+                    generated, omega, derivations = certificate(L)
+                    assert omega
+                    jacobi = dense_jacobi_witness(L) is None
+                    counts["symmetric"] += 1
+                    counts["symmetric_pass"] += generated and derivations
+                    counts["symmetric_jacobi"] += jacobi
+                    if (generated and derivations) != jacobi and (generated or not jacobi):
+                        faults.append((typ, "symmetric", key, k, change))
+    for typ, base in sorted(central.items()):
+        for key, c, L in central_perturbations(base):
+            passed = all(certificate(L))
+            witness = dense_jacobi_witness(L)
+            counts["central"] += 1
+            counts["central_pass"] += passed
+            if (passed and witness is not None) or chevalley.jacobi_witness(L) != witness:
+                faults.append((typ, "central", key, c))
+    return counts, faults
+
+
+def test_the_halved_certificate_agrees_with_the_dense_oracle(omega_bases, central_bases):
+    counts, faults = certificate_faults(omega_bases, central_bases)
+    assert faults == []
+    # Two single perturbations pass: [x, y] = h of A1xT1 rescaled to -h or
+    # 2h, a rescaling of y.  Of the omega-symmetric ones, A1xT1 with
+    # [x, y] = 0 satisfies Jacobi but no longer generates h.
+    assert counts == {"single": 1380, "single_omega": 210, "single_pass": 2,
+                      "symmetric": 795, "symmetric_pass": 5, "symmetric_jacobi": 6,
+                      "central": 36, "central_pass": 0}
+
+
+def test_a_certificate_without_the_omega_step_passes_broken_tables(central_bases):
+    # No single coefficient perturbation of the omega bases that breaks
+    # Jacobi passes generation and the half derivations even without omega,
+    # and an omega-symmetric one keeps omega by construction, so the
+    # central entries are where the omega step is needed.
+    with mock.patch.object(chevalley, "_is_automorphism", lambda table, sigma: True):
+        _, faults = certificate_faults({}, central_bases)
+    # [x_-theta, x_-a] = +-z_0 on A2xT1, for both simple roots a.
+    assert [(typ, kind) for typ, kind, *_ in faults] == [("A2xT1:sc", "central")] * 4
+    base = central_bases["A2xT1:sc"]
+    theta = base.labels[base.dim - 1]
+    assert all(base.labels[key[1]] == theta for _, _, key, _ in faults)
 
 
 def test_generation_reaches_only_through_one_nonzero_term():
@@ -273,6 +394,15 @@ def test_killing_matrix_of_a_perturbed_table_matches_the_dense_trace(perturbatio
     k = data.draw(st.sampled_from(sorted(base.table[key])))
     L = perturbed(base, key, k, data.draw(st.sampled_from(["flip", 1, -1])))
     assert L.killing_matrix() == dense_killing_matrix(L)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_the_triple_walk_matches_the_pairwise_builder(typ):
+    d = build(typ)
+    L = build_lie_algebra(d)
+    labels, table = pairwise_structure_table(d)
+    assert list(L.labels) == labels
+    assert L.table == table
 
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
@@ -324,9 +454,9 @@ def test_a_non_integral_structure_constant_is_refused():
     pos, simple = rootdatum.positive_system(d)
     ntab = chevalley._NTable(d, pos, simple)
     a, b = next(iter(ntab.table))
-    assert type(ntab.get(a, b)) is int
+    assert type(ntab.table[a, b]) is int
     old = FractionNTable(d, pos, simple)
-    assert old.constant(a, b) == ntab.get(a, b)
+    assert old.constant(a, b) == ntab.table[a, b]
     old.table[(a, b)] = Fraction(1, 2)
     with pytest.raises(ValueError, match="non-integral"):
         old.constant(a, b)

@@ -23,7 +23,7 @@ from liedual.tduality import (
     tautological_two_form,
     verify_all,
 )
-from oracles import full_space_residual
+from oracles import full_space_residual, killing_form, loop_nondegeneracy
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -123,13 +123,50 @@ def test_nondegeneracy_and_eigen_relation():
         assert rec.passed, (typ, rec.as_dict())
 
 
+def _record(rec):
+    return rec.passed, rec.witness, rec.residual
+
+
+@pytest.mark.parametrize("typ", PASSING + ["D5:sc", "E6:sc", "A2xT1:sc", "D4:adj x T2"])
+def test_nondegeneracy_matches_the_loop_over_every_pairing_entry(typ):
+    pair = build_pair(build(typ))
+    rec = check_nondegeneracy(pair)
+    assert rec.passed
+    assert _record(rec) == loop_nondegeneracy(pair)
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A2xT1:sc"])
+@pytest.mark.parametrize("defect", ["cartan-killing", "coroot-coords", "pairing"])
+def test_a_seeded_eigen_relation_defect_gives_the_loop_witness(typ, defect):
+    pair = build_pair(build(typ))
+    L, d = pair.L, pair.datum
+    nz = len(L.radical_basis)
+    if defect == "cartan-killing":
+        K = [row[:] for row in L.killing_matrix()]
+        K[nz + 1][nz + 1] += 1
+        L._killing = K
+    elif defect == "coroot-coords":
+        ri = d.nroots - 1
+        L.coroot_coords = {**L.coroot_coords, ri: [2 * c for c in L.coroot_coords[ri]]}
+    else:
+        d = dataclasses.replace(d)
+        P = [list(row) for row in pair.datum.pairing]
+        P[2][0] += 1
+        d.__dict__["pairing"] = tuple(map(tuple, P))
+        pair = dataclasses.replace(pair, datum=d)
+    rec = check_nondegeneracy(pair)
+    assert not rec.passed
+    assert rec.witness.startswith("eigen-relation fails for coroot ")
+    assert _record(rec) == loop_nondegeneracy(pair)
+
+
 def test_eigen_constant_values():
     for typ, c in (("A1:sc", 4), ("A2:sc", 6)):
         pair = build_pair(build(typ))
         L, d = pair.L, pair.datum
         for ri in range(d.nroots):
             h = L.coroot_vector(ri)
-            assert L.killing_form(h, h) / 2 == c
+            assert killing_form(L, h, h) / 2 == c
 
 
 def test_pairing_is_singular_without_the_correction():
