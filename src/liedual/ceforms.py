@@ -10,7 +10,6 @@ coefficients.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import exactlin
 
@@ -45,6 +44,18 @@ class AbelianAlgebra:
 def sort_sign(idx):
     """Sort an index tuple; return (sorted tuple, permutation sign) or
     (None, 0) when an index repeats."""
+    if len(idx) == 3:
+        # The hot case (3-forms, and the differential of 2-forms), branched.
+        a, b, c = idx
+        if a == b or b == c or a == c:
+            return None, 0
+        if a < b:
+            if b < c:
+                return (a, b, c), 1
+            return ((a, c, b), -1) if a < c else ((c, a, b), 1)
+        if a < c:
+            return (b, a, c), -1
+        return ((b, c, a), 1) if b < c else ((c, b, a), -1)
     idx = list(idx)
     sign = 1
     for i in range(1, len(idx)):
@@ -151,32 +162,27 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
 
 def ce_differential(w: InvariantForm) -> InvariantForm:
     """Invariant-form differential:
-    dw(x_0..x_k) = sum_{i<j} (-1)^{i+j} w([x_i,x_j], ..hat i..hat j..)."""
+    dw(x_0..x_k) = sum_{a<b} (-1)^{a+b} w([x_a,x_b], ..hat a..hat b..).
+
+    The terms of w are indexed by basis index, so each bracket
+    [e_i, e_j] = sum_k c e_k meets only the terms whose key holds k, with
+    w(e_k, rest) = (-1)^(position of k) w(key).  Such a term adds to dw on
+    the sorted key of (i, j, rest); (-1)^{a+b} there is minus the sign that
+    sorts (i, j, rest), whatever the order of i and j."""
     alg = w.algebra
     if w.degree == 0:
         return zero_form(alg, 1, w.tag)
-    # Candidate supports: replace one index of a term by a bracket pair.
-    candidates = set()
-    for i, j, outs in alg.brackets():
-        for k in outs:
-            for key in w.terms:
-                if k in key:
-                    cand = set(key)
-                    cand.discard(k)
-                    cand.add(i)
-                    cand.add(j)
-                    if len(cand) == w.degree + 1:
-                        candidates.add(tuple(sorted(cand)))
+    by_index = {}                   # k -> [(rest of key, w(e_k, rest))]
+    for key, v in w.terms.items():
+        for pos, k in enumerate(key):
+            by_index.setdefault(k, []).append((key[:pos] + key[pos + 1 :], -v if pos % 2 else v))
     out = {}
-    for cand in candidates:
-        total = 0
-        for a, b in combinations(range(len(cand)), 2):
-            rest = tuple(cand[t] for t in range(len(cand)) if t != a and t != b)
-            sgn = (-1) ** (a + b)
-            for k, c in alg.bracket_basis(cand[a], cand[b]).items():
-                total += sgn * c * w.value_on_indices((k,) + rest)
-        if total:
-            out[cand] = total
+    for i, j, outs in alg.brackets():
+        for k, c in outs.items():
+            for rest, v in by_index.get(k, ()):
+                cand, sign = sort_sign((i, j) + rest)
+                if sign:
+                    out[cand] = out.get(cand, 0) - sign * c * v
     return InvariantForm(alg, w.degree + 1, out, w.tag)
 
 

@@ -77,16 +77,6 @@ class ReductiveLieAlgebra:
 
     # -- coordinates ------------------------------------------------------
 
-    def cartan_vector(self, t_vec):
-        """Express a vector of Lambda (x) Q in the (z, h) basis, as a basis
-        coefficient vector; raises if it is not in the Cartan span."""
-        cols = self.radical_basis + [self.datum.coroots[i] for i in self.simple_indices]
-        A = [[col[r] for col in cols] for r in range(self.datum.rank)]
-        sol = exactlin.solve_exact(A, t_vec)
-        if sol is None:
-            raise ValueError("vector outside the Cartan subalgebra")
-        return sol + [0] * (self.dim - len(sol))
-
     def coroot_vector(self, root_index):
         """h_alpha as a basis coefficient vector."""
         out = [0] * self.dim

@@ -1,85 +1,119 @@
 """Exact rational linear algebra over arbitrary-precision integers.
 
-Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Matrices and vectors are plain lists; nothing here ever rounds.
+Inputs are ints or ``fractions.Fraction``s; every elimination runs on
+integer rows (denominators cleared, fraction-free steps), and Fractions are
+built only for returned quotients.  Matrices and vectors are plain lists;
+nothing here ever rounds.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 
-def rref(M):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    R = [[Fraction(x) for x in row] for row in M]
+def _integer_rows(M):
+    """Each row of ints and Fractions times the lcm of its denominators,
+    as a list of ints; a row scaled by a nonzero constant keeps its
+    solutions."""
+    out = []
+    for row in M:
+        d = lcm(*(x.denominator for x in row)) if row else 1
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(R):
+    """Integer Gauss-Jordan elimination of the int rows R, in place.
+
+    Each pivot row r gets a nonzero pivot R[r][c] and every other row a
+    zero in column c.  A row that takes a multiple of the pivot row is
+    divided by its content, so entries stay as small as the pivots allow.
+    Returns the pivot column indices; row r divided by R[r][pivots[r]] is
+    row r of the reduced row echelon form."""
     nrows = len(R)
     ncols = len(R[0]) if R else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if R[i][c]), None)
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
+        prow = R[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            f = R[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(R[i], prow)]
+                g = gcd(*row)
+                R[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return R, pivots
+    return pivots
 
 
 def solve_exact(A, b):
-    """Solve A x = b exactly.
+    """Solve A x = b exactly; entries are ints or Fractions.
 
-    Returns the solution vector, or None when the system is inconsistent.
-    When solutions form an affine space, free variables are set to zero.
+    Returns the solution vector of Fractions, or None when the system is
+    inconsistent.  When solutions form an affine space, free variables are
+    set to zero.  The elimination runs on integer rows.
     """
     if len(A) != len(b):
         raise ValueError("A must have as many rows as b has entries")
-    ncols = len(A[0]) if A else 0
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    if not aug:
+    if not A:
         return []
-    R, pivots = rref(aug)
+    ncols = len(A[0])
+    R = _integer_rows([list(row) + [bv] for row, bv in zip(A, b)])
+    pivots = _eliminate(R)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = R[r][ncols]
+        x[c] = Fraction(R[r][ncols], R[r][c])
     return x
+
+
+def integer_inverse(A):
+    """(X, den) with X = den * A^-1 an int matrix and den > 0 the lcm of
+    the pivots, from one integer elimination of [A | I]; A is a square
+    int matrix and ValueError is raised when it is singular."""
+    k = len(A)
+    R = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(A)]
+    if _eliminate(R) != list(range(k)):
+        raise ValueError("matrix is singular")
+    den = lcm(*(row[i] for i, row in enumerate(R))) if k else 1
+    return [[x * (den // row[i]) for x in row[k:]] for i, row in enumerate(R)], den
 
 
 def integer_coordinates(V, targets):
     """Integer coordinates x of each target t in the rows of V (t = sum_i
     x_i V_i), or None for a target outside their integer span.
 
-    The rows of V must be independent.  One elimination inverts the Gram
-    matrix G = V V^T, scaled to ints by a common denominator; each target
-    is then solved in ints from G x = V t, and the x found is kept only when
-    it gives back t.  That test decides membership on its own: the solution
-    is unique, so a quotient that is not exact, or the projection of a
-    target outside the span of V, cannot give back t.
+    The rows of V must be independent.  One integer elimination inverts the
+    Gram matrix G = V V^T, scaled to ints by the lcm of its pivots; each
+    target is then solved in ints from G x = V t, and the x found is kept
+    only when it gives back t.  That test decides membership on its own:
+    the solution is unique, so a quotient that is not exact, or the
+    projection of a target outside the span of V, cannot give back t.
     """
-    k = len(V)
     inv, den = [], 1
-    if k:
+    if V:
         G = [[sum(map(mul, u, v)) for v in V] for u in V]
-        R, pivots = rref([row + [int(i == j) for j in range(k)] for i, row in enumerate(G)])
-        if pivots[:k] != list(range(k)):
-            raise ValueError("basis rows are linearly dependent")
-        den = lcm(*(x.denominator for row in R for x in row[k:]))
-        inv = [[x.numerator * (den // x.denominator) for x in row[k:]] for row in R]   # den * G^-1
+        try:
+            inv, den = integer_inverse(G)                  # den * G^-1
+        except ValueError:
+            raise ValueError("basis rows are linearly dependent") from None
+    cols = list(zip(*V))
     out = []
     for t in targets:
         Vt = [sum(map(mul, v, t)) for v in V]
         x = tuple(sum(map(mul, row, Vt)) // den for row in inv)
-        back = [sum(xi * v[c] for xi, v in zip(x, V)) for c in range(len(t))]
+        back = [sum(map(mul, x, col)) for col in cols] if V else [0] * len(t)
         out.append(x if back == list(t) else None)
     return out
 
@@ -92,13 +126,8 @@ def det_exact(A):
     if n == 0:
         return Fraction(1)
     # Clear denominators row by row so the Bareiss sweep stays in integers.
-    scale = Fraction(1)
-    M = []
-    for row in A:
-        row = [Fraction(x) for x in row]
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= d
-        M.append([int(x * d) for x in row])
+    scale = prod(lcm(*(x.denominator for x in row)) for row in A)
+    M = _integer_rows(A)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -60,7 +60,12 @@ class RootDatum:
 
     @cached_property
     def chamber(self):
-        """(positive, simple) root indices of positive_system, as tuples."""
+        """(positive, simple) root indices of positive_system, as tuples.
+        dualize and canonicalize leave a datum the means to read it off
+        their source's chamber, computed there at most once."""
+        derive = self.__dict__.pop("_derive_chamber", None)
+        if derive is not None:
+            return derive()
         return _positive_system(self)
 
 
@@ -194,6 +199,8 @@ def dualize(d: RootDatum) -> RootDatum:
     if "pairing" in d.__dict__:
         # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.
         dd.__dict__["_derive_pairing"] = lambda: tuple(zip(*d.pairing))
+    # _positive_system commutes with dualization: the same indices.
+    dd.__dict__["_derive_chamber"] = lambda: d.chamber
     return dd
 
 
@@ -494,10 +501,12 @@ def ade_symmetry_witness(d: RootDatum):
 
 
 def fundamental_group(d: RootDatum):
-    """Invariant factors (>1) of Lambda_ss / Z-span(coroots)."""
+    """Invariant factors (>1) of Lambda_ss / Z-span(coroots).  Every coroot
+    is an integral combination of the simple coroots, so their rows span
+    the same lattice and the Smith form runs on them alone."""
     if not d.coroots:
         return []
-    diag = exactlin.smith_normal_form([list(c) for c in d.coroots])
+    diag = exactlin.smith_normal_form([list(d.coroots[i]) for i in d.chamber[1]])
     return [x for x in diag if x > 1]
 
 
@@ -515,7 +524,7 @@ def canonicalize(d: RootDatum) -> RootDatum:
     """Sort index-aligned (root, coroot) pairs by the generic functional of
     the roots, descending (positive roots first), then lexicographically;
     this is the writer order of the JSON schema."""
-    if d.nroots == 0:
+    if d.nroots == 0 or d.__dict__.get("_canonical"):
         return d
     f = _functional(d.roots)
     order = sorted(range(d.nroots), key=lambda i: (-f(d.roots[i]), d.roots[i]))
@@ -531,6 +540,19 @@ def canonicalize(d: RootDatum) -> RootDatum:
             cols = tuple(zip(*(d.pairing[i] for i in order)))
             return tuple(zip(*(cols[j] for j in order)))
         c.__dict__["_derive_pairing"] = permuted
+
+    def reindexed():
+        # The chamber is cut out by vectors, not indices: map the source's
+        # indices, sort the positives and order the simples as
+        # _positive_system does, by swap key and then by index.
+        pos, simple = d.chamber
+        new = {i: t for t, i in enumerate(order)}
+        simple = sorted((_swap_key(d, i), new[i]) for i in simple)
+        return tuple(sorted(new[i] for i in pos)), tuple(t for _, t in simple)
+    c.__dict__["_derive_chamber"] = reindexed
+    # Sorting a canonical datum again is the identity: to_json_dict and
+    # canonicalize return it as it is.
+    c.__dict__["_canonical"] = True
     return c
 
 

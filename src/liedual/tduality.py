@@ -9,6 +9,7 @@ the T-duality definition as an exact algebraic identity.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import mul
 
@@ -61,6 +62,11 @@ class ProductPair:
     F: InvariantForm = None                                # F0 + F_P on the product
     spanning_set: list = field(default_factory=list)       # (name, vector)
     owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
+
+    @cached_property
+    def fiber_pairing(self):
+        """fiber_pairing_matrix, once per pair; F is fixed by build_pair."""
+        return fiber_pairing_matrix(self)
 
     def embed_left(self, v):
         return list(v) + [0] * self.Ldual.dim
@@ -141,19 +147,20 @@ def basis_owners(S, basis):
     every other member of S is supported on indices owned by single-index
     members of B, so that B is a basis of span(S).
     """
+    dim = len(S[0][1]) if S else 0
+    support = [list(compress(range(dim), vec)) for _, vec in S]
     owner = {}
     for p in basis:
-        for i, c in enumerate(S[p][1]):
-            if c:
-                if i in owner:
-                    raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
-                owner[i] = (p, c)
-    dim = len(S[0][1]) if S else 0
+        for i in support[p]:
+            if i in owner:
+                raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
+            owner[i] = (p, S[p][1][i])
     if len(owner) != dim:
         raise RuntimeError(f"B covers {len(owner)} of {dim} indices")
-    size = {p: sum(1 for c in S[p][1] if c) for p in basis}
-    for p, (name, vec) in enumerate(S):
-        if p not in size and any(c and size[owner[i][0]] != 1 for i, c in enumerate(vec)):
+    single = {p for p in basis if len(support[p]) == 1}
+    in_basis = set(basis)
+    for p, (name, _) in enumerate(S):
+        if p not in in_basis and any(owner[i][0] not in single for i in support[p]):
             raise RuntimeError(f"{name} is not spanned by the single-index members of B")
     return owner
 
@@ -190,29 +197,25 @@ def poincare_correction(pairobj: ProductPair) -> InvariantForm:
     return InvariantForm(P, 2, terms, TAG_CARTAN)
 
 
-def pullback_first(pairobj, w: InvariantForm) -> InvariantForm:
-    return InvariantForm(pairobj.product, w.degree, dict(w.terms), w.tag)
-
-
-def pullback_second(pairobj, w: InvariantForm) -> InvariantForm:
-    n = pairobj.product.offset
-    return InvariantForm(
-        pairobj.product,
-        w.degree,
-        {tuple(i + n for i in key): v for key, v in w.terms.items()},
-        w.tag,
-    )
-
-
 def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the full
-    product; identically zero only after restriction to span(S).  phi is
-    linear in (F, H, Hdual) together, so the residual at scale n is
+    product; identically zero only after restriction to span(S).  dF, H
+    and Hdual (shifted to the second factor) are summed into one dict.
+    phi is linear in (F, H, Hdual) together, so the residual at scale n is
     phi.scale(n)."""
     dF = ceforms.ce_differential(pairobj.F)
     H = ceforms.cartan_three_form(pairobj.L)
     Hd = ceforms.cartan_three_form(pairobj.Ldual)
-    return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
+    if not dF.tag == H.tag == Hd.tag:
+        raise ValueError("cannot add forms with different normalization tags")
+    n = pairobj.product.offset
+    terms = dict(dF.terms)
+    for key, v in H.terms.items():
+        terms[key] = terms.get(key, 0) - v
+    for (i, j, k), v in Hd.terms.items():
+        key = (i + n, j + n, k + n)
+        terms[key] = terms.get(key, 0) + v
+    return InvariantForm(pairobj.product, 3, terms, dF.tag)
 
 
 def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
@@ -226,20 +229,34 @@ def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
     on every triple of B; a failure names the smallest nonzero triple.
     """
     t0 = time.monotonic()
+    return _flux_record(pairobj, _flux_failure(pairobj, phi), 1, t0)
+
+
+def _flux_failure(pairobj: ProductPair, phi: InvariantForm):
+    """(smallest triple of B on which phi is nonzero, the value there), or
+    None, from one pass over phi.terms."""
+    owner = pairobj.owner
     sums = {}
-    for key, v in phi.terms.items():
-        (p, a), (q, b), (r, c) = (pairobj.owner[i] for i in key)
+    for (i, j, k), v in phi.terms.items():
+        (p, a), (q, b), (r, c) = owner[i], owner[j], owner[k]
         triple, sign = ceforms.sort_sign((p, q, r))
         if sign:
             sums[triple] = sums.get(triple, 0) + sign * a * b * c * v
     bad = min((t for t, r in sums.items() if r), default=None)
-    if bad is None:
+    return None if bad is None else (bad, sums[bad])
+
+
+def _flux_record(pairobj: ProductPair, failure, n, t0):
+    """The flux record of n*phi from the failure of phi: n*phi has the same
+    nonzero triples of B as phi (n != 0), each n times the value."""
+    if failure is None:
         return CheckRecord("flux_equation", True, None, None, time.monotonic() - t0)
+    bad, value = failure
     return CheckRecord(
         "flux_equation",
         False,
         [pairobj.spanning_set[p][0] for p in bad],
-        frac_str(sums[bad]),
+        frac_str(n * value),
         time.monotonic() - t0,
     )
 
@@ -285,8 +302,7 @@ def check_nondegeneracy(pairobj: ProductPair):
     2 sum_alpha alpha(h_beta) h_alpha = K(h_beta,h_beta) h_beta holds for
     every coroot."""
     t0 = time.monotonic()
-    M = fiber_pairing_matrix(pairobj)
-    det = exactlin.det_exact(M)
+    det = exactlin.det_exact(pairobj.fiber_pairing)
     if det == 0:
         return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1", time.monotonic() - t0)
     d = pairobj.datum
@@ -310,12 +326,24 @@ def check_nondegeneracy(pairobj: ProductPair):
 
 def lattice_pairing_matrix(pairobj: ProductPair):
     """Values of F on the lattice bases of the two fibers: rows over the
-    standard basis of the weight lattice, columns over its dual."""
-    rank = pairobj.datum.rank
-    units = [[1 if t == a else 0 for t in range(rank)] for a in range(rank)]
-    lams = [pairobj.embed_left(pairobj.L.cartan_vector(u)) for u in units]
-    mus = [pairobj.embed_right(pairobj.Ldual.cartan_vector(u)) for u in units]
-    return [[pairobj.F.evaluate(lam, mu) for mu in mus] for lam in lams]
+    standard basis of the weight lattice, columns over its dual.
+
+    The unit vectors of Lambda have (z, h) coordinates X/dx, the columns of
+    one integer inverse of the (z, h) basis matrix, and those of the dual
+    lattice Y/dy likewise.  F is bilinear, so M = X^T P Y / (dx dy), with P
+    the fiber pairing matrix."""
+    X, dx = _cartan_inverse(pairobj.L)
+    Y, dy = _cartan_inverse(pairobj.Ldual)
+    XtP = [[sum(map(mul, x, p)) for p in zip(*pairobj.fiber_pairing)] for x in zip(*X)]
+    return [[Fraction(sum(map(mul, row, y)), dx * dy) for y in zip(*Y)] for row in XtP]
+
+
+def _cartan_inverse(L: ReductiveLieAlgebra):
+    """(X, d): column t of X/d is the unit vector e_t of Lambda in the
+    (z, h) basis of the Cartan subalgebra (the radical basis, then the
+    simple coroots)."""
+    cols = L.radical_basis + [L.datum.coroots[i] for i in L.simple_indices]
+    return exactlin.integer_inverse([list(row) for row in zip(*cols)])
 
 
 def check_integrality(M):
@@ -403,6 +431,7 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     Order: ADE symmetry (abort on failure), nondegeneracy, integrality,
     angle positivity, flux equation, then the flux and integrality checks
     again for each requested nonzero integer scale n, on n*phi and n*M.
+    phi is walked once: its failing triple and value give those of n*phi.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
@@ -420,12 +449,14 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     report.checks.append(check_integrality(M))
     report.checks.append(check_angle_positivity(pairobj))
     phi = flux_residual_form(pairobj)
-    report.checks.append(check_flux_equation(pairobj, phi))
+    t0 = time.monotonic()
+    failure = _flux_failure(pairobj, phi)
+    report.checks.append(_flux_record(pairobj, failure, 1, t0))
     for n in scales:
         if n == 0:
             raise ValueError("scale must be a nonzero integer")
         report.scaled_n.append(n)
-        rec = check_flux_equation(pairobj, phi.scale(n))
+        rec = _flux_record(pairobj, failure, n, time.monotonic())
         rec.name = f"flux_equation[scale={n}]"
         report.checks.append(rec)
         rec = check_integrality([[n * v for v in row] for row in M])

@@ -5,16 +5,17 @@ computes, kept to cross-check it: the sl(n) matrix model, the coroot
 identity, the bilinear bracket, the flux residual off span(S), closedness
 and invariance of forms, the Cartan-matrix ADE test, the N-table with
 Fraction ratio steps and the pairwise structure-table builder, the
-eigen-relation loop over every pairing entry, and two small matrix
-helpers.
+eigen-relation loop over every pairing entry, the Fraction rref, the
+per-unit Cartan solve and lattice pairing, the gathering differential,
+phi composed from pullbacks, and two small matrix helpers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from liedual.ceforms import InvariantForm, ce_differential
+from liedual.ceforms import InvariantForm, cartan_three_form, ce_differential, zero_form
 from liedual.chevalley import ReductiveLieAlgebra, _simple_coords
-from liedual.exactlin import det_exact, integer_kernel
+from liedual.exactlin import det_exact, integer_kernel, solve_exact
 from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
 from liedual.tduality import ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
 
@@ -31,6 +32,47 @@ def mat_vec(A, v):
 
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
+
+
+def rref(M):
+    """Reduced row echelon form over Fraction, as exactlin computed it
+    before its eliminations ran on integer rows.  Returns (rows, pivot
+    column indices)."""
+    R = [[Fraction(x) for x in row] for row in M]
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        pv = R[r][c]
+        R[r] = [x / pv for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def rref_solve(A, b):
+    """solve_exact as it was: one Fraction rref of [A | b]."""
+    if not A:
+        return []
+    ncols = len(A[0])
+    R, pivots = rref([list(row) + [bv] for row, bv in zip(A, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = R[r][ncols]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +116,18 @@ def killing_form(L, x, y):
     """K(x, y) for basis coefficient vectors x, y, from the Killing matrix."""
     K = L.killing_matrix()
     return sum(a * b * K[i][j] for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
+
+
+def cartan_vector(L, t_vec):
+    """A vector of Lambda (x) Q in the (z, h) basis, as a basis coefficient
+    vector, from one Fraction solve; raises if it is not in the Cartan
+    span."""
+    cols = L.radical_basis + [L.datum.coroots[i] for i in L.simple_indices]
+    A = [[col[r] for col in cols] for r in range(L.datum.rank)]
+    sol = solve_exact(A, t_vec)
+    if sol is None:
+        raise ValueError("vector outside the Cartan subalgebra")
+    return sol + [0] * (L.dim - len(sol))
 
 
 def verify_coroot_identity(L: ReductiveLieAlgebra):
@@ -381,6 +435,53 @@ def _chain_order(L):
 # Invariant forms and the flux residual
 
 
+def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
+    """ce_differential as it was: collect every candidate support (a term
+    of w with one index replaced by a bracket pair, scanning all terms for
+    every bracket output), then sum dw over the pairs of each candidate."""
+    alg = w.algebra
+    if w.degree == 0:
+        return zero_form(alg, 1, w.tag)
+    candidates = set()
+    for i, j, outs in alg.brackets():
+        for k in outs:
+            for key in w.terms:
+                if k in key:
+                    cand = set(key)
+                    cand.discard(k)
+                    cand.add(i)
+                    cand.add(j)
+                    if len(cand) == w.degree + 1:
+                        candidates.add(tuple(sorted(cand)))
+    out = {}
+    for cand in candidates:
+        total = 0
+        for a, b in combinations(range(len(cand)), 2):
+            rest = tuple(cand[t] for t in range(len(cand)) if t != a and t != b)
+            sgn = (-1) ** (a + b)
+            for k, c in alg.bracket_basis(cand[a], cand[b]).items():
+                total += sgn * c * w.value_on_indices((k,) + rest)
+        if total:
+            out[cand] = total
+    return InvariantForm(alg, w.degree + 1, out, w.tag)
+
+
+def sorted_sign(idx):
+    """sort_sign's insertion sort for every length: (sorted tuple, sign)
+    or (None, 0) when an index repeats."""
+    idx = list(idx)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    if any(a == b for a, b in zip(idx, idx[1:])):
+        return None, 0
+    return tuple(idx), sign
+
+
 def is_closed(w: InvariantForm) -> bool:
     return ce_differential(w).is_zero()
 
@@ -454,3 +555,37 @@ def loop_nondegeneracy(pairobj: ProductPair):
         if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
             return False, f"eigen-relation fails for coroot {ri}", None
     return True, None, frac_str(det)
+
+
+def pullback_first(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
+    return InvariantForm(pairobj.product, w.degree, dict(w.terms), w.tag)
+
+
+def pullback_second(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
+    n = pairobj.product.offset
+    return InvariantForm(
+        pairobj.product,
+        w.degree,
+        {tuple(i + n for i in key): v for key, v in w.terms.items()},
+        w.tag,
+    )
+
+
+def composed_phi(pairobj: ProductPair) -> InvariantForm:
+    """phi = dF - q*H + qdual*Hdual as it was built: each pullback, the
+    sign flip, the difference and the sum a new, validated form."""
+    dF = ce_differential(pairobj.F)
+    H = cartan_three_form(pairobj.L)
+    Hd = cartan_three_form(pairobj.Ldual)
+    return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
+
+
+def per_unit_lattice_pairing(pairobj: ProductPair):
+    """lattice_pairing_matrix as it was: one Fraction solve per unit vector
+    of each lattice, and F evaluated on every pair of the embedded
+    vectors."""
+    rank = pairobj.datum.rank
+    units = [[1 if t == a else 0 for t in range(rank)] for a in range(rank)]
+    lams = [pairobj.embed_left(cartan_vector(pairobj.L, u)) for u in units]
+    mus = [pairobj.embed_right(cartan_vector(pairobj.Ldual, u)) for u in units]
+    return [[pairobj.F.evaluate(lam, mu) for mu in mus] for lam in lams]

@@ -1,7 +1,10 @@
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
 from liedual import ceforms, tduality
@@ -15,7 +18,17 @@ from liedual.ceforms import (
     wedge,
 )
 from liedual.chevalley import build_lie_algebra
-from oracles import is_closed, is_invariant, killing_form, root_vector
+from oracles import (
+    gathered_ce_differential,
+    is_closed,
+    is_invariant,
+    killing_form,
+    pullback_first,
+    pullback_second,
+    root_vector,
+    sorted_sign,
+)
+from test_flux_basis import doubled_F
 
 
 def _sl2():
@@ -44,8 +57,8 @@ def test_wedge_on_a_torus():
 def test_wedge_of_root_with_dual_root_in_product_context():
     pair = tduality.build_pair(build("A1:sc"))
     ri = pair.L.simple_indices[0]
-    a = tduality.pullback_first(pair, extended_root_form(pair.L, ri))
-    av = tduality.pullback_second(pair, extended_root_form(pair.Ldual, ri))
+    a = pullback_first(pair, extended_root_form(pair.L, ri))
+    av = pullback_second(pair, extended_root_form(pair.Ldual, ri))
     w = wedge(a, av)
     h = pair.embed_left(pair.L.coroot_vector(ri))
     hv = pair.embed_right(pair.Ldual.coroot_vector(ri))
@@ -195,3 +208,37 @@ def test_tags_multiply_under_wedge():
     a = InvariantForm(T, 1, {(0,): Fraction(1)}, ceforms.TAG_CARTAN)
     b = InvariantForm(T, 1, {(1,): Fraction(1)}, ceforms.TAG_CARTAN)
     assert wedge(a, b).tag == ceforms.NormalizationTag(Fraction(1, 16), -4)
+
+
+# ---------------------------------------------------------------------------
+# The indexed differential and the branched sort against their old forms
+
+
+def test_sort_sign_matches_the_insertion_sort_on_short_tuples():
+    for n in range(5):
+        for idx in product(range(4), repeat=n):
+            assert ceforms.sort_sign(idx) == sorted_sign(idx), idx
+            assert ceforms.sort_sign(list(idx)) == sorted_sign(idx), idx
+
+
+@pytest.mark.parametrize("typ", ["A1:sc", "A2xT1:sc", "A3:adj", "D4:sc"])
+def test_indexed_differential_matches_the_gathering_one_on_f_and_h(typ):
+    pair = tduality.build_pair(build(typ))
+    H = cartan_three_form(pair.L)
+    for w in (pair.F, doubled_F(pair).F, H, extended_root_form(pair.L, pair.L.simple_indices[0])):
+        assert ce_differential(w) == gathered_ce_differential(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(typ=st.sampled_from(["A2:sc", "A1xT1:sc", "B2:sc"]), degree=st.integers(0, 3), data=st.data())
+def test_indexed_differential_matches_the_gathering_one_on_random_forms(typ, degree, data):
+    L = _algebra(typ)
+    keys = st.sets(st.integers(0, L.dim - 1), min_size=degree, max_size=degree).map(lambda s: tuple(sorted(s)))
+    terms = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
+    w = InvariantForm(L, degree, terms)
+    assert ce_differential(w) == gathered_ce_differential(w)
+
+
+@lru_cache(maxsize=None)
+def _algebra(typ):
+    return build_lie_algebra(build(typ))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from unittest import mock
 
@@ -201,3 +202,18 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])  # neither --type nor --input
     assert exc.value.code == 2
+
+
+# The E8:sc --no-timing report, byte for byte (bench/golden.json stops at
+# E7): sha256 of stdout, plain and with --scale 2 --scale -1.
+E8_DIGESTS = {
+    (): "f4ef91e0e2afdc7c311f1d2e303ce049831911c4a2d2fb914b70e591f933c811",
+    ("--scale", "2", "--scale", "-1"): "7a3f36b85dae1b0181153caad16267a456e24162726b3d09bd82856052f4dcba",
+}
+
+
+@pytest.mark.parametrize("scales", sorted(E8_DIGESTS))
+def test_the_e8_report_keeps_its_bytes(capsys, scales):
+    code, out, _ = run(capsys, "verify", "--type", "E8:sc", *scales, "--no-timing")
+    assert code == 0 and json.loads(out)["overall"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == E8_DIGESTS[scales]

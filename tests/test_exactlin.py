@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import exactlin
-from oracles import mat_vec
+from oracles import mat_vec, rref, rref_solve
 
 
 def rank_exact(A):
@@ -15,7 +16,7 @@ def rank_exact(A):
     rootdatum.central_free_rank, which reads the simple system instead."""
     if not A:
         return 0
-    return len(exactlin.rref(A)[1])
+    return len(rref(A)[1])
 
 
 def _perm_det(A):
@@ -62,7 +63,7 @@ def test_solve_exact_underdetermined_sets_free_vars_to_zero():
 
 def test_rank_and_rref():
     assert rank_exact([[1, 2], [2, 4]]) == 1
-    R, pivots = exactlin.rref([[0, 2], [3, 0]])
+    R, pivots = rref([[0, 2], [3, 0]])
     assert pivots == [0, 1]
     assert R == [[1, 0], [0, 1]]
 
@@ -144,3 +145,84 @@ def test_integer_coordinates_refuse_non_integral_and_outside_targets():
     assert exactlin.integer_coordinates(V, []) == []
     with pytest.raises(ValueError, match="linearly dependent"):
         exactlin.integer_coordinates([[1, 2], [2, 4]], [(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# The integer eliminations against the Fraction rref they replaced
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b) with int or Fraction entries: empty, square, wide or tall,
+    often rank-deficient (a row copied or scaled) and so often inconsistent,
+    with negative pivots as likely as positive ones."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    small = st.integers(-4, 4)
+    entry = st.one_of(small, st.builds(Fraction, small, st.integers(1, 4))) if draw(st.booleans()) else small
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, Fraction(1, 2), 3]))
+        A[i] = [k * x for x in A[j]]
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    return A, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=linear_systems())
+def test_solve_exact_matches_the_fraction_rref(case):
+    A, b = case
+    x = exactlin.solve_exact(A, b)
+    assert x == rref_solve(A, b)
+    assert x is None or all(type(v) is Fraction for v in x)
+
+
+def rref_inverse_coordinates(V, targets):
+    """integer_coordinates as it was: den * G^-1 read off one Fraction rref
+    of [G | I], den the lcm of its denominators."""
+    k = len(V)
+    inv, den = [], 1
+    if k:
+        G = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
+        R, pivots = rref([row + [int(i == j) for j in range(k)] for i, row in enumerate(G)])
+        if pivots[:k] != list(range(k)):
+            raise ValueError("basis rows are linearly dependent")
+        den = lcm(*(x.denominator for row in R for x in row[k:]))
+        inv = [[x.numerator * (den // x.denominator) for x in row[k:]] for row in R]
+    out = []
+    for t in targets:
+        Vt = [sum(a * b for a, b in zip(v, t)) for v in V]
+        x = tuple(sum(a * b for a, b in zip(row, Vt)) // den for row in inv)
+        back = [sum(xi * v[c] for xi, v in zip(x, V)) for c in range(len(t))]
+        out.append(x if back == list(t) else None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=basis_and_targets())
+def test_integer_coordinates_match_the_fraction_rref_inverse(case):
+    V, targets = case
+    assert exactlin.integer_coordinates(V, targets) == rref_inverse_coordinates(V, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=linear_systems())
+def test_integer_inverse_matches_the_fraction_rref(case):
+    A = [[x.numerator for x in row] for row in case[0]]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        return
+    if rank_exact(A) < n:
+        with pytest.raises(ValueError, match="singular"):
+            exactlin.integer_inverse(A)
+        return
+    X, den = exactlin.integer_inverse(A)
+    assert den > 0 and all(type(x) is int for row in X for x in row)
+    R, _ = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
+    assert [[Fraction(x, den) for x in row] for row in X] == [row[n:] for row in R]
+
+
+def test_integer_inverse_scales_by_the_lcm_of_the_pivots():
+    # Pivots 2 and -3: den is their lcm, and a negative pivot keeps den > 0.
+    assert exactlin.integer_inverse([[2, 0], [0, -3]]) == ([[3, 0], [0, -2]], 6)
+    assert exactlin.integer_inverse([]) == ([], 1)

@@ -7,12 +7,14 @@ n*F, n*H and n*Hdual, the way each scale was checked before."""
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
+from oracles import composed_phi, pullback_first, pullback_second
 from liedual import ceforms, tduality
 from liedual.tduality import (
     basis_owners,
@@ -114,7 +116,7 @@ def rebuilt_phi(pair, n):
     dF = ceforms.ce_differential(pair.F.scale(n))
     H = ceforms.cartan_three_form(pair.L).scale(n)
     Hd = ceforms.cartan_three_form(pair.Ldual).scale(n)
-    return dF.sub(tduality.pullback_first(pair, H)).add(tduality.pullback_second(pair, Hd))
+    return dF.sub(pullback_first(pair, H)).add(pullback_second(pair, Hd))
 
 
 @pytest.mark.parametrize("n", [2, -1])
@@ -245,3 +247,72 @@ def test_basis_owners_refuses_a_weaker_basis():
     xv[pair.L.index[("x", pair.L.simple_indices[0])]] = Fraction(1)
     with pytest.raises(RuntimeError, match="not spanned"):
         basis_owners(S + [("x[L]", xv)], basis)
+
+
+# ---------------------------------------------------------------------------
+# verify_all walks phi once: the scaled records reuse its triple sums
+
+
+def bumped_key(pair, phi):
+    """The smallest term of phi on three distinct members of B: bumping it
+    by one makes phi nonzero on that triple of B."""
+    return min(k for k in phi.terms if len({pair.owner[i][0] for i in k}) == 3)
+
+
+@pytest.mark.parametrize("typ", DEFECT_TYPES)
+@pytest.mark.parametrize("defect", ["doubled_F", "bumped_term"])
+def test_scaled_records_of_verify_all_match_the_rescaled_phi(typ, defect):
+    scales = (2, 3, -1)
+    seen = {}
+    real_build, real_phi = tduality.build_pair, tduality.flux_residual_form
+
+    def defective_pair(d):
+        seen["pair"] = real_build(d)
+        if defect == "doubled_F":
+            seen["pair"] = doubled_F(seen["pair"])
+        return seen["pair"]
+
+    def defective_phi(pair):
+        phi = real_phi(pair)
+        if defect == "bumped_term":
+            seen["key"] = bumped_key(pair, phi)
+            phi = bumped(phi, [(seen["key"], 1)])
+        seen["phi"] = phi
+        return phi
+
+    with mock.patch.object(tduality, "build_pair", defective_pair), \
+            mock.patch.object(tduality, "flux_residual_form", defective_phi):
+        rep = tduality.verify_all(build(typ), scales=scales)
+    pair, phi = seen["pair"], seen["phi"]
+    records = {c.name: (c.passed, c.witness, c.residual) for c in rep.checks}
+    unscaled = check_flux_equation(pair, phi)
+    assert records["flux_equation"] == (False, unscaled.witness, unscaled.residual)
+    for n in scales:
+        oracle = rebuilt_phi(pair, n)
+        if defect == "bumped_term":
+            oracle = bumped(oracle, [(seen["key"], n)])
+        for want in (check_flux_equation(pair, phi.scale(n)), check_flux_equation(pair, oracle)):
+            assert records[f"flux_equation[scale={n}]"] == (want.passed, want.witness, want.residual)
+        assert Fraction(records[f"flux_equation[scale={n}]"][2]) == n * Fraction(unscaled.residual)
+
+
+@pytest.mark.parametrize("typ", SUITE_TYPES)
+@pytest.mark.parametrize("defect", [False, True])
+def test_phi_in_one_dict_equals_the_composed_pullbacks(typ, defect):
+    pair = build_pair(build(typ))
+    if defect:
+        pair = doubled_F(pair)
+    assert tduality.flux_residual_form(pair) == composed_phi(pair)
+
+
+def test_phi_refuses_forms_with_different_tags():
+    pair = build_pair(build("A1:sc"))
+    real = ceforms.cartan_three_form
+
+    def untagged(L):
+        H = real(L)
+        return ceforms.InvariantForm(H.algebra, 3, H.terms)
+
+    with mock.patch.object(ceforms, "cartan_three_form", untagged):
+        with pytest.raises(ValueError, match="normalization tags"):
+            tduality.flux_residual_form(pair)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import rootdatum, tduality
+from liedual.exactlin import smith_normal_form
 from oracles import cartan_is_ade, transpose
 
 ALL_TYPES = [
@@ -112,8 +114,9 @@ RANK8_TYPES = [
 def test_positive_system_commutes_with_dualize(typ):
     # build_pair builds the dual algebra on its own positive system and
     # relies on it being the one of the datum, index for index.
+    # dualize carries the chamber over, so the fresh copy is the check.
     d = build(typ)
-    assert rootdatum.positive_system(rootdatum.dualize(d)) == rootdatum.positive_system(d)
+    assert rootdatum.positive_system(fresh(rootdatum.dualize(d))) == rootdatum.positive_system(d)
 
 
 def test_simple_system_size_is_semisimple_rank():
@@ -409,6 +412,94 @@ def test_a_source_without_a_pairing_leaves_it_lazy(d, data):
             assert derived.pairing == tuple(
                 tuple(sum(x * y for x, y in zip(c, r)) for r in derived.roots) for c in derived.coroots)
     assert "pairing" not in d.__dict__
+
+
+def shuffled(d, order):
+    """d with its (root, coroot) pairs listed in the given order."""
+    return rootdatum.RootDatum(
+        rank=d.rank,
+        roots=tuple(d.roots[i] for i in order),
+        coroots=tuple(d.coroots[i] for i in order),
+        label=d.label,
+    )
+
+
+def assert_chambers_are_fresh(d):
+    """Every datum derived from d by dualize and canonicalize, once or
+    composed, carries the chamber a fresh _positive_system finds."""
+    dual, canon = rootdatum.dualize(d), rootdatum.canonicalize(d)
+    for derived in (dual, canon, rootdatum.canonicalize(dual), rootdatum.dualize(canon),
+                    rootdatum.dualize(dual), rootdatum.canonicalize(canon)):
+        assert derived.chamber == rootdatum._positive_system(fresh(derived))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_derived_data_carry_the_chamber(d, data):
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    e = shuffled(e, data.draw(st.permutations(range(e.nroots))))
+    if data.draw(st.booleans()):
+        e.chamber                   # a source that already holds its chamber
+    assert_chambers_are_fresh(e)
+
+
+@pytest.mark.parametrize("typ", ["A1:sc", "A2xT1:sc", "D4:adj", "B3:sc"])
+def test_a_pair_listed_twice_keeps_the_chamber_of_a_fresh_datum(typ):
+    # The two copies tie on _swap_key; the simple roots are then ordered
+    # by index, in the source and in every re-indexed datum alike.
+    d = build(typ)
+    for i in (0, d.nroots - 1):
+        twice = rootdatum.RootDatum(d.rank, d.roots + (d.roots[i],), d.coroots + (d.coroots[i],))
+        assert rootdatum.validate(twice).ok
+        for order in (range(twice.nroots), reversed(range(twice.nroots))):
+            assert_chambers_are_fresh(shuffled(twice, list(order)))
+
+
+@pytest.mark.parametrize("typ", ["B3:sc", "G2xT1", "A2:adj"])
+def test_derived_chambers_are_read_off_the_source(typ):
+    # A marked source chamber shows through, re-indexed by canonicalize.
+    d = fresh(build(typ))
+    d.__dict__["chamber"] = marked = ((0, 1), (1,))
+    assert rootdatum.dualize(d).chamber == marked
+    canon = rootdatum.canonicalize(d)
+    new = [canon.roots.index(d.roots[i]) for i in range(2)]
+    assert canon.chamber == (tuple(sorted(new)), (new[1],))
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "A1xT1:sc", "A3:adj", "D4:sc", "E6:sc"])
+def test_verify_all_finds_one_positive_system(typ):
+    d = fresh(build(typ))
+    with mock.patch.object(rootdatum, "_positive_system", wraps=rootdatum._positive_system) as spy:
+        rep = tduality.verify_all(d, scales=(2,))
+        json.dumps(rep.as_dict(timing=False))
+    assert rep.overall and spy.call_count == 1
+
+
+def coroot_smith_factors(d):
+    """fundamental_group as it was: the Smith form of every coroot."""
+    return [x for x in smith_normal_form([list(c) for c in d.coroots]) if x > 1] if d.coroots else []
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_fundamental_group_of_the_simple_coroots_is_that_of_all(typ):
+    d = build(typ)
+    assert rootdatum.fundamental_group(d) == coroot_smith_factors(d)
+    dual = rootdatum.dualize(d)
+    assert rootdatum.fundamental_group(dual) == coroot_smith_factors(dual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_fundamental_group_of_the_simple_coroots_survives_a_change_of_basis(d, data):
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert rootdatum.fundamental_group(e) == coroot_smith_factors(e) == coroot_smith_factors(d)
+
+
+def test_a_canonical_datum_is_not_sorted_again():
+    c = rootdatum.canonicalize(fresh(build("D4:adj")))
+    assert rootdatum.canonicalize(c) is c
+    again = rootdatum.canonicalize(fresh(c))
+    assert again == c and again is not c and rootdatum.canonicalize(again) is again
 
 
 @st.composite

@@ -23,7 +23,8 @@ from liedual.tduality import (
     tautological_two_form,
     verify_all,
 )
-from oracles import full_space_residual, killing_form, loop_nondegeneracy
+from oracles import full_space_residual, killing_form, loop_nondegeneracy, per_unit_lattice_pairing
+from test_rootdatum import RANK8_TYPES
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -190,10 +191,40 @@ def test_torus_lattice_pairing_is_the_identity():
 
 @pytest.mark.parametrize("typ", ["A1xT1:sc", "A3:adj", "E6:sc"])
 def test_lattice_pairing_solves_once_per_lattice_basis_vector(typ):
+    # All the unit vectors of one lattice come from one integer inverse of
+    # the (z, h) basis matrix: exactly one elimination per side, and no
+    # Fraction solve.
     pair = build_pair(build(typ))
-    with mock.patch.object(exactlin, "solve_exact", wraps=exactlin.solve_exact) as spy:
+    with mock.patch.object(exactlin, "_eliminate", wraps=exactlin._eliminate) as spy, \
+            mock.patch.object(exactlin, "solve_exact", wraps=exactlin.solve_exact) as solves:
         lattice_pairing_matrix(pair)
-    assert spy.call_count == 2 * pair.datum.rank
+    assert (spy.call_count, solves.call_count) == (2, 0)
+
+
+def any_pair(typ):
+    """build_pair without the isomorphism check, so that non-ADE types
+    give a pair with F = F0 + F_P too."""
+    with mock.patch.object(tduality, "good_isomorphism", lambda L, Ld: {}):
+        return build_pair(build(typ))
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES + ["T0"])
+def test_lattice_pairing_matches_one_solve_per_unit_vector(typ):
+    pair = any_pair(typ)
+    M = lattice_pairing_matrix(pair)
+    assert M == per_unit_lattice_pairing(pair)
+    assert all(type(v) is Fraction for row in M for v in row)
+    # Under F/5, entries become fractional exactly where the oracle's do.
+    fifth = dataclasses.replace(pair, F=pair.F.scale(Fraction(1, 5)))
+    assert lattice_pairing_matrix(fifth) == per_unit_lattice_pairing(fifth) == [
+        [v / 5 for v in row] for row in M]
+
+
+def test_the_rank_zero_lattice_pairing_is_empty():
+    pair = build_pair(build("T0"))
+    assert lattice_pairing_matrix(pair) == []
+    assert check_integrality(lattice_pairing_matrix(pair)).passed
+    assert verify_all(build("T0"), scales=(2,)).overall
 
 
 def test_integrality_names_the_first_fractional_entry():
