@@ -1,6 +1,6 @@
 """Left-invariant differential forms as alternating multilinear forms on a
 Lie algebra: wedge products, the invariant-form differential, the Cartan
-3-form, extended-root 1-forms, and the flat-torus duality transform.
+3-form, and the flat-torus duality transform.
 
 Forms are stored sparsely on sorted index subsets with exact coefficients
 (ints on a Chevalley basis); a transcendental prefactor (a rational multiple
@@ -210,17 +210,6 @@ def cartan_three_form(L) -> InvariantForm:
             elif prev != stored:
                 raise ValueError(f"K(x,[y,z]) is not totally antisymmetric at {key}")
     return InvariantForm(L, 3, terms, TAG_CARTAN)
-
-
-def extended_root_form(L, root_index) -> InvariantForm:
-    """The root alpha as a 1-form: alpha on the Cartan block, zero on all
-    root vectors and the radical."""
-    terms = {}
-    for b in range(len(L.radical_basis) + len(L.simple_indices)):
-        v = L.root_value(root_index, b)
-        if v:
-            terms[(b,)] = v
-    return InvariantForm(L, 1, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ gives the six brackets of its roots and their negatives.  The table is
 certified post hoc on the generators: the simple root vectors and the
 radical generate the algebra, the Chevalley involution is an automorphism of
 the table, and ad z_k and ad x_a (a simple) are derivations.  A table that
-fails this is swept for a witness.
+fails this is checked the same way on every basis element, which names the
+first failing triple.
 """
 
-from bisect import bisect_right
-
 from . import exactlin, rootdatum
-from .rootdatum import RootDatum, pair
+from .rootdatum import RootDatum
 
 
 class JacobiError(RuntimeError):
@@ -84,15 +83,6 @@ class ReductiveLieAlgebra:
         out[nz : nz + len(self.simple_indices)] = self.coroot_coords[root_index]
         return out
 
-    def root_value(self, root_index, basis_index):
-        """alpha(e_b) for a Cartan-block basis element, 0 on root vectors."""
-        lab = self.labels[basis_index]
-        if lab[0] == "z":
-            return 0
-        if lab[0] == "h":
-            return pair(self.datum.coroots[self.simple_indices[lab[1]]], self.datum.roots[root_index])
-        return 0
-
 
 # ---------------------------------------------------------------------------
 # Structure constants
@@ -126,7 +116,6 @@ class _NTable:
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
-        self.datum = datum
         self.by_vec = {datum.roots[i]: i for i in range(datum.nroots)}
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: _root_sum_sq(datum, i) for i in range(datum.nroots)}
@@ -227,8 +216,7 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     # Basis order: radical, simple coroots, root vectors (positives by
     # height/lex, then the matching negatives).
     pos_sorted = sorted(pos_indices, key=lambda i: ntab.order[d.roots[i]])
-    by_vec = {r: i for i, r in enumerate(d.roots)}
-    neg_sorted = [by_vec[tuple(-x for x in d.roots[i])] for i in pos_sorted]
+    neg_sorted = [ntab.by_vec[tuple(-x for x in d.roots[i])] for i in pos_sorted]
     root_order = pos_sorted + neg_sorted
     nz, ns = len(radical_basis), len(simple_indices)
     labels = (
@@ -288,16 +276,16 @@ def jacobi_witness(L: ReductiveLieAlgebra):
     the table, and ad z_k and ad x_a (a simple) are derivations, Jacobi
     holds: ad x_-a = -omega ad x_a omega^-1 is then a derivation too, and
     the x whose ad x is a derivation form a subalgebra (ad [x, y] =
-    [ad x, ad y]).  Otherwise the sweep over every triple that meets a
-    nonzero bracket supplies the witness.  The signed rows are built from
+    [ad x, ad y]).  Otherwise the witness is the first failure of the same
+    test on every basis element.  The signed rows are built from
     ``L.table`` on every call, so an edited table is read as it is."""
     ad = _signed_rows(L.table, L.dim)
     sigma = _involution(L)
     gens = _generators(L, sigma)
     if (_generates(ad, gens) and _is_automorphism(L.table, sigma)
-            and _derivations(ad, [g for g in gens if g <= sigma[g]])):
+            and _derivations(ad, [g for g in gens if g <= sigma[g]]) is None):
         return None
-    return _jacobi_sweep(ad)
+    return _derivations(ad, range(L.dim))
 
 
 def _signed_rows(table, dim):
@@ -316,15 +304,11 @@ def _generators(L, sigma):
 
 
 def _involution(L):
-    """sigma with omega(e_i) = -e_sigma(i) for the Chevalley involution:
-    sigma swaps x_a and x_-a and fixes the Cartan block."""
-    roots = L.datum.roots
-    by_vec = {r: i for i, r in enumerate(roots)}
-    sigma = list(range(L.dim))
-    for lab, i in L.index.items():
-        if lab[0] == "x":
-            sigma[i] = L.index[("x", by_vec[tuple(-x for x in roots[lab[1]])])]
-    return sigma
+    """sigma with omega(e_i) = -e_sigma(i): it fixes the Cartan block and
+    swaps x_a = e_(first_x + t) with x_-a = e_(first_x + npos + t)."""
+    first_x = len(L.radical_basis) + len(L.simple_indices)
+    npos = (L.dim - first_x) // 2
+    return [*range(first_x), *range(first_x + npos, L.dim), *range(first_x, first_x + npos)]
 
 
 def _is_automorphism(table, sigma):
@@ -355,10 +339,12 @@ def _generates(ad, gens):
 
 
 def _derivations(ad, gens):
-    """True when ad g is a derivation for every g in gens:
+    """First (g, j, k) with j < k where ad g is not a derivation, or None:
     J(g, e_j, e_k) = [g, [e_j, e_k]] - [e_j, [g, e_k]] - [[g, e_j], e_k]
-    vanishes for every j < k.  For each j the three terms are summed over
-    the k > j where [e_j, e_k], [g, e_k] or [[g, e_j], e_k] is nonzero."""
+    is nonzero there.  For each j the three terms are summed over the k > j
+    where [e_j, e_k], [g, e_k] or [[g, e_j], e_k] is nonzero.  J is the
+    alternating Jacobiator, so on gens = range(dim) the first failure is
+    the first failing triple i < j < k in combinations order."""
     for g in gens:
         ad_g = ad[g]
         for j, ad_j in enumerate(ad):
@@ -379,38 +365,7 @@ def _derivations(ad, gens):
                         for n, cn in out:
                             acc[k, n] = acc.get((k, n), 0) - cm * cn
             if any(acc.values()):
-                return False
-    return True
-
-
-def _jacobi_sweep(ad):
-    """First triple i < j < k with J(e_i, e_j, e_k) != 0, or None.  Only
-    triples that meet a nonzero bracket are visited: a triple whose three
-    brackets all vanish cannot fail."""
-    dim = len(ad)
-    nbrs = [sorted(row) for row in ad]
-    for i in range(dim):
-        ad_i = ad[i]
-        for j in range(i + 1, dim):
-            ad_j = ad[j]
-            ij = ad_i.get(j)
-            if ij is None:
-                ks = sorted(set(nbrs[i][bisect_right(nbrs[i], j):]).union(nbrs[j][bisect_right(nbrs[j], j):]))
-            else:
-                ks = range(j + 1, dim)
-            for k in ks:
-                acc = {}
-                for m, cm in ij or ():
-                    for n, cn in ad[m].get(k, ()):
-                        acc[n] = acc.get(n, 0) + cm * cn
-                for m, cm in ad_j.get(k, ()):
-                    for n, cn in ad[m].get(i, ()):
-                        acc[n] = acc.get(n, 0) + cm * cn
-                for m, cm in ad[k].get(i, ()):
-                    for n, cn in ad[m].get(j, ()):
-                        acc[n] = acc.get(n, 0) + cm * cn
-                if any(acc.values()):
-                    return (i, j, k)
+                return g, j, min(k for (k, _), v in acc.items() if v)
     return None
 
 

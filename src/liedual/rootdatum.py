@@ -354,7 +354,7 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
 
     # Lattice basis B for the semisimple block, rows in coweight coordinates.
     if desc.custom_basis is not None:
-        B = [list(map(int, row)) for row in desc.custom_basis]
+        B = [[_require_int(x, "custom basis entry") for x in row] for row in desc.custom_basis]
         if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
             raise ValueError("custom basis must be square of semisimple rank")
         _check_between_lattices(B, blocks, ss_rank)
@@ -605,7 +605,11 @@ def from_json_dict(obj: dict) -> RootDatum:
 
 
 def from_json(text: str) -> RootDatum:
-    return from_json_dict(json.loads(text))
+    """from_json_dict of the text; too deeply nested JSON is a ValueError."""
+    try:
+        return from_json_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("root datum JSON is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -60,19 +60,13 @@ class ProductPair:
     product: ProductAlgebra
     iso: dict = field(default_factory=dict)                # label of g -> label of g_dual
     F: InvariantForm = None                                # F0 + F_P on the product
-    spanning_set: list = field(default_factory=list)       # (name, vector)
+    spanning_set: list = field(default_factory=list)       # (name, {product index: coeff})
     owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
 
     @cached_property
     def fiber_pairing(self):
         """fiber_pairing_matrix, once per pair; F is fixed by build_pair."""
         return fiber_pairing_matrix(self)
-
-    def embed_left(self, v):
-        return list(v) + [0] * self.Ldual.dim
-
-    def embed_right(self, v):
-        return [0] * self.L.dim + list(v)
 
 
 def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
@@ -110,57 +104,52 @@ def build_pair(d: RootDatum) -> ProductPair:
     seen = set()
 
     def add(name, vec, in_basis):
-        key = tuple(vec)
+        key = frozenset(vec.items())
         if key not in seen:
             seen.add(key)
             if in_basis:
                 basis.append(len(S))
             S.append((name, vec))
 
-    # B = {h[simple], hdual[simple], x+phix[alpha] for every root, z, zdual}.
+    # B = {h[simple], hdual[simple], x+phix[alpha] for every root, z, zdual};
+    # h_alpha has its simple-coroot coordinates from index h0 (hd0 in g_dual).
+    n = L.dim
+    h0, hd0 = len(L.radical_basis), n + len(Ldual.radical_basis)
     simple = set(L.simple_indices)
     for ri in range(d.nroots):
-        add(f"h[{ri}]", pairobj.embed_left(L.coroot_vector(ri)), ri in simple)
+        add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v}, ri in simple)
         # X_xi + phi(X_xi); the Y-vector of xi is the X-vector of -xi.
-        xv = [0] * pairobj.product.dim
-        xv[L.index[("x", ri)]] = 1
-        xv[L.dim + Ldual.index[("x", ri)]] = 1
-        add(f"x+phix[{ri}]", xv, True)
-        add(f"hdual[{ri}]", pairobj.embed_right(Ldual.coroot_vector(ri)), ri in simple)
+        add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1}, True)
+        add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v}, ri in simple)
     for k in range(len(L.radical_basis)):
-        zv = [0] * pairobj.product.dim
-        zv[L.index[("z", k)]] = 1
-        add(f"z[{k}]", zv, True)
-        wv = [0] * pairobj.product.dim
-        wv[L.dim + Ldual.index[("z", k)]] = 1
-        add(f"zdual[{k}]", wv, True)
+        add(f"z[{k}]", {L.index[("z", k)]: 1}, True)
+        add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1}, True)
     pairobj.spanning_set = S
-    pairobj.owner = basis_owners(S, basis)
+    pairobj.owner = basis_owners(S, basis, pairobj.product.dim)
     return pairobj
 
 
-def basis_owners(S, basis):
-    """Map each product index to (position in S, coefficient) of the one
-    member of B = [S[p] for p in basis] whose support holds it.
+def basis_owners(S, basis, dim):
+    """Map each of the dim product indices to (position in S, coefficient)
+    of the one member of B = [S[p] for p in basis] whose support holds it;
+    each member of S is (name, {index: nonzero coefficient}).
 
     Raises unless the supports in B are disjoint and cover every index, and
     every other member of S is supported on indices owned by single-index
     members of B, so that B is a basis of span(S).
     """
-    dim = len(S[0][1]) if S else 0
-    support = [list(compress(range(dim), vec)) for _, vec in S]
     owner = {}
     for p in basis:
-        for i in support[p]:
+        for i, c in S[p][1].items():
             if i in owner:
                 raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
-            owner[i] = (p, S[p][1][i])
+            owner[i] = (p, c)
     if len(owner) != dim:
         raise RuntimeError(f"B covers {len(owner)} of {dim} indices")
-    single = {p for p in basis if len(support[p]) == 1}
+    single = {p for p in basis if len(S[p][1]) == 1}
     in_basis = set(basis)
-    for p, (name, _) in enumerate(S):
-        if p not in in_basis and any(owner[i][0] not in single for i in support[p]):
+    for p, (name, vec) in enumerate(S):
+        if p not in in_basis and any(owner[i][0] not in single for i in vec):
             raise RuntimeError(f"{name} is not spanned by the single-index members of B")
     return owner
 
@@ -170,18 +159,20 @@ def basis_owners(S, basis):
 
 
 def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
-    """F = sum over roots of (q* alpha) wedge (qdual* alpha-dual)."""
-    P = pairobj.product
-    n = P.offset
-    terms = {}
-    for ri in range(pairobj.datum.nroots):
-        a = ceforms.extended_root_form(pairobj.L, ri)
-        b = ceforms.extended_root_form(pairobj.Ldual, ri)
-        for (i,), va in a.terms.items():
-            for (j,), vb in b.terms.items():
-                key = (i, n + j)
-                terms[key] = terms.get(key, 0) + va * vb
-    return InvariantForm(P, 2, terms, TAG_CARTAN)
+    """F = sum over roots of (q* alpha) wedge (qdual* alpha-dual), read off
+    the pairing P of the datum: alpha(h_s) = P[s][alpha] and
+    alpha-dual(hdual_t) = P[alpha][t] on the simple coroots, and both vanish
+    elsewhere, so F(h_s, hdual_t) = sum_alpha P[s][alpha] P[alpha][t]."""
+    L, Ld = pairobj.L, pairobj.Ldual
+    P = pairobj.datum.pairing
+    h0, hd0 = len(L.radical_basis), pairobj.product.offset + len(Ld.radical_basis)
+    cols = [[row[t] for row in P] for t in Ld.simple_indices]
+    terms = {
+        (h0 + s, hd0 + t): sum(map(mul, P[si], col))
+        for s, si in enumerate(L.simple_indices)
+        for t, col in enumerate(cols)
+    }
+    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
 
 
 def poincare_correction(pairobj: ProductPair) -> InvariantForm:

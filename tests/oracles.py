@@ -7,13 +7,14 @@ and invariance of forms, the Cartan-matrix ADE test, the N-table with
 Fraction ratio steps and the pairwise structure-table builder, the
 eigen-relation loop over every pairing entry, the Fraction rref, the
 per-unit Cartan solve and lattice pairing, the gathering differential,
-phi composed from pullbacks, and two small matrix helpers.
+phi composed from pullbacks, F summed from extended-root 1-forms, the
+dense spanning set, and two small matrix helpers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from liedual.ceforms import InvariantForm, cartan_three_form, ce_differential, zero_form
+from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
 from liedual.chevalley import ReductiveLieAlgebra, _simple_coords
 from liedual.exactlin import det_exact, integer_kernel, solve_exact
 from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
@@ -118,6 +119,14 @@ def killing_form(L, x, y):
     return sum(a * b * K[i][j] for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
 
 
+def root_value(L, root_index, basis_index):
+    """alpha(e_b) for a Cartan-block basis element, 0 on root vectors."""
+    lab = L.labels[basis_index]
+    if lab[0] == "h":
+        return pair(L.datum.coroots[L.simple_indices[lab[1]]], L.datum.roots[root_index])
+    return 0
+
+
 def cartan_vector(L, t_vec):
     """A vector of Lambda (x) Q in the (z, h) basis, as a basis coefficient
     vector, from one Fraction solve; raises if it is not in the Cartan
@@ -142,7 +151,7 @@ def verify_coroot_identity(L: ReductiveLieAlgebra):
         for b in range(nz + ns):
             hvec = [0] * L.dim
             hvec[b] = 1
-            lhs = L.root_value(ri, b) * kaa
+            lhs = root_value(L, ri, b) * kaa
             rhs = 2 * killing_form(L, hvec, ha)
             if lhs != rhs:
                 failures.append((ri, L.labels[b]))
@@ -529,9 +538,9 @@ def full_space_residual(pairobj: ProductPair):
         for j in range(pairobj.datum.nroots)
         if pairobj.datum.roots[j] == tuple(-x for x in pairobj.datum.roots[ri])
     )
-    h = pairobj.embed_left(L.coroot_vector(ri))
-    x = pairobj.embed_left(root_vector(L, ri))
-    y = pairobj.embed_left(root_vector(L, neg))
+    h = embed_left(pairobj, L.coroot_vector(ri))
+    x = embed_left(pairobj, root_vector(L, ri))
+    y = embed_left(pairobj, root_vector(L, neg))
     return phi.evaluate(h, x, y)
 
 
@@ -555,6 +564,83 @@ def loop_nondegeneracy(pairobj: ProductPair):
         if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
             return False, f"eigen-relation fails for coroot {ri}", None
     return True, None, frac_str(det)
+
+
+def extended_root_form(L, root_index) -> InvariantForm:
+    """The root alpha as a 1-form: alpha on the Cartan block, zero on all
+    root vectors and the radical."""
+    terms = {}
+    for b in range(len(L.radical_basis) + len(L.simple_indices)):
+        v = root_value(L, root_index, b)
+        if v:
+            terms[(b,)] = v
+    return InvariantForm(L, 1, terms)
+
+
+def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
+    """tautological_two_form as it was: one extended-root 1-form of each
+    factor per root, and the products of their terms summed."""
+    n = pairobj.product.offset
+    terms = {}
+    for ri in range(pairobj.datum.nroots):
+        a = extended_root_form(pairobj.L, ri)
+        b = extended_root_form(pairobj.Ldual, ri)
+        for (i,), va in a.terms.items():
+            for (j,), vb in b.terms.items():
+                terms[i, n + j] = terms.get((i, n + j), 0) + va * vb
+    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
+
+
+def embed_left(pairobj: ProductPair, v):
+    """A coefficient vector of the first factor in the product."""
+    return list(v) + [0] * pairobj.Ldual.dim
+
+
+def embed_right(pairobj: ProductPair, v):
+    """A coefficient vector of the second factor in the product."""
+    return [0] * pairobj.L.dim + list(v)
+
+
+def densify(S, dim):
+    """The members (name, {index: coeff}) of a spanning set as (name,
+    coefficient vector of length dim)."""
+    out = []
+    for name, vec in S:
+        dense = [0] * dim
+        for i, c in vec.items():
+            dense[i] = c
+        out.append((name, dense))
+    return out
+
+
+def dense_spanning_set(pairobj: ProductPair):
+    """The spanning set S as build_pair built it before its members were
+    sparse: dense product vectors from embedded coroot vectors, a repeated
+    vector kept once."""
+    L, Ldual = pairobj.L, pairobj.Ldual
+    dim = pairobj.product.dim
+    S, seen = [], set()
+
+    def add(name, vec):
+        if tuple(vec) not in seen:
+            seen.add(tuple(vec))
+            S.append((name, vec))
+
+    for ri in range(pairobj.datum.nroots):
+        add(f"h[{ri}]", embed_left(pairobj, L.coroot_vector(ri)))
+        xv = [0] * dim
+        xv[L.index[("x", ri)]] = 1
+        xv[L.dim + Ldual.index[("x", ri)]] = 1
+        add(f"x+phix[{ri}]", xv)
+        add(f"hdual[{ri}]", embed_right(pairobj, Ldual.coroot_vector(ri)))
+    for k in range(len(L.radical_basis)):
+        zv = [0] * dim
+        zv[L.index[("z", k)]] = 1
+        add(f"z[{k}]", zv)
+        wv = [0] * dim
+        wv[L.dim + Ldual.index[("z", k)]] = 1
+        add(f"zdual[{k}]", wv)
+    return S
 
 
 def pullback_first(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
@@ -586,6 +672,6 @@ def per_unit_lattice_pairing(pairobj: ProductPair):
     vectors."""
     rank = pairobj.datum.rank
     units = [[1 if t == a else 0 for t in range(rank)] for a in range(rank)]
-    lams = [pairobj.embed_left(cartan_vector(pairobj.L, u)) for u in units]
-    mus = [pairobj.embed_right(cartan_vector(pairobj.Ldual, u)) for u in units]
+    lams = [embed_left(pairobj, cartan_vector(pairobj.L, u)) for u in units]
+    mus = [embed_right(pairobj, cartan_vector(pairobj.Ldual, u)) for u in units]
     return [[pairobj.F.evaluate(lam, mu) for mu in mus] for lam in lams]

@@ -13,12 +13,14 @@ from liedual.ceforms import (
     InvariantForm,
     ce_differential,
     cartan_three_form,
-    extended_root_form,
     torus_fm_transform,
     wedge,
 )
 from liedual.chevalley import build_lie_algebra
 from oracles import (
+    embed_left,
+    embed_right,
+    extended_root_form,
     gathered_ce_differential,
     is_closed,
     is_invariant,
@@ -60,8 +62,8 @@ def test_wedge_of_root_with_dual_root_in_product_context():
     a = pullback_first(pair, extended_root_form(pair.L, ri))
     av = pullback_second(pair, extended_root_form(pair.Ldual, ri))
     w = wedge(a, av)
-    h = pair.embed_left(pair.L.coroot_vector(ri))
-    hv = pair.embed_right(pair.Ldual.coroot_vector(ri))
+    h = embed_left(pair, pair.L.coroot_vector(ri))
+    hv = embed_right(pair, pair.Ldual.coroot_vector(ri))
     assert w.evaluate(h, hv) == 4
 
 

@@ -177,6 +177,16 @@ def test_a_repeated_pair_exits_2(capsys, tmp_path, cmd):
     assert "(root, coroot) pair ([2], [1]) is listed twice" in err
 
 
+@pytest.mark.parametrize("cmd", ["verify", "info", "cartan", "dualize", "export-algebra"])
+def test_deeply_nested_input_exits_2(capsys, tmp_path, cmd):
+    # json.loads raises RecursionError here; it is input, not a failed check.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: root datum JSON is nested too deeply\n"
+
+
 def test_the_parser_is_built_once(capsys):
     cli._parser.cache_clear()
     # The spy stands in for the module as cli sees it, so argparse's own

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
-from oracles import composed_phi, pullback_first, pullback_second
+from oracles import composed_phi, dense_spanning_set, densify, pullback_first, pullback_second
 from liedual import ceforms, tduality
 from liedual.tduality import (
     basis_owners,
@@ -82,7 +82,7 @@ def pair_and_phi(typ):
 def both_checks(pair, phi):
     """(basis check record, oracle hit) for a given residual form."""
     rec = check_flux_equation(pair, phi)
-    return rec, sweep_range(phi.terms, [v for _, v in pair.spanning_set])
+    return rec, sweep_range(phi.terms, [v for _, v in densify(pair.spanning_set, pair.product.dim)])
 
 
 @pytest.mark.parametrize("typ", ORACLE_TYPES)
@@ -107,7 +107,8 @@ def test_doubled_F_fails_both(typ):
     assert len(rec.witness) == 3 and set(rec.witness) <= set(names)
     assert Fraction(rec.residual) != 0 and rec.residual == tduality.frac_str(rec.residual)
     # The witness is phi on the three named members of S, exactly.
-    vecs = [pair.spanning_set[names.index(n)][1] for n in rec.witness]
+    dense = densify(pair.spanning_set, pair.product.dim)
+    vecs = [dense[names.index(n)][1] for n in rec.witness]
     assert phi.evaluate(*vecs) == Fraction(rec.residual)
 
 
@@ -229,24 +230,30 @@ def test_basis_size_and_coverage(typ):
     assert sorted(pair.owner) == list(range(pair.product.dim))
 
 
+@pytest.mark.parametrize("typ", SUITE_TYPES)
+def test_the_sparse_spanning_set_densifies_to_the_dense_one(typ):
+    pair = build_pair(build(typ))
+    assert all(vec and all(vec.values()) for _, vec in pair.spanning_set)
+    assert densify(pair.spanning_set, pair.product.dim) == dense_spanning_set(pair)
+
+
 def test_basis_owners_refuses_a_weaker_basis():
     pair = build_pair(build("D4:sc"))
-    S = pair.spanning_set
+    S, dim = pair.spanning_set, pair.product.dim
     basis = sorted({p for p, _ in pair.owner.values()})
-    assert basis_owners(S, basis) == pair.owner
+    assert basis_owners(S, basis, dim) == pair.owner
     names = [n for n, _ in S]
     # A non-simple coroot overlaps the simple coroots it is a sum of.
     non_simple = next(f"h[{ri}]" for ri in range(pair.datum.nroots) if ri not in pair.L.simple_indices)
     with pytest.raises(RuntimeError, match="share index"):
-        basis_owners(S, basis + [names.index(non_simple)])
+        basis_owners(S, basis + [names.index(non_simple)], dim)
     # Dropping a member leaves indices uncovered.
     with pytest.raises(RuntimeError, match="covers"):
-        basis_owners(S, basis[1:])
+        basis_owners(S, basis[1:], dim)
     # A vector on one half of x+phix[alpha] is outside the span of B.
-    xv = [Fraction(0)] * pair.product.dim
-    xv[pair.L.index[("x", pair.L.simple_indices[0])]] = Fraction(1)
+    xv = {pair.L.index[("x", pair.L.simple_indices[0])]: 1}
     with pytest.raises(RuntimeError, match="not spanned"):
-        basis_owners(S + [("x[L]", xv)], basis)
+        basis_owners(S + [("x[L]", xv)], basis, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,28 @@ def test_a_bad_custom_basis_gives_the_fraction_builds_error(typ, basis, message)
             builder(desc)
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((1.9, 0), (0, 1.5)),
+        ((1.0, 0), (0, 1)),
+        ((True, 0), (0, 1)),
+        (("1", 0), (0, 1)),
+        ((Fraction(1), 0), (0, 1)),
+        ((1, 0), (0, Fraction(2, 2))),
+    ],
+    ids=["float", "integral-float", "bool", "str", "Fraction", "integral-Fraction"],
+)
+def test_a_non_int_custom_basis_entry_is_refused(basis):
+    # int() would read ((1.9, 0), (0, 1.5)) as the identity: the adjoint
+    # lattice of A1xA1, pi1 = [2, 2].
+    desc = rootdatum.parse_descriptor("A1xA1")
+    with pytest.raises(ValueError, match="custom basis entry must be an integer"):
+        rootdatum.build_from_dynkin(rootdatum.DynkinDescriptor(desc.factors, desc.torus_rank, basis))
+    d = rootdatum.build_from_dynkin(rootdatum.DynkinDescriptor(desc.factors, desc.torus_rank, ((1, 0), (0, 1))))
+    assert rootdatum.fundamental_group(d) == [2, 2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=small_data(), data=st.data())
 def test_central_free_rank_matches_the_rank_of_the_coroots(d, data):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -174,6 +175,16 @@ def test_from_json_dict_rejects_a_repeated_pair():
         rootdatum.from_json_dict(obj)
     # The same root with two different coroots is not a repeated pair.
     assert rootdatum.from_json_dict({**obj, "coroots": [[1], [-1], [3], [-3]]}).nroots == 4
+
+
+def test_json_nested_near_the_recursion_limit_is_a_value_error():
+    # Just below the limit json.loads can succeed and the repr of the nested
+    # coordinate in the error message overflow instead; both are bad input.
+    limit = sys.getrecursionlimit()
+    for n in range(limit - 60, limit + 10):
+        text = '{"rank": 1, "roots": [[' + "[" * n + "]" * n + ']], "coroots": [[1]]}'
+        with pytest.raises(ValueError):
+            rootdatum.from_json(text)
 
 
 def test_root_datum_rejects_a_negative_rank():

@@ -23,7 +23,15 @@ from liedual.tduality import (
     tautological_two_form,
     verify_all,
 )
-from oracles import full_space_residual, killing_form, loop_nondegeneracy, per_unit_lattice_pairing
+from oracles import (
+    embed_left,
+    embed_right,
+    full_space_residual,
+    killing_form,
+    loop_nondegeneracy,
+    per_root_tautological_two_form,
+    per_unit_lattice_pairing,
+)
 from test_rootdatum import RANK8_TYPES
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
@@ -72,11 +80,11 @@ def test_tautological_form_a1_value():
     pair = build_pair(build("A1:sc"))
     F = tautological_two_form(pair)
     ri = pair.L.simple_indices[0]
-    h = pair.embed_left(pair.L.coroot_vector(ri))
-    hv = pair.embed_right(pair.Ldual.coroot_vector(ri))
+    h = embed_left(pair, pair.L.coroot_vector(ri))
+    hv = embed_right(pair, pair.Ldual.coroot_vector(ri))
     assert F.evaluate(h, hv) == 8  # both roots contribute 2*2
     # Two vectors from the same factor pair to zero.
-    h2 = pair.embed_left(pair.L.coroot_vector(ri))
+    h2 = embed_left(pair, pair.L.coroot_vector(ri))
     assert F.evaluate(h, h2) == 0
 
 
@@ -218,6 +226,14 @@ def test_lattice_pairing_matches_one_solve_per_unit_vector(typ):
     fifth = dataclasses.replace(pair, F=pair.F.scale(Fraction(1, 5)))
     assert lattice_pairing_matrix(fifth) == per_unit_lattice_pairing(fifth) == [
         [v / 5 for v in row] for row in M]
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES + ["T0"])
+def test_tautological_form_read_off_the_pairing_matches_the_per_root_sum(typ):
+    pair = any_pair(typ)
+    F = tautological_two_form(pair)
+    assert F == per_root_tautological_two_form(pair)
+    assert all(type(v) is int for v in F.terms.values())
 
 
 def test_the_rank_zero_lattice_pairing_is_empty():
