@@ -34,11 +34,10 @@ class AbelianAlgebra:
         self.dim = dim
         self.labels = tuple(labels) if labels is not None else tuple(("t", i) for i in range(dim))
 
+    blocks = ()
+
     def bracket_basis(self, i, j):
         return {}
-
-    def brackets(self):
-        return iter(())
 
 
 def sort_sign(idx):
@@ -168,7 +167,8 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
     [e_i, e_j] = sum_k c e_k meets only the terms whose key holds k, with
     w(e_k, rest) = (-1)^(position of k) w(key).  Such a term adds to dw on
     the sorted key of (i, j, rest); (-1)^{a+b} there is minus the sign that
-    sorts (i, j, rest), whatever the order of i and j."""
+    sorts (i, j, rest), whatever the order of i and j.  The brackets are
+    read from each bracket table of alg.blocks in place, at its offset."""
     alg = w.algebra
     if w.degree == 0:
         return zero_form(alg, 1, w.tag)
@@ -177,12 +177,14 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
         for pos, k in enumerate(key):
             by_index.setdefault(k, []).append((key[:pos] + key[pos + 1 :], -v if pos % 2 else v))
     out = {}
-    for i, j, outs in alg.brackets():
-        for k, c in outs.items():
-            for rest, v in by_index.get(k, ()):
-                cand, sign = sort_sign((i, j) + rest)
-                if sign:
-                    out[cand] = out.get(cand, 0) - sign * c * v
+    for off, table in alg.blocks:
+        local = {k - off: hits for k, hits in by_index.items()}
+        for (i, j), outs in table.items():
+            for k, c in outs.items():
+                for rest, v in local.get(k, ()):
+                    cand, sign = sort_sign((i + off, j + off) + rest)
+                    if sign:
+                        out[cand] = out.get(cand, 0) - sign * c * v
     return InvariantForm(alg, w.degree + 1, out, w.tag)
 
 
@@ -194,7 +196,7 @@ def cartan_three_form(L) -> InvariantForm:
     K = L.killing_matrix()
     cols = [{i: row[m] for i, row in enumerate(K) if row[m]} for m in range(L.dim)]
     terms = {}
-    for j, k, outs in L.brackets():
+    for (j, k), outs in L.table.items():
         vals = {}
         for m, c in outs.items():
             for i, v in cols[m].items():
@@ -227,7 +229,7 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
     """
     alg = w.algebra
     n = alg.dim
-    for i, j, _ in alg.brackets():
+    if any(table for _, table in alg.blocks):
         raise ValueError("torus transform requires an abelian base")
     if len(pairing) != n or any(len(row) != n for row in pairing):
         raise ValueError("pairing must be an n x n matrix")

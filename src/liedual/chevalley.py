@@ -14,6 +14,9 @@ fails this is checked the same way on every basis element, which names the
 first failing triple.
 """
 
+from collections import defaultdict
+from operator import mul
+
 from . import exactlin, rootdatum
 from .rootdatum import RootDatum
 
@@ -44,10 +47,10 @@ class ReductiveLieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def brackets(self):
-        """Iterate nonzero basis brackets as (i, j, {k: c}) with i < j."""
-        for (i, j), out in self.table.items():
-            yield i, j, out
+    @property
+    def blocks(self):
+        """The bracket table {(i, j) i<j: {k: c}} with its index offset, 0."""
+        return ((0, self.table),)
 
     # -- Killing form -----------------------------------------------------
 
@@ -100,53 +103,66 @@ def _simple_coords(vectors, simple_indices, targets):
     return coords
 
 
-def _root_sum_sq(datum, i):
-    """K(h_alpha, h_alpha) computed by the root-sum formula (exact int)."""
-    return sum(v * v for v in datum.pairing[i])
-
-
 class _NTable:
     """Chevalley constants N_{a,b} for every root pair with a+b a root,
-    keyed by root vectors.
+    keyed by root index.
+
+    The simple-root coordinates c of each root are read off the pairing,
+    c = A^-1 (P[s][b])_s with A the Cartan matrix, and the root is coded as
+    the int sum_k M^k c_k, so -a, a + b and root strings are int sums and
+    dict lookups.  M = 6 max|c| + 1 keeps this exact: a combination looked
+    up (b - 4a, ending a root string in _p, is the longest) differs from a
+    root by entries below M in absolute value.
 
     Positive-pair values are fixed by the extraspecial-pair method in order
     of height.  Each one fixes the other five pairs of its triple in closed
     form, through N_{-a,-b} = -N_{a,b} and the cyclic relation
-    N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0.
+    N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0, with K(h_a,h_a)
+    = sum_b <h_a, b>^2 (the root-sum formula).
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
-        self.by_vec = {datum.roots[i]: i for i in range(datum.nroots)}
-        self.pos = set(datum.roots[i] for i in pos_indices)
-        self.K = {datum.roots[i]: _root_sum_sq(datum, i) for i in range(datum.nroots)}
-        # Simple-root coordinates for height and ordering.
-        pos = list(self.pos)
-        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
-        self.order = {
-            v: (sum(self.coords[v]), self.coords[v]) for v in self.pos
-        }
+        P = datum.pairing
+        self.roots = datum.roots
+        X, den = exactlin.integer_inverse([[P[s][t] for t in simple_indices] for s in simple_indices])
+        coords = []
+        for r, v in zip(datum.roots, zip(*(P[s] for s in simple_indices))):
+            c = [divmod(sum(map(mul, x, v)), den) for x in X]
+            if any(rem for _, rem in c):
+                raise ValueError(f"{r} is not an integral combination of the simple vectors")
+            coords.append(tuple(q for q, _ in c))
+        M = 6 * max((abs(x) for c in coords for x in c), default=0) + 1
+        powers = [M ** k for k in range(len(simple_indices))]
+        self.code = [sum(map(mul, powers, c)) for c in coords]
+        self.by_code = {x: i for i, x in enumerate(self.code)}
+        self.neg = [self.by_code[-x] for x in self.code]
+        self.K = [sum(map(mul, row, row)) for row in P]
+        self.height = [sum(c) for c in coords]
+        # The positive roots in order of height, then of coordinates.
+        self.positives = sorted(pos_indices, key=lambda i: (self.height[i], coords[i]))
         self.table = {}     # (a, b) -> N_{a,b}, both orders, all signs
-        self.triples = []   # (a, b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
+        self.triples = []   # (a, b, a + b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
         self._fill()
 
     def _p(self, a, b):
         """Largest p with b - p a a root."""
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in self.by_vec:
+        p, step = 0, self.code[a]
+        cur = self.code[b] - step
+        while cur in self.by_code:
             p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
+            cur -= step
         return p
 
     def _fill(self):
-        positives = sorted(self.pos, key=lambda v: self.order[v])
-        for gamma in positives:
+        code, by_code, height = self.code, self.by_code, self.height
+        place = {a: t for t, a in enumerate(self.positives)}
+        for gamma in self.positives:
             specials = []               # (a, b) with a + b = gamma, a < b, in order of a
-            for a in positives:
-                if 2 * self.order[a][0] > self.order[gamma][0]:
+            for a in self.positives:
+                if 2 * height[a] > height[gamma]:
                     break               # a < b forces ht(a) <= ht(gamma) / 2
-                b = tuple(x - y for x, y in zip(gamma, a))
-                if b in self.pos and self.order[a] < self.order[b]:
+                b = by_code.get(code[gamma] - code[a])
+                if b is not None and place[a] < place.get(b, -1):
                     specials.append((a, b))
             if not specials:
                 continue
@@ -158,8 +174,8 @@ class _NTable:
     def _set(self, a, b, n):
         """N_{a,b} = n for positive a, b, and the other pairs of the triple
         a + b + c = 0 and of its negative."""
-        s = tuple(x + y for x, y in zip(a, b))
-        na, nb, c = (tuple(-x for x in v) for v in (a, b, s))
+        s = self.by_code[self.code[a] + self.code[b]]
+        na, nb, c = self.neg[a], self.neg[b], self.neg[s]
         K = self.K
         n_bc = self._ratio(b, c, n * K[c], K[a])
         n_ca = self._ratio(c, a, n * K[c], K[b])
@@ -167,20 +183,15 @@ class _NTable:
         T[a, b], T[b, a], T[na, nb], T[nb, na] = n, -n, -n, n
         T[b, c], T[c, b], T[nb, s], T[s, nb] = n_bc, -n_bc, -n_bc, n_bc
         T[c, a], T[a, c], T[s, na], T[na, s] = n_ca, -n_ca, -n_ca, n_ca
-        self.triples.append((a, b, n, n_bc, n_ca))
+        self.triples.append((a, b, s, n, n_bc, n_ca))
 
     def _derive(self, a, b, a1, b1, gamma):
         # Jacobi on (x_{a1}, x_{-a}, x_{-b}); all terms land in g_{-b1}.
-        T = self.table
-        na, nb = tuple(-x for x in a), tuple(-x for x in b)
-        t1 = 0
-        d = tuple(x - y for x, y in zip(a1, a))
-        if d in self.by_vec:
-            t1 = T[a1, na] * T[d, nb]
-        t2 = 0
-        d2 = tuple(x - y for x, y in zip(a1, b))
-        if d2 in self.by_vec:
-            t2 = T[nb, a1] * T[d2, na]
+        T, code, by_code = self.table, self.code, self.by_code
+        na, nb = self.neg[a], self.neg[b]
+        d, d2 = by_code.get(code[a1] - code[a]), by_code.get(code[a1] - code[b])
+        t1 = 0 if d is None else T[a1, na] * T[d, nb]
+        t2 = 0 if d2 is None else T[nb, a1] * T[d2, na]
         # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0),
         # and N(a, b) = (t1 + t2) / N(-gamma, a1).
         self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], T[a1, b1] * self.K[gamma]))
@@ -189,7 +200,7 @@ class _NTable:
         """N_{a,b} = num / den, refused unless the division is exact."""
         q, r = divmod(num, den)
         if r:
-            raise ValueError(f"non-integral structure constant N{a, b} = {num}/{den}")
+            raise ValueError(f"non-integral structure constant N{self.roots[a], self.roots[b]} = {num}/{den}")
         return q
 
 
@@ -211,13 +222,12 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     else:
         radical_basis = [[1 if i == j else 0 for j in range(d.rank)] for i in range(d.rank)]
 
-    ntab = _NTable(d, pos_indices, simple_indices) if d.nroots else None
+    ntab = _NTable(d, pos_indices, simple_indices)
 
     # Basis order: radical, simple coroots, root vectors (positives by
     # height/lex, then the matching negatives).
-    pos_sorted = sorted(pos_indices, key=lambda i: ntab.order[d.roots[i]])
-    neg_sorted = [ntab.by_vec[tuple(-x for x in d.roots[i])] for i in pos_sorted]
-    root_order = pos_sorted + neg_sorted
+    pos_sorted = ntab.positives
+    root_order = pos_sorted + [ntab.neg[i] for i in pos_sorted]
     nz, ns = len(radical_basis), len(simple_indices)
     labels = (
         [("z", k) for k in range(nz)]
@@ -248,10 +258,9 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
     # [x_a, x_b] = N_ab x_s, [x_-a, x_-b] = -N_ab x_-s, [x_b, x_c] = N_bc x_-a,
     # [x_-b, x_s] = -N_bc x_a, [x_c, x_a] = N_ca x_-b, [x_s, x_-a] = -N_ca x_b.
     # Positives precede negatives, so each key below has i < j.
-    x_pos = {d.roots[ri]: first_x + t for t, ri in enumerate(pos_sorted)}
-    for a, b, n, n_bc, n_ca in ntab.triples if ntab else ():
-        xa, xb = x_pos[a], x_pos[b]
-        xs = x_pos[tuple(x + y for x, y in zip(a, b))]
+    x_pos = {ri: x for x, ri in enumerate(pos_sorted, first_x)}
+    for a, b, s, n, n_bc, n_ca in ntab.triples:
+        xa, xb, xs = x_pos[a], x_pos[b], x_pos[s]
         ya, yb, ys = xa + npos, xb + npos, xs + npos
         table[xa, xb] = {xs: n}
         table[ya, yb] = {ys: -n}
@@ -270,31 +279,49 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 def jacobi_witness(L: ReductiveLieAlgebra):
     """First basis triple violating Jacobi, in combinations order, or None.
 
-    A generator certificate runs first.  If the simple root vectors x_a,
-    x_-a and the radical basis z_k generate the algebra, the Chevalley
-    involution omega (x_a -> -x_-a, h -> -h, z -> -z) is an automorphism of
-    the table, and ad z_k and ad x_a (a simple) are derivations, Jacobi
-    holds: ad x_-a = -omega ad x_a omega^-1 is then a derivation too, and
-    the x whose ad x is a derivation form a subalgebra (ad [x, y] =
-    [ad x, ad y]).  Otherwise the witness is the first failure of the same
-    test on every basis element.  The signed rows are built from
-    ``L.table`` on every call, so an edited table is read as it is."""
-    ad = _signed_rows(L.table, L.dim)
-    sigma = _involution(L)
-    gens = _generators(L, sigma)
-    if (_generates(ad, gens) and _is_automorphism(L.table, sigma)
-            and _derivations(ad, [g for g in gens if g <= sigma[g]]) is None):
+    The generator certificate of ``_certificate`` runs first.  If it fails,
+    each basis element g in turn is tested the same way: the first g where
+    ad g is not a derivation, with its first failing pair j < k, is the
+    first failing triple, since the Jacobiator is alternating."""
+    rows, into, certified = _certificate(L)
+    if certified:
         return None
-    return _derivations(ad, range(L.dim))
+    for g in range(L.dim):
+        bad = _jacobiator(rows, into, g)
+        if bad:
+            return (g, *min(bad))
+    return None
 
 
-def _signed_rows(table, dim):
-    """ad[a][b]: [e_a, e_b] as ((k, c), ...), for both orders of each entry."""
-    ad = [{} for _ in range(dim)]
+def _certificate(L):
+    """(rows, into, passed) for the generator certificate: the simple root
+    vectors x_a, x_-a and the radical basis z_k generate the algebra, the
+    Chevalley involution omega (x_a -> -x_-a, h -> -h, z -> -z) is an
+    automorphism of the table, and ad z_k and ad x_a (a simple) are
+    derivations.  Jacobi then holds: ad x_-a = -omega ad x_a omega^-1 is a
+    derivation too, and the x whose ad x is a derivation form a subalgebra
+    (ad [x, y] = [ad x, ad y]).  One pass over ``L.table``, read on every
+    call, builds the signed rows and the index by output, and checks omega."""
+    table, sigma = L.table, _involution(L)
+    rows = [[] for _ in range(L.dim)]   # rows[a]: (b, k, [e_a, e_b]_k), both orders
+    into = [[] for _ in range(L.dim)]   # into[m]: (j, k, [e_j, e_k]_m), j < k
+    omega = True
     for (i, j), out in table.items():
-        ad[i][j] = tuple(out.items())
-        ad[j][i] = tuple((k, -c) for k, c in out.items())
-    return ad
+        # omega maps [e_i, e_j] = sum c e_k to [e_si, e_sj] = -sum c e_sk;
+        # it permutes the pairs, so zero brackets then map to zero ones.
+        row_i, row_j, si, sj = rows[i], rows[j], sigma[i], sigma[j]
+        sign, image = (-1 if si < sj else 1), {}
+        for k, c in out.items():
+            row_i.append((j, k, c))
+            row_j.append((i, k, -c))
+            into[k].append((i, j, c))
+            image[sigma[k]] = sign * c
+        if omega and table.get((si, sj) if si < sj else (sj, si)) != image:
+            omega = False
+    gens = _generators(L, sigma)
+    passed = (omega and _generates(rows, gens)
+              and not any(_jacobiator(rows, into, g) for g in gens if g <= sigma[g]))
+    return rows, into, passed
 
 
 def _generators(L, sigma):
@@ -311,62 +338,46 @@ def _involution(L):
     return [*range(first_x), *range(first_x + npos, L.dim), *range(first_x, first_x + npos)]
 
 
-def _is_automorphism(table, sigma):
-    """True when omega maps every table entry [e_i, e_j] = sum c e_k to the
-    entry of its image pair: [e_si, e_sj] = -sum c e_sk.  omega permutes
-    the pairs, so zero brackets then map to zero brackets."""
-    for (i, j), out in table.items():
-        si, sj = sigma[i], sigma[j]
-        key, sign = ((si, sj), -1) if si < sj else ((sj, si), 1)
-        if table.get(key) != {sigma[k]: sign * c for k, c in out.items()}:
-            return False
-    return True
-
-
-def _generates(ad, gens):
+def _generates(rows, gens):
     """True when every basis index is reached from gens by bracketing with
     a generator, counting only brackets that are one nonzero term c e_k."""
-    reached = set(gens)
-    todo = list(gens)
-    while todo:
-        r = todo.pop()
-        for g in gens:
-            out = [k for k, c in ad[g].get(r, ()) if c]
-            if len(out) == 1 and out[0] not in reached:
-                reached.add(out[0])
-                todo.append(out[0])
-    return len(reached) == len(ad)
-
-
-def _derivations(ad, gens):
-    """First (g, j, k) with j < k where ad g is not a derivation, or None:
-    J(g, e_j, e_k) = [g, [e_j, e_k]] - [e_j, [g, e_k]] - [[g, e_j], e_k]
-    is nonzero there.  For each j the three terms are summed over the k > j
-    where [e_j, e_k], [g, e_k] or [[g, e_j], e_k] is nonzero.  J is the
-    alternating Jacobiator, so on gens = range(dim) the first failure is
-    the first failing triple i < j < k in combinations order."""
+    terms = {}                          # (g, r) -> [k with [e_g, e_r]_k nonzero]
     for g in gens:
-        ad_g = ad[g]
-        for j, ad_j in enumerate(ad):
-            acc = {}                        # (k, n) -> J(g, e_j, e_k)_n
-            for k, out in ad_j.items():
-                if k > j:
-                    for m, cm in out:
-                        for n, cn in ad_g.get(m, ()):
-                            acc[k, n] = acc.get((k, n), 0) + cm * cn
-            for k, out in ad_g.items():
-                if k > j:
-                    for m, cm in out:
-                        for n, cn in ad_j.get(m, ()):
-                            acc[k, n] = acc.get((k, n), 0) - cm * cn
-            for m, cm in ad_g.get(j, ()):
-                for k, out in ad[m].items():
-                    if k > j:
-                        for n, cn in out:
-                            acc[k, n] = acc.get((k, n), 0) - cm * cn
-            if any(acc.values()):
-                return g, j, min(k for (k, _), v in acc.items() if v)
-    return None
+        for r, k, c in rows[g]:
+            if c:
+                terms.setdefault((g, r), []).append(k)
+    step = {}                           # r -> [e_k that one bracket takes e_r to]
+    for (g, r), ks in terms.items():
+        if len(ks) == 1:
+            step.setdefault(r, []).append(ks[0])
+    reached, todo = set(gens), list(gens)
+    while todo:
+        for k in step.get(todo.pop(), ()):
+            if k not in reached:
+                reached.add(k)
+                todo.append(k)
+    return len(reached) == len(rows)
+
+
+def _jacobiator(rows, into, g):
+    """The pairs j < k where J(g, e_j, e_k) = [g, [e_j, e_k]] -
+    [e_j, [g, e_k]] - [[g, e_j], e_k] is nonzero, so ad g is no derivation.
+    J is summed from the terms of ad g alone: each [g, e_m] meets the
+    entries [e_j, e_k] whose output holds e_m, and each [g, e_j] = sum c e_m
+    the row of e_m; with A(j, k) = [[g, e_j], e_k], the last two terms of J
+    are A(k, j) - A(j, k)."""
+    dim = len(rows)
+    acc = defaultdict(int)              # (j dim + k) dim + n -> J(g, e_j, e_k)_n, j < k
+    for m, n, c in rows[g]:
+        for j, k, cm in into[m]:
+            acc[(j * dim + k) * dim + n] += cm * c
+    for j, m, c in rows[g]:
+        for k, n, cn in rows[m]:
+            if j < k:
+                acc[(j * dim + k) * dim + n] -= c * cn
+            elif k < j:
+                acc[(k * dim + j) * dim + n] += c * cn
+    return [divmod(key // dim, dim) for key, v in acc.items() if v]
 
 
 def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 
 from . import exactlin
 
@@ -133,32 +134,32 @@ def _check_axioms(d):
     # Reflect coroot i in root j (cocharacter lattice) and root i in coroot
     # j (character lattice); a zero pairing is the identity.  Membership is
     # tested on an integer functional that is injective on every vector
-    # involved, so each reflection costs two int operations.
+    # involved, so each reflection costs two int operations, and each
+    # column j is tested as a whole; only a failing column is scanned for
+    # its first failing i.
     reach = 1 + max((abs(x) for row in P for x in row), default=0)
     fc = _injective_values(d.coroots, reach)
     fr = _injective_values(d.roots, reach)
     coroot_set, root_set = set(fc), set(fr)
-    for j in range(d.nroots):
-        if not rep.reflection:
+    for j, col in enumerate(zip(*P)):
+        if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))
+                and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
+            i = next(i for i, (n, m) in enumerate(zip(col, P[j]))
+                     if fc[i] - n * fc[j] not in coroot_set or fr[i] - m * fr[j] not in root_set)
+            rep.reflection = False
+            rep.reflection_witness = (i, j)
             break
-        for i in range(d.nroots):
-            n, m = P[i][j], P[j][i]
-            if (n and fc[i] - n * fc[j] not in coroot_set) or (m and fr[i] - m * fr[j] not in root_set):
-                rep.reflection = False
-                rep.reflection_witness = (i, j)
-                break
     # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
     # nonzero coroots on one line have the same content; a zero coroot is
-    # 0 times every other.
+    # 0 times every other.  The coroots are grouped by direction, and the
+    # first failing pair is searched for only when a group fails.
     prim = [_primitive(c) for c in d.coroots]
-    for i, pi in enumerate(prim):
-        if pi is None:
-            continue
-        j = next((j for j, pj in enumerate(prim) if pj is None or (pj[0] == pi[0] and pj[1] != pi[1])), None)
-        if j is not None:
-            rep.reduced = False
-            rep.reduced_witness = (i, j)
-            break
+    nonzero = [p for p in prim if p is not None]
+    if (nonzero and len(nonzero) < len(prim)) or len(set(nonzero)) != len(dict(nonzero)):
+        rep.reduced = False
+        rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
+                                   for j, pj in enumerate(prim)
+                                   if pj is None or (pj[0] == pi[0] and pj[1] != pi[1]))
     return rep
 
 
@@ -201,6 +202,10 @@ def dualize(d: RootDatum) -> RootDatum:
         dd.__dict__["_derive_pairing"] = lambda: tuple(zip(*d.pairing))
     # _positive_system commutes with dualization: the same indices.
     dd.__dict__["_derive_chamber"] = lambda: d.chamber
+    # The axioms are self-dual, and a datum is reduced exactly when its dual
+    # is (Springer, Linear Algebraic Groups, 7.4): an ok report carries over.
+    if "axioms" in d.__dict__ and d.axioms.ok:
+        dd.__dict__["axioms"] = AxiomReport()
     return dd
 
 
@@ -491,13 +496,12 @@ def is_ade(d: RootDatum) -> bool:
 
 
 def ade_symmetry_witness(d: RootDatum):
-    """First root pair (i, j) with alpha_i(h_j) != alpha_j(h_i), or None."""
+    """First root pair (i, j) with alpha_i(h_j) != alpha_j(h_i), or None.
+    A symmetric pairing is found by one comparison with its transpose."""
     P = d.pairing
-    for i in range(d.nroots):
-        for j in range(d.nroots):
-            if P[j][i] != P[i][j]:
-                return (i, j)
-    return None
+    if P == tuple(zip(*P)):
+        return None
+    return next(((i, j) for i in range(d.nroots) for j in range(d.nroots) if P[j][i] != P[i][j]), None)
 
 
 def fundamental_group(d: RootDatum):

@@ -43,12 +43,10 @@ class ProductAlgebra:
             return {k + n: c for k, c in self.right.bracket_basis(i - n, j - n).items()}
         return {}
 
-    def brackets(self):
-        for i, j, out in self.left.brackets():
-            yield i, j, out
-        n = self.offset
-        for i, j, out in self.right.brackets():
-            yield i + n, j + n, {k + n: c for k, c in out.items()}
+    @property
+    def blocks(self):
+        """The factors' bracket tables, each with its index offset."""
+        return self.left.blocks + tuple((off + self.offset, t) for off, t in self.right.blocks)
 
 
 @dataclass
@@ -97,6 +95,7 @@ def build_pair(d: RootDatum) -> ProductPair:
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd)
     pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
+    Ldual._killing = L.killing_matrix()     # the tables are equal: one trace form
     pairobj.F = tautological_two_form(pairobj).add(poincare_correction(pairobj))
 
     S = []

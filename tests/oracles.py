@@ -8,17 +8,19 @@ Fraction ratio steps and the pairwise structure-table builder, the
 eigen-relation loop over every pairing entry, the Fraction rref, the
 per-unit Cartan solve and lattice pairing, the gathering differential,
 phi composed from pullbacks, F summed from extended-root 1-forms, the
-dense spanning set, and two small matrix helpers.
+dense spanning set, the N-table keyed by root vectors, the Jacobi
+certificate that scanned every basis element for each generator, the
+product's shifted bracket iterator, and two small matrix helpers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
-from liedual.chevalley import ReductiveLieAlgebra, _simple_coords
+from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution, _simple_coords
 from liedual.exactlin import det_exact, integer_kernel, solve_exact
 from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
-from liedual.tduality import ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
+from liedual.tduality import ProductAlgebra, ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,81 @@ class FractionNTable:
         return n.numerator
 
 
+class VectorNTable:
+    """The int N-table as it was keyed by root vectors: sums, differences
+    and root strings are tuple arithmetic, simple-root coordinates come
+    from a solve on the root vectors, and K(h_a, h_a) is summed per root.
+    Same fill order, closed-form triples and exact ratio steps as the
+    index-keyed table, whose keys map to these through d.roots."""
+
+    def __init__(self, datum, pos_indices, simple_indices):
+        self.by_vec = {datum.roots[i]: i for i in range(datum.nroots)}
+        self.pos = set(datum.roots[i] for i in pos_indices)
+        self.K = {datum.roots[i]: sum(v * v for v in datum.pairing[i]) for i in range(datum.nroots)}
+        pos = list(self.pos)
+        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
+        self.order = {v: (sum(self.coords[v]), self.coords[v]) for v in self.pos}
+        self.table = {}     # (a, b) -> N_{a,b}, both orders, all signs
+        self.triples = []   # (a, b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
+        self._fill()
+
+    def _p(self, a, b):
+        p = 0
+        cur = tuple(x - y for x, y in zip(b, a))
+        while cur in self.by_vec:
+            p += 1
+            cur = tuple(x - y for x, y in zip(cur, a))
+        return p
+
+    def _fill(self):
+        positives = sorted(self.pos, key=lambda v: self.order[v])
+        for gamma in positives:
+            specials = []
+            for a in positives:
+                if 2 * self.order[a][0] > self.order[gamma][0]:
+                    break
+                b = tuple(x - y for x, y in zip(gamma, a))
+                if b in self.pos and self.order[a] < self.order[b]:
+                    specials.append((a, b))
+            if not specials:
+                continue
+            a1, b1 = specials[0]
+            self._set(a1, b1, self._p(a1, b1) + 1)
+            for a, b in specials[1:]:
+                self._derive(a, b, a1, b1, gamma)
+
+    def _set(self, a, b, n):
+        s = tuple(x + y for x, y in zip(a, b))
+        na, nb, c = (tuple(-x for x in v) for v in (a, b, s))
+        K = self.K
+        n_bc = self._ratio(b, c, n * K[c], K[a])
+        n_ca = self._ratio(c, a, n * K[c], K[b])
+        T = self.table
+        T[a, b], T[b, a], T[na, nb], T[nb, na] = n, -n, -n, n
+        T[b, c], T[c, b], T[nb, s], T[s, nb] = n_bc, -n_bc, -n_bc, n_bc
+        T[c, a], T[a, c], T[s, na], T[na, s] = n_ca, -n_ca, -n_ca, n_ca
+        self.triples.append((a, b, n, n_bc, n_ca))
+
+    def _derive(self, a, b, a1, b1, gamma):
+        T = self.table
+        na, nb = tuple(-x for x in a), tuple(-x for x in b)
+        t1 = 0
+        d = tuple(x - y for x, y in zip(a1, a))
+        if d in self.by_vec:
+            t1 = T[a1, na] * T[d, nb]
+        t2 = 0
+        d2 = tuple(x - y for x, y in zip(a1, b))
+        if d2 in self.by_vec:
+            t2 = T[nb, a1] * T[d2, na]
+        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], T[a1, b1] * self.K[gamma]))
+
+    def _ratio(self, a, b, num, den):
+        q, r = divmod(num, den)
+        if r:
+            raise ValueError(f"non-integral structure constant N{a, b} = {num}/{den}")
+        return q
+
+
 def pairwise_structure_table(d: RootDatum):
     """(labels, table) of build_lie_algebra as it was before the triple
     walk: every pair of root vectors from combinations(), a sum tuple for
@@ -293,6 +370,106 @@ def pairwise_structure_table(d: RootDatum):
         elif s in by_vec:
             put(i, j, {index[("x", by_vec[s])]: ntab.constant(a, b)})
     return labels, table
+
+
+# ---------------------------------------------------------------------------
+# The Jacobi certificate as it was
+
+
+def signed_rows(table, dim):
+    """ad[a][b]: [e_a, e_b] as ((k, c), ...), for both orders of each entry."""
+    ad = [{} for _ in range(dim)]
+    for (i, j), out in table.items():
+        ad[i][j] = tuple(out.items())
+        ad[j][i] = tuple((k, -c) for k, c in out.items())
+    return ad
+
+
+def is_automorphism(table, sigma):
+    """True when omega maps every table entry [e_i, e_j] = sum c e_k to the
+    entry of its image pair: [e_si, e_sj] = -sum c e_sk."""
+    for (i, j), out in table.items():
+        si, sj = sigma[i], sigma[j]
+        key, sign = ((si, sj), -1) if si < sj else ((sj, si), 1)
+        if table.get(key) != {sigma[k]: sign * c for k, c in out.items()}:
+            return False
+    return True
+
+
+def generates(ad, gens):
+    """True when every basis index is reached from gens by bracketing with
+    a generator, counting only brackets that are one nonzero term c e_k."""
+    reached = set(gens)
+    todo = list(gens)
+    while todo:
+        r = todo.pop()
+        for g in gens:
+            out = [k for k, c in ad[g].get(r, ()) if c]
+            if len(out) == 1 and out[0] not in reached:
+                reached.add(out[0])
+                todo.append(out[0])
+    return len(reached) == len(ad)
+
+
+def derivations(ad, gens):
+    """First (g, j, k) with j < k where ad g is not a derivation, or None:
+    J(g, e_j, e_k) = [g, [e_j, e_k]] - [e_j, [g, e_k]] - [[g, e_j], e_k]
+    is nonzero there.  For each j the three terms are summed over the k > j
+    where [e_j, e_k], [g, e_k] or [[g, e_j], e_k] is nonzero, scanning every
+    basis element j for each g."""
+    for g in gens:
+        ad_g = ad[g]
+        for j, ad_j in enumerate(ad):
+            acc = {}                        # (k, n) -> J(g, e_j, e_k)_n
+            for k, out in ad_j.items():
+                if k > j:
+                    for m, cm in out:
+                        for n, cn in ad_g.get(m, ()):
+                            acc[k, n] = acc.get((k, n), 0) + cm * cn
+            for k, out in ad_g.items():
+                if k > j:
+                    for m, cm in out:
+                        for n, cn in ad_j.get(m, ()):
+                            acc[k, n] = acc.get((k, n), 0) - cm * cn
+            for m, cm in ad_g.get(j, ()):
+                for k, out in ad[m].items():
+                    if k > j:
+                        for n, cn in out:
+                            acc[k, n] = acc.get((k, n), 0) - cm * cn
+            if any(acc.values()):
+                return g, j, min(k for (k, _), v in acc.items() if v)
+    return None
+
+
+def ordered_sweep(L):
+    """jacobi_witness's sweep as it was: derivations on every basis element."""
+    return derivations(signed_rows(L.table, L.dim), range(L.dim))
+
+
+def generator_certificate(L):
+    """(generated, omega, derivations) of the certificate on L.table as it
+    was: the generators span the algebra, the Chevalley involution is an
+    automorphism, and derivations, which scans every basis element for each
+    generator, finds no failure on one generator of each omega orbit (z_k
+    and x_a, a simple)."""
+    ad = signed_rows(L.table, L.dim)
+    sigma = _involution(L)
+    gens = _generators(L, sigma)
+    return (generates(ad, gens), is_automorphism(L.table, sigma),
+            derivations(ad, [g for g in gens if g <= sigma[g]]) is None)
+
+
+def all_brackets(alg):
+    """(i, j, {k: c}) for each bracket of alg's table, i < j; on a
+    ProductAlgebra, as its brackets() was: the left factor's brackets, then
+    a shifted copy of each of the right's."""
+    if not isinstance(alg, ProductAlgebra):
+        yield from ((i, j, out) for (i, j), out in getattr(alg, "table", {}).items())
+        return
+    yield from all_brackets(alg.left)
+    n = alg.offset
+    for i, j, out in all_brackets(alg.right):
+        yield i + n, j + n, {k + n: c for k, c in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +629,7 @@ def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
     if w.degree == 0:
         return zero_form(alg, 1, w.tag)
     candidates = set()
-    for i, j, outs in alg.brackets():
+    for i, j, outs in all_brackets(alg):
         for k in outs:
             for key in w.terms:
                 if k in key:

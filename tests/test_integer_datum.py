@@ -200,11 +200,12 @@ def test_int_n_table_matches_the_fraction_steps(typ):
     pos, simple = rootdatum.positive_system(d)
     new = chevalley._NTable(d, pos, simple)
     old = FractionNTable(d, pos, simple)
-    pairs = [(a, b) for a in d.roots for b in d.roots if tuple(x + y for x, y in zip(a, b)) in new.by_vec]
-    assert set(new.table) == set(pairs)
-    assert all(type(v) is int for v in new.table.values())
+    table = {(d.roots[a], d.roots[b]): n for (a, b), n in new.table.items()}
+    pairs = [(a, b) for a in d.roots for b in d.roots if tuple(x + y for x, y in zip(a, b)) in old.by_vec]
+    assert len(table) == len(new.table) and set(table) == set(pairs)
+    assert all(type(v) is int for v in table.values())
     for a, b in pairs:
-        assert new.table[a, b] == old.constant(a, b)
+        assert table[a, b] == old.constant(a, b)
 
 
 def test_a_non_integral_ratio_step_is_refused():
@@ -214,11 +215,14 @@ def test_a_non_integral_ratio_step_is_refused():
     # Each positive pair fixes the mixed pairs of its triple through a ratio
     # of Killing values; with N = +-1, a ratio of 1/2 has no integral image.
     outcomes = []
-    for a, b, n, _, _ in list(ntab.triples):
+    for a, b, s, n, _, _ in list(ntab.triples):
         try:
             ntab._set(a, b, 1 if n > 0 else -1)
             outcomes.append(int)
         except ValueError as exc:
-            assert "non-integral structure constant" in str(exc)
+            # The refused pair (b, c) or (c, a), c = -(a + b), is named by
+            # its root vectors.
+            ra, rb, rc = d.roots[a], d.roots[b], d.roots[ntab.neg[s]]
+            assert any(f"non-integral structure constant N{pair} = " in str(exc) for pair in ((rb, rc), (rc, ra)))
             outcomes.append(ValueError)
     assert set(outcomes) == {int, ValueError}

@@ -606,3 +606,69 @@ def test_is_ade_matches_the_cartan_matrix_oracle(typ):
 def test_is_ade_matches_the_cartan_matrix_oracle_after_a_change_of_lattice_basis(d, data):
     e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
     assert rootdatum.is_ade(e) == cartan_is_ade(e) == cartan_is_ade(d)
+
+
+def carried_axioms(d):
+    """The axiom report dualize(d) holds before anything reads it, or None."""
+    return vars(rootdatum.dualize(d)).get("axioms")
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_the_carried_report_is_the_duals_own(d, data):
+    d = fresh(change_basis(d, *data.draw(unimodular_pair(d.rank))))
+    assert rootdatum.validate(d).ok
+    carried = carried_axioms(d)
+    assert carried is not None and carried == rootdatum._check_axioms(fresh(rootdatum.dualize(d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.one_of(perturbed_data(), arbitrary_data()))
+def test_only_an_ok_report_is_carried(d):
+    # Never computed: nothing to carry.  Computed: carried exactly when ok,
+    # and then it is what the dual's own check finds.
+    d = fresh(d)
+    assert carried_axioms(d) is None
+    rep = rootdatum.validate(d)
+    carried = carried_axioms(d)
+    if rep.ok:
+        assert carried == rootdatum._check_axioms(fresh(rootdatum.dualize(d)))
+    else:
+        assert carried is None
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "B2:sc", "D4:adj"])
+def test_a_failing_report_is_not_carried(typ):
+    d = build(typ)
+    broken = rootdatum.RootDatum(rank=d.rank, roots=d.roots, coroots=tuple(tuple(3 * x for x in c) for c in d.coroots))
+    assert not rootdatum.validate(broken).ok
+    assert carried_axioms(broken) is None
+
+
+def ade_symmetry_scan(d):
+    """ade_symmetry_witness as it was: the ordered scan of every root pair."""
+    P = d.pairing
+    for i in range(d.nroots):
+        for j in range(d.nroots):
+            if P[j][i] != P[i][j]:
+                return (i, j)
+    return None
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_ade_symmetry_witness_matches_the_ordered_scan(typ):
+    d = build(typ)
+    for x in (d, rootdatum.dualize(d), rootdatum.canonicalize(d)):
+        assert rootdatum.ade_symmetry_witness(x) == ade_symmetry_scan(x)
+    assert (ade_symmetry_scan(d) is None) == (not any(f in typ for f in "BCFG"))
+    rec = tduality.check_ade_symmetry(d)
+    assert rec.passed == (ade_symmetry_scan(d) is None)
+    if not rec.passed:
+        assert rec.witness["roots"] == list(ade_symmetry_scan(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.one_of(small_data(), perturbed_data(), arbitrary_data()), data=st.data())
+def test_ade_symmetry_witness_matches_the_ordered_scan_after_a_change_of_basis(d, data):
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert rootdatum.ade_symmetry_witness(e) == ade_symmetry_scan(e) == ade_symmetry_scan(d)

@@ -1,12 +1,13 @@
 """The Jacobi certificates, the sparse Cartan 3-form, the Killing matrix
-and the N-table fill against the loops they replaced, kept here as oracles:
-all must agree on passing types and on seeded defects.  Also checks that
-the Chevalley core stores plain ints, that a non-integral value is refused
-rather than truncated, and that the batched simple-coordinate solve matches
-one solve per vector."""
+and the N-table against the loops and tables they replaced, kept here or
+in oracles.py: all must agree on passing types and on seeded defects.
+Also checks that the Chevalley core stores plain ints, that a non-integral
+value is refused rather than truncated, and that the batched
+simple-coordinate solve matches one solve per vector."""
 
 import copy
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from conftest import build
 from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
-from oracles import FractionNTable, pairwise_structure_table
+import oracles
+from oracles import (FractionNTable, VectorNTable, generates, generator_certificate, ordered_sweep,
+                     pairwise_structure_table, signed_rows)
 from test_rootdatum import RANK8_TYPES
 
 ORACLE_TYPES = ["A2:sc", "D4:sc", "A3:adj", "B3:sc", "G2:sc", "A1xT1:sc"]
@@ -58,7 +61,7 @@ def dense_cartan_three_form(L):
     """H(x,y,z) = K(x,[y,z]) with a range(dim) sum for every bracket."""
     K = L.killing_matrix()
     terms = {}
-    for j, k, outs in L.brackets():
+    for (j, k), outs in L.table.items():
         vals = {}
         for i in range(L.dim):
             v = sum((c * K[i][m] for m, c in outs.items()), Fraction(0))
@@ -102,8 +105,8 @@ def dense_killing_matrix(L):
 
 
 def legacy_fill(ntab):
-    """_NTable._fill as it was: gamma - a is built three times for every
-    pair of positive roots."""
+    """VectorNTable._fill as it was: gamma - a is built three times for
+    every pair of positive roots."""
     positives = sorted(ntab.pos, key=lambda v: ntab.order[v])
     for gamma in positives:
         specials = sorted(
@@ -164,7 +167,7 @@ def test_a_flipped_structure_constant_gives_the_same_witness(typ, kind):
     witness = chevalley.jacobi_witness(L)
     assert L.table == table
     assert witness is not None
-    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+    assert witness == ordered_sweep(L) == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +188,7 @@ def test_a_perturbed_table_entry_gives_the_same_witness_from_all_sweeps(perturba
     L.table = {**base.table, key: out}
     witness = chevalley.jacobi_witness(L)
     assert witness is not None
-    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+    assert witness == ordered_sweep(L) == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
 
 
 def perturbed(base, key, k, change):
@@ -197,18 +200,6 @@ def perturbed(base, key, k, change):
     L.table = {**base.table, key: out}
     L._killing = None
     return L
-
-
-def certificate(L):
-    """(generated, omega, derivations) of the generator certificate on
-    L.table: the generators span the algebra, the Chevalley involution is
-    an automorphism, and ad is a derivation on one generator of each omega
-    orbit (z_k and x_a, a simple)."""
-    ad = chevalley._signed_rows(L.table, L.dim)
-    sigma = chevalley._involution(L)
-    gens = chevalley._generators(L, sigma)
-    return (chevalley._generates(ad, gens), chevalley._is_automorphism(L.table, sigma),
-            chevalley._derivations(ad, [g for g in gens if g <= sigma[g]]) is None)
 
 
 def omega_perturbed(base, key, k, change):
@@ -230,14 +221,16 @@ CERTIFIED_TYPES = [t for t in RANK8_TYPES if "x" not in t and t[0] != "T"] + ["A
 
 @pytest.mark.parametrize("typ", CERTIFIED_TYPES)
 def test_the_generator_certificate_passes_without_the_sweep(typ):
-    # One derivation test, on the half generators; none on every basis element.
+    # One Jacobiator per half generator (z_k and x_a, a simple) and none on
+    # any other basis element: the sweep does not run.
     with mock.patch.object(chevalley, "jacobi_witness", wraps=chevalley.jacobi_witness) as witness, \
-            mock.patch.object(chevalley, "_derivations", wraps=chevalley._derivations) as derivations:
+            mock.patch.object(chevalley, "_jacobiator", wraps=chevalley._jacobiator) as jacobiator:
         L = build_lie_algebra(build(typ))
     assert witness.call_count == 1
-    assert derivations.call_count == 1
     sigma = chevalley._involution(L)
-    assert derivations.call_args.args[1] == [g for g in chevalley._generators(L, sigma) if g <= sigma[g]]
+    half = [g for g in chevalley._generators(L, sigma) if g <= sigma[g]]
+    assert [call.args[2] for call in jacobiator.call_args_list] == half
+    assert chevalley._certificate(L)[2] is True
 
 
 def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
@@ -246,7 +239,7 @@ def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbat
         for key, out in base.table.items():
             for k in out:
                 for change in ("flip", 1, -1):
-                    generated, omega, derivations = certificate(perturbed(base, key, k, change))
+                    generated, omega, derivations = generator_certificate(perturbed(base, key, k, change))
                     assert not (generated and omega and derivations)
                     seen += 1
                     cut_off += not generated
@@ -281,16 +274,12 @@ def central_perturbations(base):
                     yield (i, j), c, L
 
 
-def certificate_faults(bases, central):
-    """Every single and every omega-symmetric coefficient perturbation of
-    bases and every central perturbation of central, checked against
-    dense_jacobi_witness.  Returns the counts and the faults: a passing
-    certificate on a table that fails Jacobi, an omega-symmetric table
-    that satisfies Jacobi and generates but fails the certificate, or a
-    central perturbation whose jacobi_witness differs from the dense one."""
-    counts = dict.fromkeys(["single", "single_omega", "single_pass", "symmetric", "symmetric_pass",
-                            "symmetric_jacobi", "central", "central_pass"], 0)
-    faults = []
+def perturbation_families(bases, central):
+    """(type, kind, detail, L) for every single coefficient perturbation
+    of bases ("single", detail (key, k, change)), one omega-symmetric
+    perturbation per omega orbit of coefficients and change ("symmetric"),
+    and every central perturbation of central ("central", detail
+    (key, c))."""
     for typ, base in sorted(bases.items()):
         sigma = chevalley._involution(base)
         orbits = set()
@@ -301,33 +290,58 @@ def certificate_faults(bases, central):
                 first = orbit not in orbits
                 orbits.add(orbit)
                 for change in ("flip", 1, -1):
-                    generated, omega, derivations = certificate(perturbed(base, key, k, change))
-                    passed = generated and omega and derivations
-                    counts["single"] += 1
-                    counts["single_omega"] += omega
-                    counts["single_pass"] += passed
-                    if passed and dense_jacobi_witness(perturbed(base, key, k, change)) is not None:
-                        faults.append((typ, "single", key, k, change))
-                    if not first:
-                        continue
-                    L = omega_perturbed(base, key, k, change)
-                    generated, omega, derivations = certificate(L)
-                    assert omega
-                    jacobi = dense_jacobi_witness(L) is None
-                    counts["symmetric"] += 1
-                    counts["symmetric_pass"] += generated and derivations
-                    counts["symmetric_jacobi"] += jacobi
-                    if (generated and derivations) != jacobi and (generated or not jacobi):
-                        faults.append((typ, "symmetric", key, k, change))
+                    yield typ, "single", (key, k, change), perturbed(base, key, k, change)
+                    if first:
+                        yield typ, "symmetric", (key, k, change), omega_perturbed(base, key, k, change)
     for typ, base in sorted(central.items()):
         for key, c, L in central_perturbations(base):
-            passed = all(certificate(L))
+            yield typ, "central", (key, c), L
+
+
+def certificate_faults(bases, central):
+    """Every perturbation of perturbation_families, checked against
+    dense_jacobi_witness.  Returns the counts and the faults: a passing
+    certificate on a table that fails Jacobi, an omega-symmetric table
+    that satisfies Jacobi and generates but fails the certificate, or a
+    central perturbation whose jacobi_witness differs from the dense one."""
+    counts = dict.fromkeys(["single", "single_omega", "single_pass", "symmetric", "symmetric_pass",
+                            "symmetric_jacobi", "central", "central_pass"], 0)
+    faults = []
+    for typ, kind, detail, L in perturbation_families(bases, central):
+        generated, omega, derivations = generator_certificate(L)
+        counts[kind] += 1
+        if kind == "single":
+            passed = generated and omega and derivations
+            counts["single_omega"] += omega
+            counts["single_pass"] += passed
+            if passed and dense_jacobi_witness(L) is not None:
+                faults.append((typ, kind, *detail))
+        elif kind == "symmetric":
+            assert omega
+            jacobi = dense_jacobi_witness(L) is None
+            counts["symmetric_pass"] += generated and derivations
+            counts["symmetric_jacobi"] += jacobi
+            if (generated and derivations) != jacobi and (generated or not jacobi):
+                faults.append((typ, kind, *detail))
+        else:
+            passed = generated and omega and derivations
             witness = dense_jacobi_witness(L)
-            counts["central"] += 1
             counts["central_pass"] += passed
             if (passed and witness is not None) or chevalley.jacobi_witness(L) != witness:
-                faults.append((typ, "central", key, c))
+                faults.append((typ, kind, *detail))
     return counts, faults
+
+
+def test_the_one_pass_certificate_agrees_with_the_old_one(omega_bases, central_bases):
+    verdicts = Counter()
+    for typ, kind, detail, L in perturbation_families(omega_bases, central_bases):
+        old = all(generator_certificate(L))
+        assert chevalley._certificate(L)[2] is old, (typ, kind, detail)
+        verdicts[kind, old] += 1
+    assert verdicts == {("single", True): 2, ("single", False): 1378, ("symmetric", True): 5,
+                        ("symmetric", False): 790, ("central", False): 36}
+    for typ, base in sorted({**omega_bases, **central_bases}.items()):
+        assert chevalley._certificate(base)[2] is all(generator_certificate(base)) is True, typ
 
 
 def test_the_halved_certificate_agrees_with_the_dense_oracle(omega_bases, central_bases):
@@ -346,7 +360,7 @@ def test_a_certificate_without_the_omega_step_passes_broken_tables(central_bases
     # Jacobi passes generation and the half derivations even without omega,
     # and an omega-symmetric one keeps omega by construction, so the
     # central entries are where the omega step is needed.
-    with mock.patch.object(chevalley, "_is_automorphism", lambda table, sigma: True):
+    with mock.patch.object(oracles, "is_automorphism", lambda table, sigma: True):
         _, faults = certificate_faults({}, central_bases)
     # [x_-theta, x_-a] = +-z_0 on A2xT1, for both simple roots a.
     assert [(typ, kind) for typ, kind, *_ in faults] == [("A2xT1:sc", "central")] * 4
@@ -357,14 +371,18 @@ def test_a_certificate_without_the_omega_step_passes_broken_tables(central_bases
 
 def test_generation_reaches_only_through_one_nonzero_term():
     # [e_0, e_1] = e_2 + e_1 puts e_1 + e_2 in the generated subalgebra,
-    # not e_2; a zero coefficient is no term.
-    def generates(out):
-        return chevalley._generates(chevalley._signed_rows({(0, 1): out}, 3), [0, 1])
+    # not e_2; a zero coefficient is no term.  The rows of the certificate
+    # and the signed rows of the old one agree.
+    def both(out):
+        rows = [[(1, k, c) for k, c in out.items()], [(0, k, -c) for k, c in out.items()], []]
+        new, old = chevalley._generates(rows, [0, 1]), generates(signed_rows({(0, 1): out}, 3), [0, 1])
+        assert new == old
+        return new
 
-    assert generates({2: 1})
-    assert generates({2: -2, 1: 0})
-    assert not generates({2: 1, 1: 1})
-    assert not generates({2: 0})
+    assert both({2: 1})
+    assert both({2: -2, 1: 0})
+    assert not both({2: 1, 1: 1})
+    assert not both({2: 0})
 
 
 def test_a_zeroed_constant_that_cuts_a_root_vector_off_is_refused():
@@ -375,15 +393,14 @@ def test_a_zeroed_constant_that_cuts_a_root_vector_off_is_refused():
     ((theta, c),) = base.table[key].items()
     assert c == 1
     L = perturbed(base, key, theta, -1)
-    assert certificate(L)[0] is False
-    # Generation fails first, so the only derivation test runs on every
-    # basis element.
-    with mock.patch.object(chevalley, "_derivations", wraps=chevalley._derivations) as derivations:
+    assert generator_certificate(L)[0] is False
+    # Generation fails first, so no half generator is tested; the sweep
+    # tests each basis element in order up to the witness's first.
+    with mock.patch.object(chevalley, "_jacobiator", wraps=chevalley._jacobiator) as jacobiator:
         witness = chevalley.jacobi_witness(L)
-    assert derivations.call_count == 1
-    assert derivations.call_args.args[1] == range(L.dim)
     assert witness is not None
-    assert witness == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
+    assert [call.args[2] for call in jacobiator.call_args_list] == list(range(witness[0] + 1))
+    assert witness == ordered_sweep(L) == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
 
 
 @pytest.mark.parametrize("typ", ORACLE_TYPES + ["D5:sc", "E6:sc"])
@@ -411,15 +428,58 @@ def test_the_triple_walk_matches_the_pairwise_builder(typ):
     assert L.table == table
 
 
+def by_vectors(d, ntab):
+    """The index-keyed table and triples of ntab, with each root index
+    replaced by its root vector, in the layout of VectorNTable."""
+    r = d.roots
+    return ({(r[a], r[b]): n for (a, b), n in ntab.table.items()},
+            [(r[a], r[b], n, n_bc, n_ca) for a, b, _, n, n_bc, n_ca in ntab.triples])
+
+
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
 def test_fill_matches_the_three_difference_sweep(typ):
     d = build(typ)
     pos, simple = rootdatum.positive_system(d)
     ntab = chevalley._NTable(d, pos, simple)
-    old = copy.copy(ntab)
+    old = VectorNTable(d, pos, simple)
     old.table = {}
     legacy_fill(old)
-    assert old.table == ntab.table
+    assert old.table == by_vectors(d, ntab)[0]
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
+def test_the_index_table_matches_the_vector_table(typ):
+    # Same constants, same triples in the same order, and the same
+    # positive order; a + b of each triple is the root of index s.
+    d = build(typ)
+    pos, simple = rootdatum.positive_system(d)
+    new, old = chevalley._NTable(d, pos, simple), VectorNTable(d, pos, simple)
+    assert by_vectors(d, new) == (old.table, old.triples)
+    assert [d.roots[i] for i in new.positives] == sorted(old.pos, key=old.order.get)
+    assert all(d.roots[s] == tuple(map(sum, zip(d.roots[a], d.roots[b]))) for a, b, s, *_ in new.triples)
+    assert [d.roots[i] for i in new.neg] == [tuple(-x for x in r) for r in d.roots]
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "B3:sc", "C4:adj", "D5:sc", "F4:sc", "G2:sc", "E8:sc", "B2xA1:sc"])
+def test_root_codes_are_exact_on_every_lookup(typ):
+    # The fill looks up a +- b and the string b - p a up to p = 4: each code
+    # is a root's code exactly when the vector is that root.
+    d = build(typ)
+    pos, simple = rootdatum.positive_system(d)
+    ntab = chevalley._NTable(d, pos, simple)
+    by_vec = {r: i for i, r in enumerate(d.roots)}
+    for a, ra in enumerate(d.roots):
+        for b, rb in enumerate(d.roots):
+            for p in (-1, 1, 2, 3, 4):
+                v = tuple(y - p * x for x, y in zip(ra, rb))
+                assert ntab.by_code.get(ntab.code[b] - p * ntab.code[a]) == by_vec.get(v), (typ, ra, rb, p)
+
+
+def test_a_root_off_the_simple_lattice_is_refused():
+    # Root 2 pairs to 1 with the simple coroot of A = [[2]]: coordinate 1/2.
+    d = rootdatum.RootDatum(rank=1, roots=((2,), (-2,), (1,)), coroots=((1,), (-1,), (1,)))
+    with pytest.raises(ValueError, match=re.escape("(1,) is not an integral combination")):
+        chevalley._NTable(d, [0], [0])
 
 
 @pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A1xT1:sc"])
@@ -462,10 +522,11 @@ def test_a_non_integral_structure_constant_is_refused():
     a, b = next(iter(ntab.table))
     assert type(ntab.table[a, b]) is int
     old = FractionNTable(d, pos, simple)
-    assert old.constant(a, b) == ntab.table[a, b]
-    old.table[(a, b)] = Fraction(1, 2)
+    ra, rb = d.roots[a], d.roots[b]
+    assert old.constant(ra, rb) == ntab.table[a, b]
+    old.table[(ra, rb)] = Fraction(1, 2)
     with pytest.raises(ValueError, match="non-integral"):
-        old.constant(a, b)
+        old.constant(ra, rb)
 
 
 def test_simple_coordinates_are_ints_or_refused():

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -67,6 +68,25 @@ def test_good_isomorphism_fixes_coroots_and_generators():
     # h_alpha goes to the dual coroot through the index-identity map.
     ri = pair.L.simple_indices[0]
     assert pair.L.coroot_coords[ri] == pair.Ldual.coroot_coords[ri]
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "A1xT1:sc", "D4:adj"])
+def test_the_dual_takes_the_killing_matrix_only_after_the_table_check(typ):
+    # Equal tables have equal trace forms, so Ldual shares L's once
+    # good_isomorphism has compared the tables; before that it has none.
+    seen = []
+
+    def spy(L, Ldual):
+        seen.append(Ldual._killing)
+        return good_isomorphism(L, Ldual)
+
+    with mock.patch.object(tduality, "good_isomorphism", spy):
+        pair = build_pair(build(typ))
+    assert seen == [None]
+    assert pair.Ldual.killing_matrix() is pair.L.killing_matrix()
+    own = copy.copy(pair.Ldual)
+    own._killing = None
+    assert own.killing_matrix() == pair.L.killing_matrix()
 
 
 def test_phi_commutes_with_dualize():
