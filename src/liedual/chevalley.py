@@ -34,7 +34,7 @@ class ReductiveLieAlgebra:
         self.table = table                      # {(i, j) i<j: {k: int}}
         self.radical_basis = radical_basis      # integer vectors in Lambda
         self.simple_indices = tuple(simple_indices)
-        self.coroot_coords = coroot_coords      # root index -> coords in simple coroots
+        self.coroot_coords = coroot_coords      # root index -> int coords in simple coroots, off the pairing
         self._killing = None
 
     # -- bracket ----------------------------------------------------------
@@ -91,24 +91,15 @@ class ReductiveLieAlgebra:
 # Structure constants
 
 
-def _simple_coords(vectors, simple_indices, targets):
-    """Integer coordinates of each target in the simple members of vectors
-    (the roots or the coroots of a datum), from one integer solve for the
-    batch; raises ValueError unless every target lies in their integer
-    span."""
-    coords = exactlin.integer_coordinates([vectors[s] for s in simple_indices], targets)
-    for t, x in zip(targets, coords):
-        if x is None:
-            raise ValueError(f"{t} is not an integral combination of the simple vectors")
-    return coords
-
-
 class _NTable:
     """Chevalley constants N_{a,b} for every root pair with a+b a root,
     keyed by root index.
 
-    The simple-root coordinates c of each root are read off the pairing,
-    c = A^-1 (P[s][b])_s with A the Cartan matrix, and the root is coded as
+    The simple-root coordinates c of each root b are read off the pairing,
+    c = A^-1 (P[s][b])_s with A = (P[s][t]) the Cartan matrix over the
+    simple s, t, and so are the simple-coroot coordinates of its coroot,
+    (A^-1)^T (P[b][s])_s: the simple coroots of a valid datum are a base of
+    its coroot system, so they span every coroot.  The root is coded as
     the int sum_k M^k c_k, so -a, a + b and root strings are int sums and
     dict lookups.  M = 6 max|c| + 1 keeps this exact: a combination looked
     up (b - 4a, ending a root string in _p, is the longest) differs from a
@@ -125,12 +116,11 @@ class _NTable:
         P = datum.pairing
         self.roots = datum.roots
         X, den = exactlin.integer_inverse([[P[s][t] for t in simple_indices] for s in simple_indices])
-        coords = []
-        for r, v in zip(datum.roots, zip(*(P[s] for s in simple_indices))):
-            c = [divmod(sum(map(mul, x, v)), den) for x in X]
-            if any(rem for _, rem in c):
-                raise ValueError(f"{r} is not an integral combination of the simple vectors")
-            coords.append(tuple(q for q, _ in c))
+        refuse = "{} is not an integral combination of the simple vectors".format
+        coords = exactlin.exact_quotients(X, den, zip(*(P[s] for s in simple_indices)),
+                                          lambda i: refuse(datum.roots[i]))
+        self.coroot_coords = exactlin.exact_quotients(list(zip(*X)), den, ([row[s] for s in simple_indices] for row in P),
+                                                      lambda i: refuse(datum.coroots[i]))
         M = 6 * max((abs(x) for c in coords for x in c), default=0) + 1
         powers = [M ** k for k in range(len(simple_indices))]
         self.code = [sum(map(mul, powers, c)) for c in coords]
@@ -235,9 +225,8 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
         + [("x", ri) for ri in root_order]
     )
 
-    # Coroot coordinates in the simple-coroot basis.
-    coroots = [d.coroots[ri] for ri in root_order]
-    coroot_coords = dict(zip(root_order, _simple_coords(d.coroots, simple_indices, coroots)))
+    # Coroot coordinates in the simple-coroot basis, in basis order.
+    coroot_coords = {ri: ntab.coroot_coords[ri] for ri in root_order}
 
     table = {}
     # [h, x_alpha] = alpha(h) x_alpha ; the radical brackets to zero.

@@ -2,8 +2,10 @@
 
 Inputs are ints or ``fractions.Fraction``s; every elimination runs on
 integer rows (denominators cleared, fraction-free steps), and Fractions are
-built only for returned quotients.  Matrices and vectors are plain lists;
-nothing here ever rounds.
+built only for returned quotients.  Coordinates in a square integer basis
+come from one ``integer_inverse`` of it and ``exact_quotients``, which
+refuses a remainder.  Matrices and vectors are plain lists; nothing here
+ever rounds.
 """
 
 from fractions import Fraction
@@ -81,8 +83,11 @@ def solve_exact(A, b):
 def integer_inverse(A):
     """(X, den) with X = den * A^-1 an int matrix and den > 0 the lcm of
     the pivots, from one integer elimination of [A | I]; A is a square
-    int matrix and ValueError is raised when it is singular."""
+    int matrix, and ValueError is raised when it is not square or is
+    singular."""
     k = len(A)
+    if any(len(row) != k for row in A):
+        raise ValueError("integer_inverse requires a square matrix")
     R = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(A)]
     if _eliminate(R) != list(range(k)):
         raise ValueError("matrix is singular")
@@ -90,31 +95,15 @@ def integer_inverse(A):
     return [[x * (den // row[i]) for x in row[k:]] for i, row in enumerate(R)], den
 
 
-def integer_coordinates(V, targets):
-    """Integer coordinates x of each target t in the rows of V (t = sum_i
-    x_i V_i), or None for a target outside their integer span.
-
-    The rows of V must be independent.  One integer elimination inverts the
-    Gram matrix G = V V^T, scaled to ints by the lcm of its pivots; each
-    target is then solved in ints from G x = V t, and the x found is kept
-    only when it gives back t.  That test decides membership on its own:
-    the solution is unique, so a quotient that is not exact, or the
-    projection of a target outside the span of V, cannot give back t.
-    """
-    inv, den = [], 1
-    if V:
-        G = [[sum(map(mul, u, v)) for v in V] for u in V]
-        try:
-            inv, den = integer_inverse(G)                  # den * G^-1
-        except ValueError:
-            raise ValueError("basis rows are linearly dependent") from None
-    cols = list(zip(*V))
+def exact_quotients(X, den, vectors, refusal):
+    """The int tuples X v / den for v in vectors.  A quotient with a
+    remainder raises ValueError(refusal(i)), i the index of its vector."""
     out = []
-    for t in targets:
-        Vt = [sum(map(mul, v, t)) for v in V]
-        x = tuple(sum(map(mul, row, Vt)) // den for row in inv)
-        back = [sum(map(mul, x, col)) for col in cols] if V else [0] * len(t)
-        out.append(x if back == list(t) else None)
+    for i, v in enumerate(vectors):
+        q = [divmod(sum(map(mul, row, v)), den) for row in X]
+        if any(r for _, r in q):
+            raise ValueError(refusal(i))
+        out.append(tuple(x for x, _ in q))
     return out
 
 

@@ -362,7 +362,6 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
         B = [[_require_int(x, "custom basis entry") for x in row] for row in desc.custom_basis]
         if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
             raise ValueError("custom basis must be square of semisimple rank")
-        _check_between_lattices(B, blocks, ss_rank)
     else:
         B = [[0] * ss_rank for _ in range(ss_rank)]
         off = 0
@@ -373,6 +372,16 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
                     # the Cartan rows.  adj: lattice basis = coweights.
                     B[off + i][off + j] = A[i][j] if iso == "sc" else (1 if i == j else 0)
             off += n
+    # Coordinates x in B of a coweight vector cw (x B = cw) are cw (den B^-1)
+    # / den, from one integer inverse; the columns of den B^-1 are the rows
+    # of Bt.
+    try:
+        X, den = exactlin.integer_inverse(B)
+    except ValueError:
+        raise ValueError("custom basis is singular") from None
+    Bt = list(zip(*X))
+    if desc.custom_basis is not None:
+        _check_between_lattices(Bt, den, blocks, ss_rank)
 
     # Each coroot in coweight coordinates of the block is m . A (rows of A
     # are the simple coroots in coweight coordinates); the root has simple
@@ -391,9 +400,7 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
         off += n
     # Express each coroot in the lattice basis B (it must be integral) and
     # each root in the dual basis of B: y = B . c.
-    coroots = exactlin.integer_coordinates(B, coweights)
-    if None in coroots:
-        raise ValueError("coroot does not lie in the chosen lattice")
+    coroots = exactlin.exact_quotients(Bt, den, coweights, lambda i: "coroot does not lie in the chosen lattice")
     torus = (0,) * desc.torus_rank
     roots = [tuple(sum(map(mul, row, rt)) for row in B) + torus for rt in root_coords]
     coroots = [x + torus for x in coroots]
@@ -402,10 +409,10 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
     return RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), label=label)
 
 
-def _check_between_lattices(B, blocks, ss_rank):
-    """Custom lattice must satisfy Z-span(coroots) <= Lambda <= coweights."""
-    if exactlin.det_exact(B) == 0:
-        raise ValueError("custom basis is singular")
+def _check_between_lattices(Bt, den, blocks, ss_rank):
+    """Custom lattice must satisfy Z-span(coroots) <= Lambda <= coweights:
+    the simple coroots have integer coordinates x = cw Bt^T / den in the
+    basis B, with (Bt, den) from the transposed integer inverse of B."""
     # Simple coroot rows in coweight coordinates.
     simple_coroots = []
     off = 0
@@ -415,8 +422,8 @@ def _check_between_lattices(B, blocks, ss_rank):
             cw[off : off + n] = A[i]
             simple_coroots.append(cw)
         off += n
-    if None in exactlin.integer_coordinates(B, simple_coroots):
-        raise ValueError("custom lattice does not contain the coroot lattice")
+    exactlin.exact_quotients(Bt, den, simple_coroots,
+                             lambda i: "custom lattice does not contain the coroot lattice")
 
 
 def _descriptor_label(desc):

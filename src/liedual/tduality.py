@@ -422,7 +422,10 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     angle positivity, flux equation, then the flux and integrality checks
     again for each requested nonzero integer scale n, on n*phi and n*M.
     phi is walked once: its failing triple and value give those of n*phi.
+    A zero scale is refused before anything is validated or built.
     """
+    if 0 in scales:
+        raise ValueError("scale must be a nonzero integer")
     rep = rootdatum.validate(d)
     if not rep.ok:
         raise ValueError(f"invalid root datum: {rep.as_dict()}")
@@ -443,8 +446,6 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     failure = _flux_failure(pairobj, phi)
     report.checks.append(_flux_record(pairobj, failure, 1, t0))
     for n in scales:
-        if n == 0:
-            raise ValueError("scale must be a nonzero integer")
         report.scaled_n.append(n)
         rec = _flux_record(pairobj, failure, n, time.monotonic())
         rec.name = f"flux_equation[scale={n}]"

@@ -6,19 +6,20 @@ identity, the bilinear bracket, the flux residual off span(S), closedness
 and invariance of forms, the Cartan-matrix ADE test, the N-table with
 Fraction ratio steps and the pairwise structure-table builder, the
 eigen-relation loop over every pairing entry, the Fraction rref, the
-per-unit Cartan solve and lattice pairing, the gathering differential,
-phi composed from pullbacks, F summed from extended-root 1-forms, the
-dense spanning set, the N-table keyed by root vectors, the Jacobi
+Gram solve of integer coordinates, the per-unit Cartan solve and lattice
+pairing, the gathering differential, phi composed from pullbacks, F summed
+from extended-root 1-forms, the dense spanning set, the N-table keyed by root vectors, the Jacobi
 certificate that scanned every basis element for each generator, the
 product's shifted bracket iterator, and two small matrix helpers.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
-from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution, _simple_coords
-from liedual.exactlin import det_exact, integer_kernel, solve_exact
+from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
+from liedual.exactlin import det_exact, integer_inverse, integer_kernel, solve_exact
 from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
 from liedual.tduality import ProductAlgebra, ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
 
@@ -78,8 +79,51 @@ def rref_solve(A, b):
     return x
 
 
+def integer_coordinates(V, targets):
+    """Integer coordinates x of each target t in the rows of V (t = sum_i
+    x_i V_i), or None for a target outside their integer span: the Gram
+    solve that the coroot coordinates and build_from_dynkin used before
+    they read one integer inverse of a square basis.
+
+    The rows of V must be independent.  One integer elimination inverts the
+    Gram matrix G = V V^T, scaled to ints by the lcm of its pivots; each
+    target is then solved in ints from G x = V t, and the x found is kept
+    only when it gives back t.  That test decides membership on its own:
+    the solution is unique, so a quotient that is not exact, or the
+    projection of a target outside the span of V, cannot give back t.
+    """
+    inv, den = [], 1
+    if V:
+        G = [[sum(map(mul, u, v)) for v in V] for u in V]
+        try:
+            inv, den = integer_inverse(G)                  # den * G^-1
+        except ValueError:
+            raise ValueError("basis rows are linearly dependent") from None
+    cols = list(zip(*V))
+    out = []
+    for t in targets:
+        Vt = [sum(map(mul, v, t)) for v in V]
+        x = tuple(sum(map(mul, row, Vt)) // den for row in inv)
+        back = [sum(map(mul, x, col)) for col in cols] if V else [0] * len(t)
+        out.append(x if back == list(t) else None)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Root data
+
+
+def simple_coords(vectors, simple_indices, targets):
+    """Integer coordinates of each target in the simple members of vectors
+    (the roots or the coroots of a datum), from one Gram solve for the
+    batch; raises ValueError unless every target lies in their integer
+    span.  The reference for the coordinates _NTable reads off the
+    pairing."""
+    coords = integer_coordinates([vectors[s] for s in simple_indices], targets)
+    for t, x in zip(targets, coords):
+        if x is None:
+            raise ValueError(f"{t} is not an integral combination of the simple vectors")
+    return coords
 
 
 def cartan_is_ade(d: RootDatum) -> bool:
@@ -172,7 +216,7 @@ class FractionNTable:
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: sum(v * v for v in datum.pairing[i]) for i in range(datum.nroots)}
         pos = list(self.pos)
-        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
+        self.coords = dict(zip(pos, simple_coords(datum.roots, simple_indices, pos)))
         self.order = {v: (sum(self.coords[v]), self.coords[v]) for v in self.pos}
         self.table = {}
         self._fill()
@@ -258,7 +302,7 @@ class VectorNTable:
         self.pos = set(datum.roots[i] for i in pos_indices)
         self.K = {datum.roots[i]: sum(v * v for v in datum.pairing[i]) for i in range(datum.nroots)}
         pos = list(self.pos)
-        self.coords = dict(zip(pos, _simple_coords(datum.roots, simple_indices, pos)))
+        self.coords = dict(zip(pos, simple_coords(datum.roots, simple_indices, pos)))
         self.order = {v: (sum(self.coords[v]), self.coords[v]) for v in self.pos}
         self.table = {}     # (a, b) -> N_{a,b}, both orders, all signs
         self.triples = []   # (a, b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
@@ -341,7 +385,7 @@ def pairwise_structure_table(d: RootDatum):
     )
     index = {lab: i for i, lab in enumerate(labels)}
     coroots = [d.coroots[ri] for ri in root_order]
-    coroot_coords = dict(zip(root_order, _simple_coords(d.coroots, simple_indices, coroots)))
+    coroot_coords = dict(zip(root_order, simple_coords(d.coroots, simple_indices, coroots)))
 
     table = {}
 
@@ -571,7 +615,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
     chain = _chain_order(L)
     # Each root of A_{n-1} is an interval sum of chain-ordered simple
     # roots: coords with c_k = 1 for a <= k < b give the matrix unit E_ab.
-    coords_all = _simple_coords(d.roots, L.simple_indices, d.roots)
+    coords_all = simple_coords(d.roots, L.simple_indices, d.roots)
     perm = []
     for lab in oracle.labels:
         if lab[0] == "h":

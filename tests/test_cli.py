@@ -198,6 +198,12 @@ def test_the_parser_is_built_once(capsys):
     assert spy.ArgumentParser.call_count == 1
 
 
+@pytest.mark.parametrize("typ", ["E8:sc", "B2:sc"])
+def test_a_zero_scale_exits_2_before_the_run(capsys, typ):
+    code, out, err = run(capsys, "verify", "--type", typ, "--scale", "2", "--scale", "0", "--no-timing")
+    assert (code, out, err) == (2, "", "error: scale must be a nonzero integer\n")
+
+
 def test_scale_lists_are_not_shared_between_calls(capsys):
     for argv, scaled in ((["--scale", "2"], [2]), ([], [])):
         code, out, _ = run(capsys, "verify", "--type", "A1:sc", *argv, "--no-timing")

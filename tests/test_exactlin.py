@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import exactlin
-from oracles import mat_vec, rref, rref_solve
+from oracles import integer_coordinates, mat_vec, rref, rref_solve
 
 
 def rank_exact(A):
@@ -103,7 +103,7 @@ def test_integer_kernel():
 
 def solve_exact_coordinates(V, t):
     """Integer coordinates of t in the rows of V from one Fraction solve of
-    V^T x = t, or None: the oracle for exactlin.integer_coordinates."""
+    V^T x = t, or None: the oracle for the Gram solve integer_coordinates."""
     x = exactlin.solve_exact([list(col) for col in zip(*V)], t) if V else ([] if not any(t) else None)
     if x is None or any(c.denominator != 1 for c in x):
         return None
@@ -134,17 +134,17 @@ def basis_and_targets(draw):
 @given(case=basis_and_targets())
 def test_integer_coordinates_match_one_fraction_solve_per_target(case):
     V, targets = case
-    assert exactlin.integer_coordinates(V, targets) == [solve_exact_coordinates(V, t) for t in targets]
+    assert integer_coordinates(V, targets) == [solve_exact_coordinates(V, t) for t in targets]
 
 
 def test_integer_coordinates_refuse_non_integral_and_outside_targets():
     V = [[2, 0, 0], [0, 1, 1]]
-    assert exactlin.integer_coordinates(V, [(4, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 0)]) == [
+    assert integer_coordinates(V, [(4, -1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 0)]) == [
         (2, -1), None, None, (0, 0)]
-    assert exactlin.integer_coordinates([], [(0, 0), (1, 0)]) == [(), None]
-    assert exactlin.integer_coordinates(V, []) == []
+    assert integer_coordinates([], [(0, 0), (1, 0)]) == [(), None]
+    assert integer_coordinates(V, []) == []
     with pytest.raises(ValueError, match="linearly dependent"):
-        exactlin.integer_coordinates([[1, 2], [2, 4]], [(1, 2)])
+        integer_coordinates([[1, 2], [2, 4]], [(1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def rref_inverse_coordinates(V, targets):
 @given(case=basis_and_targets())
 def test_integer_coordinates_match_the_fraction_rref_inverse(case):
     V, targets = case
-    assert exactlin.integer_coordinates(V, targets) == rref_inverse_coordinates(V, targets)
+    assert integer_coordinates(V, targets) == rref_inverse_coordinates(V, targets)
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,3 +226,42 @@ def test_integer_inverse_scales_by_the_lcm_of_the_pivots():
     # Pivots 2 and -3: den is their lcm, and a negative pivot keeps den > 0.
     assert exactlin.integer_inverse([[2, 0], [0, -3]]) == ([[3, 0], [0, -2]], 6)
     assert exactlin.integer_inverse([]) == ([], 1)
+
+
+@pytest.mark.parametrize("A", [[[1, 0, 0]], [[1, 2, 3], [0, 1, 4]], [[1], [0]], [[1, 0], [0, 1], [1, 1]], [[]]],
+                         ids=["wide-1x3", "wide-2x3", "tall-2x1", "tall-3x2", "1x0"])
+def test_integer_inverse_refuses_a_non_square_matrix(A):
+    # Unchecked, the elimination of [A | I] reads a wide A's pivots as an
+    # "inverse", e.g. ([[0, 0, 1]], 1) for [[1, 0, 0]].
+    with pytest.raises(ValueError, match="integer_inverse requires a square matrix"):
+        exactlin.integer_inverse(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=linear_systems())
+def test_exact_quotients_solve_in_the_integer_inverse(case):
+    # Coordinates x of t in the rows of a square int basis B (x B = t) are
+    # t (den B^-1) / den; a target off the integer span is refused, exactly
+    # where the Gram oracle gives None.
+    B = [[x.numerator for x in row] for row in case[0]]
+    n = len(B)
+    if any(len(row) != n for row in B) or rank_exact(B) < n:
+        return
+    X, den = exactlin.integer_inverse(B)
+    Bt = [list(col) for col in zip(*X)]
+    targets = [[x.numerator for x in row] for row in case[0]] + [[x.numerator for x in case[1]]]
+    for t, expected in zip(targets, integer_coordinates(B, targets)):
+        if expected is None:
+            with pytest.raises(ValueError, match="off the lattice 0"):
+                exactlin.exact_quotients(Bt, den, [t], lambda i: f"off the lattice {i}")
+        else:
+            (x,) = exactlin.exact_quotients(Bt, den, [t], lambda i: "unreachable")
+            assert x == expected and all(type(v) is int for v in x)
+
+
+def test_an_inexact_quotient_is_refused_with_the_index_of_its_vector():
+    X, den = exactlin.integer_inverse([[2, 0], [0, 1]])          # ([[1, 0], [0, 2]], 2)
+    assert exactlin.exact_quotients(X, den, [(4, 3), (-2, 0)], str) == [(2, 3), (-1, 0)]
+    with pytest.raises(ValueError, match="^1$"):
+        exactlin.exact_quotients(X, den, [(4, 3), (1, 0), (3, 0)], str)
+    assert exactlin.exact_quotients([], 1, [(), ()], str) == [(), ()]

@@ -1,10 +1,12 @@
 """The integer datum layer against the Fraction code it replaced, kept as
 oracles: build_from_dynkin with one Fraction solve per root, the N-table
-with Fraction ratio steps (in oracles.py), and central_free_rank from a
-Fraction rank.  All must agree on every A-G type up to rank 8, on
-products, tori and custom lattices, and under changes of lattice basis."""
+with Fraction ratio steps and the Gram solve of simple coordinates (in
+oracles.py), and central_free_rank from a Fraction rank.  All must agree on
+every A-G type up to rank 8, on products, tori and custom lattices, and
+under changes of lattice basis."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import chevalley, exactlin, rootdatum
-from oracles import FractionNTable
+from oracles import FractionNTable, simple_coords
 from test_exactlin import rank_exact
-from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
+from test_rootdatum import FAMILY_RANKS, RANK8_TYPES, change_basis, small_data, unimodular_pair
 
 
 def legacy_build_from_dynkin(desc):
@@ -133,6 +135,7 @@ CUSTOM_LATTICES = [
     (intermediate("A1xA1xT1", (0, 1)), [2]),
     (intermediate("B3xG2"), []),
     (intermediate("C3", (0,), (1,), (2,)), [2]),
+    (rootdatum.DynkinDescriptor((("A", 1, "sc"), ("A", 1, "sc")), 0, ((1, 0), (0, 1))), [2, 2]),
 ]
 
 
@@ -226,3 +229,101 @@ def test_a_non_integral_ratio_step_is_refused():
             assert any(f"non-integral structure constant N{pair} = " in str(exc) for pair in ((rb, rc), (rc, ra)))
             outcomes.append(ValueError)
     assert set(outcomes) == {int, ValueError}
+
+
+# ---------------------------------------------------------------------------
+# One integer inverse per basis: the coroot coordinates read off the pairing
+# and build_from_dynkin's lattice coordinates against the Gram solve
+
+
+def assert_coroot_coords_match_the_gram_solve(d):
+    pos, simple = rootdatum.positive_system(d)
+    coords = chevalley._NTable(d, pos, simple).coroot_coords
+    assert coords == simple_coords(d.coroots, simple, d.coroots)
+    assert all(type(x) is int for c in coords for x in c)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_coroot_coordinates_match_the_gram_solve(typ):
+    d = build(typ)
+    for x in (d, rootdatum.dualize(d), rootdatum.canonicalize(d), rootdatum.canonicalize(rootdatum.dualize(d))):
+        assert_coroot_coords_match_the_gram_solve(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_coroot_coordinates_match_the_gram_solve_in_any_lattice_basis(d, data):
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    for x in (e, rootdatum.dualize(e)):
+        assert_coroot_coords_match_the_gram_solve(x)
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:adj x T2", "B3xG2", "E6:sc", "A1xT1:sc", "T1"])
+def test_the_algebra_takes_the_coroot_coordinates_of_its_n_table(typ):
+    d = build(typ)
+    L = chevalley.build_lie_algebra(d)
+    roots = [ri for kind, ri in L.labels if kind == "x"]
+    assert list(L.coroot_coords) == roots
+    assert list(L.coroot_coords.values()) == simple_coords(d.coroots, L.simple_indices, [d.coroots[ri] for ri in roots])
+
+
+def test_coroots_off_a_root_system_never_reach_the_pairing_coordinates():
+    # h_-a = (-1, 0) is not -h_a = (-1, -1), but every pairing matches A1's,
+    # so the coordinates read off the pairing would call it -h_a; the Gram
+    # solve sees that it is off the span of h_a.  validate refuses the
+    # datum (reflecting h_-a in a gives (1, 2)), so no algebra is built.
+    bad = rootdatum.RootDatum(rank=2, roots=((2, 0), (-2, 0)), coroots=((1, 1), (-1, 0)))
+    assert bad.pairing == ((2, -2), (-2, 2))
+    rep = rootdatum.validate(bad)
+    assert not rep.ok and not rep.reflection
+    with pytest.raises(ValueError, match="invalid root datum"):
+        chevalley.build_lie_algebra(bad)
+    pos, simple = rootdatum.positive_system(bad)
+    coords = chevalley._NTable(bad, pos, simple).coroot_coords
+    assert sorted(coords) == [(-1,), (1,)]
+    with pytest.raises(ValueError, match="is not an integral combination"):
+        simple_coords(bad.coroots, simple, bad.coroots)
+
+
+def test_a_coroot_off_the_lattice_is_refused_without_the_custom_basis_check():
+    # A2 on the basis (3 w1, w2): the coroot a1 = 2 w1 - w2 has coordinate
+    # 2/3 on 3 w1.  With the containment check patched out, the coroot
+    # coordinates refuse it on their own.
+    desc = rootdatum.DynkinDescriptor((("A", 2, "sc"),), 0, ((3, 0), (0, 1)))
+    with mock.patch.object(rootdatum, "_check_between_lattices", lambda *args: None):
+        with pytest.raises(ValueError, match="coroot does not lie in the chosen lattice"):
+            rootdatum.build_from_dynkin(desc)
+    with pytest.raises(ValueError, match="custom lattice does not contain the coroot lattice"):
+        rootdatum.build_from_dynkin(desc)
+
+
+@pytest.mark.parametrize("desc", [rootdatum.parse_descriptor(t) for t in ("E6:sc", "D4:adj x T2", "B3xG2", "T2")]
+                         + [desc for desc, _ in CUSTOM_LATTICES])
+def test_build_from_dynkin_runs_one_elimination_and_no_determinant(desc):
+    with mock.patch.object(exactlin, "_eliminate", wraps=exactlin._eliminate) as spy, \
+            mock.patch.object(exactlin, "det_exact", wraps=exactlin.det_exact) as dets:
+        rootdatum.build_from_dynkin(desc)
+    assert (spy.call_count, dets.call_count) == (1, 0)
+
+
+def built_or_refused(builder, desc):
+    try:
+        return builder(desc)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_custom_basis_builds_as_the_fraction_build(data):
+    # Random integer bases of rank <= 3: singular ones, ones that miss the
+    # coroot lattice and intermediate lattices, each with or without a torus.
+    factors, rank = [], 0
+    while rank == 0 or (rank < 3 and data.draw(st.booleans())):
+        fam, n = data.draw(st.sampled_from([fr for fr in FAMILY_RANKS if fr[1] <= 3 - rank]))
+        factors.append((fam, n, "sc"))
+        rank += n
+    basis = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                               min_size=rank, max_size=rank))
+    desc = rootdatum.DynkinDescriptor(tuple(factors), data.draw(st.integers(0, 1)), tuple(map(tuple, basis)))
+    assert built_or_refused(rootdatum.build_from_dynkin, desc) == built_or_refused(legacy_build_from_dynkin, desc)

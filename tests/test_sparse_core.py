@@ -2,8 +2,9 @@
 and the N-table against the loops and tables they replaced, kept here or
 in oracles.py: all must agree on passing types and on seeded defects.
 Also checks that the Chevalley core stores plain ints, that a non-integral
-value is refused rather than truncated, and that the batched
-simple-coordinate solve matches one solve per vector."""
+value is refused rather than truncated, and that the Gram solve of simple
+coordinates (the oracle for the coordinates read off the pairing) matches
+one solve per vector."""
 
 import copy
 import re
@@ -532,17 +533,17 @@ def test_a_non_integral_structure_constant_is_refused():
 def test_simple_coordinates_are_ints_or_refused():
     d = build("A2:sc")
     _, simple = rootdatum.positive_system(d)
-    assert all(type(c) is int for coords in chevalley._simple_coords(d.roots, simple, d.roots) for c in coords)
+    assert all(type(c) is int for coords in oracles.simple_coords(d.roots, simple, d.roots) for c in coords)
     # (1, 0) is a weight of A2:sc but not in the root lattice: coordinates 2/3, 1/3.
     with pytest.raises(ValueError, match=re.escape("(1, 0) is not an integral combination")):
-        chevalley._simple_coords(d.roots, simple, [d.roots[0], (1, 0), d.roots[1]])
+        oracles.simple_coords(d.roots, simple, [d.roots[0], (1, 0), d.roots[1]])
     t = build("A1xT1:sc")
     _, simple = rootdatum.positive_system(t)
     # (1, 0) is non-integral, (0, 1) lies outside the span of the roots.
     for v in ((1, 0), (0, 1)):
         with pytest.raises(ValueError, match=re.escape(f"{v} is not an integral combination")):
-            chevalley._simple_coords(t.roots, simple, list(t.roots) + [v])
-    assert chevalley._simple_coords(t.roots, simple, []) == []
+            oracles.simple_coords(t.roots, simple, list(t.roots) + [v])
+    assert oracles.simple_coords(t.roots, simple, []) == []
 
 
 def per_vector_simple_coords(vectors, simple_indices, v):
@@ -560,15 +561,15 @@ def test_batched_simple_coordinates_match_one_solve_per_vector(typ):
     _, simple = rootdatum.positive_system(d)
     for vectors in (d.roots, d.coroots):
         expected = [per_vector_simple_coords(vectors, simple, v) for v in vectors]
-        assert chevalley._simple_coords(vectors, simple, vectors) == expected
+        assert oracles.simple_coords(vectors, simple, vectors) == expected
 
 
 def test_build_lie_algebra_runs_one_elimination_per_coordinate_batch():
-    # One integer elimination for the simple-root coordinates of the
-    # positive roots and one for the simple-coroot coordinates of all
-    # coroots; no Fraction solve.
+    # One integer inverse of the Cartan matrix gives the simple-root
+    # coordinates of every root and the simple-coroot coordinates of every
+    # coroot; no Fraction solve.
     d = build("E6:sc")
     with mock.patch.object(exactlin, "_eliminate", wraps=exactlin._eliminate) as spy, \
             mock.patch.object(exactlin, "solve_exact", wraps=exactlin.solve_exact) as solves:
         build_lie_algebra(d)
-    assert (spy.call_count, solves.call_count) == (2, 0)
+    assert (spy.call_count, solves.call_count) == (1, 0)

@@ -310,6 +310,19 @@ def test_scale_zero_is_rejected():
         verify_all(build("A1:sc"), scales=(0,))
 
 
+@pytest.mark.parametrize("typ,scales", [("E8:sc", (0,)), ("A1xT1:sc", (2, 0, -1)), ("B2:sc", (0,))])
+def test_a_zero_scale_is_refused_before_anything_is_validated_or_built(typ, scales):
+    # B2 stops at ade_symmetry, and E8 builds two algebras and phi: the
+    # scales are read before either.
+    d = build(typ)
+    with mock.patch.object(rootdatum, "validate", wraps=rootdatum.validate) as validates, \
+            mock.patch.object(tduality, "build_lie_algebra", wraps=tduality.build_lie_algebra) as builds:
+        with pytest.raises(ValueError, match="^scale must be a nonzero integer$"):
+            verify_all(d, scales=scales)
+    assert (validates.call_count, builds.call_count) == (0, 0)
+    assert "axioms" not in d.__dict__
+
+
 def test_report_schema_and_determinism():
     rep1 = verify_all(build("A2:sc")).as_dict(timing=False)
     rep2 = verify_all(build("A2:sc")).as_dict(timing=False)
