@@ -9,7 +9,6 @@ the T-duality definition as an exact algebraic identity.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from operator import mul
 
@@ -57,14 +56,9 @@ class ProductPair:
     Ldual: ReductiveLieAlgebra
     product: ProductAlgebra
     iso: dict = field(default_factory=dict)                # label of g -> label of g_dual
-    F: InvariantForm = None                                # F0 + F_P on the product
-    spanning_set: list = field(default_factory=list)       # (name, {product index: coeff})
-    owner: dict = field(default_factory=dict)              # index -> (position in S, coeff)
-
-    @cached_property
-    def fiber_pairing(self):
-        """fiber_pairing_matrix, once per pair; F is fixed by build_pair."""
-        return fiber_pairing_matrix(self)
+    fiber_pairing: list = None                             # F = F0 + F_P on (z, h) x (zdual, hdual)
+    spanning_set: list = field(default_factory=list)       # B: (name, {product index: coeff})
+    owner: dict = field(default_factory=dict)              # index -> (position in B, coeff)
 
 
 def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
@@ -88,117 +82,83 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
 
 def build_pair(d: RootDatum) -> ProductPair:
     """Build g, g_dual on a shared simple system, check the isomorphism,
-    build the dualizing 2-form F = F0 + F_P, assemble the spanning set S of
-    the fiber-product tangent space, and pick the basis B of span(S) that
-    the flux check runs on."""
+    build the fiber pairing of the dualizing 2-form F = F0 + F_P, and the
+    basis B of the fiber-product tangent space span(S) that the flux check
+    runs on."""
     L = build_lie_algebra(d)
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd)
     pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
     Ldual._killing = L.killing_matrix()     # the tables are equal: one trace form
-    pairobj.F = tautological_two_form(pairobj).add(poincare_correction(pairobj))
+    pairobj.fiber_pairing = dualizing_pairing(L, Ldual)
 
-    S = []
-    basis = []
-    seen = set()
+    # S = {h[alpha], x+phix[alpha], hdual[alpha] for every root, z, zdual};
+    # h_alpha = sum_s (coroot coords of alpha)_s h_s, likewise in g_dual, so
+    # B = {h[simple], hdual[simple], x+phix[alpha], z, zdual}, in the order
+    # these have in S, spans S.  The members of B have disjoint supports
+    # covering the product, so owner maps each index to its one member.
+    B, owner = pairobj.spanning_set, pairobj.owner
 
-    def add(name, vec, in_basis):
-        key = frozenset(vec.items())
-        if key not in seen:
-            seen.add(key)
-            if in_basis:
-                basis.append(len(S))
-            S.append((name, vec))
+    def add(name, vec):
+        for i, c in vec.items():
+            owner[i] = (len(B), c)
+        B.append((name, vec))
 
-    # B = {h[simple], hdual[simple], x+phix[alpha] for every root, z, zdual};
-    # h_alpha has its simple-coroot coordinates from index h0 (hd0 in g_dual).
     n = L.dim
     h0, hd0 = len(L.radical_basis), n + len(Ldual.radical_basis)
     simple = set(L.simple_indices)
     for ri in range(d.nroots):
-        add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v}, ri in simple)
+        if ri in simple:
+            add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v})
         # X_xi + phi(X_xi); the Y-vector of xi is the X-vector of -xi.
-        add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1}, True)
-        add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v}, ri in simple)
+        add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1})
+        if ri in simple:
+            add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v})
     for k in range(len(L.radical_basis)):
-        add(f"z[{k}]", {L.index[("z", k)]: 1}, True)
-        add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1}, True)
-    pairobj.spanning_set = S
-    pairobj.owner = basis_owners(S, basis, pairobj.product.dim)
+        add(f"z[{k}]", {L.index[("z", k)]: 1})
+        add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1})
     return pairobj
-
-
-def basis_owners(S, basis, dim):
-    """Map each of the dim product indices to (position in S, coefficient)
-    of the one member of B = [S[p] for p in basis] whose support holds it;
-    each member of S is (name, {index: nonzero coefficient}).
-
-    Raises unless the supports in B are disjoint and cover every index, and
-    every other member of S is supported on indices owned by single-index
-    members of B, so that B is a basis of span(S).
-    """
-    owner = {}
-    for p in basis:
-        for i, c in S[p][1].items():
-            if i in owner:
-                raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
-            owner[i] = (p, c)
-    if len(owner) != dim:
-        raise RuntimeError(f"B covers {len(owner)} of {dim} indices")
-    single = {p for p in basis if len(S[p][1]) == 1}
-    in_basis = set(basis)
-    for p, (name, vec) in enumerate(S):
-        if p not in in_basis and any(owner[i][0] not in single for i in vec):
-            raise RuntimeError(f"{name} is not spanned by the single-index members of B")
-    return owner
 
 
 # ---------------------------------------------------------------------------
 # The dualizing 2-form
 
 
-def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
-    """F = sum over roots of (q* alpha) wedge (qdual* alpha-dual), read off
+def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
+    """The matrix of F = F0 + F_P on the Cartan bases (z, h) of g and
+    (zdual, hdual) of g_dual; F vanishes off these two blocks.
+
+    F_P = sum_k z_k wedge zdual_k is the identity on the radical block.
+    F0 = sum over roots of (q* alpha) wedge (qdual* alpha-dual) is read off
     the pairing P of the datum: alpha(h_s) = P[s][alpha] and
-    alpha-dual(hdual_t) = P[alpha][t] on the simple coroots, and both vanish
-    elsewhere, so F(h_s, hdual_t) = sum_alpha P[s][alpha] P[alpha][t]."""
-    L, Ld = pairobj.L, pairobj.Ldual
-    P = pairobj.datum.pairing
-    h0, hd0 = len(L.radical_basis), pairobj.product.offset + len(Ld.radical_basis)
-    cols = [[row[t] for row in P] for t in Ld.simple_indices]
-    terms = {
-        (h0 + s, hd0 + t): sum(map(mul, P[si], col))
-        for s, si in enumerate(L.simple_indices)
-        for t, col in enumerate(cols)
-    }
-    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
-
-
-def poincare_correction(pairobj: ProductPair) -> InvariantForm:
-    """F_P = sum_k z_k wedge z_k-dual over the radical basis, pairing each
-    central basis vector with its namesake in the dual algebra."""
-    P = pairobj.product
-    n = P.offset
-    terms = {}
-    for k in range(len(pairobj.L.radical_basis)):
-        i = pairobj.L.index[("z", k)]
-        j = pairobj.Ldual.index[("z", k)]
-        terms[(i, n + j)] = 1
-    return InvariantForm(P, 2, terms, TAG_CARTAN)
+    alpha-dual(hdual_t) = P[alpha][t] on the simple coroots, and both
+    vanish on the radical, so F0(h_s, hdual_t) = sum_alpha P[s][alpha] P[alpha][t].
+    The blocks between the radical of one factor and the simple coroots of
+    the other are zero."""
+    P = L.datum.pairing
+    nz = len(L.radical_basis)
+    cols = [[row[t] for row in P] for t in Ldual.simple_indices]
+    radical = [[int(k == j) for j in range(nz)] + [0] * len(cols) for k in range(nz)]
+    return radical + [[0] * nz + [sum(map(mul, P[s], col)) for col in cols] for s in L.simple_indices]
 
 
 def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the full
-    product; identically zero only after restriction to span(S).  dF, H
-    and Hdual (shifted to the second factor) are summed into one dict.
+    product; identically zero only after restriction to span(S).  F is
+    the 2-form with the fiber pairing entry (a, b) on the term
+    (a, offset + b).  dF, H and Hdual (shifted to the second factor) are
+    summed into one dict.
     phi is linear in (F, H, Hdual) together, so the residual at scale n is
     phi.scale(n)."""
-    dF = ceforms.ce_differential(pairobj.F)
+    n = pairobj.product.offset
+    F = InvariantForm(pairobj.product, 2, {
+        (a, n + b): v for a, row in enumerate(pairobj.fiber_pairing) for b, v in enumerate(row)
+    }, TAG_CARTAN)
+    dF = ceforms.ce_differential(F)
     H = ceforms.cartan_three_form(pairobj.L)
     Hd = ceforms.cartan_three_form(pairobj.Ldual)
     if not dF.tag == H.tag == Hd.tag:
         raise ValueError("cannot add forms with different normalization tags")
-    n = pairobj.product.offset
     terms = dict(dF.terms)
     for key, v in H.terms.items():
         terms[key] = terms.get(key, 0) - v
@@ -275,22 +235,11 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def fiber_pairing_matrix(pairobj: ProductPair):
-    """Matrix of F on the Cartan bases of the two factors."""
-    F = pairobj.F
-    L, Ld = pairobj.L, pairobj.Ldual
-    n_cartan = len(L.radical_basis) + len(L.simple_indices)
-    n = pairobj.product.offset
-    return [
-        [F.value_on_indices((a, n + b)) for b in range(n_cartan)]
-        for a in range(n_cartan)
-    ]
-
-
 def check_nondegeneracy(pairobj: ProductPair):
     """det of the fiber pairing is nonzero, and the eigen-relation
     2 sum_alpha alpha(h_beta) h_alpha = K(h_beta,h_beta) h_beta holds for
-    every coroot."""
+    every coroot; a failure carries the first nonzero lattice coordinate of
+    the difference of the two sides."""
     t0 = time.monotonic()
     det = exactlin.det_exact(pairobj.fiber_pairing)
     if det == 0:
@@ -307,9 +256,11 @@ def check_nondegeneracy(pairobj: ProductPair):
         c = sum(u * v * K[s][t] for s, u in coords for t, v in coords)
         values = list(compress(row, row))
         lhs = [sum(map(mul, values, col)) for col in zip(*compress(d.coroots, row))]
-        if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
+        diff = [2 * x - c * y for x, y in zip(lhs, d.coroots[ri])]
+        if any(diff):
             return CheckRecord(
-                "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", None, time.monotonic() - t0
+                "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", frac_str(next(filter(None, diff))),
+                time.monotonic() - t0,
             )
     return CheckRecord("nondegeneracy", True, None, frac_str(det), time.monotonic() - t0)
 

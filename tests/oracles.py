@@ -8,9 +8,12 @@ Fraction ratio steps and the pairwise structure-table builder, the
 eigen-relation loop over every pairing entry, the Fraction rref, the
 Gram solve of integer coordinates, the per-unit Cartan solve and lattice
 pairing, the gathering differential, phi composed from pullbacks, F summed
-from extended-root 1-forms, the dense spanning set, the N-table keyed by root vectors, the Jacobi
-certificate that scanned every basis element for each generator, the
-product's shifted bracket iterator, and two small matrix helpers.
+from extended-root 1-forms, F from its two builders (the tautological form
+and the Poincare correction) with its matrix read back entry by entry, the
+2-form of a fiber pairing matrix, the dense and the sparse spanning set S
+with the owners of its basis, the N-table keyed by root vectors, the
+Jacobi certificate that scanned every basis element for each generator,
+the product's shifted bracket iterator, and two small matrix helpers.
 """
 
 from fractions import Fraction
@@ -21,7 +24,7 @@ from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_dif
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
 from liedual.exactlin import det_exact, integer_inverse, integer_kernel, solve_exact
 from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
-from liedual.tduality import ProductAlgebra, ProductPair, fiber_pairing_matrix, flux_residual_form, frac_str
+from liedual.tduality import ProductAlgebra, ProductPair, flux_residual_form, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +769,12 @@ def full_space_residual(pairobj: ProductPair):
 
 
 def loop_nondegeneracy(pairobj: ProductPair):
-    """check_nondegeneracy as it was: K(h_beta, h_beta) from killing_form on
-    the full coroot vector, and the eigen-relation summed over every
-    pairing entry, zeros included.  Returns (passed, witness, residual)."""
-    M = fiber_pairing_matrix(pairobj)
+    """check_nondegeneracy as it was: the determinant of F read back from the
+    two builders, K(h_beta, h_beta) from killing_form on the full coroot
+    vector, and the eigen-relation summed over every pairing entry, zeros
+    included.  Returns (passed, witness, residual); the residual of a failed
+    eigen-relation is its first nonzero coordinate."""
+    M = fiber_pairing_matrix(pairobj, dualizing_form(pairobj))
     det = det_exact(M)
     if det == 0:
         return False, "fiber pairing matrix is singular", "0/1"
@@ -782,8 +787,9 @@ def loop_nondegeneracy(pairobj: ProductPair):
         for rj, a_on_hb in enumerate(d.pairing[ri]):
             for t in range(d.rank):
                 lhs[t] += a_on_hb * d.coroots[rj][t]
-        if [2 * x for x in lhs] != [c * x for x in d.coroots[ri]]:
-            return False, f"eigen-relation fails for coroot {ri}", None
+        for x, y in zip(lhs, d.coroots[ri]):
+            if 2 * x != c * y:
+                return False, f"eigen-relation fails for coroot {ri}", frac_str(2 * x - c * y)
     return True, None, frac_str(det)
 
 
@@ -796,6 +802,65 @@ def extended_root_form(L, root_index) -> InvariantForm:
         if v:
             terms[(b,)] = v
     return InvariantForm(L, 1, terms)
+
+
+def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
+    """F0 as build_pair built it before the fiber pairing was a matrix:
+    F0 = sum over roots of (q* alpha) wedge (qdual* alpha-dual), read off
+    the pairing P of the datum: alpha(h_s) = P[s][alpha] and
+    alpha-dual(hdual_t) = P[alpha][t] on the simple coroots, and both vanish
+    elsewhere, so F0(h_s, hdual_t) = sum_alpha P[s][alpha] P[alpha][t]."""
+    L, Ld = pairobj.L, pairobj.Ldual
+    P = pairobj.datum.pairing
+    h0, hd0 = len(L.radical_basis), pairobj.product.offset + len(Ld.radical_basis)
+    cols = [[row[t] for row in P] for t in Ld.simple_indices]
+    terms = {
+        (h0 + s, hd0 + t): sum(map(mul, P[si], col))
+        for s, si in enumerate(L.simple_indices)
+        for t, col in enumerate(cols)
+    }
+    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
+
+
+def poincare_correction(pairobj: ProductPair) -> InvariantForm:
+    """F_P = sum_k z_k wedge z_k-dual over the radical basis, pairing each
+    central basis vector with its namesake in the dual algebra."""
+    P = pairobj.product
+    n = P.offset
+    terms = {}
+    for k in range(len(pairobj.L.radical_basis)):
+        i = pairobj.L.index[("z", k)]
+        j = pairobj.Ldual.index[("z", k)]
+        terms[(i, n + j)] = 1
+    return InvariantForm(P, 2, terms, TAG_CARTAN)
+
+
+def dualizing_form(pairobj: ProductPair) -> InvariantForm:
+    """F = F0 + F_P on the product, the sum of the two builders."""
+    return tautological_two_form(pairobj).add(poincare_correction(pairobj))
+
+
+def fiber_pairing_matrix(pairobj: ProductPair, F: InvariantForm):
+    """Matrix of F on the Cartan bases of the two factors, read back one
+    value_on_indices per entry."""
+    L = pairobj.L
+    n_cartan = len(L.radical_basis) + len(L.simple_indices)
+    n = pairobj.product.offset
+    return [
+        [F.value_on_indices((a, n + b)) for b in range(n_cartan)]
+        for a in range(n_cartan)
+    ]
+
+
+def pairing_form(pairobj: ProductPair) -> InvariantForm:
+    """The 2-form on the product whose matrix on the Cartan bases is the
+    pair's fiber pairing, and which vanishes elsewhere."""
+    n = pairobj.product.offset
+    terms = {}
+    for a, row in enumerate(pairobj.fiber_pairing):
+        for b, v in enumerate(row):
+            terms[a, n + b] = v
+    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
 
 
 def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
@@ -864,6 +929,59 @@ def dense_spanning_set(pairobj: ProductPair):
     return S
 
 
+def spanning_set_with_basis(pairobj: ProductPair):
+    """(S, basis) as build_pair built them before it built B alone: the
+    sparse members (name, {index: coeff}) of S, a repeated vector kept once,
+    and the positions in S of the members of B."""
+    L, Ldual, d = pairobj.L, pairobj.Ldual, pairobj.datum
+    S, basis, seen = [], [], set()
+
+    def add(name, vec, in_basis):
+        key = frozenset(vec.items())
+        if key not in seen:
+            seen.add(key)
+            if in_basis:
+                basis.append(len(S))
+            S.append((name, vec))
+
+    n = L.dim
+    h0, hd0 = len(L.radical_basis), n + len(Ldual.radical_basis)
+    simple = set(L.simple_indices)
+    for ri in range(d.nroots):
+        add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v}, ri in simple)
+        add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1}, True)
+        add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v}, ri in simple)
+    for k in range(len(L.radical_basis)):
+        add(f"z[{k}]", {L.index[("z", k)]: 1}, True)
+        add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1}, True)
+    return S, basis
+
+
+def basis_owners(S, basis, dim):
+    """Map each of the dim product indices to (position in S, coefficient)
+    of the one member of B = [S[p] for p in basis] whose support holds it;
+    each member of S is (name, {index: nonzero coefficient}).
+
+    Raises unless the supports in B are disjoint and cover every index, and
+    every other member of S is supported on indices owned by single-index
+    members of B, so that B is a basis of span(S).
+    """
+    owner = {}
+    for p in basis:
+        for i, c in S[p][1].items():
+            if i in owner:
+                raise RuntimeError(f"{S[p][0]} and {S[owner[i][0]][0]} share index {i}")
+            owner[i] = (p, c)
+    if len(owner) != dim:
+        raise RuntimeError(f"B covers {len(owner)} of {dim} indices")
+    single = {p for p in basis if len(S[p][1]) == 1}
+    in_basis = set(basis)
+    for p, (name, vec) in enumerate(S):
+        if p not in in_basis and any(owner[i][0] not in single for i in vec):
+            raise RuntimeError(f"{name} is not spanned by the single-index members of B")
+    return owner
+
+
 def pullback_first(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
     return InvariantForm(pairobj.product, w.degree, dict(w.terms), w.tag)
 
@@ -881,7 +999,7 @@ def pullback_second(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
 def composed_phi(pairobj: ProductPair) -> InvariantForm:
     """phi = dF - q*H + qdual*Hdual as it was built: each pullback, the
     sign flip, the difference and the sum a new, validated form."""
-    dF = ce_differential(pairobj.F)
+    dF = ce_differential(pairing_form(pairobj))
     H = cartan_three_form(pairobj.L)
     Hd = cartan_three_form(pairobj.Ldual)
     return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
@@ -889,10 +1007,11 @@ def composed_phi(pairobj: ProductPair) -> InvariantForm:
 
 def per_unit_lattice_pairing(pairobj: ProductPair):
     """lattice_pairing_matrix as it was: one Fraction solve per unit vector
-    of each lattice, and F evaluated on every pair of the embedded
-    vectors."""
+    of each lattice, and the 2-form of the fiber pairing evaluated on every
+    pair of the embedded vectors."""
     rank = pairobj.datum.rank
     units = [[1 if t == a else 0 for t in range(rank)] for a in range(rank)]
     lams = [embed_left(pairobj, cartan_vector(pairobj.L, u)) for u in units]
     mus = [embed_right(pairobj, cartan_vector(pairobj.Ldual, u)) for u in units]
-    return [[pairobj.F.evaluate(lam, mu) for mu in mus] for lam in lams]
+    F = pairing_form(pairobj)
+    return [[F.evaluate(lam, mu) for mu in mus] for lam in lams]

@@ -25,6 +25,7 @@ from oracles import (
     is_closed,
     is_invariant,
     killing_form,
+    pairing_form,
     pullback_first,
     pullback_second,
     root_vector,
@@ -227,7 +228,7 @@ def test_sort_sign_matches_the_insertion_sort_on_short_tuples():
 def test_indexed_differential_matches_the_gathering_one_on_f_and_h(typ):
     pair = tduality.build_pair(build(typ))
     H = cartan_three_form(pair.L)
-    for w in (pair.F, doubled_F(pair).F, H, extended_root_form(pair.L, pair.L.simple_indices[0])):
+    for w in (pairing_form(pair), pairing_form(doubled_F(pair)), H, extended_root_form(pair.L, pair.L.simple_indices[0])):
         assert ce_differential(w) == gathered_ce_differential(w)
 
 

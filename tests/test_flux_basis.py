@@ -14,10 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
-from oracles import composed_phi, dense_spanning_set, densify, pullback_first, pullback_second
+from oracles import (
+    basis_owners,
+    composed_phi,
+    dense_spanning_set,
+    densify,
+    pairing_form,
+    poincare_correction,
+    pullback_first,
+    pullback_second,
+    spanning_set_with_basis,
+    tautological_two_form,
+)
 from liedual import ceforms, tduality
 from liedual.tduality import (
-    basis_owners,
     build_pair,
     check_flux_equation,
     check_integrality,
@@ -82,7 +92,7 @@ def pair_and_phi(typ):
 def both_checks(pair, phi):
     """(basis check record, oracle hit) for a given residual form."""
     rec = check_flux_equation(pair, phi)
-    return rec, sweep_range(phi.terms, [v for _, v in densify(pair.spanning_set, pair.product.dim)])
+    return rec, sweep_range(phi.terms, [v for _, v in dense_spanning_set(pair)])
 
 
 @pytest.mark.parametrize("typ", ORACLE_TYPES)
@@ -92,9 +102,31 @@ def test_true_phi_passes_both(typ):
 
 
 def doubled_F(pair):
-    """The pair with the seeded defect F = 2 F0 + F_P."""
-    F = tduality.tautological_two_form(pair).scale(2).add(tduality.poincare_correction(pair))
-    return dataclasses.replace(pair, F=F)
+    """The pair with the seeded defect F = 2 F0 + F_P: the F0 block of the
+    fiber pairing (simple coroots by dual simple coroots) doubled."""
+    nz = len(pair.L.radical_basis)
+    M = [[2 * v if a >= nz and b >= nz else v for b, v in enumerate(row)] for a, row in enumerate(pair.fiber_pairing)]
+    return dataclasses.replace(pair, fiber_pairing=M)
+
+
+# The flux witness and residual of the doubled F0, as the form-built F gave
+# them; how F is stored must not change them.
+DOUBLED_F_RECORDS = {
+    "A1xT1:sc": (["x+phix[0]", "h[1]", "x+phix[1]"], "8/1"),
+    "A1:sc": (["x+phix[0]", "h[1]", "x+phix[1]"], "8/1"),
+    "A2:sc": (["x+phix[0]", "h[1]", "x+phix[5]"], "-6/1"),
+    "A3:adj": (["x+phix[0]", "h[2]", "x+phix[11]"], "-8/1"),
+    "D4:sc": (["x+phix[0]", "h[7]", "x+phix[23]"], "-12/1"),
+}
+
+
+@pytest.mark.parametrize("typ", DEFECT_TYPES)
+def test_doubled_F_is_twice_the_tautological_form_plus_the_correction(typ):
+    pair = doubled_F(pair_and_phi(typ)[0])
+    F = tautological_two_form(pair).scale(2).add(poincare_correction(pair))
+    assert pairing_form(pair) == F
+    rec = check_flux_equation(pair, tduality.flux_residual_form(pair))
+    assert (rec.witness, rec.residual) == DOUBLED_F_RECORDS[typ]
 
 
 @pytest.mark.parametrize("typ", DEFECT_TYPES)
@@ -113,8 +145,9 @@ def test_doubled_F_fails_both(typ):
 
 
 def rebuilt_phi(pair, n):
-    """phi at scale n rebuilt from n*F, n*H and n*Hdual."""
-    dF = ceforms.ce_differential(pair.F.scale(n))
+    """phi at scale n rebuilt from n*F, n*H and n*Hdual, with F the 2-form
+    of the fiber pairing."""
+    dF = ceforms.ce_differential(pairing_form(pair).scale(n))
     H = ceforms.cartan_three_form(pair.L).scale(n)
     Hd = ceforms.cartan_three_form(pair.Ldual).scale(n)
     return dF.sub(pullback_first(pair, H)).add(pullback_second(pair, Hd))
@@ -148,9 +181,10 @@ def test_scaled_lattice_pairing_matches_the_rebuilt_oracle(typ, n, defect):
     if defect:
         # F/5 has fractional lattice values (5 divides no entry of M), which
         # only a scale divisible by 5 clears.
-        pair = dataclasses.replace(pair, F=pair.F.scale(Fraction(1, 5)))
+        pair = dataclasses.replace(pair, fiber_pairing=[[Fraction(v, 5) for v in row] for row in pair.fiber_pairing])
     M = lattice_pairing_matrix(pair)
-    oracle = lattice_pairing_matrix(dataclasses.replace(pair, F=pair.F.scale(n)))
+    scaled = dataclasses.replace(pair, fiber_pairing=[[n * v for v in row] for row in pair.fiber_pairing])
+    oracle = lattice_pairing_matrix(scaled)
     assert [[n * v for v in row] for row in M] == oracle
     rec = check_integrality([[n * v for v in row] for row in M])
     want = check_integrality(oracle)
@@ -232,16 +266,21 @@ def test_basis_size_and_coverage(typ):
 
 @pytest.mark.parametrize("typ", SUITE_TYPES)
 def test_the_sparse_spanning_set_densifies_to_the_dense_one(typ):
+    # B is sparse and densifies to the members of the dense S that the
+    # sparse S marks as its basis.
     pair = build_pair(build(typ))
     assert all(vec and all(vec.values()) for _, vec in pair.spanning_set)
-    assert densify(pair.spanning_set, pair.product.dim) == dense_spanning_set(pair)
+    S, basis = spanning_set_with_basis(pair)
+    dense = dense_spanning_set(pair)
+    assert densify(S, pair.product.dim) == dense
+    assert densify(pair.spanning_set, pair.product.dim) == [dense[p] for p in basis]
 
 
 def test_basis_owners_refuses_a_weaker_basis():
     pair = build_pair(build("D4:sc"))
-    S, dim = pair.spanning_set, pair.product.dim
-    basis = sorted({p for p, _ in pair.owner.values()})
-    assert basis_owners(S, basis, dim) == pair.owner
+    S, basis = spanning_set_with_basis(pair)
+    dim = pair.product.dim
+    assert basis_owners(S, basis, dim) == {i: (basis[p], c) for i, (p, c) in pair.owner.items()}
     names = [n for n, _ in S]
     # A non-simple coroot overlaps the simple coroots it is a sum of.
     non_simple = next(f"h[{ri}]" for ri in range(pair.datum.nroots) if ri not in pair.L.simple_indices)

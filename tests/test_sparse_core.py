@@ -510,7 +510,7 @@ def test_the_chevalley_core_stores_plain_ints(typ):
     assert all(type(c) is int for coords in L.coroot_coords.values() for c in coords)
     assert all(type(v) is int for row in L.killing_matrix() for v in row)
     assert all(type(v) is int for v in ceforms.cartan_three_form(L).terms.values())
-    assert all(type(v) is int for v in pair.F.terms.values())
+    assert all(type(v) is int for row in pair.fiber_pairing for v in row)
     assert all(type(v) is int for v in tduality.flux_residual_form(pair).terms.values())
 
 

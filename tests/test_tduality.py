@@ -6,6 +6,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
 from liedual import ceforms, exactlin, rootdatum, tduality
@@ -16,24 +18,29 @@ from liedual.tduality import (
     check_flux_equation,
     check_integrality,
     check_nondegeneracy,
-    fiber_pairing_matrix,
     flux_residual_form,
     good_isomorphism,
     lattice_pairing_matrix,
-    poincare_correction,
-    tautological_two_form,
     verify_all,
 )
 from oracles import (
+    basis_owners,
+    dense_spanning_set,
+    densify,
+    dualizing_form,
     embed_left,
     embed_right,
+    fiber_pairing_matrix,
     full_space_residual,
     killing_form,
     loop_nondegeneracy,
     per_root_tautological_two_form,
     per_unit_lattice_pairing,
+    poincare_correction,
+    spanning_set_with_basis,
+    tautological_two_form,
 )
-from test_rootdatum import RANK8_TYPES
+from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -186,6 +193,25 @@ def test_a_seeded_eigen_relation_defect_gives_the_loop_witness(typ, defect):
     rec = check_nondegeneracy(pair)
     assert not rec.passed
     assert rec.witness.startswith("eigen-relation fails for coroot ")
+    assert Fraction(rec.residual) != 0 and rec.residual == tduality.frac_str(rec.residual)
+    assert _record(rec) == loop_nondegeneracy(pair)
+
+
+def test_the_eigen_relation_residual_is_the_first_nonzero_coordinate():
+    # On A1:sc (rank 1) the coroots are h = +-1 and K(h, h) = 8: with K
+    # bumped to 9, 2 sum_alpha alpha(h) h_alpha = 2 (2 h + (-2)(-h)) = 8 h
+    # and K(h, h) h = 9 h, so the first coroot leaves -h.
+    pair = build_pair(build("A1:sc"))
+    h = pair.datum.coroots[0]
+    assert h in ((1,), (-1,))
+    L = pair.L
+    nz = len(L.radical_basis)
+    K = [row[:] for row in L.killing_matrix()]
+    assert K[nz][nz] == 8
+    K[nz][nz] += 1
+    L._killing = K
+    rec = check_nondegeneracy(pair)
+    assert (rec.passed, rec.witness, rec.residual) == (False, "eigen-relation fails for coroot 0", f"{-h[0]}/1")
     assert _record(rec) == loop_nondegeneracy(pair)
 
 
@@ -200,10 +226,13 @@ def test_eigen_constant_values():
 
 def test_pairing_is_singular_without_the_correction():
     pair = build_pair(build("A2xT1:sc"))
-    M = fiber_pairing_matrix(dataclasses.replace(pair, F=tautological_two_form(pair)))
+    nz = len(pair.L.radical_basis)
+    M = [[0 if a < nz and b < nz else v for b, v in enumerate(row)] for a, row in enumerate(pair.fiber_pairing)]
+    assert M == fiber_pairing_matrix(pair, tautological_two_form(pair))
     assert exactlin.det_exact(M) == 0
-    M2 = fiber_pairing_matrix(pair)
-    assert exactlin.det_exact(M2) != 0
+    rec = check_nondegeneracy(dataclasses.replace(pair, fiber_pairing=M))
+    assert (rec.passed, rec.witness, rec.residual) == (False, "fiber pairing matrix is singular", "0/1")
+    assert exactlin.det_exact(pair.fiber_pairing) != 0
 
 
 @pytest.mark.parametrize("typ", PASSING)
@@ -232,8 +261,12 @@ def test_lattice_pairing_solves_once_per_lattice_basis_vector(typ):
 def any_pair(typ):
     """build_pair without the isomorphism check, so that non-ADE types
     give a pair with F = F0 + F_P too."""
+    return any_pair_of(build(typ))
+
+
+def any_pair_of(d):
     with mock.patch.object(tduality, "good_isomorphism", lambda L, Ld: {}):
-        return build_pair(build(typ))
+        return build_pair(d)
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES + ["T0"])
@@ -243,7 +276,7 @@ def test_lattice_pairing_matches_one_solve_per_unit_vector(typ):
     assert M == per_unit_lattice_pairing(pair)
     assert all(type(v) is Fraction for row in M for v in row)
     # Under F/5, entries become fractional exactly where the oracle's do.
-    fifth = dataclasses.replace(pair, F=pair.F.scale(Fraction(1, 5)))
+    fifth = dataclasses.replace(pair, fiber_pairing=[[Fraction(v, 5) for v in row] for row in pair.fiber_pairing])
     assert lattice_pairing_matrix(fifth) == per_unit_lattice_pairing(fifth) == [
         [v / 5 for v in row] for row in M]
 
@@ -254,6 +287,82 @@ def test_tautological_form_read_off_the_pairing_matches_the_per_root_sum(typ):
     F = tautological_two_form(pair)
     assert F == per_root_tautological_two_form(pair)
     assert all(type(v) is int for v in F.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# The fiber pairing and B, built directly, against the two form builders,
+# the read-back of F, the spanning set S and basis_owners they replaced
+
+
+def assert_agrees_with_the_builders(pair):
+    assert pair.fiber_pairing == fiber_pairing_matrix(pair, dualizing_form(pair))
+    assert all(type(v) is int for row in pair.fiber_pairing for v in row)
+    dim, d = pair.product.dim, pair.datum
+    S, basis = spanning_set_with_basis(pair)
+    dense = dense_spanning_set(pair)
+    assert densify(S, dim) == dense
+    nz = len(pair.L.radical_basis)
+    assert len(S) == 3 * d.nroots + 2 * nz           # S repeats no vector
+    assert pair.spanning_set == [S[p] for p in basis]
+    assert densify(pair.spanning_set, dim) == [dense[p] for p in basis]
+    assert {i: (basis[p], c) for i, (p, c) in pair.owner.items()} == basis_owners(S, basis, dim)
+    # Every member of S is the combination of B that owner reads off it.
+    for name, vec in dense:
+        coeffs = {}
+        for i, c in enumerate(vec):
+            if c:
+                p, b = pair.owner[i]
+                coeffs[p] = Fraction(c, b)
+        combo = [0] * dim
+        for p, k in coeffs.items():
+            for i, c in pair.spanning_set[p][1].items():
+                combo[i] += k * c
+        assert combo == vec, name
+
+
+AGREEMENT_TYPES = [t for t in RANK8_TYPES if rootdatum.is_ade(build(t))] + ["T0", "T3", "A3xT2:sc"]
+
+
+@pytest.mark.parametrize("typ", AGREEMENT_TYPES)
+def test_pairing_and_basis_agree_with_the_builders(typ):
+    d = build(typ)
+    assert_agrees_with_the_builders(build_pair(d))
+    assert_agrees_with_the_builders(build_pair(rootdatum.dualize(d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=small_data(), dual=st.booleans(), data=st.data())
+def test_pairing_and_basis_agree_with_the_builders_under_basis_changes(d, dual, data):
+    # Any datum, ADE or not, with the isomorphism check skipped.
+    d = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert_agrees_with_the_builders(any_pair_of(rootdatum.dualize(d) if dual else d))
+
+
+def gl(n):
+    """GL_n as data: roots = coroots = e_i - e_j in Z^n."""
+    roots = [[int(k == i) - int(k == j) for k in range(n)] for i in range(n) for j in range(n) if i != j]
+    return rootdatum.RootDatum(rank=n, roots=roots, coroots=roots)
+
+
+@pytest.mark.parametrize("n,residual", [(2, "9/4"), (3, "37/9"), (4, "97/16")])
+def test_gl_n_fails_only_integrality_at_the_radical_corner(n, residual):
+    # The radical block of the fiber pairing pairs z_k with zdual_k by name;
+    # e_1 has z-coordinate 1/n, so the corner of M is off by a fraction.
+    rep = verify_all(gl(n))
+    assert rootdatum.classify_label(gl(n)) == f"A{n - 1} x T1"
+    failed = [(c.name, c.witness, c.residual) for c in rep.checks if not c.passed]
+    assert failed == [("integrality", "lattice pairing (0,0)", residual)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the radical block of the fiber pairing is not lattice-aware, so GL_n fails integrality",
+)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gl_n_passes_verify_all(n):
+    rep = verify_all(gl(n))
+    assert rep.overall, [c.as_dict(timing=False) for c in rep.checks if not c.passed]
 
 
 def test_the_rank_zero_lattice_pairing_is_empty():
@@ -291,7 +400,7 @@ def test_scaled_runs_preserve_verdicts(typ):
 @pytest.mark.parametrize("scales", [(), (2,), (-2, -1, 2, 3)])
 def test_verify_all_builds_each_derived_object_once(scales):
     targets = [
-        (tduality, "tautological_two_form"),
+        (tduality, "dualizing_pairing"),
         (tduality, "good_isomorphism"),
         (tduality, "flux_residual_form"),
         (ceforms, "cartan_three_form"),
