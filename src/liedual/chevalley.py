@@ -370,18 +370,16 @@ def _jacobiator(rows, into, g):
 
 
 def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:
-    """Debug dump of the structure constants as JSON-ready data."""
-
-    def name(lab):
-        return f"{lab[0]}{lab[1]}"
-
+    """Debug dump of the structure constants as JSON-ready data; each basis
+    label is named once, by basis index."""
+    names = [f"{lab[0]}{lab[1]}" for lab in L.labels]
     pairs = []
     for (i, j), out in sorted(L.table.items()):
         pairs.append(
             {
-                "x": name(L.labels[i]),
-                "y": name(L.labels[j]),
-                "out": [[name(L.labels[k]), f"{v.numerator}/{v.denominator}"] for k, v in sorted(out.items())],
+                "x": names[i],
+                "y": names[j],
+                "out": [[names[k], f"{v.numerator}/{v.denominator}"] for k, v in sorted(out.items())],
             }
         )
     return {"pairs": pairs}

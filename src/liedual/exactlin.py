@@ -9,8 +9,9 @@ ever rounds.
 """
 
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, floordiv, mod, mul
 
 
 def _integer_rows(M):
@@ -97,13 +98,34 @@ def integer_inverse(A):
 
 def exact_quotients(X, den, vectors, refusal):
     """The int tuples X v / den for v in vectors.  A quotient with a
-    remainder raises ValueError(refusal(i)), i the index of its vector."""
+    remainder raises ValueError(refusal(i)), i the smallest index of a
+    vector with one.  Row k of X v over all vectors is summed column by
+    column, one C-level map per nonzero X[k][j]."""
+    vectors = list(vectors)
+    if not X:
+        return [()] * len(vectors)
+    rows = column_products(X, vectors)
+    if den != 1:
+        rems = [list(map(mod, r, repeat(den))) for r in rows]
+        if any(map(any, rems)):
+            # The first nonzero remainder of each row; the smallest is the vector refused.
+            raise ValueError(refusal(min(next(compress(count(), r)) for r in rems if any(r))))
+        rows = [list(map(floordiv, r, repeat(den))) for r in rows]
+    return list(zip(*rows))
+
+
+def column_products(X, vectors):
+    """The rows of X V^T for the vectors V: row k lists (X v)_k over v, as
+    sum_j X[k][j] (column j of the vectors), one C-level map per nonzero
+    entry of X."""
+    cols = list(zip(*vectors))
     out = []
-    for i, v in enumerate(vectors):
-        q = [divmod(sum(map(mul, row, v)), den) for row in X]
-        if any(r for _, r in q):
-            raise ValueError(refusal(i))
-        out.append(tuple(x for x, _ in q))
+    for row in X:
+        acc = [0] * len(vectors)
+        for x, col in zip(row, cols):
+            if x:
+                acc = list(map(add, acc, map(mul, col, repeat(x))))
+        out.append(acc)
     return out
 
 

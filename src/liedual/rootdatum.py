@@ -9,11 +9,13 @@ basis, and the two lists are index-aligned (roots[i] <-> coroots[i]).
 
 import json
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 from math import gcd
-from itertools import repeat
-from operator import mul, sub
+from operator import add, floordiv, getitem, gt, mul, neg, sub
 
 from . import exactlin
 
@@ -29,7 +31,10 @@ class RootDatum:
         if _require_int(self.rank, "rank") < 0:
             raise ValueError(f"rank must be nonnegative, got {self.rank}")
         for key in ("roots", "coroots"):
-            vecs = tuple(tuple(_require_int(x, f"{key} coordinate") for x in v) for v in getattr(self, key))
+            vecs = tuple(map(tuple, getattr(self, key)))
+            if not set(map(type, chain.from_iterable(vecs))) <= {int}:
+                for x in chain.from_iterable(vecs):     # name the first offender
+                    _require_int(x, f"{key} coordinate")
             object.__setattr__(self, key, vecs)
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots must be index-aligned lists of equal length")
@@ -52,7 +57,7 @@ class RootDatum:
         derive = self.__dict__.pop("_derive_pairing", None)
         if derive is not None:
             return derive()
-        return tuple(tuple(sum(map(mul, c, r)) for r in self.roots) for c in self.coroots)
+        return _pairing(self.coroots, self.roots, self.rank)
 
     @cached_property
     def axioms(self):
@@ -79,6 +84,48 @@ def _require_int(x, what):
 def pair(coroot, root):
     """The canonical lattice pairing <coroot, root> (standard dot product)."""
     return sum(map(mul, coroot, root))
+
+
+_SLOT = 0x8000      # 2^15: the offset that makes a 16-bit slot nonnegative
+
+
+def _pairing(coroots, roots, rank):
+    """The rows (<c, r> for r in roots) for c in coroots.
+
+    Each |<c, r>| is at most rank * max|x|^2.  Below 2^14, column k of the
+    roots is packed into one int, r_k of root j in 16-bit slot j, so the
+    row of c is the one int sum_k c_k packed_k.  Adding 2^15 to every slot
+    makes each slot nonnegative, so the sum has no borrows across slots,
+    and flipping bit 15 of each slot again leaves <c, r_j> in two's
+    complement, read off by array("h").  Packing and unpacking both use
+    the native byte order, so slot j is item j.  Wider data take the dot
+    product of each pair."""
+    m = max(_max_abs(roots), _max_abs(coroots))
+    if rank * m * m >= 1 << 14:
+        return tuple(tuple(sum(map(mul, c, r)) for r in roots) for c in coroots)
+    n = len(roots)
+    bias = int.from_bytes(array("H", repeat(_SLOT, n)).tobytes(), sys.byteorder)
+    packed = [int.from_bytes(array("H", map(add, col, repeat(_SLOT))).tobytes(), sys.byteorder) - bias
+              for col in zip(*roots)]
+    return tuple(tuple(array("h", ((sum(map(mul, c, packed)) + bias) ^ bias).to_bytes(2 * n, sys.byteorder)))
+                 for c in coroots)
+
+
+def _max_abs(vectors):
+    """The largest |x| over the entries of a list of equally long vectors;
+    0 when there are none."""
+    if not vectors or not vectors[0]:
+        return 0
+    return max(max(map(max, vectors)), -min(map(min, vectors)))
+
+
+def _functional_values(vectors, M):
+    """The values sum_k M^k v_k of the vectors, by Horner's rule over the
+    coordinate columns, highest first: one C-level map per column."""
+    values = [0] * len(vectors)
+    for col in reversed(list(zip(*vectors))):
+        values = list(map(add, map(mul, values, repeat(M)), col))
+    return values
 
 
 @dataclass
@@ -120,24 +167,22 @@ def validate(d: RootDatum) -> AxiomReport:
 
 def _check_axioms(d):
     rep = AxiomReport()
-    for i, r in enumerate(d.roots):
-        if all(x == 0 for x in r):
-            rep.nonzero = False
-            rep.nonzero_witness = i
-            break
+    nonzero = list(map(any, d.roots))
+    if not all(nonzero):
+        rep.nonzero = False
+        rep.nonzero_witness = nonzero.index(False)
     P = d.pairing
-    for i in range(d.nroots):
-        if P[i][i] != 2:
-            rep.pairing_two = False
-            rep.pairing_witness = i
-            break
+    diagonal = list(map(getitem, P, range(d.nroots)))
+    if diagonal.count(2) != d.nroots:
+        rep.pairing_two = False
+        rep.pairing_witness = next(i for i, x in enumerate(diagonal) if x != 2)
     # Reflect coroot i in root j (cocharacter lattice) and root i in coroot
     # j (character lattice); a zero pairing is the identity.  Membership is
     # tested on an integer functional that is injective on every vector
     # involved, so each reflection costs two int operations, and each
     # column j is tested as a whole; only a failing column is scanned for
     # its first failing i.
-    reach = 1 + max((abs(x) for row in P for x in row), default=0)
+    reach = 1 + _max_abs(P)
     fc = _injective_values(d.coroots, reach)
     fr = _injective_values(d.roots, reach)
     coroot_set, root_set = set(fc), set(fr)
@@ -152,10 +197,16 @@ def _check_axioms(d):
     # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
     # nonzero coroots on one line have the same content; a zero coroot is
     # 0 times every other.  The coroots are grouped by direction, and the
-    # first failing pair is searched for only when a group fails.
-    prim = [_primitive(c) for c in d.coroots]
-    nonzero = [p for p in prim if p is not None]
-    if (nonzero and len(nonzero) < len(prim)) or len(set(nonzero)) != len(dict(nonzero)):
+    # first failing pair is searched for only when a group fails.  The
+    # direction of a nonzero coroot v with content g is coded by |fc(v)| / g,
+    # fc of the primitive vector with the sign that makes it positive (fc
+    # is injective on the coroots, so on their directions too); the zero
+    # coroot has content 0 and code 0.
+    columns = list(zip(*d.coroots))
+    contents = list(map(gcd, *columns)) if columns else [0] * d.nroots
+    directions = list(map(floordiv, map(abs, fc), map(max, contents, repeat(1))))
+    if (0 in contents and any(contents)) or len(set(zip(directions, contents))) != len(set(directions)):
+        prim = [_primitive(c) for c in d.coroots]
         rep.reduced = False
         rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
                                    for j, pj in enumerate(prim)
@@ -168,9 +219,7 @@ def _injective_values(vectors, reach):
     injective on integer vectors whose entries are at most reach times the
     largest entry of vectors in absolute value: on the vectors and on every
     u - n v with |n| < reach."""
-    M = 2 * reach * max((abs(x) for v in vectors for x in v), default=0) + 1
-    powers = [M ** k for k in range(len(vectors[0]))] if vectors else []
-    return [sum(map(mul, powers, v)) for v in vectors]
+    return _functional_values(vectors, 2 * reach * _max_abs(vectors) + 1)
 
 
 def _primitive(v):
@@ -316,31 +365,40 @@ def family_cartan(family, n):
 def generate_root_pairs(cartan):
     """Reflection closure from the simple roots of a Cartan matrix.
 
-    Returns a list of (root, coroot) pairs, the root in simple-root
-    coordinates and the coroot in simple-coroot coordinates.
+    Returns the sorted list of (root, coroot, coweights) triples: the root
+    in simple-root coordinates, the coroot in simple-coroot coordinates,
+    and the coroot's Dynkin labels, its pairings with the simple roots,
+    which are its coordinates in the fundamental coweights.
+
+    Each root also carries its own labels a, its pairings with the simple
+    coroots.  The reflection s_i subtracts a_i from root coordinate i and
+    a_i times column i of the Cartan matrix from a; on the coroot it
+    subtracts b_i from coordinate i and b_i times row i from its labels b.
+    It fixes the root when a_i = 0, and a root fixes its coroot.
     """
     n = len(cartan)
-    pairs = set()
+    rows = [tuple(row) for row in cartan]     # row i: labels of the simple coroot i
+    cols = list(zip(*cartan))                 # column i: labels of the simple root i
+    found = {}                                # root -> (coroot, coroot labels)
+    frontier = []
     for i in range(n):
-        r = tuple(1 if j == i else 0 for j in range(n))
-        pairs.add((r, r))
-    # Simple coroot i pairs with root (coords c) as sum_j c_j A[i][j];
-    # simple root i pairs with coroot (coords m) as sum_j m_j A[j][i].
-    frontier = list(pairs)
+        e = tuple(int(j == i) for j in range(n))
+        found[e] = (e, rows[i])
+        frontier.append((e, cols[i]))
     while frontier:
         new = []
-        for root, coroot in frontier:
-            for i in range(n):
-                rv = sum(c * cartan[i][j] for j, c in enumerate(root))
-                root2 = tuple(c - rv * (1 if j == i else 0) for j, c in enumerate(root))
-                cv = sum(m * cartan[j][i] for j, m in enumerate(coroot))
-                coroot2 = tuple(m - cv * (1 if j == i else 0) for j, m in enumerate(coroot))
-                item = (root2, coroot2)
-                if item not in pairs:
-                    pairs.add(item)
-                    new.append(item)
+        for root, a in frontier:
+            for i in compress(range(n), a):
+                ai = a[i]
+                root2 = root[:i] + (root[i] - ai,) + root[i + 1:]
+                if root2 not in found:
+                    coroot, b = found[root]
+                    bi = b[i]
+                    found[root2] = (coroot[:i] + (coroot[i] - bi,) + coroot[i + 1:],
+                                    tuple(map(sub, b, map(mul, rows[i], repeat(bi)))))
+                    new.append((root2, tuple(map(sub, a, map(mul, cols[i], repeat(ai))))))
         frontier = new
-    return sorted(pairs)
+    return [(root, *found[root]) for root in sorted(found)]
 
 
 def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
@@ -350,7 +408,7 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
     coordinates; the isogeny choice fixes the lattice basis.  A central
     torus contributes rank with no roots.
     """
-    blocks = []       # per factor: (cartan, pairs)
+    blocks = []       # per factor: (cartan, root triples)
     for fam, n, iso in desc.factors:
         A = family_cartan(fam, n)
         blocks.append((fam, n, iso, A, generate_root_pairs(A)))
@@ -363,15 +421,12 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
         if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
             raise ValueError("custom basis must be square of semisimple rank")
     else:
-        B = [[0] * ss_rank for _ in range(ss_rank)]
-        off = 0
-        for fam, n, iso, A, _ in blocks:
-            for i in range(n):
-                for j in range(n):
-                    # sc: lattice basis = coroots, whose coweight coords are
-                    # the Cartan rows.  adj: lattice basis = coweights.
-                    B[off + i][off + j] = A[i][j] if iso == "sc" else (1 if i == j else 0)
-            off += n
+        # sc: lattice basis = coroots, whose coweight coords are the Cartan
+        # rows.  adj: lattice basis = coweights.
+        B = []
+        for left, right, (fam, n, iso, A, _) in _block_pads(blocks, ss_rank):
+            B += [left + (row if iso == "sc" else [int(i == j) for j in range(n)]) + right
+                  for i, row in enumerate(A)]
     # Coordinates x in B of a coweight vector cw (x B = cw) are cw (den B^-1)
     # / den, from one integer inverse; the columns of den B^-1 are the rows
     # of Bt.
@@ -383,30 +438,33 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
     if desc.custom_basis is not None:
         _check_between_lattices(Bt, den, blocks, ss_rank)
 
-    # Each coroot in coweight coordinates of the block is m . A (rows of A
-    # are the simple coroots in coweight coordinates); the root has simple
-    # root coordinates c.
+    # Each coroot's coweight coordinates in its block are its Dynkin labels;
+    # the root has simple root coordinates c.
     coweights, root_coords = [], []
-    off = 0
-    for fam, n, iso, A, rc_pairs in blocks:
-        for root_c, coroot_m in rc_pairs:
-            cw = [0] * ss_rank
-            rt = [0] * ss_rank
-            for j in range(n):
-                cw[off + j] = sum(m * A[i][j] for i, m in enumerate(coroot_m))
-                rt[off + j] = root_c[j]
-            coweights.append(cw)
-            root_coords.append(rt)
-        off += n
+    for left, right, (fam, n, iso, A, triples) in _block_pads(blocks, ss_rank):
+        left, right = tuple(left), tuple(right)
+        for root_c, _, labels in triples:
+            coweights.append(left + labels + right)
+            root_coords.append(left + root_c + right)
     # Express each coroot in the lattice basis B (it must be integral) and
-    # each root in the dual basis of B: y = B . c.
+    # each root in the dual basis of B: y = B . c, column by column.
     coroots = exactlin.exact_quotients(Bt, den, coweights, lambda i: "coroot does not lie in the chosen lattice")
     torus = (0,) * desc.torus_rank
-    roots = [tuple(sum(map(mul, row, rt)) for row in B) + torus for rt in root_coords]
+    roots = [y + torus for y in zip(*exactlin.column_products(B, root_coords))]
     coroots = [x + torus for x in coroots]
 
     label = _descriptor_label(desc)
     return RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), label=label)
+
+
+def _block_pads(blocks, ss_rank):
+    """(zeros before, zeros after, block) for each factor block: the
+    padding that places its coordinates in the semisimple block."""
+    off = 0
+    for block in blocks:
+        n = block[1]
+        yield [0] * off, [0] * (ss_rank - off - n), block
+        off += n
 
 
 def _check_between_lattices(Bt, den, blocks, ss_rank):
@@ -414,14 +472,7 @@ def _check_between_lattices(Bt, den, blocks, ss_rank):
     the simple coroots have integer coordinates x = cw Bt^T / den in the
     basis B, with (Bt, den) from the transposed integer inverse of B."""
     # Simple coroot rows in coweight coordinates.
-    simple_coroots = []
-    off = 0
-    for fam, n, iso, A, _ in blocks:
-        for i in range(n):
-            cw = [0] * ss_rank
-            cw[off : off + n] = A[i]
-            simple_coroots.append(cw)
-        off += n
+    simple_coroots = [left + row + right for left, right, (_, _, _, A, _) in _block_pads(blocks, ss_rank) for row in A]
     exactlin.exact_quotients(Bt, den, simple_coroots,
                              lambda i: "custom lattice does not contain the coroot lattice")
 
@@ -435,12 +486,6 @@ def _descriptor_label(desc):
 
 # ---------------------------------------------------------------------------
 # Positive systems, Cartan matrices, invariants
-
-
-def _functional(vectors):
-    """Generic linear functional v -> sum_k M^k v_k on a finite vector set."""
-    M = 1 + max((abs(x) for v in vectors for x in v), default=0)
-    return lambda v: sum((M ** k) * x for k, x in enumerate(v))
 
 
 def _swap_key(d, i):
@@ -465,27 +510,27 @@ def _positive_system(d):
     patterns are genuine chambers of the same root system.  The candidate
     with the smaller swap-invariant key is kept, so the choice commutes
     with dualization and cartan_matrix(dualize(d)) is an exact transpose.
+
+    A positive root is simple when it is no sum of two positive roots.
+    That is read off int codes, v -> sum_k M^k v_k with M = 4 max|x| + 1:
+    a root minus a root minus a root has entries below M in magnitude, so
+    code_i - code_j is the code of a root exactly when r_i - r_j is that
+    root.  A zero difference counts for no root: the zero vector, which a
+    malformed datum can hold, has code 0 and is dropped from the targets.
     """
-    if d.nroots == 0:
+    n = d.nroots
+    if n == 0:
         return (), ()
-    f = _functional(d.roots)
-    g = _functional(d.coroots)
-    cand_root = frozenset(i for i in range(d.nroots) if f(d.roots[i]) > 0)
-    cand_co = frozenset(i for i in range(d.nroots) if g(d.coroots[i]) > 0)
-    candidates = {cand_root, cand_co}
-    chamber = min(candidates, key=lambda P: sorted(_swap_key(d, i) for i in P))
+    swap = list(zip(map(min, d.roots, d.coroots), map(max, d.roots, d.coroots)))
+    candidates = {frozenset(compress(range(n), map(gt, _functional_values(v, 1 + _max_abs(v)), repeat(0))))
+                  for v in (d.roots, d.coroots)}
+    chamber = min(candidates, key=lambda P: sorted(map(swap.__getitem__, P)))
     pos = sorted(chamber)
-    pos_set = {d.roots[i] for i in pos}
-    simple = []
-    for i in pos:
-        r = d.roots[i]
-        if not any(
-            tuple(a - b for a, b in zip(r, d.roots[j])) in pos_set
-            for j in pos
-            if d.roots[j] != r
-        ):
-            simple.append(i)
-    simple.sort(key=lambda i: _swap_key(d, i))
+    code = _functional_values(d.roots, 4 * _max_abs(d.roots) + 1)
+    pos_codes = set(map(code.__getitem__, pos))
+    targets = pos_codes - {0}
+    simple = [i for i in pos if targets.isdisjoint(map(sub, repeat(code[i]), pos_codes))]
+    simple.sort(key=swap.__getitem__)
     return tuple(pos), tuple(simple)
 
 
@@ -537,8 +582,8 @@ def canonicalize(d: RootDatum) -> RootDatum:
     this is the writer order of the JSON schema."""
     if d.nroots == 0 or d.__dict__.get("_canonical"):
         return d
-    f = _functional(d.roots)
-    order = sorted(range(d.nroots), key=lambda i: (-f(d.roots[i]), d.roots[i]))
+    f = _functional_values(d.roots, 1 + _max_abs(d.roots))
+    order = sorted(range(d.nroots), key=list(zip(map(neg, f), d.roots)).__getitem__)
     c = RootDatum(
         rank=d.rank,
         roots=tuple(d.roots[i] for i in order),

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 from operator import mul
 
 from . import ceforms, exactlin, rootdatum
@@ -128,7 +129,14 @@ def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     """The matrix of F = F0 + F_P on the Cartan bases (z, h) of g and
     (zdual, hdual) of g_dual; F vanishes off these two blocks.
 
-    F_P = sum_k z_k wedge zdual_k is the identity on the radical block.
+    F_P(lambda, mu) = e <pi_z lambda, pi_zdual mu> on the radical block:
+    pi_z projects onto the radical z along the coroots, pi_zdual onto the
+    dual radical along the roots, and e is the exponent of
+    Lambda / ((Lambda cap span_Q coroots) + (Lambda cap z)), the lcm of the
+    denominators of the z-rows of the (z, h) coordinates of the unit
+    vectors of Lambda.  So entry (k, j) is e (z_k . zdual_j): integral
+    (e pi_z lambda lies in Lambda cap z, orthogonal to the roots) and
+    independent of the lattice basis (README, "The radical block of F").
     F0 = sum over roots of (q* alpha) wedge (qdual* alpha-dual) is read off
     the pairing P of the datum: alpha(h_s) = P[s][alpha] and
     alpha-dual(hdual_t) = P[alpha][t] on the simple coroots, and both
@@ -138,7 +146,10 @@ def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     P = L.datum.pairing
     nz = len(L.radical_basis)
     cols = [[row[t] for row in P] for t in Ldual.simple_indices]
-    radical = [[int(k == j) for j in range(nz)] + [0] * len(cols) for k in range(nz)]
+    X, d = _cartan_inverse(L)
+    e = lcm(*(d // gcd(x, d) for row in X[:nz] for x in row))
+    radical = [[e * sum(map(mul, z, zdual)) for zdual in Ldual.radical_basis] + [0] * len(cols)
+               for z in L.radical_basis]
     return radical + [[0] * nz + [sum(map(mul, P[s], col)) for col in cols] for s in L.simple_indices]
 
 
@@ -300,16 +311,17 @@ def check_integrality(M):
 
 
 def check_angle_positivity(pairobj: ProductPair):
-    """alpha(h_beta) beta(h_alpha) lies in {0,...,4} for all root pairs."""
+    """alpha(h_beta) beta(h_alpha) lies in {0,...,4} for all root pairs.
+    Row i holds the products P[j][i] P[i][j] over j, formed by one map of
+    column i with row i; only a row whose minimum or maximum is out of
+    range is scanned for its first failing j."""
     t0 = time.monotonic()
     P = pairobj.datum.pairing
-    for i in range(len(P)):
-        for j in range(len(P)):
-            v = P[j][i] * P[i][j]
-            if v < 0 or v > 4:
-                return CheckRecord(
-                    "angle_positivity", False, [i, j], frac_str(v), time.monotonic() - t0
-                )
+    for i, (col, row) in enumerate(zip(zip(*P), P)):
+        values = list(map(mul, col, row))
+        if min(values) < 0 or max(values) > 4:
+            j, v = next((j, v) for j, v in enumerate(values) if v < 0 or v > 4)
+            return CheckRecord("angle_positivity", False, [i, j], frac_str(v), time.monotonic() - t0)
     return CheckRecord("angle_positivity", True, None, None, time.monotonic() - t0)
 
 

@@ -9,11 +9,18 @@ eigen-relation loop over every pairing entry, the Fraction rref, the
 Gram solve of integer coordinates, the per-unit Cartan solve and lattice
 pairing, the gathering differential, phi composed from pullbacks, F summed
 from extended-root 1-forms, F from its two builders (the tautological form
-and the Poincare correction) with its matrix read back entry by entry, the
-2-form of a fiber pairing matrix, the dense and the sparse spanning set S
-with the owners of its basis, the N-table keyed by root vectors, the
-Jacobi certificate that scanned every basis element for each generator,
-the product's shifted bracket iterator, and two small matrix helpers.
+and the lattice Poincare correction, its exponent from a Smith form) with
+its matrix read back entry by entry, the name-paired radical block of F
+(the negative control of the lattice one), the 2-form of a fiber pairing
+matrix, the dense and the sparse spanning set S with the owners of its
+basis, the N-table keyed by root vectors, the Jacobi certificate that
+scanned every basis element for each generator, the product's shifted
+bracket iterator, the double loop of angle positivity, two small matrix
+helpers, and the datum routines that worked entry by entry: the
+reflection closure that recomputed both pairings per reflection, the
+coordinate type walk, the dot-product pairing, the functional chamber
+with its pairwise simple-root search, the functional order of
+canonicalize, and exact quotients one dot product at a time.
 """
 
 from fractions import Fraction
@@ -22,8 +29,8 @@ from operator import mul
 
 from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
-from liedual.exactlin import det_exact, integer_inverse, integer_kernel, solve_exact
-from liedual.rootdatum import RootDatum, cartan_matrix, pair, positive_system
+from liedual.exactlin import det_exact, integer_inverse, integer_kernel, smith_normal_form, solve_exact
+from liedual.rootdatum import RootDatum, _require_int, _swap_key, cartan_matrix, pair, positive_system
 from liedual.tduality import ProductAlgebra, ProductPair, flux_residual_form, frac_str
 
 
@@ -114,6 +121,91 @@ def integer_coordinates(V, targets):
 
 # ---------------------------------------------------------------------------
 # Root data
+
+
+def generate_root_pairs(cartan):
+    """The reflection closure that recomputed both pairings of every
+    (root, coroot) pair for each simple reflection: a sorted list of pairs,
+    the root in simple-root and the coroot in simple-coroot coordinates."""
+    n = len(cartan)
+    pairs = set()
+    for i in range(n):
+        r = tuple(1 if j == i else 0 for j in range(n))
+        pairs.add((r, r))
+    frontier = list(pairs)
+    while frontier:
+        new = []
+        for root, coroot in frontier:
+            for i in range(n):
+                rv = sum(c * cartan[i][j] for j, c in enumerate(root))
+                root2 = tuple(c - rv * (1 if j == i else 0) for j, c in enumerate(root))
+                cv = sum(m * cartan[j][i] for j, m in enumerate(coroot))
+                coroot2 = tuple(m - cv * (1 if j == i else 0) for j, m in enumerate(coroot))
+                item = (root2, coroot2)
+                if item not in pairs:
+                    pairs.add(item)
+                    new.append(item)
+        frontier = new
+    return sorted(pairs)
+
+
+def checked_coordinates(key, vectors):
+    """The coordinate check that walked every coordinate: int tuples, or
+    ValueError naming the first non-int coordinate."""
+    return tuple(tuple(_require_int(x, f"{key} coordinate") for x in v) for v in vectors)
+
+
+def dot_pairing(d: RootDatum):
+    """P[i][j] = <coroot_i, root_j>, one dot product per entry."""
+    return tuple(tuple(sum(map(mul, c, r)) for r in d.roots) for c in d.coroots)
+
+
+def functional(vectors):
+    """Generic linear functional v -> sum_k M^k v_k on a finite vector set,
+    M = 1 + max |coordinate|, evaluated one vector at a time."""
+    M = 1 + max((abs(x) for v in vectors for x in v), default=0)
+    return lambda v: sum((M ** k) * x for k, x in enumerate(v))
+
+
+def functional_positive_system(d: RootDatum):
+    """(positive, simple) root indices as _positive_system found them: the
+    two functional chambers, and a simple root found by testing every
+    difference of positive root vectors against the positive set."""
+    if d.nroots == 0:
+        return (), ()
+    f = functional(d.roots)
+    g = functional(d.coroots)
+    cand_root = frozenset(i for i in range(d.nroots) if f(d.roots[i]) > 0)
+    cand_co = frozenset(i for i in range(d.nroots) if g(d.coroots[i]) > 0)
+    chamber = min({cand_root, cand_co}, key=lambda P: sorted(_swap_key(d, i) for i in P))
+    pos = sorted(chamber)
+    pos_set = {d.roots[i] for i in pos}
+    simple = []
+    for i in pos:
+        r = d.roots[i]
+        if not any(tuple(a - b for a, b in zip(r, d.roots[j])) in pos_set for j in pos if d.roots[j] != r):
+            simple.append(i)
+    simple.sort(key=lambda i: _swap_key(d, i))
+    return tuple(pos), tuple(simple)
+
+
+def canonical_order(d: RootDatum):
+    """The index order of canonicalize: the functional of the roots,
+    descending, then the root vectors."""
+    f = functional(d.roots)
+    return sorted(range(d.nroots), key=lambda i: (-f(d.roots[i]), d.roots[i]))
+
+
+def exact_quotients(X, den, vectors, refusal):
+    """X v / den for each v in turn, one dot product per coordinate;
+    ValueError(refusal(i)) at the first vector with a remainder."""
+    out = []
+    for i, v in enumerate(vectors):
+        q = [divmod(sum(map(mul, row, v)), den) for row in X]
+        if any(r for _, r in q):
+            raise ValueError(refusal(i))
+        out.append(tuple(x for x, _ in q))
+    return out
 
 
 def simple_coords(vectors, simple_indices, targets):
@@ -824,7 +916,9 @@ def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
 
 def poincare_correction(pairobj: ProductPair) -> InvariantForm:
     """F_P = sum_k z_k wedge z_k-dual over the radical basis, pairing each
-    central basis vector with its namesake in the dual algebra."""
+    central basis vector with its namesake in the dual algebra: the
+    name-paired block, kept as the negative control of the lattice one
+    (it fails integrality on GL_n and on (Spin(8) x G_m)/mu_2)."""
     P = pairobj.product
     n = P.offset
     terms = {}
@@ -835,9 +929,59 @@ def poincare_correction(pairobj: ProductPair) -> InvariantForm:
     return InvariantForm(P, 2, terms, TAG_CARTAN)
 
 
+def lattice_exponent(pairobj: ProductPair):
+    """The exponent e of Lambda / ((Lambda cap span_Q coroots) + (Lambda cap z)),
+    the last Smith invariant factor of the two sublattices' stacked bases:
+    Lambda cap z is the integer kernel of the roots, and Lambda cap
+    span_Q coroots that of the dual radical basis."""
+    L, Ld = pairobj.L, pairobj.Ldual
+    if not L.radical_basis:
+        return 1
+    ss = integer_kernel(Ld.radical_basis) if L.datum.nroots else []
+    return smith_normal_form(ss + [list(z) for z in L.radical_basis])[-1]
+
+
+def lattice_poincare_correction(pairobj: ProductPair) -> InvariantForm:
+    """F_P(lambda, mu) = e <pi_z lambda, pi_zdual mu> on the radical bases:
+    e (z_k . zdual_j) on (z_k, zdual_j), with e from the Smith form."""
+    P = pairobj.product
+    L, Ld = pairobj.L, pairobj.Ldual
+    e = lattice_exponent(pairobj)
+    terms = {}
+    for k, z in enumerate(L.radical_basis):
+        for j, zd in enumerate(Ld.radical_basis):
+            if pair(z, zd):
+                terms[(L.index[("z", k)], P.offset + Ld.index[("z", j)])] = e * pair(z, zd)
+    return InvariantForm(P, 2, terms, TAG_CARTAN)
+
+
+def name_paired_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
+    """dualizing_pairing with the name-paired radical block: the identity
+    on (z, zdual), F0 on the simple coroots."""
+    P = L.datum.pairing
+    nz = len(L.radical_basis)
+    cols = [[row[t] for row in P] for t in Ldual.simple_indices]
+    radical = [[int(k == j) for j in range(nz)] + [0] * len(cols) for k in range(nz)]
+    return radical + [[0] * nz + [sum(map(mul, P[s], col)) for col in cols] for s in L.simple_indices]
+
+
 def dualizing_form(pairobj: ProductPair) -> InvariantForm:
-    """F = F0 + F_P on the product, the sum of the two builders."""
-    return tautological_two_form(pairobj).add(poincare_correction(pairobj))
+    """F = F0 + F_P on the product, the sum of the tautological form and
+    the lattice F_P."""
+    return tautological_two_form(pairobj).add(lattice_poincare_correction(pairobj))
+
+
+def loop_angle_positivity(pairobj: ProductPair):
+    """check_angle_positivity as the double loop over root pairs, i then
+    j: the first (i, j) with alpha_i(h_j) alpha_j(h_i) outside 0..4, as
+    (passed, witness, residual)."""
+    P = pairobj.datum.pairing
+    for i in range(len(P)):
+        for j in range(len(P)):
+            v = P[j][i] * P[i][j]
+            if v < 0 or v > 4:
+                return False, [i, j], frac_str(v)
+    return True, None, None
 
 
 def fiber_pairing_matrix(pairobj: ProductPair, F: InvariantForm):

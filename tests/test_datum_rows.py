@@ -1,0 +1,234 @@
+"""The datum layer at row speed against the entry-by-entry routines it
+replaced, kept in oracles.py: the reflection closure, the coordinate type
+walk, the dot-product pairing, the functional chamber with its pairwise
+simple-root search, the functional order of canonicalize, exact quotients
+one dot product at a time, and the double loop of angle positivity.  They
+must agree on every RANK8_TYPES datum, under GL_n(Z) changes of basis, and
+on malformed data: zero and repeated roots, non-int coordinates, and
+coordinates of 2^7 and more, which take the wide pairing path."""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import build
+from liedual import exactlin, rootdatum, tduality
+from oracles import (
+    canonical_order,
+    checked_coordinates,
+    dot_pairing,
+    exact_quotients,
+    functional_positive_system,
+    generate_root_pairs,
+    loop_angle_positivity,
+)
+from test_rootdatum import (
+    RANK8_TYPES,
+    arbitrary_data,
+    change_basis,
+    fresh,
+    oracle_validate,
+    perturbed_data,
+    small_data,
+    unimodular_pair,
+)
+
+
+def wide(d):
+    """True when the pairing of d takes the dot-product path."""
+    m = max((abs(x) for v in d.roots + d.coroots for x in v), default=0)
+    return d.rank * m * m >= 1 << 14
+
+
+def assert_agrees(d):
+    """Pairing, axiom report, chamber and canonical order of a fresh copy
+    of d, against the oracles."""
+    d = fresh(d)
+    assert d.pairing == dot_pairing(d)
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in d.pairing)
+    assert rootdatum.validate(d) == oracle_validate(d)
+    assert d.chamber == functional_positive_system(d)
+    order = canonical_order(d)
+    c = rootdatum.canonicalize(d)
+    assert c.roots == tuple(d.roots[i] for i in order)
+    assert c.coroots == tuple(d.coroots[i] for i in order)
+    pairobj = SimpleNamespace(datum=d)
+    rec = tduality.check_angle_positivity(pairobj)
+    assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
+
+
+FAMILIES = [(fam, n) for fam, ranks in (("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)),
+                                        ("D", range(3, 11)), ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
+            for n in ranks]
+
+
+@pytest.mark.parametrize("fam,n", FAMILIES)
+def test_the_label_closure_matches_the_pairing_closure(fam, n):
+    A = rootdatum.family_cartan(fam, n)
+    triples = rootdatum.generate_root_pairs(A)
+    assert [(root, coroot) for root, coroot, _ in triples] == generate_root_pairs(A)
+    # The carried labels are the coroot's pairings with the simple roots.
+    for _, coroot, labels in triples:
+        assert list(labels) == [sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)]
+        assert type(labels) is tuple and all(type(x) is int for x in labels)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_datum_rows_match_the_oracles(typ):
+    d = build(typ)
+    assert not wide(d)
+    for x in (d, rootdatum.dualize(d)):
+        assert_agrees(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(typ=st.sampled_from([t for t in RANK8_TYPES if "8" not in t]), dual=st.booleans(), data=st.data())
+def test_datum_rows_match_the_oracles_under_a_change_of_basis(typ, dual, data):
+    d = build(typ)
+    d = rootdatum.dualize(d) if dual else d
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert_agrees(e)
+    assert e.pairing == d.pairing
+
+
+@st.composite
+def sheared(draw, data):
+    """A datum of data in a basis changed by the shear row i += k row j,
+    |k| >= 2^7, with every coordinate of the result kept."""
+    d = draw(data)
+    assume(d.rank >= 2)
+    i, j = draw(st.permutations(range(d.rank)))[:2]
+    k = draw(st.integers(1 << 7, 1 << 10)) * draw(st.sampled_from([-1, 1]))
+    U = [[int(a == b) + (k if (a, b) == (i, j) else 0) for b in range(d.rank)] for a in range(d.rank)]
+    V = [[int(a == b) - (k if (a, b) == (i, j) else 0) for b in range(d.rank)] for a in range(d.rank)]
+    return d, change_basis(d, U, V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=sheared(small_data()))
+def test_wide_coordinates_take_the_dot_product_path_and_keep_the_pairing(pair):
+    d, e = pair
+    assume(wide(e))
+    assert_agrees(e)
+    assert e.pairing == d.pairing
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=sheared(st.one_of(perturbed_data(), arbitrary_data())))
+def test_wide_malformed_data_match_the_oracles(pair):
+    d, e = pair
+    assume(wide(e))
+    assert_agrees(e)
+
+
+def test_the_packed_rows_hold_the_largest_narrow_values():
+    # rank m^2 just below 2^14 stays packed: +-127^2 and +-2 * 90^2 are exact.
+    for rank, m in ((1, 127), (2, 90), (4, 63)):
+        roots = ((m,) * rank, (-m,) * rank, (m, *([0] * (rank - 1))))
+        coroots = ((m,) * rank, (m,) * rank, (-m,) * rank)
+        d = rootdatum.RootDatum(rank=rank, roots=roots, coroots=coroots)
+        assert not wide(d)
+        assert d.pairing == dot_pairing(d)
+        assert d.pairing[0][0] == rank * m * m and d.pairing[0][1] == -rank * m * m
+    d = rootdatum.RootDatum(rank=1, roots=((128,), (-128,)), coroots=((128,), (1,)))
+    assert wide(d) and d.pairing == dot_pairing(d) == ((16384, -16384), (128, -128))
+
+
+def test_e8_under_a_wide_shear_keeps_its_pairing_and_chamber_oracles():
+    d = build("E8:sc")
+    U = [[int(a == b) + (300 if (a, b) == (0, 7) else 0) for b in range(8)] for a in range(8)]
+    V = [[int(a == b) - (300 if (a, b) == (0, 7) else 0) for b in range(8)] for a in range(8)]
+    e = change_basis(d, U, V)
+    assert wide(e)
+    assert_agrees(e)
+    assert e.pairing == d.pairing
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.one_of(perturbed_data(), arbitrary_data()))
+def test_malformed_data_match_the_oracles(d):
+    # Zeroed, repeated, scaled and negated roots and coroots.
+    assert_agrees(d)
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "B3:adj", "A1xT1:sc"])
+@pytest.mark.parametrize("move", ["zero", "repeat"])
+def test_zero_and_repeated_roots_give_the_oracle_witnesses(typ, move):
+    d = build(typ)
+    roots = list(d.roots)
+    roots[1] = (0,) * d.rank if move == "zero" else roots[0]
+    broken = rootdatum.RootDatum(rank=d.rank, roots=roots, coroots=d.coroots)
+    rep = rootdatum.validate(broken)
+    assert not rep.ok and rep == oracle_validate(broken)
+    assert_agrees(broken)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_a_non_int_coordinate_is_named_as_the_walk_names_it(d, data):
+    assume(d.nroots)
+    vecs = {"roots": [list(v) for v in d.roots], "coroots": [list(v) for v in d.coroots]}
+    for _ in range(data.draw(st.integers(1, 3))):
+        key = data.draw(st.sampled_from(sorted(vecs)))
+        i = data.draw(st.integers(0, d.nroots - 1))
+        k = data.draw(st.integers(0, d.rank - 1))
+        vecs[key][i][k] = data.draw(st.sampled_from([2.7, "2", True, False, Fraction(5, 2), 2.0, None]))
+    with pytest.raises(ValueError) as walk:
+        checked_coordinates("roots", vecs["roots"])
+        checked_coordinates("coroots", vecs["coroots"])
+    with pytest.raises(ValueError) as new:
+        rootdatum.RootDatum(rank=d.rank, roots=vecs["roots"], coroots=vecs["coroots"])
+    assert str(new.value) == str(walk.value)
+
+
+@st.composite
+def quotient_cases(draw):
+    k = draw(st.integers(0, 3))
+    X = draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), min_size=k, max_size=k))
+    den = draw(st.integers(-6, 6).filter(bool))
+    vectors = draw(st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k), max_size=6))
+    return X, den, vectors
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=quotient_cases())
+def test_exact_quotients_match_one_dot_product_per_coordinate(case):
+    X, den, vectors = case
+    got = outcome(exactlin.exact_quotients, X, den, vectors, str)
+    assert got == outcome(exact_quotients, X, den, vectors, str)
+    if not isinstance(got, str):
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in got)
+
+
+def test_exact_quotients_refuse_the_smallest_failing_vector_across_rows():
+    # Vector 2 fails in row 0 and vector 1 in row 1: vector 1 is refused.
+    X = [[1, 0], [0, 1]]
+    vectors = [(2, 2), (2, 1), (1, 2)]
+    assert outcome(exactlin.exact_quotients, X, 2, vectors, str) == "refused: 1" == \
+        outcome(exact_quotients, X, 2, vectors, str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(typ=st.sampled_from(["A2:sc", "B2:sc", "G2", "A1xT1:sc", "D4:sc", "C3:adj"]), data=st.data())
+def test_angle_positivity_gives_the_loop_witness_on_a_seeded_defect(typ, data):
+    d = build(typ)
+    P = [list(row) for row in d.pairing]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, d.nroots - 1))
+        j = data.draw(st.integers(0, d.nroots - 1))
+        P[i][j] = data.draw(st.integers(-6, 6))
+    seeded = fresh(d)
+    seeded.__dict__["pairing"] = tuple(map(tuple, P))
+    pairobj = SimpleNamespace(datum=seeded)
+    rec = tduality.check_angle_positivity(pairobj)
+    assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)

@@ -19,8 +19,8 @@ from oracles import (
     composed_phi,
     dense_spanning_set,
     densify,
+    lattice_poincare_correction,
     pairing_form,
-    poincare_correction,
     pullback_first,
     pullback_second,
     spanning_set_with_basis,
@@ -123,7 +123,7 @@ DOUBLED_F_RECORDS = {
 @pytest.mark.parametrize("typ", DEFECT_TYPES)
 def test_doubled_F_is_twice_the_tautological_form_plus_the_correction(typ):
     pair = doubled_F(pair_and_phi(typ)[0])
-    F = tautological_two_form(pair).scale(2).add(poincare_correction(pair))
+    F = tautological_two_form(pair).scale(2).add(lattice_poincare_correction(pair))
     assert pairing_form(pair) == F
     rec = check_flux_equation(pair, tduality.flux_residual_form(pair))
     assert (rec.witness, rec.residual) == DOUBLED_F_RECORDS[typ]

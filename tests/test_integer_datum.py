@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import chevalley, exactlin, rootdatum
-from oracles import FractionNTable, simple_coords
+from oracles import FractionNTable, generate_root_pairs, simple_coords
 from test_exactlin import rank_exact
 from test_rootdatum import FAMILY_RANKS, RANK8_TYPES, change_basis, small_data, unimodular_pair
 
@@ -25,7 +25,7 @@ def legacy_build_from_dynkin(desc):
     blocks = []
     for fam, n, iso in desc.factors:
         A = rootdatum.family_cartan(fam, n)
-        blocks.append((fam, n, iso, A, rootdatum.generate_root_pairs(A)))
+        blocks.append((fam, n, iso, A, generate_root_pairs(A)))
     ss_rank = sum(n for _, n, _, _, _ in blocks)
     rank = ss_rank + desc.torus_rank
     if desc.custom_basis is not None:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -33,7 +34,9 @@ from oracles import (
     fiber_pairing_matrix,
     full_space_residual,
     killing_form,
+    loop_angle_positivity,
     loop_nondegeneracy,
+    name_paired_pairing,
     per_root_tautological_two_form,
     per_unit_lattice_pairing,
     poincare_correction,
@@ -338,31 +341,115 @@ def test_pairing_and_basis_agree_with_the_builders_under_basis_changes(d, dual, 
     assert_agrees_with_the_builders(any_pair_of(rootdatum.dualize(d) if dual else d))
 
 
-def gl(n):
-    """GL_n as data: roots = coroots = e_i - e_j in Z^n."""
-    roots = [[int(k == i) - int(k == j) for k in range(n)] for i in range(n) for j in range(n) if i != j]
-    return rootdatum.RootDatum(rank=n, roots=roots, coroots=roots)
+def gl(*ns):
+    """GL_n1 x GL_n2 x ... as data: roots = coroots = e_i - e_j in Z^(n1 + n2 + ...),
+    i and j in one block."""
+    rank, roots, off = sum(ns), [], 0
+    for n in ns:
+        roots += [[int(k == off + i) - int(k == off + j) for k in range(rank)]
+                  for i in range(n) for j in range(n) if i != j]
+        off += n
+    return rootdatum.RootDatum(rank=rank, roots=roots, coroots=roots)
+
+
+def spin8_gm_mod_mu2(k):
+    """(Spin(8) x G_m)/mu_2 for the end node k of D4: D4:sc with <varpi_k,
+    alpha>, the coefficient of the simple root k in alpha, as a fifth root
+    coordinate, and coroots (c, 0)."""
+    d = build("D4:sc")
+    A = rootdatum.family_cartan("D", 4)
+    triples = rootdatum.generate_root_pairs(A)
+    # build_from_dynkin lists the roots in closure order, at y = A c.
+    assert all(list(r) == [sum(map(mul, row, c)) for row in A] for r, (c, _, _) in zip(d.roots, triples))
+    return rootdatum.RootDatum(rank=5, roots=[r + (c[k],) for r, (c, _, _) in zip(d.roots, triples)],
+                               coroots=[x + (0,) for x in d.coroots])
+
+
+# Non-split reductive data: the radical is not a direct summand of the
+# lattice next to the coroot span.  name -> (datum, type, radical block of
+# the fiber pairing).
+NON_SPLIT = {
+    "GL2": (gl(2), "A1 x T1", [[4]]),
+    "GL3": (gl(3), "A2 x T1", [[9]]),
+    "GL4": (gl(4), "A3 x T1", [[16]]),
+    "GL5": (gl(5), "A4 x T1", [[25]]),
+    "GL2xGL3": (gl(2, 3), "A1 x A2 x T2", [[12, 0], [0, 18]]),
+    **{f"(Spin8xGm)/mu2[{k}]": (spin8_gm_mod_mu2(k), "D4 x T1", [[-4]]) for k in (0, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", NON_SPLIT)
+@pytest.mark.parametrize("dual", [False, True])
+def test_non_split_data_pass_verify_all_with_the_lattice_radical_block(name, dual):
+    d, typ, block = NON_SPLIT[name]
+    d = rootdatum.dualize(d) if dual else d
+    rep = verify_all(d)
+    assert rep.overall, [c.as_dict(timing=False) for c in rep.checks if not c.passed]
+    assert rootdatum.classify_label(d) == typ
+    pair = build_pair(d)
+    nz = len(pair.L.radical_basis)
+    assert [row[:nz] for row in pair.fiber_pairing[:nz]] == block
+    assert pair.fiber_pairing == fiber_pairing_matrix(pair, dualizing_form(pair))
+
+
+@pytest.mark.parametrize("typ", ["T1", "T3", "A1xT1:sc", "A2xT1:sc", "A3xT2:sc", "G2xT1", "D4:adj x T2"])
+def test_descriptor_data_are_split_and_keep_the_identity_radical_block(typ):
+    # e = 1 and the two radical bases are dual on every descriptor, so the
+    # lattice block is the name-paired one there, and no report changes.
+    d = build(typ)
+    for x in (d, rootdatum.dualize(d)):
+        pair = any_pair_of(x)
+        assert pair.fiber_pairing == name_paired_pairing(pair.L, pair.Ldual)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gl_n_passes_verify_all(n):
+    rep = verify_all(gl(n))
+    assert rep.overall, [c.as_dict(timing=False) for c in rep.checks if not c.passed]
 
 
 @pytest.mark.parametrize("n,residual", [(2, "9/4"), (3, "37/9"), (4, "97/16")])
 def test_gl_n_fails_only_integrality_at_the_radical_corner(n, residual):
-    # The radical block of the fiber pairing pairs z_k with zdual_k by name;
-    # e_1 has z-coordinate 1/n, so the corner of M is off by a fraction.
-    rep = verify_all(gl(n))
+    # Negative control: the name-paired radical block pairs z_k with
+    # zdual_k by name; e_1 has z-coordinate 1/n, so the corner of M is off
+    # by a fraction.
+    with mock.patch.object(tduality, "dualizing_pairing", name_paired_pairing):
+        rep = verify_all(gl(n))
     assert rootdatum.classify_label(gl(n)) == f"A{n - 1} x T1"
     failed = [(c.name, c.witness, c.residual) for c in rep.checks if not c.passed]
     assert failed == [("integrality", "lattice pairing (0,0)", residual)]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 1: the radical block of the fiber pairing is not lattice-aware, so GL_n fails integrality",
-)
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_gl_n_passes_verify_all(n):
-    rep = verify_all(gl(n))
+@pytest.mark.parametrize("k,residual", [(0, "25/2"), (2, "25/4"), (3, "25/4")])
+def test_the_name_paired_block_fails_integrality_on_spin8_gm_mod_mu2(k, residual):
+    # Negative control on the three mu_2 data and their duals: the first
+    # fractional entry of M is in the radical row (column) of the lattice
+    # pairing.
+    d = spin8_gm_mod_mu2(k)
+    with mock.patch.object(tduality, "dualizing_pairing", name_paired_pairing):
+        for x, witness in ((d, "lattice pairing (4,0)"), (rootdatum.dualize(d), "lattice pairing (0,4)")):
+            failed = [(c.name, c.witness, c.residual) for c in verify_all(x).checks if not c.passed]
+            assert failed == [("integrality", witness, residual)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(NON_SPLIT)), dual=st.booleans(), data=st.data())
+def test_non_split_verdicts_survive_a_change_of_lattice_basis(name, dual, data):
+    d = NON_SPLIT[name][0]
+    d = rootdatum.dualize(d) if dual else d
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    rep = verify_all(e)
     assert rep.overall, [c.as_dict(timing=False) for c in rep.checks if not c.passed]
+    assert rootdatum.fundamental_group(e) == rootdatum.fundamental_group(d)
+    # The radical block is e times the Gram matrix of the two radical
+    # bases; a change of basis changes those bases by unimodular maps, so
+    # the block's determinant keeps its absolute value.
+    blocks = []
+    for x in (d, e):
+        pair = build_pair(x)
+        nz = len(pair.L.radical_basis)
+        blocks.append(abs(exactlin.det_exact([row[:nz] for row in pair.fiber_pairing[:nz]])))
+    assert blocks[0] == blocks[1]
 
 
 def test_the_rank_zero_lattice_pairing_is_empty():
