@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import chevalley, rootdatum, tduality
 
@@ -30,8 +31,40 @@ def _load_datum(args):
     return d
 
 
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(obj, ind="\n"):
+    """The stdlib's json.dumps text with indent=2 and sort_keys=True, byte
+    for byte, without the pure-Python encoder that indent selects; ind is
+    the line break and indent of obj's own line.  Types match exactly: dict
+    with str keys, list, tuple, str, int, float, bool and None.  Anything
+    else raises TypeError, an int key included: the stdlib would write it
+    as a string, and no command emits one."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    inner = ind + "  "
+    if t is list or t is tuple:
+        items, brackets = [_dumps(v, inner) for v in obj], "[]"
+    elif t is dict:
+        items, brackets = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)], "{}"
+    elif t is int:
+        return int.__repr__(obj)
+    elif t is float:
+        text = float.__repr__(obj)
+        return _FLOATS.get(text, text)
+    elif t is bool:
+        return "true" if obj else "false"
+    elif obj is None:
+        return "null"
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1] if items else brackets
+
+
 def _emit(obj, out_path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _dumps(obj)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -181,12 +181,18 @@ def _check_axioms(d):
     # tested on an integer functional that is injective on every vector
     # involved, so each reflection costs two int operations, and each
     # column j is tested as a whole; only a failing column is scanned for
-    # its first failing i.
+    # its first failing i.  A column k holding (-root_j, -coroot_j) runs
+    # column j's test term for term, so j is skipped when the first such k
+    # is earlier: the first failing column, and its witness, stay the same.
     reach = 1 + _max_abs(P)
     fc = _injective_values(d.coroots, reach)
     fr = _injective_values(d.roots, reach)
     coroot_set, root_set = set(fc), set(fr)
+    first = dict(zip(zip(fr[::-1], fc[::-1]), range(d.nroots - 1, -1, -1)))
+    twin = list(map(first.get, zip(map(neg, fr), map(neg, fc)), repeat(d.nroots)))
     for j, col in enumerate(zip(*P)):
+        if twin[j] < j:
+            continue
         if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))
                 and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
             i = next(i for i, (n, m) in enumerate(zip(col, P[j]))

@@ -20,17 +20,29 @@ helpers, and the datum routines that worked entry by entry: the
 reflection closure that recomputed both pairings per reflection, the
 coordinate type walk, the dot-product pairing, the functional chamber
 with its pairwise simple-root search, the functional order of
-canonicalize, and exact quotients one dot product at a time.
+canonicalize, exact quotients one dot product at a time, and the
+reflection test on every root column, negative twins included.  The
+stdlib's JSON encoder is the oracle of the CLI's writer.
 """
 
+import json
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import mul, sub
 
 from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
 from liedual.exactlin import det_exact, integer_inverse, integer_kernel, smith_normal_form, solve_exact
-from liedual.rootdatum import RootDatum, _require_int, _swap_key, cartan_matrix, pair, positive_system
+from liedual.rootdatum import (
+    RootDatum,
+    _injective_values,
+    _max_abs,
+    _require_int,
+    _swap_key,
+    cartan_matrix,
+    pair,
+    positive_system,
+)
 from liedual.tduality import ProductAlgebra, ProductPair, flux_residual_form, frac_str
 
 
@@ -206,6 +218,24 @@ def exact_quotients(X, den, vectors, refusal):
             raise ValueError(refusal(i))
         out.append(tuple(x for x, _ in q))
     return out
+
+
+def all_columns_reflection_witness(d: RootDatum):
+    """The first (i, j) at which reflecting coroot i in root j or root i in
+    coroot j leaves the coroots or roots, or None: the reflection loop of
+    _check_axioms that tested every root column j, including the negative
+    twin of an earlier column."""
+    P = d.pairing
+    reach = 1 + _max_abs(P)
+    fc = _injective_values(d.coroots, reach)
+    fr = _injective_values(d.roots, reach)
+    coroot_set, root_set = set(fc), set(fr)
+    for j, col in enumerate(zip(*P)):
+        if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))
+                and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
+            return next((i, j) for i, (n, m) in enumerate(zip(col, P[j]))
+                        if fc[i] - n * fc[j] not in coroot_set or fr[i] - m * fr[j] not in root_set)
+    return None
 
 
 def simple_coords(vectors, simple_indices, targets):
@@ -1159,3 +1189,12 @@ def per_unit_lattice_pairing(pairobj: ProductPair):
     mus = [embed_right(pairobj, cartan_vector(pairobj.Ldual, u)) for u in units]
     F = pairing_form(pairobj)
     return [[F.evaluate(lam, mu) for mu in mus] for lam in lams]
+
+
+# ---------------------------------------------------------------------------
+# The CLI's JSON text
+
+
+def stdlib_emit(obj):
+    """The text every CLI command writes before its final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)

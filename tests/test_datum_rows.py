@@ -2,7 +2,8 @@
 replaced, kept in oracles.py: the reflection closure, the coordinate type
 walk, the dot-product pairing, the functional chamber with its pairwise
 simple-root search, the functional order of canonicalize, exact quotients
-one dot product at a time, and the double loop of angle positivity.  They
+one dot product at a time, the double loop of angle positivity, and the
+reflection test on every root column, negative twins included.  They
 must agree on every RANK8_TYPES datum, under GL_n(Z) changes of basis, and
 on malformed data: zero and repeated roots, non-int coordinates, and
 coordinates of 2^7 and more, which take the wide pairing path."""
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import build
 from liedual import exactlin, rootdatum, tduality
 from oracles import (
+    all_columns_reflection_witness,
     canonical_order,
     checked_coordinates,
     dot_pairing,
@@ -50,6 +52,7 @@ def assert_agrees(d):
     assert d.pairing == dot_pairing(d)
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in d.pairing)
     assert rootdatum.validate(d) == oracle_validate(d)
+    assert rootdatum.validate(d).reflection_witness == all_columns_reflection_witness(d)
     assert d.chamber == functional_positive_system(d)
     order = canonical_order(d)
     c = rootdatum.canonicalize(d)
@@ -164,6 +167,64 @@ def test_zero_and_repeated_roots_give_the_oracle_witnesses(typ, move):
     rep = rootdatum.validate(broken)
     assert not rep.ok and rep == oracle_validate(broken)
     assert_agrees(broken)
+
+
+def twin_perturbations(typ):
+    """(case, datum, j, k) for each +- root pair a < b of typ: root j of the
+    pair perturbed (doubled, shifted by another root, or its (root, coroot)
+    pair replaced by another root's, which repeats that pair), and column k
+    set to the negation of the new pair j: k = b, a, or None for no twin."""
+    d = build(typ)
+    index = {r: i for i, r in enumerate(d.roots)}
+    for a, r in enumerate(d.roots):
+        b = index[tuple(-x for x in r)]
+        if a > b:
+            continue
+        other = next(i for i in range(d.nroots) if i not in (a, b))
+        for case in ("after", "before", "none"):
+            j, k = {"after": (a, b), "before": (b, a), "none": (a, None)}[case]
+            for move in ("double", "shift", "repeat"):
+                roots, coroots = list(d.roots), list(d.coroots)
+                if move == "double":
+                    roots[j] = tuple(2 * x for x in roots[j])
+                elif move == "shift":
+                    roots[j] = tuple(map(sum, zip(roots[j], roots[other])))
+                else:
+                    roots[j], coroots[j] = roots[other], coroots[other]
+                if k is not None:
+                    roots[k] = tuple(-x for x in roots[j])
+                    coroots[k] = tuple(-x for x in coroots[j])
+                yield f"{case}-{move}", rootdatum.RootDatum(rank=d.rank, roots=roots, coroots=coroots), j, k
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "B3:sc"])
+def test_a_perturbed_root_gives_the_all_columns_witness_with_or_without_its_twin(typ):
+    # Column k, when there is one, runs column j's reflection test, and
+    # the later of the two is skipped; the witness must not move.
+    for case, d, j, k in twin_perturbations(typ):
+        rep = rootdatum.validate(d)
+        assert not rep.reflection, case
+        assert rep == oracle_validate(d), case
+        assert rep.reflection_witness == all_columns_reflection_witness(d), case
+        assert_agrees(d)
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "B3:sc", "G2:sc"])
+def test_repeated_pairs_and_their_twins_keep_the_witness(typ):
+    # Every (root, coroot) pair listed twice, in place or at the end: each
+    # column has a twin, and a repeat, before or after it.
+    d = build(typ)
+    for roots, coroots in ((d.roots * 2, d.coroots * 2),
+                           (sum(zip(d.roots, d.roots), ()), sum(zip(d.coroots, d.coroots), ()))):
+        e = rootdatum.RootDatum(rank=d.rank, roots=roots, coroots=coroots)
+        assert rootdatum.validate(e).ok
+        for i in range(e.nroots):
+            for k in (0, e.rank - 1):
+                broken = list(e.roots)
+                broken[i] = tuple(x + (t == k) for t, x in enumerate(broken[i]))
+                f = rootdatum.RootDatum(rank=e.rank, roots=broken, coroots=e.coroots)
+                assert rootdatum.validate(f) == oracle_validate(f)
+                assert rootdatum.validate(f).reflection_witness == all_columns_reflection_witness(f)
 
 
 @settings(max_examples=100, deadline=None)
