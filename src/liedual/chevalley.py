@@ -122,8 +122,7 @@ class _NTable:
         self.coroot_coords = exactlin.exact_quotients(list(zip(*X)), den, ([row[s] for s in simple_indices] for row in P),
                                                       lambda i: refuse(datum.coroots[i]))
         M = 6 * max((abs(x) for c in coords for x in c), default=0) + 1
-        powers = [M ** k for k in range(len(simple_indices))]
-        self.code = [sum(map(mul, powers, c)) for c in coords]
+        self.code = rootdatum._functional_values(coords, M)
         self.by_code = {x: i for i, x in enumerate(self.code)}
         self.neg = [self.by_code[-x] for x in self.code]
         self.K = [sum(map(mul, row, row)) for row in P]

@@ -51,12 +51,7 @@ class RootDatum:
 
     @cached_property
     def pairing(self):
-        """P[i][j] = <coroot_i, root_j>.  dualize and canonicalize leave a
-        datum the means to read it off their source's pairing, when that is
-        already computed; it is used when the pairing is first read."""
-        derive = self.__dict__.pop("_derive_pairing", None)
-        if derive is not None:
-            return derive()
+        """P[i][j] = <coroot_i, root_j>."""
         return _pairing(self.coroots, self.roots, self.rank)
 
     @cached_property
@@ -66,12 +61,7 @@ class RootDatum:
 
     @cached_property
     def chamber(self):
-        """(positive, simple) root indices of positive_system, as tuples.
-        dualize and canonicalize leave a datum the means to read it off
-        their source's chamber, computed there at most once."""
-        derive = self.__dict__.pop("_derive_chamber", None)
-        if derive is not None:
-            return derive()
+        """(positive, simple) root indices of positive_system, as tuples."""
         return _positive_system(self)
 
 
@@ -243,7 +233,8 @@ def dualize(d: RootDatum) -> RootDatum:
     """Langlands dualization: swap roots <-> coroots and the two lattices.
 
     Pure data transposition in coordinates, so dualize(dualize(d)) == d
-    entry for entry (the label wraps and unwraps in step).
+    entry for entry (the label wraps and unwraps in step).  The dual copies
+    the facts its source has already computed and computes none itself.
     """
     if d.label is None:
         label = None
@@ -254,9 +245,10 @@ def dualize(d: RootDatum) -> RootDatum:
     dd = RootDatum(rank=d.rank, roots=d.coroots, coroots=d.roots, label=label)
     if "pairing" in d.__dict__:
         # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.
-        dd.__dict__["_derive_pairing"] = lambda: tuple(zip(*d.pairing))
-    # _positive_system commutes with dualization: the same indices.
-    dd.__dict__["_derive_chamber"] = lambda: d.chamber
+        dd.__dict__["pairing"] = tuple(zip(*d.pairing))
+    if "chamber" in d.__dict__:
+        # _positive_system commutes with dualization: the same indices.
+        dd.__dict__["chamber"] = d.chamber
     # The axioms are self-dual, and a datum is reduced exactly when its dual
     # is (Springer, Linear Algebraic Groups, 7.4): an ok report carries over.
     if "axioms" in d.__dict__ and d.axioms.ok:
@@ -494,12 +486,6 @@ def _descriptor_label(desc):
 # Positive systems, Cartan matrices, invariants
 
 
-def _swap_key(d, i):
-    # Key invariant under exchanging the root and coroot lists.
-    a, b = d.roots[i], d.coroots[i]
-    return (min(a, b), max(a, b))
-
-
 def positive_system(d: RootDatum):
     """Indices of positive roots and of simple roots, as fresh lists of the
     chamber computed once per datum."""
@@ -586,36 +572,14 @@ def canonicalize(d: RootDatum) -> RootDatum:
     """Sort index-aligned (root, coroot) pairs by the generic functional of
     the roots, descending (positive roots first), then lexicographically;
     this is the writer order of the JSON schema."""
-    if d.nroots == 0 or d.__dict__.get("_canonical"):
-        return d
     f = _functional_values(d.roots, 1 + _max_abs(d.roots))
     order = sorted(range(d.nroots), key=list(zip(map(neg, f), d.roots)).__getitem__)
-    c = RootDatum(
+    return RootDatum(
         rank=d.rank,
         roots=tuple(d.roots[i] for i in order),
         coroots=tuple(d.coroots[i] for i in order),
         label=d.label,
     )
-    if "pairing" in d.__dict__:
-        def permuted():
-            # Permute the rows, then the columns (as rows of the transpose).
-            cols = tuple(zip(*(d.pairing[i] for i in order)))
-            return tuple(zip(*(cols[j] for j in order)))
-        c.__dict__["_derive_pairing"] = permuted
-
-    def reindexed():
-        # The chamber is cut out by vectors, not indices: map the source's
-        # indices, sort the positives and order the simples as
-        # _positive_system does, by swap key and then by index.
-        pos, simple = d.chamber
-        new = {i: t for t, i in enumerate(order)}
-        simple = sorted((_swap_key(d, i), new[i]) for i in simple)
-        return tuple(sorted(new[i] for i in pos)), tuple(t for _, t in simple)
-    c.__dict__["_derive_chamber"] = reindexed
-    # Sorting a canonical datum again is the identity: to_json_dict and
-    # canonicalize return it as it is.
-    c.__dict__["_canonical"] = True
-    return c
 
 
 def to_json_dict(d: RootDatum) -> dict:

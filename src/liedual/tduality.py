@@ -350,6 +350,9 @@ def check_ade_symmetry(d: RootDatum):
 
 @dataclass
 class VerificationReport:
+    """The data as verified, in their input order, and the checks.  as_dict
+    writes each datum in canonical order; its type and pi1 do not depend
+    on the order of the pairs, so the source's chamber serves."""
     datum: RootDatum
     dual: RootDatum = None
     phi: object = None
@@ -392,13 +395,13 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     rep = rootdatum.validate(d)
     if not rep.ok:
         raise ValueError(f"invalid root datum: {rep.as_dict()}")
-    report = VerificationReport(datum=rootdatum.canonicalize(d))
+    report = VerificationReport(datum=d)
     sym = check_ade_symmetry(d)
     report.checks.append(sym)
     if not sym.passed:
         return report
     pairobj = build_pair(d)
-    report.dual = rootdatum.canonicalize(pairobj.dual_datum)
+    report.dual = pairobj.dual_datum
     report.phi = {f"{a[0]}{a[1]}": f"{b[0]}{b[1]}" for a, b in pairobj.iso.items()}
     report.checks.append(check_nondegeneracy(pairobj))
     M = lattice_pairing_matrix(pairobj)

@@ -38,7 +38,6 @@ from liedual.rootdatum import (
     _injective_values,
     _max_abs,
     _require_int,
-    _swap_key,
     cartan_matrix,
     pair,
     positive_system,
@@ -177,6 +176,12 @@ def functional(vectors):
     M = 1 + max |coordinate|, evaluated one vector at a time."""
     M = 1 + max((abs(x) for v in vectors for x in v), default=0)
     return lambda v: sum((M ** k) * x for k, x in enumerate(v))
+
+
+def _swap_key(d, i):
+    # Key invariant under exchanging the root and coroot lists.
+    a, b = d.roots[i], d.coroots[i]
+    return (min(a, b), max(a, b))
 
 
 def functional_positive_system(d: RootDatum):

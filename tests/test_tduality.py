@@ -20,6 +20,7 @@ from liedual.tduality import (
     check_integrality,
     check_nondegeneracy,
     flux_residual_form,
+    frac_str,
     good_isomorphism,
     lattice_pairing_matrix,
     verify_all,
@@ -43,7 +44,7 @@ from oracles import (
     spanning_set_with_basis,
     tautological_two_form,
 )
-from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
+from test_rootdatum import RANK8_TYPES, change_basis, shuffled, small_data, unimodular_pair
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -526,6 +527,40 @@ def test_report_schema_and_determinism():
     assert set(rep1) == {"datum", "dual", "phi", "checks", "overall", "scaled_n"}
     for c in rep1["checks"]:
         assert set(c) == {"name", "pass", "witness", "residual"}
+
+
+def canonical_report(d):
+    return json.dumps(verify_all(d, scales=(2,)).as_dict(timing=False), sort_keys=True)
+
+
+@settings(max_examples=16, deadline=None)
+@given(typ=st.sampled_from(["T2", "A1:sc", "A2xT2:sc", "A1:adjxA1:adj", "A3:adj", "D4:adj", "E6:sc"]),
+       data=st.data())
+def test_a_passing_report_does_not_depend_on_the_order_of_the_pairs(typ, data):
+    d = build(typ)
+    e = shuffled(d, data.draw(st.permutations(range(d.nroots))))
+    assert canonical_report(e) == canonical_report(d)
+
+
+@pytest.mark.parametrize("typ", ["B2:sc", "G2:sc"])
+def test_the_ade_symmetry_witness_indexes_the_input_order(typ):
+    # The report prints the datum in canonical order, but the witness
+    # indices name pairs of the datum as it was given: a rotation of the
+    # pairs moves the witness and leaves the printed datum as it was.
+    d = build(typ)
+    reports = []
+    for e in (d, shuffled(d, [*range(1, d.nroots), 0])):
+        rep = verify_all(e)
+        w = rep.checks[0].witness
+        i, j = w["roots"]
+        assert (w["alpha(h_beta)"], w["beta(h_alpha)"]) == (frac_str(e.pairing[j][i]), frac_str(e.pairing[i][j]))
+        assert e.pairing[j][i] != e.pairing[i][j]
+        reports.append(rep.as_dict(timing=False))
+    assert reports[0]["datum"] == reports[1]["datum"]
+    assert reports[0]["checks"][0]["witness"] != reports[1]["checks"][0]["witness"]
+    printed = [tuple(r) for r in reports[0]["datum"]["roots"]]
+    i, j = reports[0]["checks"][0]["witness"]["roots"]
+    assert (printed[i], printed[j]) != (d.roots[i], d.roots[j])
 
 
 def test_report_names_su2_so3_pair():
