@@ -164,7 +164,7 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
     dw(x_0..x_k) = sum_{a<b} (-1)^{a+b} w([x_a,x_b], ..hat a..hat b..).
 
     The terms of w are indexed by basis index, so each bracket
-    [e_i, e_j] = sum_k c e_k meets only the terms whose key holds k, with
+    [e_i, e_j] = sum_k c e_k acts only on the terms whose key holds k, with
     w(e_k, rest) = (-1)^(position of k) w(key).  Such a term adds to dw on
     the sorted key of (i, j, rest); (-1)^{a+b} there is minus the sign that
     sorts (i, j, rest), whatever the order of i and j.  The brackets are
@@ -190,8 +190,8 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
 
 def cartan_three_form(L) -> InvariantForm:
     """H(x,y,z) = K(x,[y,z]) on basis triples, carrying the -1/(4 pi^2)
-    normalization as a tag.  Each bracket [e_j, e_k] = sum_m c_m e_m meets
-    only the nonzero entries of the columns m of K.  Total antisymmetry is
+    normalization as a tag.  Each bracket [e_j, e_k] = sum_m c_m e_m is read
+    against only the nonzero entries of the columns m of K.  Total antisymmetry is
     verified while filling."""
     K = L.killing_matrix()
     cols = [{i: row[m] for i, row in enumerate(K) if row[m]} for m in range(L.dim)]

@@ -55,25 +55,27 @@ class ReductiveLieAlgebra:
     # -- Killing form -----------------------------------------------------
 
     def killing_matrix(self):
-        """Exact trace form Tr(ad X ad Y) on the basis, cached.
+        """Exact trace form Tr(ad X ad Y) on the basis, cached, read off the
+        pairing P of the datum.
 
-        K[i][j] sums [e_i, e_m]_k [e_j, e_k]_m over the table's entries,
-        grouped by (m, k): each group of [e_i, e_m]_k meets the group of
-        [e_j, e_k]_m."""
+        ad h is diagonal with alpha(h_s) = P[s][alpha] on x_alpha, so
+        K(h_s, h_t) = sum_alpha P[s][alpha] P[t][alpha] on the simple
+        coroots.  ad x_a ad x_b shifts weights by a + b, so x_a pairs only
+        with x_-a, and the radical is central, so its rows are zero.
+        Invariance, which Jacobi gives (the table is certified before any K
+        is read), turns K(h_a, h_a) = K([x_a, x_-a], h_a) into
+        a(h_a) K(x_a, x_-a), so K(x_a, x_-a) = K(h_a, h_a) / 2 =
+        sum_{b > 0} P[a][b]^2: the roots come in +- pairs."""
         if self._killing is None:
-            meets = {}                      # (m, k) -> [(i, [e_i, e_m]_k)]
-            for (i, j), out in self.table.items():
-                for k, c in out.items():
-                    meets.setdefault((j, k), []).append((i, c))
-                    meets.setdefault((i, k), []).append((j, -c))
+            P, nz = self.datum.pairing, len(self.radical_basis)
             K = [[0] * self.dim for _ in range(self.dim)]
-            for (m, k), left in meets.items():
-                right = meets.get((k, m))
-                if right:
-                    for i, c in left:
-                        K_i = K[i]
-                        for j, v in right:
-                            K_i[j] += c * v
+            rows = [P[s] for s in self.simple_indices]
+            for h, row in enumerate(rows, nz):
+                K[h][nz : nz + len(rows)] = [sum(map(mul, row, other)) for other in rows]
+            sigma = _involution(self)
+            for x in range(nz + len(rows), self.dim):
+                row = P[self.labels[x][1]]
+                K[x][sigma[x]] = sum(map(mul, row, row)) // 2
             self._killing = K
         return self._killing
 
@@ -350,7 +352,7 @@ def _generates(rows, gens):
 def _jacobiator(rows, into, g):
     """The pairs j < k where J(g, e_j, e_k) = [g, [e_j, e_k]] -
     [e_j, [g, e_k]] - [[g, e_j], e_k] is nonzero, so ad g is no derivation.
-    J is summed from the terms of ad g alone: each [g, e_m] meets the
+    J is summed from the terms of ad g alone: each [g, e_m] combines with the
     entries [e_j, e_k] whose output holds e_m, and each [g, e_j] = sum c e_m
     the row of e_m; with A(j, k) = [[g, e_j], e_k], the last two terms of J
     are A(k, j) - A(j, k)."""

@@ -90,7 +90,6 @@ def build_pair(d: RootDatum) -> ProductPair:
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd)
     pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
-    Ldual._killing = L.killing_matrix()     # the tables are equal: one trace form
     pairobj.fiber_pairing = dualizing_pairing(L, Ldual)
 
     # S = {h[alpha], x+phix[alpha], hdual[alpha] for every root, z, zdual};
@@ -189,13 +188,6 @@ def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
     times the owners' coefficients.  One pass over phi.terms thus gives phi
     on every triple of B; a failure names the smallest nonzero triple.
     """
-    t0 = time.monotonic()
-    return _flux_record(pairobj, _flux_failure(pairobj, phi), 1, t0)
-
-
-def _flux_failure(pairobj: ProductPair, phi: InvariantForm):
-    """(smallest triple of B on which phi is nonzero, the value there), or
-    None, from one pass over phi.terms."""
     owner = pairobj.owner
     sums = {}
     for (i, j, k), v in phi.terms.items():
@@ -204,22 +196,9 @@ def _flux_failure(pairobj: ProductPair, phi: InvariantForm):
         if sign:
             sums[triple] = sums.get(triple, 0) + sign * a * b * c * v
     bad = min((t for t, r in sums.items() if r), default=None)
-    return None if bad is None else (bad, sums[bad])
-
-
-def _flux_record(pairobj: ProductPair, failure, n, t0):
-    """The flux record of n*phi from the failure of phi: n*phi has the same
-    nonzero triples of B as phi (n != 0), each n times the value."""
-    if failure is None:
-        return CheckRecord("flux_equation", True, None, None, time.monotonic() - t0)
-    bad, value = failure
-    return CheckRecord(
-        "flux_equation",
-        False,
-        [pairobj.spanning_set[p][0] for p in bad],
-        frac_str(n * value),
-        time.monotonic() - t0,
-    )
+    if bad is None:
+        return CheckRecord("flux_equation", True)
+    return CheckRecord("flux_equation", False, [pairobj.spanning_set[p][0] for p in bad], frac_str(sums[bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +211,7 @@ class CheckRecord:
     passed: bool
     witness: object = None
     residual: str = None
-    seconds: float = 0.0
+    seconds: float = 0.0        # set by verify_all, which times each check call
 
     def as_dict(self, timing=True):
         out = {"name": self.name, "pass": self.passed, "witness": self.witness, "residual": self.residual}
@@ -251,10 +230,9 @@ def check_nondegeneracy(pairobj: ProductPair):
     2 sum_alpha alpha(h_beta) h_alpha = K(h_beta,h_beta) h_beta holds for
     every coroot; a failure carries the first nonzero lattice coordinate of
     the difference of the two sides."""
-    t0 = time.monotonic()
     det = exactlin.det_exact(pairobj.fiber_pairing)
     if det == 0:
-        return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1", time.monotonic() - t0)
+        return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1")
     d = pairobj.datum
     L = pairobj.L
     # K(h_beta, h_beta) reads the Cartan block of the Killing matrix at the
@@ -270,10 +248,9 @@ def check_nondegeneracy(pairobj: ProductPair):
         diff = [2 * x - c * y for x, y in zip(lhs, d.coroots[ri])]
         if any(diff):
             return CheckRecord(
-                "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", frac_str(next(filter(None, diff))),
-                time.monotonic() - t0,
+                "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", frac_str(next(filter(None, diff)))
             )
-    return CheckRecord("nondegeneracy", True, None, frac_str(det), time.monotonic() - t0)
+    return CheckRecord("nondegeneracy", True, None, frac_str(det))
 
 
 def lattice_pairing_matrix(pairobj: ProductPair):
@@ -300,14 +277,11 @@ def _cartan_inverse(L: ReductiveLieAlgebra):
 
 def check_integrality(M):
     """Every entry of the lattice pairing matrix M is an integer."""
-    t0 = time.monotonic()
     for a, row in enumerate(M):
         for b, v in enumerate(row):
             if v.denominator != 1:
-                return CheckRecord(
-                    "integrality", False, f"lattice pairing ({a},{b})", frac_str(v), time.monotonic() - t0
-                )
-    return CheckRecord("integrality", True, None, None, time.monotonic() - t0)
+                return CheckRecord("integrality", False, f"lattice pairing ({a},{b})", frac_str(v))
+    return CheckRecord("integrality", True)
 
 
 def check_angle_positivity(pairobj: ProductPair):
@@ -315,21 +289,19 @@ def check_angle_positivity(pairobj: ProductPair):
     Row i holds the products P[j][i] P[i][j] over j, formed by one map of
     column i with row i; only a row whose minimum or maximum is out of
     range is scanned for its first failing j."""
-    t0 = time.monotonic()
     P = pairobj.datum.pairing
     for i, (col, row) in enumerate(zip(zip(*P), P)):
         values = list(map(mul, col, row))
         if min(values) < 0 or max(values) > 4:
             j, v = next((j, v) for j, v in enumerate(values) if v < 0 or v > 4)
-            return CheckRecord("angle_positivity", False, [i, j], frac_str(v), time.monotonic() - t0)
-    return CheckRecord("angle_positivity", True, None, None, time.monotonic() - t0)
+            return CheckRecord("angle_positivity", False, [i, j], frac_str(v))
+    return CheckRecord("angle_positivity", True)
 
 
 def check_ade_symmetry(d: RootDatum):
-    t0 = time.monotonic()
     w = rootdatum.ade_symmetry_witness(d)
     if w is None:
-        return CheckRecord("ade_symmetry", True, None, None, time.monotonic() - t0)
+        return CheckRecord("ade_symmetry", True)
     i, j = w
     return CheckRecord(
         "ade_symmetry",
@@ -339,8 +311,6 @@ def check_ade_symmetry(d: RootDatum):
             "alpha(h_beta)": frac_str(d.pairing[j][i]),
             "beta(h_alpha)": frac_str(d.pairing[i][j]),
         },
-        None,
-        time.monotonic() - t0,
     )
 
 
@@ -396,27 +366,30 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     if not rep.ok:
         raise ValueError(f"invalid root datum: {rep.as_dict()}")
     report = VerificationReport(datum=d)
-    sym = check_ade_symmetry(d)
-    report.checks.append(sym)
-    if not sym.passed:
+
+    def run(check, *args):
+        """The record of check(*args), timed and appended to the report."""
+        t0 = time.monotonic()
+        rec = check(*args)
+        rec.seconds = time.monotonic() - t0
+        report.checks.append(rec)
+        return rec
+
+    if not run(check_ade_symmetry, d).passed:
         return report
     pairobj = build_pair(d)
     report.dual = pairobj.dual_datum
     report.phi = {f"{a[0]}{a[1]}": f"{b[0]}{b[1]}" for a, b in pairobj.iso.items()}
-    report.checks.append(check_nondegeneracy(pairobj))
+    run(check_nondegeneracy, pairobj)
     M = lattice_pairing_matrix(pairobj)
-    report.checks.append(check_integrality(M))
-    report.checks.append(check_angle_positivity(pairobj))
-    phi = flux_residual_form(pairobj)
-    t0 = time.monotonic()
-    failure = _flux_failure(pairobj, phi)
-    report.checks.append(_flux_record(pairobj, failure, 1, t0))
+    run(check_integrality, M)
+    run(check_angle_positivity, pairobj)
+    flux = run(check_flux_equation, pairobj, flux_residual_form(pairobj))
     for n in scales:
         report.scaled_n.append(n)
-        rec = _flux_record(pairobj, failure, n, time.monotonic())
-        rec.name = f"flux_equation[scale={n}]"
-        report.checks.append(rec)
-        rec = check_integrality([[n * v for v in row] for row in M])
+        # n*phi has the nonzero triples of phi (n != 0), each n times the value.
+        residual = None if flux.passed else frac_str(n * Fraction(flux.residual))
+        report.checks.append(CheckRecord(f"flux_equation[scale={n}]", flux.passed, flux.witness, residual))
+        rec = run(check_integrality, [[n * v for v in row] for row in M])
         rec.name = f"integrality[scale={n}]"
-        report.checks.append(rec)
     return report

@@ -22,7 +22,9 @@ coordinate type walk, the dot-product pairing, the functional chamber
 with its pairwise simple-root search, the functional order of
 canonicalize, exact quotients one dot product at a time, and the
 reflection test on every root column, negative twins included.  The
-stdlib's JSON encoder is the oracle of the CLI's writer.
+trace of ad e_i ad e_j over the bracket table is the oracle of the Killing
+matrix read off the pairing, and the stdlib's JSON encoder is the oracle of
+the CLI's writer.
 """
 
 import json
@@ -287,6 +289,27 @@ def root_vector(L, root_index):
     out = [0] * L.dim
     out[L.index[("x", root_index)]] = 1
     return out
+
+
+def trace_killing_matrix(L):
+    """Tr(ad e_i ad e_j) summed over the table's entries: K[i][j] sums
+    [e_i, e_m]_k [e_j, e_k]_m, grouped by (m, k), where each group of
+    [e_i, e_m]_k meets the group of [e_j, e_k]_m.  Valid on any table,
+    Jacobi or not."""
+    meets = {}                      # (m, k) -> [(i, [e_i, e_m]_k)]
+    for (i, j), out in L.table.items():
+        for k, c in out.items():
+            meets.setdefault((j, k), []).append((i, c))
+            meets.setdefault((i, k), []).append((j, -c))
+    K = [[0] * L.dim for _ in range(L.dim)]
+    for (m, k), left in meets.items():
+        right = meets.get((k, m))
+        if right:
+            for i, c in left:
+                K_i = K[i]
+                for j, v in right:
+                    K_i[j] += c * v
+    return K
 
 
 def killing_form(L, x, y):

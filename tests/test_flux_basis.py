@@ -4,6 +4,7 @@ true residual, on seeded defects and on random perturbations of phi.  The
 scaled checks on n*phi and n*M are compared with phi and M rebuilt from
 n*F, n*H and n*Hdual, the way each scale was checked before."""
 
+import contextlib
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
@@ -340,6 +341,42 @@ def test_scaled_records_of_verify_all_match_the_rescaled_phi(typ, defect):
         for want in (check_flux_equation(pair, phi.scale(n)), check_flux_equation(pair, oracle)):
             assert records[f"flux_equation[scale={n}]"] == (want.passed, want.witness, want.residual)
         assert Fraction(records[f"flux_equation[scale={n}]"][2]) == n * Fraction(unscaled.residual)
+
+
+CHECKS = ["check_ade_symmetry", "check_nondegeneracy", "check_integrality", "check_angle_positivity",
+          "check_flux_equation"]
+
+
+def test_verify_all_calls_each_check_once_and_times_it_in_one_place():
+    # E6:sc with a seeded failing phi: the scaled flux records copy the one
+    # flux record, so only integrality runs again per scale.
+    real_phi = tduality.flux_residual_form
+    seen = {}
+
+    def failing_phi(pair):
+        phi = real_phi(pair)
+        seen["args"] = pair, bumped(phi, [(bumped_key(pair, phi), 1)])
+        return seen["args"][1]
+
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(tduality, name, wraps=getattr(tduality, name)))
+                 for name in CHECKS}
+        stack.enter_context(mock.patch.object(tduality, "flux_residual_form", failing_phi))
+        rep = tduality.verify_all(build("E6:sc"), scales=(2, -1, 3))
+    assert {name: spy.call_count for name, spy in spies.items()} == {**dict.fromkeys(CHECKS, 1), "check_integrality": 4}
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "flux_equation", "flux_equation[scale=2]", "flux_equation[scale=-1]", "flux_equation[scale=3]"]
+    for c in rep.checks:
+        seconds = c.as_dict(timing=True)["seconds"]
+        assert type(seconds) is float and seconds >= 0
+        assert "seconds" not in c.as_dict(timing=False)
+    # A check called directly reads no clock.
+    pair, phi = seen["args"]
+    direct = [tduality.check_ade_symmetry(pair.datum), tduality.check_nondegeneracy(pair),
+              check_integrality(lattice_pairing_matrix(pair)), tduality.check_angle_positivity(pair),
+              check_flux_equation(pair, phi)]
+    assert [rec.seconds for rec in direct] == [0.0] * 5
+    assert [rec.passed for rec in direct] == [True, True, True, True, False]
 
 
 @pytest.mark.parametrize("typ", SUITE_TYPES)

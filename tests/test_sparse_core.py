@@ -22,8 +22,9 @@ from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
 import oracles
 from oracles import (FractionNTable, VectorNTable, generates, generator_certificate, ordered_sweep,
-                     pairwise_structure_table, signed_rows)
-from test_rootdatum import RANK8_TYPES
+                     pairwise_structure_table, signed_rows, trace_killing_matrix)
+from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
+from test_tduality import NON_SPLIT
 
 ORACLE_TYPES = ["A2:sc", "D4:sc", "A3:adj", "B3:sc", "G2:sc", "A1xT1:sc"]
 
@@ -413,11 +414,38 @@ def test_killing_matrix_matches_the_dense_trace(typ):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_killing_matrix_of_a_perturbed_table_matches_the_dense_trace(perturbation_bases, data):
+    # The two trace oracles agree on tables that fail Jacobi, where the
+    # closed form of killing_matrix does not apply.
     base = perturbation_bases[data.draw(st.sampled_from(sorted(perturbation_bases)))]
     key = data.draw(st.sampled_from(sorted(base.table)))
     k = data.draw(st.sampled_from(sorted(base.table[key])))
     L = perturbed(base, key, k, data.draw(st.sampled_from(["flip", 1, -1])))
-    assert L.killing_matrix() == dense_killing_matrix(L)
+    assert trace_killing_matrix(L) == dense_killing_matrix(L)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_the_killing_matrix_read_off_the_pairing_is_the_trace_form(typ):
+    d = build(typ)
+    for x in (d, rootdatum.dualize(d)):
+        L = build_lie_algebra(x)
+        assert L.killing_matrix() == trace_killing_matrix(L)
+
+
+@pytest.mark.parametrize("name", NON_SPLIT)
+def test_the_killing_matrix_of_non_split_data_is_the_trace_form(name):
+    d = NON_SPLIT[name][0]
+    for x in (d, rootdatum.dualize(d)):
+        L = build_lie_algebra(x)
+        assert L.killing_matrix() == trace_killing_matrix(L)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.one_of(small_data(), st.sampled_from([d for d, _, _ in NON_SPLIT.values()])),
+       dual=st.booleans(), data=st.data())
+def test_the_killing_matrix_survives_a_change_of_lattice_basis(d, dual, data):
+    d = rootdatum.dualize(d) if dual else d
+    L = build_lie_algebra(change_basis(d, *data.draw(unimodular_pair(d.rank))))
+    assert L.killing_matrix() == trace_killing_matrix(L)
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES)
