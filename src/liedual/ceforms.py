@@ -30,9 +30,8 @@ TAG_CARTAN = NormalizationTag(Fraction(-1, 4), -2)
 class AbelianAlgebra:
     """Abelian Lie algebra of a given dimension (flat-torus model)."""
 
-    def __init__(self, dim, labels=None):
+    def __init__(self, dim):
         self.dim = dim
-        self.labels = tuple(labels) if labels is not None else tuple(("t", i) for i in range(dim))
 
     blocks = ()
 

@@ -294,7 +294,8 @@ _DESC_TOKEN = re.compile(r"^([A-G])([0-9]+)(?::(sc|adj))?$|^T([0-9]+)(?::(sc|adj
 
 
 def parse_descriptor(text: str) -> DynkinDescriptor:
-    """Parse strings like "A2", "B3:sc", "A1xT1", "D4:adj x T2"."""
+    """Parse strings like "A2", "B3:sc", "A1xT1", "D4:adj x T2".  A torus
+    factor takes :sc, its default, but no :adj."""
     factors = []
     torus = 0
     for tok in text.replace(" ", "").split("x"):
@@ -302,86 +303,62 @@ def parse_descriptor(text: str) -> DynkinDescriptor:
         if not m:
             raise ValueError(f"cannot parse descriptor factor: {tok!r}")
         if m.group(4) is not None:
+            if m.group(5) == "adj":
+                # A torus has no isogeny; the tag belongs on a semisimple factor.
+                raise ValueError(f"a torus factor takes no :adj, got {tok!r}; tag the semisimple "
+                                 "factor instead, as in A2:adjxT1")
             torus += int(m.group(4))
         else:
             factors.append((m.group(1), int(m.group(2)), m.group(3) or "sc"))
     return DynkinDescriptor(factors=tuple(factors), torus_rank=torus)
 
 
-def _simple_euclidean_roots(family, n):
-    """Simple roots of one family in an ambient Euclidean space (Bourbaki),
-    doubled so that every coordinate is an integer."""
-
-    def e(i, dim):
-        v = [0] * dim
-        v[i] = 2
-        return v
-
-    if family == "A":
-        dim = n + 1
-        return [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(n)]
-    if family in ("B", "C", "D"):
-        dim = n
-        out = [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(n - 1)]
-        if family == "B":
-            out.append(e(n - 1, dim))
-        elif family == "C":
-            out.append([2 * x for x in e(n - 1, dim)])
-        else:
-            out.append([a + b for a, b in zip(e(n - 2, dim), e(n - 1, dim))])
-        return out
-    if family == "E":
-        simples = [[1, *([-1] * 6), 1], [2, 2] + [0] * 6]
-        for i in range(6):
-            v = [0] * 8
-            v[i] = -2
-            v[i + 1] = 2
-            simples.append(v)
-        return simples[:n]
-    if family == "F":
-        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
-    if family == "G":
-        return [[2, -2, 0], [-4, 2, 2]]
-    raise ValueError(family)
-
-
 def family_cartan(family, n):
-    """Cartan matrix A[i][j] = <h_i, alpha_j> of one simple family."""
-    simples = _simple_euclidean_roots(family, n)
-    A = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val, rem = divmod(2 * pair(simples[i], simples[j]), pair(simples[i], simples[i]))
-            if rem:
-                raise RuntimeError("non-integer Cartan entry")
-            row.append(val)
-        A.append(row)
+    """Cartan matrix A[i][j] = <h_i, alpha_j> of one simple family, read off
+    its Dynkin diagram in Bourbaki's numbering from 0.  A, B, C, F and G
+    are chains, D moves the last edge to (n-3, n-1), and E joins 0 to 2
+    and 1 to 3, then chains from node 2 on.  An edge of multiplicity m puts
+    -m at (short node, long node)."""
+    if family not in _LEGAL or not _LEGAL[family](n):
+        raise ValueError(f"illegal Dynkin family/rank: {family}{n}")
+    if family == "E":
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if family == "D":
+            edges[-1] = (n - 3, n - 1)
+    A = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        A[i][j] = A[j][i] = -1
+    multiple = {"B": (n - 1, n - 2, 2), "C": (n - 2, n - 1, 2), "F": (2, 1, 2), "G": (0, 1, 3)}
+    if family in multiple:
+        short, long_, m = multiple[family]
+        A[short][long_] = -m
     return A
 
 
 def generate_root_pairs(cartan):
     """Reflection closure from the simple roots of a Cartan matrix.
 
-    Returns the sorted list of (root, coroot, coweights) triples: the root
-    in simple-root coordinates, the coroot in simple-coroot coordinates,
-    and the coroot's Dynkin labels, its pairings with the simple roots,
-    which are its coordinates in the fundamental coweights.
+    Returns the sorted list of (root, coroot labels) pairs: the root in
+    simple-root coordinates, and its coroot's Dynkin labels, the coroot's
+    pairings with the simple roots, which are its coordinates in the
+    fundamental coweights.
 
     Each root also carries its own labels a, its pairings with the simple
     coroots.  The reflection s_i subtracts a_i from root coordinate i and
-    a_i times column i of the Cartan matrix from a; on the coroot it
-    subtracts b_i from coordinate i and b_i times row i from its labels b.
-    It fixes the root when a_i = 0, and a root fixes its coroot.
+    a_i times column i of the Cartan matrix from a; on the coroot labels b
+    it subtracts b_i times row i.  It fixes the root when a_i = 0, and a
+    root fixes its coroot.
     """
     n = len(cartan)
     rows = [tuple(row) for row in cartan]     # row i: labels of the simple coroot i
     cols = list(zip(*cartan))                 # column i: labels of the simple root i
-    found = {}                                # root -> (coroot, coroot labels)
+    found = {}                                # root -> coroot labels
     frontier = []
     for i in range(n):
         e = tuple(int(j == i) for j in range(n))
-        found[e] = (e, rows[i])
+        found[e] = rows[i]
         frontier.append((e, cols[i]))
     while frontier:
         new = []
@@ -390,13 +367,11 @@ def generate_root_pairs(cartan):
                 ai = a[i]
                 root2 = root[:i] + (root[i] - ai,) + root[i + 1:]
                 if root2 not in found:
-                    coroot, b = found[root]
-                    bi = b[i]
-                    found[root2] = (coroot[:i] + (coroot[i] - bi,) + coroot[i + 1:],
-                                    tuple(map(sub, b, map(mul, rows[i], repeat(bi)))))
+                    b = found[root]
+                    found[root2] = tuple(map(sub, b, map(mul, rows[i], repeat(b[i]))))
                     new.append((root2, tuple(map(sub, a, map(mul, cols[i], repeat(ai))))))
         frontier = new
-    return [(root, *found[root]) for root in sorted(found)]
+    return sorted(found.items())
 
 
 def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
@@ -406,73 +381,49 @@ def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
     coordinates; the isogeny choice fixes the lattice basis.  A central
     torus contributes rank with no roots.
     """
-    blocks = []       # per factor: (cartan, root triples)
+    ss_rank = sum(n for _, n, _ in desc.factors)
+    rank = ss_rank + desc.torus_rank
+    # Lattice basis B for the semisimple block, rows in coweight
+    # coordinates.  Each coroot's coweight coordinates in its factor are its
+    # Dynkin labels; the root has simple root coordinates c.  Zeros place
+    # them in the semisimple block.
+    B, coweights, root_coords = [], [], []
+    off = 0
     for fam, n, iso in desc.factors:
         A = family_cartan(fam, n)
-        blocks.append((fam, n, iso, A, generate_root_pairs(A)))
-    ss_rank = sum(n for _, n, _, _, _ in blocks)
-    rank = ss_rank + desc.torus_rank
-
-    # Lattice basis B for the semisimple block, rows in coweight coordinates.
+        left, right = (0,) * off, (0,) * (ss_rank - off - n)
+        # sc: lattice basis = simple coroots, whose coweight coords are the
+        # Cartan rows.  adj: lattice basis = coweights.
+        rows = A if iso == "sc" else [[int(i == j) for j in range(n)] for i in range(n)]
+        B += [left + tuple(row) + right for row in rows]
+        for root_c, labels in generate_root_pairs(A):
+            coweights.append(left + labels + right)
+            root_coords.append(left + root_c + right)
+        off += n
+    # A custom basis overrides the isogeny tags.
     if desc.custom_basis is not None:
         B = [[_require_int(x, "custom basis entry") for x in row] for row in desc.custom_basis]
         if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
             raise ValueError("custom basis must be square of semisimple rank")
-    else:
-        # sc: lattice basis = coroots, whose coweight coords are the Cartan
-        # rows.  adj: lattice basis = coweights.
-        B = []
-        for left, right, (fam, n, iso, A, _) in _block_pads(blocks, ss_rank):
-            B += [left + (row if iso == "sc" else [int(i == j) for j in range(n)]) + right
-                  for i, row in enumerate(A)]
-    # Coordinates x in B of a coweight vector cw (x B = cw) are cw (den B^-1)
-    # / den, from one integer inverse; the columns of den B^-1 are the rows
-    # of Bt.
+    # Coordinates x in B of a coweight vector cw (x B = cw) are cw X / den,
+    # with X = den B^-1 from one integer inverse.
     try:
         X, den = exactlin.integer_inverse(B)
     except ValueError:
         raise ValueError("custom basis is singular") from None
-    Bt = list(zip(*X))
-    if desc.custom_basis is not None:
-        _check_between_lattices(Bt, den, blocks, ss_rank)
-
-    # Each coroot's coweight coordinates in its block are its Dynkin labels;
-    # the root has simple root coordinates c.
-    coweights, root_coords = [], []
-    for left, right, (fam, n, iso, A, triples) in _block_pads(blocks, ss_rank):
-        left, right = tuple(left), tuple(right)
-        for root_c, _, labels in triples:
-            coweights.append(left + labels + right)
-            root_coords.append(left + root_c + right)
-    # Express each coroot in the lattice basis B (it must be integral) and
-    # each root in the dual basis of B: y = B . c, column by column.
-    coroots = exactlin.exact_quotients(Bt, den, coweights, lambda i: "coroot does not lie in the chosen lattice")
+    # Express each coroot in the lattice basis B and each root in the dual
+    # basis of B: y = B . c, column by column.  Every coroot is an integral
+    # combination of the simple coroots, which are coroots themselves, so
+    # the coroots are integral in B exactly when the lattice contains the
+    # coroot lattice; an sc or adj basis always does.
+    coroots = exactlin.exact_quotients(list(zip(*X)), den, coweights,
+                                       lambda i: "custom lattice does not contain the coroot lattice")
     torus = (0,) * desc.torus_rank
     roots = [y + torus for y in zip(*exactlin.column_products(B, root_coords))]
     coroots = [x + torus for x in coroots]
 
     label = _descriptor_label(desc)
     return RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), label=label)
-
-
-def _block_pads(blocks, ss_rank):
-    """(zeros before, zeros after, block) for each factor block: the
-    padding that places its coordinates in the semisimple block."""
-    off = 0
-    for block in blocks:
-        n = block[1]
-        yield [0] * off, [0] * (ss_rank - off - n), block
-        off += n
-
-
-def _check_between_lattices(Bt, den, blocks, ss_rank):
-    """Custom lattice must satisfy Z-span(coroots) <= Lambda <= coweights:
-    the simple coroots have integer coordinates x = cw Bt^T / den in the
-    basis B, with (Bt, den) from the transposed integer inverse of B."""
-    # Simple coroot rows in coweight coordinates.
-    simple_coroots = [left + row + right for left, right, (_, _, _, A, _) in _block_pads(blocks, ss_rank) for row in A]
-    exactlin.exact_quotients(Bt, den, simple_coroots,
-                             lambda i: "custom lattice does not contain the coroot lattice")
 
 
 def _descriptor_label(desc):

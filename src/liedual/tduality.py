@@ -31,9 +31,6 @@ class ProductAlgebra:
         self.right = right
         self.offset = left.dim
         self.dim = left.dim + right.dim
-        self.labels = tuple(("L",) + lab for lab in left.labels) + tuple(
-            ("R",) + lab for lab in right.labels
-        )
 
     def bracket_basis(self, i, j):
         n = self.offset

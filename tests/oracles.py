@@ -16,7 +16,8 @@ matrix, the dense and the sparse spanning set S with the owners of its
 basis, the N-table keyed by root vectors, the Jacobi certificate that
 scanned every basis element for each generator, the product's shifted
 bracket iterator, the double loop of angle positivity, two small matrix
-helpers, and the datum routines that worked entry by entry: the
+helpers, the Cartan matrices divided out of a Euclidean realization of
+the simple roots, and the datum routines that worked entry by entry: the
 reflection closure that recomputed both pairings per reflection, the
 coordinate type walk, the dot-product pairing, the functional chamber
 with its pairwise simple-root search, the functional order of
@@ -134,6 +135,59 @@ def integer_coordinates(V, targets):
 
 # ---------------------------------------------------------------------------
 # Root data
+
+
+def _simple_euclidean_roots(family, n):
+    """Simple roots of one family in an ambient Euclidean space (Bourbaki),
+    doubled so that every coordinate is an integer."""
+
+    def e(i, dim):
+        v = [0] * dim
+        v[i] = 2
+        return v
+
+    if family == "A":
+        dim = n + 1
+        return [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(n)]
+    if family in ("B", "C", "D"):
+        dim = n
+        out = [[a - b for a, b in zip(e(i, dim), e(i + 1, dim))] for i in range(n - 1)]
+        if family == "B":
+            out.append(e(n - 1, dim))
+        elif family == "C":
+            out.append([2 * x for x in e(n - 1, dim)])
+        else:
+            out.append([a + b for a, b in zip(e(n - 2, dim), e(n - 1, dim))])
+        return out
+    if family == "E":
+        simples = [[1, *([-1] * 6), 1], [2, 2] + [0] * 6]
+        for i in range(6):
+            v = [0] * 8
+            v[i] = -2
+            v[i + 1] = 2
+            simples.append(v)
+        return simples[:n]
+    if family == "F":
+        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
+    if family == "G":
+        return [[2, -2, 0], [-4, 2, 2]]
+    raise ValueError(family)
+
+
+def euclidean_cartan(family, n):
+    """Cartan matrix A[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
+    of one simple family, from its simple roots in Euclidean space."""
+    simples = _simple_euclidean_roots(family, n)
+    A = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            val, rem = divmod(2 * pair(simples[i], simples[j]), pair(simples[i], simples[i]))
+            if rem:
+                raise RuntimeError("non-integer Cartan entry")
+            row.append(val)
+        A.append(row)
+    return A
 
 
 def generate_root_pairs(cartan):

@@ -37,6 +37,23 @@ def test_info_rejects_bad_descriptor(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("typ", ["A2xT1:adj", "T1:adj", "T2:adj x A1"])
+def test_a_torus_factor_with_adj_exits_2(capsys, typ):
+    # The tag binds to the torus, which has no isogeny: A2xT1:adj once
+    # built A2:sc x T1 silently.
+    code, out, err = run(capsys, "info", "--type", typ)
+    assert (code, out) == (2, "") and "takes no :adj" in err and "A2:adjxT1" in err
+
+
+def test_the_adjoint_tag_on_the_semisimple_factor_and_sc_on_a_torus_still_build(capsys):
+    code, out, _ = run(capsys, "info", "--type", "A2:adjxT1")
+    assert code == 0 and json.loads(out)["pi1"] == [3]
+    code, out, _ = run(capsys, "info", "--type", "A1xT1:sc")
+    obj = json.loads(out)
+    assert code == 0 and (obj["type"], obj["pi1"], obj["label"]) == ("A1 x T1", [], "A1:sc x T1")
+    assert out == run(capsys, "info", "--type", "A1:scxT1")[1]
+
+
 def test_cartan(capsys):
     code, out, _ = run(capsys, "cartan", "--type", "A2:sc")
     assert code == 0

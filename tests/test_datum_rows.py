@@ -1,8 +1,9 @@
 """The datum layer at row speed against the entry-by-entry routines it
-replaced, kept in oracles.py: the reflection closure, the coordinate type
-walk, the dot-product pairing, the functional chamber with its pairwise
-simple-root search, the functional order of canonicalize, exact quotients
-one dot product at a time, the double loop of angle positivity, and the
+replaced, kept in oracles.py: the Cartan matrices of a Euclidean
+realization, the reflection closure, the coordinate type walk, the
+dot-product pairing, the functional chamber with its pairwise simple-root
+search, the functional order of canonicalize, exact quotients one dot
+product at a time, the double loop of angle positivity, and the
 reflection test on every root column, negative twins included.  They
 must agree on every RANK8_TYPES datum, under GL_n(Z) changes of basis, and
 on malformed data: zero and repeated roots, non-int coordinates, and
@@ -22,6 +23,7 @@ from oracles import (
     canonical_order,
     checked_coordinates,
     dot_pairing,
+    euclidean_cartan,
     exact_quotients,
     functional_positive_system,
     generate_root_pairs,
@@ -68,14 +70,27 @@ FAMILIES = [(fam, n) for fam, ranks in (("A", range(1, 11)), ("B", range(2, 11))
             for n in ranks]
 
 
+@pytest.mark.parametrize("fam,n", [(fam, n) for fam in "ABCD" for n in range(1, 41) if rootdatum._LEGAL[fam](n)]
+                         + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_the_diagram_cartan_matches_the_euclidean_cartan(fam, n):
+    assert rootdatum.family_cartan(fam, n) == euclidean_cartan(fam, n)
+
+
+@pytest.mark.parametrize("fam,n", [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)])
+def test_the_diagram_cartan_refuses_an_illegal_family_or_rank(fam, n):
+    # B1 and D2 would index off the diagram; E5 would be D5 under another name.
+    with pytest.raises(ValueError, match=f"^illegal Dynkin family/rank: {fam}{n}$"):
+        rootdatum.family_cartan(fam, n)
+
+
 @pytest.mark.parametrize("fam,n", FAMILIES)
 def test_the_label_closure_matches_the_pairing_closure(fam, n):
     A = rootdatum.family_cartan(fam, n)
-    triples = rootdatum.generate_root_pairs(A)
-    assert [(root, coroot) for root, coroot, _ in triples] == generate_root_pairs(A)
+    pairs = rootdatum.generate_root_pairs(A)
     # The carried labels are the coroot's pairings with the simple roots.
-    for _, coroot, labels in triples:
-        assert list(labels) == [sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)]
+    assert pairs == [(root, tuple(sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)))
+                     for root, coroot in generate_root_pairs(A)]
+    for _, labels in pairs:
         assert type(labels) is tuple and all(type(x) is int for x in labels)
 
 

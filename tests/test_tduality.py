@@ -353,10 +353,10 @@ def spin8_gm_mod_mu2(k):
     coordinate, and coroots (c, 0)."""
     d = build("D4:sc")
     A = rootdatum.family_cartan("D", 4)
-    triples = rootdatum.generate_root_pairs(A)
+    pairs = rootdatum.generate_root_pairs(A)
     # build_from_dynkin lists the roots in closure order, at y = A c.
-    assert all(list(r) == [sum(map(mul, row, c)) for row in A] for r, (c, _, _) in zip(d.roots, triples))
-    return rootdatum.RootDatum(rank=5, roots=[r + (c[k],) for r, (c, _, _) in zip(d.roots, triples)],
+    assert all(list(r) == [sum(map(mul, row, c)) for row in A] for r, (c, _) in zip(d.roots, pairs))
+    return rootdatum.RootDatum(rank=5, roots=[r + (c[k],) for r, (c, _) in zip(d.roots, pairs)],
                                coroots=[x + (0,) for x in d.coroots])
 
 
