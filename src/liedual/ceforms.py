@@ -89,29 +89,6 @@ class InvariantForm:
     def is_zero(self):
         return not self.terms
 
-    def value_on_indices(self, idx):
-        """Value on a tuple of basis indices (any order)."""
-        key, sign = sort_sign(idx)
-        if sign == 0:
-            return 0
-        return sign * self.terms.get(key, 0)
-
-    def evaluate(self, *vectors):
-        """Multilinear evaluation on coefficient vectors."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of arguments")
-        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
-        total = 0
-        def rec(pos, chosen, coeff):
-            nonlocal total
-            if pos == len(supports):
-                total += coeff * self.value_on_indices(chosen)
-                return
-            for i, c in supports[pos]:
-                rec(pos + 1, chosen + (i,), coeff * c)
-        rec(0, (), 1)
-        return total
-
     def scale(self, c):
         return InvariantForm(
             self.algebra, self.degree, {k: c * v for k, v in self.terms.items()}, self.tag
@@ -126,9 +103,6 @@ class InvariantForm:
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
         return InvariantForm(self.algebra, self.degree, out, self.tag)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def __eq__(self, other):
         return (

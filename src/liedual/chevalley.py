@@ -79,15 +79,6 @@ class ReductiveLieAlgebra:
             self._killing = K
         return self._killing
 
-    # -- coordinates ------------------------------------------------------
-
-    def coroot_vector(self, root_index):
-        """h_alpha as a basis coefficient vector."""
-        out = [0] * self.dim
-        nz = len(self.radical_basis)
-        out[nz : nz + len(self.simple_indices)] = self.coroot_coords[root_index]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Structure constants

@@ -19,7 +19,7 @@ EXIT_USAGE = 2
 
 def _load_datum(args):
     """Root datum from --type or --input; raises ValueError on bad input."""
-    if args.type:
+    if args.type is not None:
         desc = rootdatum.parse_descriptor(args.type)
         d = rootdatum.build_from_dynkin(desc)
     else:

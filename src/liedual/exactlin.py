@@ -178,50 +178,44 @@ def _snf(A, want_v=False):
     diag = []
     t = 0
     while t < min(nrows, ncols):
-        # Find a nonzero pivot in the remaining block.
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if M[i][j] != 0:
-                    if piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]]):
-                        piv = (i, j)
+        # The first smallest nonzero |entry| of the remaining block in
+        # row-major order: (|entry|, i, j) tuples break ties by position.
+        piv = min(
+            ((abs(x), i, j) for i in range(t, nrows) for j, x in enumerate(M[i][t:], t) if x),
+            default=None,
+        )
         if piv is None:
             break
-        while True:
-            i, j = piv
-            M[t], M[i] = M[i], M[t]
-            if j != t:
-                for row in M:
+        _, i, j = piv
+        M[t], M[i] = M[i], M[t]
+        if j != t:
+            for row in M:
+                row[t], row[j] = row[j], row[t]
+            if want_v:
+                for row in V:
                     row[t], row[j] = row[j], row[t]
+        # Reduce column t then row t by the pivot; a remainder left in
+        # either sends the block back to the pivot search at the same t.
+        done = True
+        for i in range(t + 1, nrows):
+            q = M[i][t] // M[t][t]
+            if q:
+                M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+            if M[i][t] != 0:
+                done = False
+        for j in range(t + 1, ncols):
+            q = M[t][j] // M[t][t]
+            if q:
+                for row in M:
+                    row[j] -= q * row[t]
                 if want_v:
                     for row in V:
-                        row[t], row[j] = row[j], row[t]
-            # Reduce column t then row t by the pivot.
-            done = True
-            for i in range(t + 1, nrows):
-                q = M[i][t] // M[t][t]
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                if M[i][t] != 0:
-                    done = False
-            for j in range(t + 1, ncols):
-                q = M[t][j] // M[t][t]
-                if q:
-                    for row in M:
                         row[j] -= q * row[t]
-                    if want_v:
-                        for row in V:
-                            row[j] -= q * row[t]
-                if M[t][j] != 0:
-                    done = False
-            if done:
-                break
-            piv = min(
-                ((i, j) for i in range(t, nrows) for j in range(t, ncols) if M[i][j] != 0),
-                key=lambda ij: abs(M[ij[0]][ij[1]]),
-            )
-        diag.append(abs(M[t][t]))
-        t += 1
+            if M[t][j] != 0:
+                done = False
+        if done:
+            diag.append(abs(M[t][t]))
+            t += 1
     # Enforce the divisibility chain d_i | d_{i+1}.
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

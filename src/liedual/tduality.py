@@ -23,40 +23,26 @@ class NotADEError(ValueError):
     """The coroot-preserving isomorphism only exists for ADE-type data."""
 
 
-class ProductAlgebra:
-    """Direct sum of two Lie algebras with the block-diagonal bracket."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.offset = left.dim
-        self.dim = left.dim + right.dim
-
-    def bracket_basis(self, i, j):
-        n = self.offset
-        if i < n and j < n:
-            return self.left.bracket_basis(i, j)
-        if i >= n and j >= n:
-            return {k + n: c for k, c in self.right.bracket_basis(i - n, j - n).items()}
-        return {}
-
-    @property
-    def blocks(self):
-        """The factors' bracket tables, each with its index offset."""
-        return self.left.blocks + tuple((off + self.offset, t) for off, t in self.right.blocks)
-
-
 @dataclass
 class ProductPair:
+    """g + g_dual as one object: the basis indices of L, then those of Ldual
+    at offset L.dim.  F, dF and phi are forms on the pair itself."""
     datum: RootDatum
     dual_datum: RootDatum
     L: ReductiveLieAlgebra
     Ldual: ReductiveLieAlgebra
-    product: ProductAlgebra
-    iso: dict = field(default_factory=dict)                # label of g -> label of g_dual
-    fiber_pairing: list = None                             # F = F0 + F_P on (z, h) x (zdual, hdual)
-    spanning_set: list = field(default_factory=list)       # B: (name, {product index: coeff})
-    owner: dict = field(default_factory=dict)              # index -> (position in B, coeff)
+    iso: dict                   # label of g -> label of g_dual
+    inverse: tuple              # _cartan_inverse(L): (X, d)
+    dual_inverse: tuple         # _cartan_inverse(Ldual): (Y, d)
+    fiber_pairing: list         # F = F0 + F_P on (z, h) x (zdual, hdual)
+    spanning_set: list          # B: (name, {pair index: coeff})
+    owner: dict                 # index -> (position in B, coeff)
+
+    @property
+    def blocks(self):
+        """The factors' bracket tables, each with its index offset: L's at
+        0, Ldual's at L.dim."""
+        return (0, self.L.table), (self.L.dim, self.Ldual.table)
 
 
 def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
@@ -80,21 +66,22 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
 
 def build_pair(d: RootDatum) -> ProductPair:
     """Build g, g_dual on a shared simple system, check the isomorphism,
-    build the fiber pairing of the dualizing 2-form F = F0 + F_P, and the
-    basis B of the fiber-product tangent space span(S) that the flux check
-    runs on."""
+    invert each factor's Cartan basis, build the fiber pairing of the
+    dualizing 2-form F = F0 + F_P, and the basis B of the fiber-product
+    tangent space span(S) that the flux check runs on."""
     L = build_lie_algebra(d)
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd)
-    pairobj = ProductPair(d, dd, L, Ldual, ProductAlgebra(L, Ldual), good_isomorphism(L, Ldual))
-    pairobj.fiber_pairing = dualizing_pairing(L, Ldual)
+    iso = good_isomorphism(L, Ldual)
+    inverse, dual_inverse = _cartan_inverse(L), _cartan_inverse(Ldual)
+    fiber_pairing = dualizing_pairing(L, Ldual, *inverse)
 
     # S = {h[alpha], x+phix[alpha], hdual[alpha] for every root, z, zdual};
     # h_alpha = sum_s (coroot coords of alpha)_s h_s, likewise in g_dual, so
     # B = {h[simple], hdual[simple], x+phix[alpha], z, zdual}, in the order
     # these have in S, spans S.  The members of B have disjoint supports
-    # covering the product, so owner maps each index to its one member.
-    B, owner = pairobj.spanning_set, pairobj.owner
+    # covering the pair, so owner maps each index to its one member.
+    B, owner = [], {}
 
     def add(name, vec):
         for i, c in vec.items():
@@ -114,22 +101,23 @@ def build_pair(d: RootDatum) -> ProductPair:
     for k in range(len(L.radical_basis)):
         add(f"z[{k}]", {L.index[("z", k)]: 1})
         add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1})
-    return pairobj
+    return ProductPair(d, dd, L, Ldual, iso, inverse, dual_inverse, fiber_pairing, B, owner)
 
 
 # ---------------------------------------------------------------------------
 # The dualizing 2-form
 
 
-def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
+def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra, X, d):
     """The matrix of F = F0 + F_P on the Cartan bases (z, h) of g and
-    (zdual, hdual) of g_dual; F vanishes off these two blocks.
+    (zdual, hdual) of g_dual; F vanishes off these two blocks.  (X, d) is
+    _cartan_inverse(L).
 
     F_P(lambda, mu) = e <pi_z lambda, pi_zdual mu> on the radical block:
     pi_z projects onto the radical z along the coroots, pi_zdual onto the
     dual radical along the roots, and e is the exponent of
     Lambda / ((Lambda cap span_Q coroots) + (Lambda cap z)), the lcm of the
-    denominators of the z-rows of the (z, h) coordinates of the unit
+    denominators of the z-rows of X/d, the (z, h) coordinates of the unit
     vectors of Lambda.  So entry (k, j) is e (z_k . zdual_j): integral
     (e pi_z lambda lies in Lambda cap z, orthogonal to the roots) and
     independent of the lattice basis (README, "The radical block of F").
@@ -142,7 +130,6 @@ def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     P = L.datum.pairing
     nz = len(L.radical_basis)
     cols = [[row[t] for row in P] for t in Ldual.simple_indices]
-    X, d = _cartan_inverse(L)
     e = lcm(*(d // gcd(x, d) for row in X[:nz] for x in row))
     radical = [[e * sum(map(mul, z, zdual)) for zdual in Ldual.radical_basis] + [0] * len(cols)
                for z in L.radical_basis]
@@ -150,15 +137,14 @@ def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
 
 
 def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
-    """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the full
-    product; identically zero only after restriction to span(S).  F is
-    the 2-form with the fiber pairing entry (a, b) on the term
-    (a, offset + b).  dF, H and Hdual (shifted to the second factor) are
-    summed into one dict.
+    """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the whole pair;
+    identically zero only after restriction to span(S).  F is the 2-form
+    with the fiber pairing entry (a, b) on the term (a, L.dim + b).  dF, H
+    and Hdual (shifted to the second factor) are summed into one dict.
     phi is linear in (F, H, Hdual) together, so the residual at scale n is
     phi.scale(n)."""
-    n = pairobj.product.offset
-    F = InvariantForm(pairobj.product, 2, {
+    n = pairobj.L.dim
+    F = InvariantForm(pairobj, 2, {
         (a, n + b): v for a, row in enumerate(pairobj.fiber_pairing) for b, v in enumerate(row)
     }, TAG_CARTAN)
     dF = ceforms.ce_differential(F)
@@ -172,7 +158,7 @@ def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     for (i, j, k), v in Hd.terms.items():
         key = (i + n, j + n, k + n)
         terms[key] = terms.get(key, 0) + v
-    return InvariantForm(pairobj.product, 3, terms, dF.tag)
+    return InvariantForm(pairobj, 3, terms, dF.tag)
 
 
 def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
@@ -255,11 +241,10 @@ def lattice_pairing_matrix(pairobj: ProductPair):
     standard basis of the weight lattice, columns over its dual.
 
     The unit vectors of Lambda have (z, h) coordinates X/dx, the columns of
-    one integer inverse of the (z, h) basis matrix, and those of the dual
-    lattice Y/dy likewise.  F is bilinear, so M = X^T P Y / (dx dy), with P
-    the fiber pairing matrix."""
-    X, dx = _cartan_inverse(pairobj.L)
-    Y, dy = _cartan_inverse(pairobj.Ldual)
+    the pair's integer inverse of the (z, h) basis matrix, and those of the
+    dual lattice Y/dy likewise.  F is bilinear, so M = X^T P Y / (dx dy),
+    with P the fiber pairing matrix."""
+    (X, dx), (Y, dy) = pairobj.inverse, pairobj.dual_inverse
     XtP = [[sum(map(mul, x, p)) for p in zip(*pairobj.fiber_pairing)] for x in zip(*X)]
     return [[Fraction(sum(map(mul, row, y)), dx * dy) for y in zip(*Y)] for row in XtP]
 

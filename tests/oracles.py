@@ -14,26 +14,31 @@ its matrix read back entry by entry, the name-paired radical block of F
 (the negative control of the lattice one), the 2-form of a fiber pairing
 matrix, the dense and the sparse spanning set S with the owners of its
 basis, the N-table keyed by root vectors, the Jacobi certificate that
-scanned every basis element for each generator, the product's shifted
-bracket iterator, the double loop of angle positivity, two small matrix
-helpers, the Cartan matrices divided out of a Euclidean realization of
-the simple roots, and the datum routines that worked entry by entry: the
-reflection closure that recomputed both pairings per reflection, the
-coordinate type walk, the dot-product pairing, the functional chamber
-with its pairwise simple-root search, the functional order of
-canonicalize, exact quotients one dot product at a time, and the
-reflection test on every root column, negative twins included.  The
+scanned every basis element for each generator, the brackets of the pair
+g + g_dual read from its two factors, the double loop of angle
+positivity, two small matrix helpers, the Cartan matrices divided out of
+a Euclidean realization of the simple roots, and the datum routines that
+worked entry by entry: the reflection closure that recomputed both
+pairings per reflection, the coordinate type walk, the dot-product
+pairing, the functional chamber with its pairwise simple-root search, the
+functional order of canonicalize, exact quotients one dot product at a
+time, and the reflection test on every root column, negative twins
+included.  The
 trace of ad e_i ad e_j over the bracket table is the oracle of the Killing
-matrix read off the pairing, and the stdlib's JSON encoder is the oracle of
-the CLI's writer.
+matrix read off the pairing, the stdlib's JSON encoder is the oracle of
+the CLI's writer, and the Smith form with its pivot searched twice is that
+of the one search.  A form's value on basis indices and on coefficient
+vectors, the difference of two forms, and the coroot vector h_alpha are
+helpers the tests alone use.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations, repeat
+from math import gcd
 from operator import mul, sub
 
-from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, zero_form
+from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, sort_sign, zero_form
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
 from liedual.exactlin import det_exact, integer_inverse, integer_kernel, smith_normal_form, solve_exact
 from liedual.rootdatum import (
@@ -45,7 +50,7 @@ from liedual.rootdatum import (
     pair,
     positive_system,
 )
-from liedual.tduality import ProductAlgebra, ProductPair, flux_residual_form, frac_str
+from liedual.tduality import ProductPair, flux_residual_form, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +136,68 @@ def integer_coordinates(V, targets):
         back = [sum(map(mul, x, col)) for col in cols] if V else [0] * len(t)
         out.append(x if back == list(t) else None)
     return out
+
+
+def nested_search_snf(A, want_v=False):
+    """exactlin._snf as it was: the first pivot of each block found by a
+    nested loop over its entries, later ones by min; both pick the first
+    smallest nonzero |entry| in row-major order."""
+    M = [[int(x) for x in row] for row in A]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if want_v else None
+    diag = []
+    t = 0
+    while t < min(nrows, ncols):
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if M[i][j] != 0:
+                    if piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        while True:
+            i, j = piv
+            M[t], M[i] = M[i], M[t]
+            if j != t:
+                for row in M:
+                    row[t], row[j] = row[j], row[t]
+                if want_v:
+                    for row in V:
+                        row[t], row[j] = row[j], row[t]
+            done = True
+            for i in range(t + 1, nrows):
+                q = M[i][t] // M[t][t]
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                if M[i][t] != 0:
+                    done = False
+            for j in range(t + 1, ncols):
+                q = M[t][j] // M[t][t]
+                if q:
+                    for row in M:
+                        row[j] -= q * row[t]
+                    if want_v:
+                        for row in V:
+                            row[j] -= q * row[t]
+                if M[t][j] != 0:
+                    done = False
+            if done:
+                break
+            piv = min(
+                ((i, j) for i in range(t, nrows) for j in range(t, ncols) if M[i][j] != 0),
+                key=lambda ij: abs(M[ij[0]][ij[1]]),
+            )
+        diag.append(abs(M[t][t]))
+        t += 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            l = diag[i] * diag[j] // g if g else 0
+            diag[i], diag[j] = g, l
+    diag += [0] * (min(nrows, ncols) - len(diag))
+    return diag, V
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +406,14 @@ def bracket(L, x, y):
     return out
 
 
+def coroot_vector(L, root_index):
+    """h_alpha as a basis coefficient vector of L."""
+    out = [0] * L.dim
+    nz = len(L.radical_basis)
+    out[nz : nz + len(L.simple_indices)] = L.coroot_coords[root_index]
+    return out
+
+
 def root_vector(L, root_index):
     out = [0] * L.dim
     out[L.index[("x", root_index)]] = 1
@@ -399,7 +474,7 @@ def verify_coroot_identity(L: ReductiveLieAlgebra):
     nz = len(L.radical_basis)
     ns = len(L.simple_indices)
     for ri in range(L.datum.nroots):
-        ha = L.coroot_vector(ri)
+        ha = coroot_vector(L, ri)
         kaa = killing_form(L, ha, ha)
         for b in range(nz + ns):
             hvec = [0] * L.dim
@@ -711,16 +786,35 @@ def generator_certificate(L):
 
 
 def all_brackets(alg):
-    """(i, j, {k: c}) for each bracket of alg's table, i < j; on a
-    ProductAlgebra, as its brackets() was: the left factor's brackets, then
-    a shifted copy of each of the right's."""
-    if not isinstance(alg, ProductAlgebra):
+    """(i, j, {k: c}) for each bracket of alg's table, i < j; on the pair
+    g + g_dual, L's brackets, then a copy of each of Ldual's shifted by
+    L.dim."""
+    if not isinstance(alg, ProductPair):
         yield from ((i, j, out) for (i, j), out in getattr(alg, "table", {}).items())
         return
-    yield from all_brackets(alg.left)
-    n = alg.offset
-    for i, j, out in all_brackets(alg.right):
+    yield from all_brackets(alg.L)
+    n = alg.L.dim
+    for i, j, out in all_brackets(alg.Ldual):
         yield i + n, j + n, {k + n: c for k, c in out.items()}
+
+
+def algebra_dim(alg):
+    """The dimension of alg; the pair's is L.dim + Ldual.dim."""
+    return alg.L.dim + alg.Ldual.dim if isinstance(alg, ProductPair) else alg.dim
+
+
+def bracket_basis(alg, i, j):
+    """[e_i, e_j] on alg as {k: c}; on the pair g + g_dual, read from the
+    factor holding both indices, Ldual's at offset L.dim, and zero across
+    the two factors."""
+    if not isinstance(alg, ProductPair):
+        return alg.bracket_basis(i, j)
+    n = alg.L.dim
+    if i < n and j < n:
+        return alg.L.bracket_basis(i, j)
+    if i >= n and j >= n:
+        return {k + n: c for k, c in alg.Ldual.bracket_basis(i - n, j - n).items()}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +966,38 @@ def _chain_order(L):
 # Invariant forms and the flux residual
 
 
+def value_on_indices(w: InvariantForm, idx):
+    """w on a tuple of basis indices (any order)."""
+    key, sign = sort_sign(idx)
+    if sign == 0:
+        return 0
+    return sign * w.terms.get(key, 0)
+
+
+def evaluate(w: InvariantForm, *vectors):
+    """Multilinear evaluation of w on coefficient vectors."""
+    if len(vectors) != w.degree:
+        raise ValueError("wrong number of arguments")
+    supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
+    total = 0
+
+    def rec(pos, chosen, coeff):
+        nonlocal total
+        if pos == len(supports):
+            total += coeff * value_on_indices(w, chosen)
+            return
+        for i, c in supports[pos]:
+            rec(pos + 1, chosen + (i,), coeff * c)
+
+    rec(0, (), 1)
+    return total
+
+
+def subtract(a: InvariantForm, b: InvariantForm) -> InvariantForm:
+    """a - b, as a.add of b scaled by -1."""
+    return a.add(b.scale(-1))
+
+
 def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
     """ce_differential as it was: collect every candidate support (a term
     of w with one index replaced by a bracket pair, scanning all terms for
@@ -896,8 +1022,8 @@ def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
         for a, b in combinations(range(len(cand)), 2):
             rest = tuple(cand[t] for t in range(len(cand)) if t != a and t != b)
             sgn = (-1) ** (a + b)
-            for k, c in alg.bracket_basis(cand[a], cand[b]).items():
-                total += sgn * c * w.value_on_indices((k,) + rest)
+            for k, c in bracket_basis(alg, cand[a], cand[b]).items():
+                total += sgn * c * value_on_indices(w, (k,) + rest)
         if total:
             out[cand] = total
     return InvariantForm(alg, w.degree + 1, out, w.tag)
@@ -927,10 +1053,10 @@ def is_invariant(w: InvariantForm) -> bool:
     """Infinitesimal invariance: sum_a w(.., [z, x_a], ..) = 0 for every
     basis generator z and every basis tuple."""
     alg = w.algebra
-    for g in range(alg.dim):
+    for g in range(algebra_dim(alg)):
         rev = {}
-        for j in range(alg.dim):
-            for k, c in alg.bracket_basis(g, j).items():
+        for j in range(algebra_dim(alg)):
+            for k, c in bracket_basis(alg, g, j).items():
                 rev.setdefault(k, {})[j] = c
         candidates = set()
         for key in w.terms:
@@ -944,9 +1070,9 @@ def is_invariant(w: InvariantForm) -> bool:
         for cand in candidates:
             total = 0
             for a in range(len(cand)):
-                for k, c in alg.bracket_basis(g, cand[a]).items():
+                for k, c in bracket_basis(alg, g, cand[a]).items():
                     replaced = cand[:a] + (k,) + cand[a + 1 :]
-                    total += c * w.value_on_indices(replaced)
+                    total += c * value_on_indices(w, replaced)
             if total:
                 return False
     return True
@@ -966,10 +1092,10 @@ def full_space_residual(pairobj: ProductPair):
         for j in range(pairobj.datum.nroots)
         if pairobj.datum.roots[j] == tuple(-x for x in pairobj.datum.roots[ri])
     )
-    h = embed_left(pairobj, L.coroot_vector(ri))
+    h = embed_left(pairobj, coroot_vector(L, ri))
     x = embed_left(pairobj, root_vector(L, ri))
     y = embed_left(pairobj, root_vector(L, neg))
-    return phi.evaluate(h, x, y)
+    return evaluate(phi, h, x, y)
 
 
 def loop_nondegeneracy(pairobj: ProductPair):
@@ -985,7 +1111,7 @@ def loop_nondegeneracy(pairobj: ProductPair):
     d = pairobj.datum
     L = pairobj.L
     for ri in range(d.nroots):
-        hb = L.coroot_vector(ri)
+        hb = coroot_vector(L, ri)
         c = killing_form(L, hb, hb)
         lhs = [0] * d.rank
         for rj, a_on_hb in enumerate(d.pairing[ri]):
@@ -1016,14 +1142,14 @@ def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
     elsewhere, so F0(h_s, hdual_t) = sum_alpha P[s][alpha] P[alpha][t]."""
     L, Ld = pairobj.L, pairobj.Ldual
     P = pairobj.datum.pairing
-    h0, hd0 = len(L.radical_basis), pairobj.product.offset + len(Ld.radical_basis)
+    h0, hd0 = len(L.radical_basis), pairobj.L.dim + len(Ld.radical_basis)
     cols = [[row[t] for row in P] for t in Ld.simple_indices]
     terms = {
         (h0 + s, hd0 + t): sum(map(mul, P[si], col))
         for s, si in enumerate(L.simple_indices)
         for t, col in enumerate(cols)
     }
-    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
 
 
 def poincare_correction(pairobj: ProductPair) -> InvariantForm:
@@ -1031,14 +1157,13 @@ def poincare_correction(pairobj: ProductPair) -> InvariantForm:
     central basis vector with its namesake in the dual algebra: the
     name-paired block, kept as the negative control of the lattice one
     (it fails integrality on GL_n and on (Spin(8) x G_m)/mu_2)."""
-    P = pairobj.product
-    n = P.offset
+    n = pairobj.L.dim
     terms = {}
     for k in range(len(pairobj.L.radical_basis)):
         i = pairobj.L.index[("z", k)]
         j = pairobj.Ldual.index[("z", k)]
         terms[(i, n + j)] = 1
-    return InvariantForm(P, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
 
 
 def lattice_exponent(pairobj: ProductPair):
@@ -1056,20 +1181,21 @@ def lattice_exponent(pairobj: ProductPair):
 def lattice_poincare_correction(pairobj: ProductPair) -> InvariantForm:
     """F_P(lambda, mu) = e <pi_z lambda, pi_zdual mu> on the radical bases:
     e (z_k . zdual_j) on (z_k, zdual_j), with e from the Smith form."""
-    P = pairobj.product
     L, Ld = pairobj.L, pairobj.Ldual
     e = lattice_exponent(pairobj)
     terms = {}
     for k, z in enumerate(L.radical_basis):
         for j, zd in enumerate(Ld.radical_basis):
             if pair(z, zd):
-                terms[(L.index[("z", k)], P.offset + Ld.index[("z", j)])] = e * pair(z, zd)
-    return InvariantForm(P, 2, terms, TAG_CARTAN)
+                terms[(L.index[("z", k)], L.dim + Ld.index[("z", j)])] = e * pair(z, zd)
+    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
 
 
-def name_paired_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
+def name_paired_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra, *_inverse):
     """dualizing_pairing with the name-paired radical block: the identity
-    on (z, zdual), F0 on the simple coroots."""
+    on (z, zdual), F0 on the simple coroots.  It takes dualizing_pairing's
+    arguments, so it can stand in for it, but needs no exponent and so
+    ignores L's Cartan inverse."""
     P = L.datum.pairing
     nz = len(L.radical_basis)
     cols = [[row[t] for row in P] for t in Ldual.simple_indices]
@@ -1101,9 +1227,9 @@ def fiber_pairing_matrix(pairobj: ProductPair, F: InvariantForm):
     value_on_indices per entry."""
     L = pairobj.L
     n_cartan = len(L.radical_basis) + len(L.simple_indices)
-    n = pairobj.product.offset
+    n = pairobj.L.dim
     return [
-        [F.value_on_indices((a, n + b)) for b in range(n_cartan)]
+        [value_on_indices(F, (a, n + b)) for b in range(n_cartan)]
         for a in range(n_cartan)
     ]
 
@@ -1111,18 +1237,18 @@ def fiber_pairing_matrix(pairobj: ProductPair, F: InvariantForm):
 def pairing_form(pairobj: ProductPair) -> InvariantForm:
     """The 2-form on the product whose matrix on the Cartan bases is the
     pair's fiber pairing, and which vanishes elsewhere."""
-    n = pairobj.product.offset
+    n = pairobj.L.dim
     terms = {}
     for a, row in enumerate(pairobj.fiber_pairing):
         for b, v in enumerate(row):
             terms[a, n + b] = v
-    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
 
 
 def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
     """tautological_two_form as it was: one extended-root 1-form of each
     factor per root, and the products of their terms summed."""
-    n = pairobj.product.offset
+    n = pairobj.L.dim
     terms = {}
     for ri in range(pairobj.datum.nroots):
         a = extended_root_form(pairobj.L, ri)
@@ -1130,7 +1256,7 @@ def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
         for (i,), va in a.terms.items():
             for (j,), vb in b.terms.items():
                 terms[i, n + j] = terms.get((i, n + j), 0) + va * vb
-    return InvariantForm(pairobj.product, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
 
 
 def embed_left(pairobj: ProductPair, v):
@@ -1160,7 +1286,7 @@ def dense_spanning_set(pairobj: ProductPair):
     sparse: dense product vectors from embedded coroot vectors, a repeated
     vector kept once."""
     L, Ldual = pairobj.L, pairobj.Ldual
-    dim = pairobj.product.dim
+    dim = algebra_dim(pairobj)
     S, seen = [], set()
 
     def add(name, vec):
@@ -1169,12 +1295,12 @@ def dense_spanning_set(pairobj: ProductPair):
             S.append((name, vec))
 
     for ri in range(pairobj.datum.nroots):
-        add(f"h[{ri}]", embed_left(pairobj, L.coroot_vector(ri)))
+        add(f"h[{ri}]", embed_left(pairobj, coroot_vector(L, ri)))
         xv = [0] * dim
         xv[L.index[("x", ri)]] = 1
         xv[L.dim + Ldual.index[("x", ri)]] = 1
         add(f"x+phix[{ri}]", xv)
-        add(f"hdual[{ri}]", embed_right(pairobj, Ldual.coroot_vector(ri)))
+        add(f"hdual[{ri}]", embed_right(pairobj, coroot_vector(Ldual, ri)))
     for k in range(len(L.radical_basis)):
         zv = [0] * dim
         zv[L.index[("z", k)]] = 1
@@ -1239,13 +1365,13 @@ def basis_owners(S, basis, dim):
 
 
 def pullback_first(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
-    return InvariantForm(pairobj.product, w.degree, dict(w.terms), w.tag)
+    return InvariantForm(pairobj, w.degree, dict(w.terms), w.tag)
 
 
 def pullback_second(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
-    n = pairobj.product.offset
+    n = pairobj.L.dim
     return InvariantForm(
-        pairobj.product,
+        pairobj,
         w.degree,
         {tuple(i + n for i in key): v for key, v in w.terms.items()},
         w.tag,
@@ -1258,7 +1384,7 @@ def composed_phi(pairobj: ProductPair) -> InvariantForm:
     dF = ce_differential(pairing_form(pairobj))
     H = cartan_three_form(pairobj.L)
     Hd = cartan_three_form(pairobj.Ldual)
-    return dF.sub(pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
+    return subtract(dF, pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
 
 
 def per_unit_lattice_pairing(pairobj: ProductPair):
@@ -1270,7 +1396,7 @@ def per_unit_lattice_pairing(pairobj: ProductPair):
     lams = [embed_left(pairobj, cartan_vector(pairobj.L, u)) for u in units]
     mus = [embed_right(pairobj, cartan_vector(pairobj.Ldual, u)) for u in units]
     F = pairing_form(pairobj)
-    return [[F.evaluate(lam, mu) for mu in mus] for lam in lams]
+    return [[evaluate(F, lam, mu) for mu in mus] for lam in lams]
 
 
 # ---------------------------------------------------------------------------

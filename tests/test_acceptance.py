@@ -10,7 +10,7 @@ import pytest
 
 from conftest import build
 from liedual import ceforms, chevalley, cli, rootdatum, tduality
-from oracles import full_space_residual, killing_form, sl_n_oracle, sln_matching_killing, transpose
+from oracles import coroot_vector, full_space_residual, killing_form, sl_n_oracle, sln_matching_killing, transpose
 
 MAIN_INPUTS = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc", "D5:sc", "E6:sc"]
 NONABELIAN_ADE = [t for t in MAIN_INPUTS if not t.startswith("T")]
@@ -122,7 +122,7 @@ def test_criterion_5_eigen_relation(report):
             pair = tduality.build_pair(build(typ))
             d, L = pair.datum, pair.L
             for ri in range(d.nroots):
-                h = L.coroot_vector(ri)
+                h = coroot_vector(L, ri)
                 c = killing_form(L, h, h) / 2
                 lhs = [Fraction(0)] * d.rank
                 for rj in range(d.nroots):

@@ -5,7 +5,15 @@ import pytest
 from conftest import build
 from liedual import chevalley, rootdatum
 from liedual.chevalley import build_lie_algebra
-from oracles import bracket, killing_form, root_vector, sl_n_oracle, sln_matching_killing, verify_coroot_identity
+from oracles import (
+    bracket,
+    coroot_vector,
+    killing_form,
+    root_vector,
+    sl_n_oracle,
+    sln_matching_killing,
+    verify_coroot_identity,
+)
 
 
 DIMS = {"A1:sc": 3, "A1:adj": 3, "A2:sc": 8, "B2:sc": 10, "G2": 14,
@@ -29,7 +37,7 @@ def test_sl2_relations():
     L = build_lie_algebra(d)
     ri = L.simple_indices[0]
     neg = d.roots.index(tuple(-x for x in d.roots[ri]))
-    h = L.coroot_vector(ri)
+    h = coroot_vector(L, ri)
     x = root_vector(L, ri)
     y = root_vector(L, neg)
     assert bracket(L, x, y) == h

@@ -205,6 +205,15 @@ def test_deeply_nested_input_exits_2(capsys, tmp_path, cmd):
     assert err == "error: root datum JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+def test_an_empty_descriptor_exits_2(capsys, cmd):
+    # --type "" is a descriptor to refuse, not a missing one: it once fell
+    # through to open(None) and died with a TypeError, exit 1.
+    code, out, err = run(capsys, cmd, "--type", "")
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
+    assert err == "error: cannot parse descriptor factor: ''\n"
+
+
 def test_the_parser_is_built_once(capsys):
     cli._parser.cache_clear()
     # The spy stands in for the module as cli sees it, so argparse's own

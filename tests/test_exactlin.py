@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import exactlin
-from oracles import integer_coordinates, mat_vec, rref, rref_solve
+from oracles import integer_coordinates, mat_vec, nested_search_snf, rref, rref_solve
 
 
 def rank_exact(A):
@@ -99,6 +99,28 @@ def test_integer_kernel():
         assert sum(a * b for a, b in zip(A[0], k)) == 0
     assert len(exactlin.integer_kernel(A)) == 2
     assert exactlin.integer_kernel([[1, 0], [0, 1]]) == []
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Integer matrices up to 5 x 6 with entries -9..9, some of their rows
+    and columns zeroed."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(A)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=small_int_matrices())
+def test_one_pivot_search_gives_the_smith_form_and_transform_of_two(A):
+    # The kernel basis integer_kernel returns reaches the printed
+    # nondegeneracy determinant, so V must be the same matrix, not only a
+    # basis of the same lattice.
+    assert exactlin._snf(A) == nested_search_snf(A)
+    assert exactlin._snf(A, want_v=True) == nested_search_snf(A, want_v=True)
 
 
 def solve_exact_coordinates(V, t):

@@ -26,12 +26,15 @@ from liedual.tduality import (
     verify_all,
 )
 from oracles import (
+    algebra_dim,
     basis_owners,
+    coroot_vector,
     dense_spanning_set,
     densify,
     dualizing_form,
     embed_left,
     embed_right,
+    evaluate,
     fiber_pairing_matrix,
     full_space_residual,
     killing_form,
@@ -105,12 +108,12 @@ def test_tautological_form_a1_value():
     pair = build_pair(build("A1:sc"))
     F = tautological_two_form(pair)
     ri = pair.L.simple_indices[0]
-    h = embed_left(pair, pair.L.coroot_vector(ri))
-    hv = embed_right(pair, pair.Ldual.coroot_vector(ri))
-    assert F.evaluate(h, hv) == 8  # both roots contribute 2*2
+    h = embed_left(pair, coroot_vector(pair.L, ri))
+    hv = embed_right(pair, coroot_vector(pair.Ldual, ri))
+    assert evaluate(F, h, hv) == 8  # both roots contribute 2*2
     # Two vectors from the same factor pair to zero.
-    h2 = embed_left(pair, pair.L.coroot_vector(ri))
-    assert F.evaluate(h, h2) == 0
+    h2 = embed_left(pair, coroot_vector(pair.L, ri))
+    assert evaluate(F, h, h2) == 0
 
 
 def test_poincare_correction_cases():
@@ -125,7 +128,7 @@ def test_flux_equation_a1_detail():
     pair = build_pair(build("A1:sc"))
     d = pair.datum
     ri = pair.L.simple_indices[0]
-    h_a = pair.L.coroot_vector(ri)
+    h_a = coroot_vector(pair.L, ri)
     # Untagged q*H on (h, X, Y) equals Sum over roots xi of xi(h) zeta(h) = 8.
     total = sum(
         rootdatum.pair(d.coroots[ri], d.roots[rj]) ** 2 for rj in range(d.nroots)
@@ -218,7 +221,7 @@ def test_eigen_constant_values():
         pair = build_pair(build(typ))
         L, d = pair.L, pair.datum
         for ri in range(d.nroots):
-            h = L.coroot_vector(ri)
+            h = coroot_vector(L, ri)
             assert killing_form(L, h, h) / 2 == c
 
 
@@ -247,13 +250,15 @@ def test_torus_lattice_pairing_is_the_identity():
 @pytest.mark.parametrize("typ", ["A1xT1:sc", "A3:adj", "E6:sc"])
 def test_lattice_pairing_solves_once_per_lattice_basis_vector(typ):
     # All the unit vectors of one lattice come from one integer inverse of
-    # the (z, h) basis matrix: exactly one elimination per side, and no
-    # Fraction solve.
-    pair = build_pair(build(typ))
+    # the (z, h) basis matrix: build_pair takes exactly one per side, and
+    # the lattice pairing reads them off the pair, with no elimination and
+    # no Fraction solve of its own.
+    with mock.patch.object(tduality, "_cartan_inverse", wraps=tduality._cartan_inverse) as inverses:
+        pair = build_pair(build(typ))
     with mock.patch.object(exactlin, "_eliminate", wraps=exactlin._eliminate) as spy, \
             mock.patch.object(exactlin, "solve_exact", wraps=exactlin.solve_exact) as solves:
         lattice_pairing_matrix(pair)
-    assert (spy.call_count, solves.call_count) == (2, 0)
+    assert (inverses.call_count, spy.call_count, solves.call_count) == (2, 0, 0)
 
 
 def any_pair(typ):
@@ -295,7 +300,7 @@ def test_tautological_form_read_off_the_pairing_matches_the_per_root_sum(typ):
 def assert_agrees_with_the_builders(pair):
     assert pair.fiber_pairing == fiber_pairing_matrix(pair, dualizing_form(pair))
     assert all(type(v) is int for row in pair.fiber_pairing for v in row)
-    dim, d = pair.product.dim, pair.datum
+    dim, d = algebra_dim(pair), pair.datum
     S, basis = spanning_set_with_basis(pair)
     dense = dense_spanning_set(pair)
     assert densify(S, dim) == dense
@@ -494,6 +499,17 @@ def test_verify_all_builds_each_derived_object_once(scales):
         ]
         assert verify_all(build("A1xT1:sc"), scales=scales).overall
     assert [spy.call_count for spy in spies] == [1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("typ", ["A1xT1:sc", "E6:sc"])
+def test_verify_all_inverts_each_cartan_basis_once(typ):
+    # One integer inverse for each factor's N-table, and one for each
+    # factor's (z, h) basis, which build_pair stores on the pair for the
+    # fiber pairing and the lattice pairing to share.
+    d = build(typ)
+    with mock.patch.object(exactlin, "integer_inverse", wraps=exactlin.integer_inverse) as inverses:
+        assert verify_all(d, scales=(2,)).overall
+    assert inverses.call_count == 4
 
 
 def test_scale_zero_is_rejected():
