@@ -129,6 +129,51 @@ def test_input_file_with_invalid_datum(capsys, tmp_path):
     assert code == 2 and "axioms" in err
 
 
+# Four data that between them fail every axiom, with the report each gets
+# and the error line `info --input` writes for it.  The reports are compared
+# by repr, which tells a witness 0 from False.
+AXIOM_FAILURES = {
+    "A1 and a zero root": (
+        {"rank": 1, "roots": [[2], [-2], [0]], "coroots": [[1], [-1], [1]]},
+        {"pairing_two": False, "reflection": True, "reduced": True, "nonzero": False,
+         "witnesses": {"pairing_two": 2, "reflection": None, "reduced": None, "nonzero": 2}},
+        '{"nonzero": false, "pairing_two": false, "reduced": true, "reflection": true, '
+        '"witnesses": {"nonzero": 2, "pairing_two": 2, "reduced": null, "reflection": null}}',
+    ),
+    "pairing one": (  # the census input pairing_one.json
+        {"rank": 1, "roots": [[1], [-1]], "coroots": [[1], [-1]]},
+        {"pairing_two": False, "reflection": False, "reduced": True, "nonzero": True,
+         "witnesses": {"pairing_two": 0, "reflection": (0, 0), "reduced": None, "nonzero": None}},
+        '{"nonzero": true, "pairing_two": false, "reduced": true, "reflection": false, '
+        '"witnesses": {"nonzero": null, "pairing_two": 0, "reduced": null, "reflection": [0, 0]}}',
+    ),
+    "A1 without its negative root": (
+        {"rank": 1, "roots": [[2]], "coroots": [[1]]},
+        {"pairing_two": True, "reflection": False, "reduced": True, "nonzero": True,
+         "witnesses": {"pairing_two": None, "reflection": (0, 0), "reduced": None, "nonzero": None}},
+        '{"nonzero": true, "pairing_two": true, "reduced": true, "reflection": false, '
+        '"witnesses": {"nonzero": null, "pairing_two": null, "reduced": null, "reflection": [0, 0]}}',
+    ),
+    "BC1": (
+        {"rank": 1, "roots": [[1], [-1], [2], [-2]], "coroots": [[2], [-2], [1], [-1]]},
+        {"pairing_two": True, "reflection": True, "reduced": False, "nonzero": True,
+         "witnesses": {"pairing_two": None, "reflection": None, "reduced": (0, 2), "nonzero": None}},
+        '{"nonzero": true, "pairing_two": true, "reduced": false, "reflection": true, '
+        '"witnesses": {"nonzero": null, "pairing_two": null, "reduced": [0, 2], "reflection": null}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_FAILURES))
+def test_the_axiom_failure_report_and_error_line(capsys, tmp_path, name):
+    obj, report, line = AXIOM_FAILURES[name]
+    assert repr(rootdatum.validate(rootdatum.from_json(json.dumps(obj))).as_dict()) == repr(report)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "info", "--input", str(path)) == (
+        2, "", f"error: root datum fails the axioms: {line}\n")
+
+
 A1_JSON = {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]]}
 
 
