@@ -3,28 +3,15 @@ Lie algebra: wedge products, the invariant-form differential, the Cartan
 3-form, and the flat-torus duality transform.
 
 Forms are stored sparsely on sorted index subsets with exact coefficients
-(ints on a Chevalley basis); a transcendental prefactor (a rational multiple
-of a power of pi) rides along as a NormalizationTag and is never mixed into
-coefficients.
+(ints on a Chevalley basis) and hold nothing else.  The flux equation is
+linear, so the prefactor -1/(4 pi^2) that F, dF, H, Hdual and phi share
+cancels out of phi = 0: they are all stored as integers in units of
+-1/(4 pi^2).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlin
-
-
-@dataclass(frozen=True)
-class NormalizationTag:
-    rat: Fraction = Fraction(1)
-    pi_pow: int = 0
-
-    def __mul__(self, other):
-        return NormalizationTag(self.rat * other.rat, self.pi_pow + other.pi_pow)
-
-
-TAG_ONE = NormalizationTag()
-TAG_CARTAN = NormalizationTag(Fraction(-1, 4), -2)
 
 
 class AbelianAlgebra:
@@ -34,9 +21,6 @@ class AbelianAlgebra:
         self.dim = dim
 
     blocks = ()
-
-    def bracket_basis(self, i, j):
-        return {}
 
 
 def sort_sign(idx):
@@ -72,10 +56,9 @@ class InvariantForm:
     """Degree-k alternating form, sparse over sorted k-subsets of basis
     indices.  Degree 0 is a single scalar stored under the empty tuple."""
 
-    def __init__(self, algebra, degree, terms=None, tag=TAG_ONE):
+    def __init__(self, algebra, degree, terms=None):
         self.algebra = algebra
         self.degree = degree
-        self.tag = tag
         clean = {}
         for key, val in (terms or {}).items():
             if len(key) != degree:
@@ -91,31 +74,16 @@ class InvariantForm:
 
     def scale(self, c):
         return InvariantForm(
-            self.algebra, self.degree, {k: c * v for k, v in self.terms.items()}, self.tag
+            self.algebra, self.degree, {k: c * v for k, v in self.terms.items()}
         )
-
-    def add(self, other):
-        if other.algebra is not self.algebra or other.degree != self.degree:
-            raise ValueError("can only add forms of equal degree on the same algebra")
-        if other.tag != self.tag:
-            raise ValueError("cannot add forms with different normalization tags")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return InvariantForm(self.algebra, self.degree, out, self.tag)
 
     def __eq__(self, other):
         return (
             isinstance(other, InvariantForm)
             and self.algebra is other.algebra
             and self.degree == other.degree
-            and self.tag == other.tag
             and self.terms == other.terms
         )
-
-
-def zero_form(algebra, degree, tag=TAG_ONE):
-    return InvariantForm(algebra, degree, {}, tag)
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -129,7 +97,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
                 continue
             key, sign = sort_sign(ka + kb)
             out[key] = out.get(key, 0) + sign * va * vb
-    return InvariantForm(a.algebra, a.degree + b.degree, out, a.tag * b.tag)
+    return InvariantForm(a.algebra, a.degree + b.degree, out)
 
 
 def ce_differential(w: InvariantForm) -> InvariantForm:
@@ -144,7 +112,7 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
     read from each bracket table of alg.blocks in place, at its offset."""
     alg = w.algebra
     if w.degree == 0:
-        return zero_form(alg, 1, w.tag)
+        return InvariantForm(alg, 1)
     by_index = {}                   # k -> [(rest of key, w(e_k, rest))]
     for key, v in w.terms.items():
         for pos, k in enumerate(key):
@@ -158,12 +126,13 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
                     cand, sign = sort_sign((i + off, j + off) + rest)
                     if sign:
                         out[cand] = out.get(cand, 0) - sign * c * v
-    return InvariantForm(alg, w.degree + 1, out, w.tag)
+    return InvariantForm(alg, w.degree + 1, out)
 
 
 def cartan_three_form(L) -> InvariantForm:
-    """H(x,y,z) = K(x,[y,z]) on basis triples, carrying the -1/(4 pi^2)
-    normalization as a tag.  Each bracket [e_j, e_k] = sum_m c_m e_m is read
+    """H(x,y,z) = K(x,[y,z]) on basis triples, in units of -1/(4 pi^2): the
+    Cartan 3-form is -1/(4 pi^2) K(x,[y,z]), and F, dF and phi share that
+    unit (module docstring).  Each bracket [e_j, e_k] = sum_m c_m e_m is read
     against only the nonzero entries of the columns m of K.  Total antisymmetry is
     verified while filling."""
     K = L.killing_matrix()
@@ -184,7 +153,7 @@ def cartan_three_form(L) -> InvariantForm:
                 terms[key] = stored
             elif prev != stored:
                 raise ValueError(f"K(x,[y,z]) is not totally antisymmetric at {key}")
-    return InvariantForm(L, 3, terms, TAG_CARTAN)
+    return InvariantForm(L, 3, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +179,7 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
         raise ValueError("pairing form is degenerate")
 
     product = AbelianAlgebra(2 * n)
-    lifted = InvariantForm(product, w.degree, dict(w.terms), w.tag)
+    lifted = InvariantForm(product, w.degree, dict(w.terms))
     f0 = InvariantForm(
         product,
         2,
@@ -235,4 +204,4 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
             if key[:n] == fiber:
                 out[tuple(i - n for i in key[n:])] = v
     dual = AbelianAlgebra(n)
-    return InvariantForm(dual, n - w.degree, out, w.tag)
+    return InvariantForm(dual, n - w.degree, out)

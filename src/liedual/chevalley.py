@@ -39,14 +39,6 @@ class ReductiveLieAlgebra:
 
     # -- bracket ----------------------------------------------------------
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse {index: coefficient} dict."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
     @property
     def blocks(self):
         """The bracket table {(i, j) i<j: {k: c}} with its index offset, 0."""

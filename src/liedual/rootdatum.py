@@ -120,26 +120,24 @@ def _functional_values(vectors, M):
 
 @dataclass
 class AxiomReport:
-    """Per-axiom validation record with witness indices on failure."""
-    pairing_two: bool = True
+    """Per-axiom validation record: an axiom holds exactly when its witness
+    indices are None."""
     pairing_witness: int | None = None
-    reflection: bool = True
     reflection_witness: tuple | None = None
-    reduced: bool = True
     reduced_witness: tuple | None = None
-    nonzero: bool = True
     nonzero_witness: int | None = None
 
     @property
     def ok(self):
-        return self.pairing_two and self.reflection and self.reduced and self.nonzero
+        return (self.pairing_witness is None and self.reflection_witness is None
+                and self.reduced_witness is None and self.nonzero_witness is None)
 
     def as_dict(self):
         return {
-            "pairing_two": self.pairing_two,
-            "reflection": self.reflection,
-            "reduced": self.reduced,
-            "nonzero": self.nonzero,
+            "pairing_two": self.pairing_witness is None,
+            "reflection": self.reflection_witness is None,
+            "reduced": self.reduced_witness is None,
+            "nonzero": self.nonzero_witness is None,
             "witnesses": {
                 "pairing_two": self.pairing_witness,
                 "reflection": self.reflection_witness,
@@ -159,12 +157,10 @@ def _check_axioms(d):
     rep = AxiomReport()
     nonzero = list(map(any, d.roots))
     if not all(nonzero):
-        rep.nonzero = False
         rep.nonzero_witness = nonzero.index(False)
     P = d.pairing
     diagonal = list(map(getitem, P, range(d.nroots)))
     if diagonal.count(2) != d.nroots:
-        rep.pairing_two = False
         rep.pairing_witness = next(i for i, x in enumerate(diagonal) if x != 2)
     # Reflect coroot i in root j (cocharacter lattice) and root i in coroot
     # j (character lattice); a zero pairing is the identity.  Membership is
@@ -187,7 +183,6 @@ def _check_axioms(d):
                 and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
             i = next(i for i, (n, m) in enumerate(zip(col, P[j]))
                      if fc[i] - n * fc[j] not in coroot_set or fr[i] - m * fr[j] not in root_set)
-            rep.reflection = False
             rep.reflection_witness = (i, j)
             break
     # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
@@ -203,7 +198,6 @@ def _check_axioms(d):
     directions = list(map(floordiv, map(abs, fc), map(max, contents, repeat(1))))
     if (0 in contents and any(contents)) or len(set(zip(directions, contents))) != len(set(directions)):
         prim = [_primitive(c) for c in d.coroots]
-        rep.reduced = False
         rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
                                    for j, pj in enumerate(prim)
                                    if pj is None or (pj[0] == pi[0] and pj[1] != pi[1]))

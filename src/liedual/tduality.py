@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import ceforms, exactlin, rootdatum
-from .ceforms import InvariantForm, TAG_CARTAN
+from .ceforms import InvariantForm
 from .chevalley import ReductiveLieAlgebra, build_lie_algebra
 from .rootdatum import RootDatum
 
@@ -146,19 +146,17 @@ def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     n = pairobj.L.dim
     F = InvariantForm(pairobj, 2, {
         (a, n + b): v for a, row in enumerate(pairobj.fiber_pairing) for b, v in enumerate(row)
-    }, TAG_CARTAN)
+    })
     dF = ceforms.ce_differential(F)
     H = ceforms.cartan_three_form(pairobj.L)
     Hd = ceforms.cartan_three_form(pairobj.Ldual)
-    if not dF.tag == H.tag == Hd.tag:
-        raise ValueError("cannot add forms with different normalization tags")
     terms = dict(dF.terms)
     for key, v in H.terms.items():
         terms[key] = terms.get(key, 0) - v
     for (i, j, k), v in Hd.terms.items():
         key = (i + n, j + n, k + n)
         terms[key] = terms.get(key, 0) + v
-    return InvariantForm(pairobj, 3, terms, dF.tag)
+    return InvariantForm(pairobj, 3, terms)
 
 
 def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):

@@ -28,8 +28,9 @@ trace of ad e_i ad e_j over the bracket table is the oracle of the Killing
 matrix read off the pairing, the stdlib's JSON encoder is the oracle of
 the CLI's writer, and the Smith form with its pivot searched twice is that
 of the one search.  A form's value on basis indices and on coefficient
-vectors, the difference of two forms, and the coroot vector h_alpha are
-helpers the tests alone use.
+vectors, the sum and the difference of two forms, the bracket of two
+basis elements, and the coroot vector h_alpha are helpers the tests alone
+use.
 """
 
 import json
@@ -38,7 +39,7 @@ from itertools import combinations, repeat
 from math import gcd
 from operator import mul, sub
 
-from liedual.ceforms import TAG_CARTAN, InvariantForm, cartan_three_form, ce_differential, sort_sign, zero_form
+from liedual.ceforms import InvariantForm, cartan_three_form, ce_differential, sort_sign
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
 from liedual.exactlin import det_exact, integer_inverse, integer_kernel, smith_normal_form, solve_exact
 from liedual.rootdatum import (
@@ -401,7 +402,7 @@ def bracket(L, x, y):
     nz_y = [(j, c) for j, c in enumerate(y) if c]
     for i, a in nz_x:
         for j, b in nz_y:
-            for k, c in L.bracket_basis(i, j).items():
+            for k, c in bracket_basis(L, i, j).items():
                 out[k] += a * b * c
     return out
 
@@ -804,17 +805,21 @@ def algebra_dim(alg):
 
 
 def bracket_basis(alg, i, j):
-    """[e_i, e_j] on alg as {k: c}; on the pair g + g_dual, read from the
+    """[e_i, e_j] on alg as {k: c}, read from its table {(i, j) i<j: {k: c}}
+    (an abelian algebra has none); on the pair g + g_dual, read from the
     factor holding both indices, Ldual's at offset L.dim, and zero across
     the two factors."""
-    if not isinstance(alg, ProductPair):
-        return alg.bracket_basis(i, j)
-    n = alg.L.dim
-    if i < n and j < n:
-        return alg.L.bracket_basis(i, j)
-    if i >= n and j >= n:
-        return {k + n: c for k, c in alg.Ldual.bracket_basis(i - n, j - n).items()}
-    return {}
+    if isinstance(alg, ProductPair):
+        n = alg.L.dim
+        if i < n and j < n:
+            return bracket_basis(alg.L, i, j)
+        if i >= n and j >= n:
+            return {k + n: c for k, c in bracket_basis(alg.Ldual, i - n, j - n).items()}
+        return {}
+    table = getattr(alg, "table", {})
+    if i <= j:
+        return table.get((i, j), {})
+    return {k: -c for k, c in table.get((j, i), {}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -993,9 +998,19 @@ def evaluate(w: InvariantForm, *vectors):
     return total
 
 
+def add_forms(a: InvariantForm, b: InvariantForm) -> InvariantForm:
+    """a + b, for forms of equal degree on the same algebra."""
+    if b.algebra is not a.algebra or b.degree != a.degree:
+        raise ValueError("can only add forms of equal degree on the same algebra")
+    out = dict(a.terms)
+    for k, v in b.terms.items():
+        out[k] = out.get(k, 0) + v
+    return InvariantForm(a.algebra, a.degree, out)
+
+
 def subtract(a: InvariantForm, b: InvariantForm) -> InvariantForm:
-    """a - b, as a.add of b scaled by -1."""
-    return a.add(b.scale(-1))
+    """a - b, as the sum of a and b scaled by -1."""
+    return add_forms(a, b.scale(-1))
 
 
 def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
@@ -1004,7 +1019,7 @@ def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
     every bracket output), then sum dw over the pairs of each candidate."""
     alg = w.algebra
     if w.degree == 0:
-        return zero_form(alg, 1, w.tag)
+        return InvariantForm(alg, 1)
     candidates = set()
     for i, j, outs in all_brackets(alg):
         for k in outs:
@@ -1026,7 +1041,7 @@ def gathered_ce_differential(w: InvariantForm) -> InvariantForm:
                 total += sgn * c * value_on_indices(w, (k,) + rest)
         if total:
             out[cand] = total
-    return InvariantForm(alg, w.degree + 1, out, w.tag)
+    return InvariantForm(alg, w.degree + 1, out)
 
 
 def sorted_sign(idx):
@@ -1149,7 +1164,7 @@ def tautological_two_form(pairobj: ProductPair) -> InvariantForm:
         for s, si in enumerate(L.simple_indices)
         for t, col in enumerate(cols)
     }
-    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms)
 
 
 def poincare_correction(pairobj: ProductPair) -> InvariantForm:
@@ -1163,7 +1178,7 @@ def poincare_correction(pairobj: ProductPair) -> InvariantForm:
         i = pairobj.L.index[("z", k)]
         j = pairobj.Ldual.index[("z", k)]
         terms[(i, n + j)] = 1
-    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms)
 
 
 def lattice_exponent(pairobj: ProductPair):
@@ -1188,7 +1203,7 @@ def lattice_poincare_correction(pairobj: ProductPair) -> InvariantForm:
         for j, zd in enumerate(Ld.radical_basis):
             if pair(z, zd):
                 terms[(L.index[("z", k)], L.dim + Ld.index[("z", j)])] = e * pair(z, zd)
-    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms)
 
 
 def name_paired_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra, *_inverse):
@@ -1206,7 +1221,7 @@ def name_paired_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra, *_in
 def dualizing_form(pairobj: ProductPair) -> InvariantForm:
     """F = F0 + F_P on the product, the sum of the tautological form and
     the lattice F_P."""
-    return tautological_two_form(pairobj).add(lattice_poincare_correction(pairobj))
+    return add_forms(tautological_two_form(pairobj), lattice_poincare_correction(pairobj))
 
 
 def loop_angle_positivity(pairobj: ProductPair):
@@ -1242,7 +1257,7 @@ def pairing_form(pairobj: ProductPair) -> InvariantForm:
     for a, row in enumerate(pairobj.fiber_pairing):
         for b, v in enumerate(row):
             terms[a, n + b] = v
-    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms)
 
 
 def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
@@ -1256,7 +1271,7 @@ def per_root_tautological_two_form(pairobj: ProductPair) -> InvariantForm:
         for (i,), va in a.terms.items():
             for (j,), vb in b.terms.items():
                 terms[i, n + j] = terms.get((i, n + j), 0) + va * vb
-    return InvariantForm(pairobj, 2, terms, TAG_CARTAN)
+    return InvariantForm(pairobj, 2, terms)
 
 
 def embed_left(pairobj: ProductPair, v):
@@ -1365,7 +1380,7 @@ def basis_owners(S, basis, dim):
 
 
 def pullback_first(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
-    return InvariantForm(pairobj, w.degree, dict(w.terms), w.tag)
+    return InvariantForm(pairobj, w.degree, dict(w.terms))
 
 
 def pullback_second(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
@@ -1374,7 +1389,6 @@ def pullback_second(pairobj: ProductPair, w: InvariantForm) -> InvariantForm:
         pairobj,
         w.degree,
         {tuple(i + n for i in key): v for key, v in w.terms.items()},
-        w.tag,
     )
 
 
@@ -1384,7 +1398,7 @@ def composed_phi(pairobj: ProductPair) -> InvariantForm:
     dF = ce_differential(pairing_form(pairobj))
     H = cartan_three_form(pairobj.L)
     Hd = cartan_three_form(pairobj.Ldual)
-    return subtract(dF, pullback_first(pairobj, H)).add(pullback_second(pairobj, Hd))
+    return add_forms(subtract(dF, pullback_first(pairobj, H)), pullback_second(pairobj, Hd))
 
 
 def per_unit_lattice_pairing(pairobj: ProductPair):

@@ -107,7 +107,6 @@ def test_cartan_three_form_values_in_sl2():
     H = cartan_three_form(L)
     hi, xi, yi = L.index[("h", 0)], L.index[("x", ri)], L.index[("x", neg)]
     assert value_on_indices(H, (hi, xi, yi)) == 8
-    assert H.tag == ceforms.TAG_CARTAN
 
 
 def test_cartan_three_form_kills_the_radical():
@@ -208,13 +207,6 @@ def test_torus_transform_rejects_bad_input():
     L = build_lie_algebra(build("A1:sc"))
     with pytest.raises(ValueError):
         torus_fm_transform(InvariantForm(L, 0, {(): Fraction(1)}), [[1]])
-
-
-def test_tags_multiply_under_wedge():
-    T = AbelianAlgebra(2)
-    a = InvariantForm(T, 1, {(0,): Fraction(1)}, ceforms.TAG_CARTAN)
-    b = InvariantForm(T, 1, {(1,): Fraction(1)}, ceforms.TAG_CARTAN)
-    assert wedge(a, b).tag == ceforms.NormalizationTag(Fraction(1, 16), -4)
 
 
 # ---------------------------------------------------------------------------

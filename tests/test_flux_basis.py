@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import build
 from oracles import (
+    add_forms,
     algebra_dim,
     basis_owners,
     composed_phi,
@@ -127,7 +128,7 @@ DOUBLED_F_RECORDS = {
 @pytest.mark.parametrize("typ", DEFECT_TYPES)
 def test_doubled_F_is_twice_the_tautological_form_plus_the_correction(typ):
     pair = doubled_F(pair_and_phi(typ)[0])
-    F = tautological_two_form(pair).scale(2).add(lattice_poincare_correction(pair))
+    F = add_forms(tautological_two_form(pair).scale(2), lattice_poincare_correction(pair))
     assert pairing_form(pair) == F
     rec = check_flux_equation(pair, tduality.flux_residual_form(pair))
     assert (rec.witness, rec.residual) == DOUBLED_F_RECORDS[typ]
@@ -154,7 +155,7 @@ def rebuilt_phi(pair, n):
     dF = ceforms.ce_differential(pairing_form(pair).scale(n))
     H = ceforms.cartan_three_form(pair.L).scale(n)
     Hd = ceforms.cartan_three_form(pair.Ldual).scale(n)
-    return subtract(dF, pullback_first(pair, H)).add(pullback_second(pair, Hd))
+    return add_forms(subtract(dF, pullback_first(pair, H)), pullback_second(pair, Hd))
 
 
 @pytest.mark.parametrize("n", [2, -1])
@@ -198,7 +199,7 @@ def test_scaled_lattice_pairing_matches_the_rebuilt_oracle(typ, n, defect):
 
 def bumped(phi, deltas):
     """phi plus delta * e_i^e_j^e_k for each ((i, j, k), delta)."""
-    out = ceforms.InvariantForm(phi.algebra, 3, dict(phi.terms), phi.tag)
+    out = ceforms.InvariantForm(phi.algebra, 3, dict(phi.terms))
     for idx, delta in deltas:
         key, sign = ceforms.sort_sign(idx)
         out.terms[key] = out.terms.get(key, Fraction(0)) + sign * delta
@@ -389,16 +390,3 @@ def test_phi_in_one_dict_equals_the_composed_pullbacks(typ, defect):
     if defect:
         pair = doubled_F(pair)
     assert tduality.flux_residual_form(pair) == composed_phi(pair)
-
-
-def test_phi_refuses_forms_with_different_tags():
-    pair = build_pair(build("A1:sc"))
-    real = ceforms.cartan_three_form
-
-    def untagged(L):
-        H = real(L)
-        return ceforms.InvariantForm(H.algebra, 3, H.terms)
-
-    with mock.patch.object(ceforms, "cartan_three_form", untagged):
-        with pytest.raises(ValueError, match="normalization tags"):
-            tduality.flux_residual_form(pair)

@@ -275,7 +275,7 @@ def test_coroots_off_a_root_system_never_reach_the_pairing_coordinates():
     bad = rootdatum.RootDatum(rank=2, roots=((2, 0), (-2, 0)), coroots=((1, 1), (-1, 0)))
     assert bad.pairing == ((2, -2), (-2, 2))
     rep = rootdatum.validate(bad)
-    assert not rep.ok and not rep.reflection
+    assert not rep.ok and rep.reflection_witness is not None
     with pytest.raises(ValueError, match="invalid root datum"):
         chevalley.build_lie_algebra(bad)
     pos, simple = rootdatum.positive_system(bad)

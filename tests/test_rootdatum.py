@@ -219,18 +219,16 @@ def oracle_validate(d):
     rep = rootdatum.AxiomReport()
     for i, r in enumerate(d.roots):
         if all(x == 0 for x in r):
-            rep.nonzero = False
             rep.nonzero_witness = i
             break
     for i in range(d.nroots):
         if rootdatum.pair(d.coroots[i], d.roots[i]) != 2:
-            rep.pairing_two = False
             rep.pairing_witness = i
             break
     coroot_set = set(d.coroots)
     root_set = set(d.roots)
     for j in range(d.nroots):
-        if not rep.reflection:
+        if rep.reflection_witness is not None:
             break
         for i in range(d.nroots):
             n = rootdatum.pair(d.coroots[i], d.roots[j])
@@ -238,7 +236,6 @@ def oracle_validate(d):
             m = rootdatum.pair(d.coroots[j], d.roots[i])
             refl_r = tuple(a - m * b for a, b in zip(d.roots[i], d.roots[j]))
             if refl_c not in coroot_set or refl_r not in root_set:
-                rep.reflection = False
                 rep.reflection_witness = (i, j)
                 break
     for i, c in enumerate(d.coroots):
@@ -247,10 +244,9 @@ def oracle_validate(d):
                 continue
             ratio = _scalar_ratio(c2, c)
             if ratio is not None and ratio not in (1, -1):
-                rep.reduced = False
                 rep.reduced_witness = (i, j)
                 break
-        if not rep.reduced:
+        if rep.reduced_witness is not None:
             break
     return rep
 

@@ -21,8 +21,8 @@ from conftest import build
 from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
 import oracles
-from oracles import (FractionNTable, VectorNTable, generates, generator_certificate, ordered_sweep,
-                     pairwise_structure_table, signed_rows, trace_killing_matrix)
+from oracles import (FractionNTable, VectorNTable, bracket_basis, generates, generator_certificate,
+                     ordered_sweep, pairwise_structure_table, signed_rows, trace_killing_matrix)
 from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
 from test_tduality import NON_SPLIT
 
@@ -34,8 +34,8 @@ def dense_jacobi_witness(L):
     for i, j, k in combinations(range(L.dim), 3):
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in L.bracket_basis(a, b).items():
-                for n, cn in L.bracket_basis(m, c).items():
+            for m, cm in bracket_basis(L, a, b).items():
+                for n, cn in bracket_basis(L, m, c).items():
                     acc[n] = acc.get(n, Fraction(0)) + cm * cn
         if any(v for v in acc.values()):
             return (i, j, k)
@@ -51,8 +51,8 @@ def streaming_jacobi_witness(L):
             continue
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in L.bracket_basis(a, b).items():
-                for n, cn in L.bracket_basis(m, c).items():
+            for m, cm in bracket_basis(L, a, b).items():
+                for n, cn in bracket_basis(L, m, c).items():
                     acc[n] = acc.get(n, 0) + cm * cn
         if any(v for v in acc.values()):
             return (i, j, k)
@@ -89,7 +89,7 @@ def dense_killing_matrix(L):
     def ad_entries(i):
         out = {}
         for j in range(L.dim):
-            for k, c in L.bracket_basis(i, j).items():
+            for k, c in bracket_basis(L, i, j).items():
                 out[(k, j)] = out.get((k, j), 0) + c
         return out
 
