@@ -133,15 +133,14 @@ def cartan_three_form(L) -> InvariantForm:
     """H(x,y,z) = K(x,[y,z]) on basis triples, in units of -1/(4 pi^2): the
     Cartan 3-form is -1/(4 pi^2) K(x,[y,z]), and F, dF and phi share that
     unit (module docstring).  Each bracket [e_j, e_k] = sum_m c_m e_m is read
-    against only the nonzero entries of the columns m of K.  Total antisymmetry is
-    verified while filling."""
+    against only the nonzero entries of column m of K, which is its row m, as
+    K is symmetric.  Total antisymmetry is verified while filling."""
     K = L.killing_matrix()
-    cols = [{i: row[m] for i, row in enumerate(K) if row[m]} for m in range(L.dim)]
     terms = {}
     for (j, k), outs in L.table.items():
         vals = {}
         for m, c in outs.items():
-            for i, v in cols[m].items():
+            for i, v in K[m].items():
                 vals[i] = vals.get(i, 0) + c * v
         for i, v in vals.items():
             if not v or i == j or i == k:

@@ -48,26 +48,27 @@ class ReductiveLieAlgebra:
 
     def killing_matrix(self):
         """Exact trace form Tr(ad X ad Y) on the basis, cached, read off the
-        pairing P of the datum.
+        pairing P of the datum and stored as its nonzero rows: row i is
+        {j: K(e_i, e_j)} for the nonzero entries only.
 
         ad h is diagonal with alpha(h_s) = P[s][alpha] on x_alpha, so
         K(h_s, h_t) = sum_alpha P[s][alpha] P[t][alpha] on the simple
         coroots.  ad x_a ad x_b shifts weights by a + b, so x_a pairs only
-        with x_-a, and the radical is central, so its rows are zero.
+        with x_-a, and the radical is central, so its rows are empty.
         Invariance, which Jacobi gives (the table is certified before any K
         is read), turns K(h_a, h_a) = K([x_a, x_-a], h_a) into
         a(h_a) K(x_a, x_-a), so K(x_a, x_-a) = K(h_a, h_a) / 2 =
         sum_{b > 0} P[a][b]^2: the roots come in +- pairs."""
         if self._killing is None:
             P, nz = self.datum.pairing, len(self.radical_basis)
-            K = [[0] * self.dim for _ in range(self.dim)]
             rows = [P[s] for s in self.simple_indices]
-            for h, row in enumerate(rows, nz):
-                K[h][nz : nz + len(rows)] = [sum(map(mul, row, other)) for other in rows]
+            K = [{} for _ in range(nz)]
+            for row in rows:
+                K.append({t: v for t, v in enumerate((sum(map(mul, row, other)) for other in rows), nz) if v})
             sigma = _involution(self)
             for x in range(nz + len(rows), self.dim):
                 row = P[self.labels[x][1]]
-                K[x][sigma[x]] = sum(map(mul, row, row)) // 2
+                K.append({sigma[x]: sum(map(mul, row, row)) // 2})
             self._killing = K
         return self._killing
 

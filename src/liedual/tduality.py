@@ -9,7 +9,6 @@ the T-duality definition as an exact algebraic identity.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -35,8 +34,8 @@ class ProductPair:
     inverse: tuple              # _cartan_inverse(L): (X, d)
     dual_inverse: tuple         # _cartan_inverse(Ldual): (Y, d)
     fiber_pairing: list         # F = F0 + F_P on (z, h) x (zdual, hdual)
-    spanning_set: list          # B: (name, {pair index: coeff})
-    owner: dict                 # index -> (position in B, coeff)
+    spanning_set: list          # B: (name, {pair index: 1})
+    owner: dict                 # index -> position in B
 
     @property
     def blocks(self):
@@ -79,25 +78,25 @@ def build_pair(d: RootDatum) -> ProductPair:
     # S = {h[alpha], x+phix[alpha], hdual[alpha] for every root, z, zdual};
     # h_alpha = sum_s (coroot coords of alpha)_s h_s, likewise in g_dual, so
     # B = {h[simple], hdual[simple], x+phix[alpha], z, zdual}, in the order
-    # these have in S, spans S.  The members of B have disjoint supports
-    # covering the pair, so owner maps each index to its one member.
+    # these have in S, spans S.  The members of B partition the pair's
+    # indices, each with coefficient 1 (a simple coroot is the basis vector
+    # at its simple position), so owner maps each index to its one member.
     B, owner = [], {}
 
     def add(name, vec):
-        for i, c in vec.items():
-            owner[i] = (len(B), c)
+        owner.update(dict.fromkeys(vec, len(B)))
         B.append((name, vec))
 
     n = L.dim
     h0, hd0 = len(L.radical_basis), n + len(Ldual.radical_basis)
-    simple = set(L.simple_indices)
+    simple = {ri: s for s, ri in enumerate(L.simple_indices)}
     for ri in range(d.nroots):
         if ri in simple:
-            add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v})
+            add(f"h[{ri}]", {h0 + simple[ri]: 1})
         # X_xi + phi(X_xi); the Y-vector of xi is the X-vector of -xi.
         add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1})
         if ri in simple:
-            add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v})
+            add(f"hdual[{ri}]", {hd0 + simple[ri]: 1})
     for k in range(len(L.radical_basis)):
         add(f"z[{k}]", {L.index[("z", k)]: 1})
         add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1})
@@ -163,19 +162,18 @@ def check_flux_equation(pairobj: ProductPair, phi: InvariantForm):
     """phi = 0 on span(S), checked on the basis B of span(S).
 
     The residual phi is trilinear, so it vanishes on S^3 iff it vanishes on
-    B^3.  The members of B have disjoint supports, so a term e_i^e_j^e_k of
-    phi contributes to phi(b_p, b_q, b_r) only when i, j, k have the three
-    distinct owners p, q, r, and then with the sign of that permutation
-    times the owners' coefficients.  One pass over phi.terms thus gives phi
-    on every triple of B; a failure names the smallest nonzero triple.
+    B^3.  The members of B partition the indices with coefficient 1, so a
+    term e_i^e_j^e_k of phi contributes to phi(b_p, b_q, b_r) only when
+    i, j, k have the three distinct owners p, q, r, and then with the sign
+    of that permutation.  One pass over phi.terms thus gives phi on every
+    triple of B; a failure names the smallest nonzero triple.
     """
     owner = pairobj.owner
     sums = {}
     for (i, j, k), v in phi.terms.items():
-        (p, a), (q, b), (r, c) = owner[i], owner[j], owner[k]
-        triple, sign = ceforms.sort_sign((p, q, r))
+        triple, sign = ceforms.sort_sign((owner[i], owner[j], owner[k]))
         if sign:
-            sums[triple] = sums.get(triple, 0) + sign * a * b * c * v
+            sums[triple] = sums.get(triple, 0) + sign * v
     bad = min((t for t, r in sums.items() if r), default=None)
     if bad is None:
         return CheckRecord("flux_equation", True)
@@ -216,17 +214,16 @@ def check_nondegeneracy(pairobj: ProductPair):
         return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1")
     d = pairobj.datum
     L = pairobj.L
-    # K(h_beta, h_beta) reads the Cartan block of the Killing matrix at the
-    # simple-coroot coordinates of h_beta; the sum over alpha reads only the
-    # nonzero alpha(h_beta).
+    # T = sum_alpha alpha^vee (x) alpha maps h to sum_alpha alpha(h) h_alpha
+    # in lattice coordinates; K(h_beta, h_beta) reads the Cartan block of
+    # the Killing form at the simple-coroot coordinates of h_beta.
+    T = [[sum(map(mul, col, row)) for row in zip(*d.roots)] for col in zip(*d.coroots)]
     nz = len(L.radical_basis)
     K = L.killing_matrix()
-    for ri, row in enumerate(d.pairing):
+    for ri, coroot in enumerate(d.coroots):
         coords = [(nz + s, u) for s, u in enumerate(L.coroot_coords[ri]) if u]
-        c = sum(u * v * K[s][t] for s, u in coords for t, v in coords)
-        values = list(compress(row, row))
-        lhs = [sum(map(mul, values, col)) for col in zip(*compress(d.coroots, row))]
-        diff = [2 * x - c * y for x, y in zip(lhs, d.coroots[ri])]
+        c = sum(u * v * K[s].get(t, 0) for s, u in coords for t, v in coords)
+        diff = [2 * sum(map(mul, row, coroot)) - c * y for row, y in zip(T, coroot)]
         if any(diff):
             return CheckRecord(
                 "nondegeneracy", False, f"eigen-relation fails for coroot {ri}", frac_str(next(filter(None, diff)))

@@ -442,10 +442,20 @@ def trace_killing_matrix(L):
     return K
 
 
+def dense_killing(L):
+    """The nonzero rows of L.killing_matrix() as a dense dim x dim matrix."""
+    K = [[0] * L.dim for _ in range(L.dim)]
+    for i, row in enumerate(L.killing_matrix()):
+        for j, v in row.items():
+            K[i][j] = v
+    return K
+
+
 def killing_form(L, x, y):
-    """K(x, y) for basis coefficient vectors x, y, from the Killing matrix."""
+    """K(x, y) for basis coefficient vectors x, y, from the nonzero rows of
+    the Killing matrix."""
     K = L.killing_matrix()
-    return sum(a * b * K[i][j] for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
+    return sum(a * y[j] * v for i, a in enumerate(x) if a for j, v in K[i].items())
 
 
 def root_value(L, root_index, basis_index):
@@ -941,7 +951,7 @@ def sln_matching_killing(L: ReductiveLieAlgebra, oracle: SlnOracle):
                     target = ri
                     break
             perm.append(L.index[("x", target)])
-    K = L.killing_matrix()
+    K = dense_killing(L)
     return [[K[perm[a]][perm[b]] for b in range(oracle.dim)] for a in range(oracle.dim)]
 
 

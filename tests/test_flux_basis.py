@@ -211,7 +211,7 @@ def perturbations(pair, phi):
     one index from each of three members of B, where terms of opposite
     permutation sign can cancel on span(S)."""
     supports = {}
-    for i, (p, _) in sorted(pair.owner.items()):
+    for i, p in sorted(pair.owner.items()):
         supports.setdefault(p, []).append(i)
     on_trio = st.lists(st.sampled_from(sorted(supports)), min_size=3, max_size=3, unique=True).flatmap(
         lambda trio: st.lists(st.tuples(*(st.sampled_from(supports[p]) for p in trio)), min_size=1, max_size=2)
@@ -265,7 +265,7 @@ def test_basis_size_and_coverage(typ):
     d = pair.datum
     ss_rank = len(pair.L.simple_indices)
     radical = len(pair.L.radical_basis)
-    assert len({p for p, _ in pair.owner.values()}) == 2 * ss_rank + d.nroots + 2 * radical
+    assert len(set(pair.owner.values())) == 2 * ss_rank + d.nroots + 2 * radical
     assert sorted(pair.owner) == list(range(algebra_dim(pair)))
 
 
@@ -285,7 +285,10 @@ def test_basis_owners_refuses_a_weaker_basis():
     pair = build_pair(build("D4:sc"))
     S, basis = spanning_set_with_basis(pair)
     dim = algebra_dim(pair)
-    assert basis_owners(S, basis, dim) == {i: (basis[p], c) for i, (p, c) in pair.owner.items()}
+    owners = basis_owners(S, basis, dim)
+    # Each member of B has coefficient 1 on every index it owns.
+    assert {c for _, c in owners.values()} == {1}
+    assert owners == {i: (basis[p], 1) for i, p in pair.owner.items()}
     names = [n for n, _ in S]
     # A non-simple coroot overlaps the simple coroots it is a sum of.
     non_simple = next(f"h[{ri}]" for ri in range(pair.datum.nroots) if ri not in pair.L.simple_indices)
@@ -307,7 +310,7 @@ def test_basis_owners_refuses_a_weaker_basis():
 def bumped_key(pair, phi):
     """The smallest term of phi on three distinct members of B: bumping it
     by one makes phi nonzero on that triple of B."""
-    return min(k for k in phi.terms if len({pair.owner[i][0] for i in k}) == 3)
+    return min(k for k in phi.terms if len({pair.owner[i] for i in k}) == 3)
 
 
 @pytest.mark.parametrize("typ", DEFECT_TYPES)

@@ -21,8 +21,9 @@ from conftest import build
 from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
 import oracles
-from oracles import (FractionNTable, VectorNTable, bracket_basis, generates, generator_certificate,
-                     ordered_sweep, pairwise_structure_table, signed_rows, trace_killing_matrix)
+from oracles import (FractionNTable, VectorNTable, bracket_basis, dense_killing, generates,
+                     generator_certificate, ordered_sweep, pairwise_structure_table, signed_rows,
+                     trace_killing_matrix)
 from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
 from test_tduality import NON_SPLIT
 
@@ -61,7 +62,7 @@ def streaming_jacobi_witness(L):
 
 def dense_cartan_three_form(L):
     """H(x,y,z) = K(x,[y,z]) with a range(dim) sum for every bracket."""
-    K = L.killing_matrix()
+    K = dense_killing(L)
     terms = {}
     for (j, k), outs in L.table.items():
         vals = {}
@@ -405,10 +406,19 @@ def test_a_zeroed_constant_that_cuts_a_root_vector_off_is_refused():
     assert witness == ordered_sweep(L) == streaming_jacobi_witness(L) == dense_jacobi_witness(L)
 
 
+def assert_killing_rows_are_the_trace_form(L):
+    """killing_matrix() is dim rows holding no zero, and densifies to the
+    trace form summed over the table."""
+    K = L.killing_matrix()
+    assert len(K) == L.dim and all(type(row) is dict and all(row.values()) for row in K)
+    assert dense_killing(L) == trace_killing_matrix(L)
+
+
 @pytest.mark.parametrize("typ", ORACLE_TYPES + ["D5:sc", "E6:sc"])
 def test_killing_matrix_matches_the_dense_trace(typ):
     L = build_lie_algebra(build(typ))
-    assert L.killing_matrix() == dense_killing_matrix(L)
+    assert dense_killing(L) == dense_killing_matrix(L)
+    assert_killing_rows_are_the_trace_form(L)
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,16 +437,14 @@ def test_killing_matrix_of_a_perturbed_table_matches_the_dense_trace(perturbatio
 def test_the_killing_matrix_read_off_the_pairing_is_the_trace_form(typ):
     d = build(typ)
     for x in (d, rootdatum.dualize(d)):
-        L = build_lie_algebra(x)
-        assert L.killing_matrix() == trace_killing_matrix(L)
+        assert_killing_rows_are_the_trace_form(build_lie_algebra(x))
 
 
 @pytest.mark.parametrize("name", NON_SPLIT)
 def test_the_killing_matrix_of_non_split_data_is_the_trace_form(name):
     d = NON_SPLIT[name][0]
     for x in (d, rootdatum.dualize(d)):
-        L = build_lie_algebra(x)
-        assert L.killing_matrix() == trace_killing_matrix(L)
+        assert_killing_rows_are_the_trace_form(build_lie_algebra(x))
 
 
 @settings(max_examples=30, deadline=None)
@@ -445,7 +453,7 @@ def test_the_killing_matrix_of_non_split_data_is_the_trace_form(name):
 def test_the_killing_matrix_survives_a_change_of_lattice_basis(d, dual, data):
     d = rootdatum.dualize(d) if dual else d
     L = build_lie_algebra(change_basis(d, *data.draw(unimodular_pair(d.rank))))
-    assert L.killing_matrix() == trace_killing_matrix(L)
+    assert_killing_rows_are_the_trace_form(L)
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES)
@@ -515,7 +523,7 @@ def test_a_root_off_the_simple_lattice_is_refused():
 @pytest.mark.parametrize("entry", ["cartan-diagonal", "root-one-sided"])
 def test_a_corrupted_killing_entry_fails_antisymmetry_in_both(typ, entry):
     L = build_lie_algebra(build(typ))
-    K = copy.deepcopy(L.killing_matrix())
+    K = [dict(row) for row in L.killing_matrix()]
     a = L.simple_indices[0]
     if entry == "cartan-diagonal":
         h = L.index[("h", 0)]
@@ -536,7 +544,7 @@ def test_the_chevalley_core_stores_plain_ints(typ):
     L = pair.L
     assert all(type(c) is int for out in L.table.values() for c in out.values())
     assert all(type(c) is int for coords in L.coroot_coords.values() for c in coords)
-    assert all(type(v) is int for row in L.killing_matrix() for v in row)
+    assert all(type(v) is int for row in L.killing_matrix() for v in row.values())
     assert all(type(v) is int for v in ceforms.cartan_three_form(L).terms.values())
     assert all(type(v) is int for row in pair.fiber_pairing for v in row)
     assert all(type(v) is int for v in tduality.flux_residual_form(pair).terms.values())
