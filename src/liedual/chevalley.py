@@ -56,19 +56,21 @@ class ReductiveLieAlgebra:
         coroots.  ad x_a ad x_b shifts weights by a + b, so x_a pairs only
         with x_-a, and the radical is central, so its rows are empty.
         Invariance, which Jacobi gives (the table is certified before any K
-        is read), turns K(h_a, h_a) = K([x_a, x_-a], h_a) into
-        a(h_a) K(x_a, x_-a), so K(x_a, x_-a) = K(h_a, h_a) / 2 =
-        sum_{b > 0} P[a][b]^2: the roots come in +- pairs."""
+        is read), turns K(h_a, h_s) = K([x_a, x_-a], h_s) into
+        a(h_s) K(x_a, x_-a).  So K(x_a, x_-a) is the Cartan row G[s] of the
+        first simple s with a(h_s) != 0 (one exists: a(h_a) = 2) at the
+        simple-coroot coordinates of h_a, divided by a(h_s)."""
         if self._killing is None:
             P, nz = self.datum.pairing, len(self.radical_basis)
             rows = [P[s] for s in self.simple_indices]
+            G = [[sum(map(mul, row, other)) for other in rows] for row in rows]
             K = [{} for _ in range(nz)]
-            for row in rows:
-                K.append({t: v for t, v in enumerate((sum(map(mul, row, other)) for other in rows), nz) if v})
+            K += [{t: v for t, v in enumerate(g, nz) if v} for g in G]
             sigma = _involution(self)
             for x in range(nz + len(rows), self.dim):
-                row = P[self.labels[x][1]]
-                K.append({sigma[x]: sum(map(mul, row, row)) // 2})
+                a = self.labels[x][1]
+                s = next(s for s, row in enumerate(rows) if row[a])
+                K.append({sigma[x]: sum(map(mul, self.coroot_coords[a], G[s])) // rows[s][a]})
             self._killing = K
         return self._killing
 

@@ -2,7 +2,9 @@
 
 Inputs are ints or ``fractions.Fraction``s; every elimination runs on
 integer rows (denominators cleared, fraction-free steps), and Fractions are
-built only for returned quotients.  Coordinates in a square integer basis
+built only for returned quotients.  Inverse, determinant and solve share
+one fraction-free Gauss-Jordan sweep (Bareiss-Jordan), whose every division
+is exact by Sylvester's identity.  Coordinates in a square integer basis
 come from one ``integer_inverse`` of it and ``exact_quotients``, which
 refuses a remainder.  Matrices and vectors are plain lists; nothing here
 ever rounds.
@@ -26,37 +28,41 @@ def _integer_rows(M):
 
 
 def _eliminate(R):
-    """Integer Gauss-Jordan elimination of the int rows R, in place.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the int rows R,
+    in place.
 
-    Each pivot row r gets a nonzero pivot R[r][c] and every other row a
-    zero in column c.  A row that takes a multiple of the pivot row is
-    divided by its content, so entries stay as small as the pivots allow.
-    Returns the pivot column indices; row r divided by R[r][pivots[r]] is
-    row r of the reduced row echelon form."""
+    At pivot (r, c) with value p every other row, the earlier pivot rows
+    included, becomes (p * row - row[c] * R[r]) // prev, prev the previous
+    pivot (1 at the start); by Sylvester's identity each entry is then a
+    minor of the input, so the division is exact.  Returns (pivots, p,
+    sign): the pivot column indices, the value every pivot row ends
+    holding at its pivot, so that R / p is the reduced row echelon form,
+    and the parity of the row swaps.  For a square matrix of full rank,
+    det = sign * p."""
     nrows = len(R)
     ncols = len(R[0]) if R else 0
     pivots = []
+    prev, sign = 1, 1
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if R[i][c]), None)
         if pr is None:
             continue
-        R[r], R[pr] = R[pr], R[r]
+        if pr != r:
+            R[r], R[pr] = R[pr], R[r]
+            sign = -sign
         prow = R[r]
         p = prow[c]
         for i in range(nrows):
-            f = R[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(R[i], prow)]
-                g = gcd(*row)
-                R[i] = [x // g for x in row] if g > 1 else row
+            if i != r:
+                f = R[i][c]
+                R[i] = [(p * x - f * y) // prev for x, y in zip(R[i], prow)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, prev, sign
 
 
 def solve_exact(A, b):
@@ -72,28 +78,29 @@ def solve_exact(A, b):
         return []
     ncols = len(A[0])
     R = _integer_rows([list(row) + [bv] for row, bv in zip(A, b)])
-    pivots = _eliminate(R)
+    pivots, p, _ = _eliminate(R)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = Fraction(R[r][ncols], R[r][c])
+        x[c] = Fraction(R[r][ncols], p)
     return x
 
 
 def integer_inverse(A):
-    """(X, den) with X = den * A^-1 an int matrix and den > 0 the lcm of
-    the pivots, from one integer elimination of [A | I]; A is a square
-    int matrix, and ValueError is raised when it is not square or is
-    singular."""
+    """(X, den) with X = den * A^-1 an int matrix and den = |det A|, from
+    one fraction-free elimination of [A | I]: X is the adjugate of A up to
+    the sign of det A.  A is a square int matrix, and ValueError is raised
+    when it is not square or is singular."""
     k = len(A)
     if any(len(row) != k for row in A):
         raise ValueError("integer_inverse requires a square matrix")
     R = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(A)]
-    if _eliminate(R) != list(range(k)):
+    pivots, p, _ = _eliminate(R)
+    if pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    den = lcm(*(row[i] for i, row in enumerate(R))) if k else 1
-    return [[x * (den // row[i]) for x in row[k:]] for i, row in enumerate(R)], den
+    u = 1 if p > 0 else -1
+    return [[u * x for x in row[k:]] for row in R], u * p
 
 
 def exact_quotients(X, den, vectors, refusal):
@@ -130,30 +137,14 @@ def column_products(X, vectors):
 
 
 def det_exact(A):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: sign * p from one fraction-free elimination."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("det_exact requires a square matrix")
-    if n == 0:
-        return Fraction(1)
-    # Clear denominators row by row so the Bareiss sweep stays in integers.
+    # Clear denominators row by row so the elimination stays in integers.
     scale = prod(lcm(*(x.denominator for x in row)) for row in A)
-    M = _integer_rows(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            M[k], M[pr] = M[pr], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return Fraction(sign * M[n - 1][n - 1], 1) / scale
+    pivots, p, sign = _eliminate(_integer_rows(A))
+    return Fraction(sign * p if len(pivots) == n else 0, scale)
 
 
 def smith_normal_form(A):

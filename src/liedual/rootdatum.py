@@ -575,10 +575,22 @@ def from_json_dict(obj: dict) -> RootDatum:
     return d
 
 
+def _unique_keys(pairs):
+    """The object of the (key, value) pairs; a repeated key is a ValueError,
+    where json.loads would keep its last value."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"root datum key {k!r} is listed twice")
+        obj[k] = v
+    return obj
+
+
 def from_json(text: str) -> RootDatum:
-    """from_json_dict of the text; too deeply nested JSON is a ValueError."""
+    """from_json_dict of the text; a repeated key in any object and too
+    deeply nested JSON are ValueErrors."""
     try:
-        return from_json_dict(json.loads(text))
+        return from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
     except RecursionError:
         raise ValueError("root datum JSON is nested too deeply") from None
 

@@ -116,8 +116,8 @@ def integer_coordinates(V, targets):
     they read one integer inverse of a square basis.
 
     The rows of V must be independent.  One integer elimination inverts the
-    Gram matrix G = V V^T, scaled to ints by the lcm of its pivots; each
-    target is then solved in ints from G x = V t, and the x found is kept
+    Gram matrix G = V V^T, scaled to ints by |det G|; each target is then
+    solved in ints from G x = V t, and the x found is kept
     only when it gives back t.  That test decides membership on its own:
     the solution is unique, so a quotient that is not exact, or the
     projection of a target outside the span of V, cannot give back t.

@@ -240,6 +240,16 @@ def test_a_repeated_pair_exits_2(capsys, tmp_path, cmd):
     assert "(root, coroot) pair ([2], [1]) is listed twice" in err
 
 
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+def test_a_repeated_key_exits_2(capsys, tmp_path, cmd):
+    # Once read as the last value of the key, with exit 0.
+    path = tmp_path / "repeated-key.json"
+    path.write_text('{"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "rank": 1}')
+    code, out, err = run(capsys, cmd, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: root datum key 'rank' is listed twice\n"
+
+
 @pytest.mark.parametrize("cmd", ["verify", "info", "cartan", "dualize", "export-algebra"])
 def test_deeply_nested_input_exits_2(capsys, tmp_path, cmd):
     # json.loads raises RecursionError here; it is input, not a failed check.

@@ -36,12 +36,35 @@ def _perm_det(A):
     return total
 
 
-def test_det_matches_permutation_expansion():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        assert exactlin.det_exact(A) == _perm_det(A)
+@st.composite
+def square_matrices(draw):
+    """Square int or Fraction matrices of size 0-5: often singular (a row
+    copied or scaled) and often with a zero leading entry, so that the
+    elimination has to swap rows."""
+    n = draw(st.integers(0, 5))
+    small = st.integers(-4, 4)
+    entry = st.one_of(small, st.builds(Fraction, small, st.integers(1, 3))) if draw(st.booleans()) else small
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        A[i] = [draw(st.sampled_from([-1, 0, 2, Fraction(1, 2)])) * x for x in A[j]]
+    if n and draw(st.booleans()):
+        A[0][0] = 0
+    return A
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=square_matrices())
+def test_det_matches_permutation_expansion(A):
+    assert exactlin.det_exact(A) == _perm_det(A)
+
+
+def test_det_sign_follows_the_row_swaps():
+    assert exactlin.det_exact([[0, 1], [1, 0]]) == -1
+    assert exactlin.det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert exactlin.det_exact([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert exactlin.det_exact([[0, 2], [0, 3]]) == 0
+    assert exactlin.det_exact([]) == 1
 
 
 def test_det_rejects_nonsquare():
@@ -239,14 +262,17 @@ def test_integer_inverse_matches_the_fraction_rref(case):
             exactlin.integer_inverse(A)
         return
     X, den = exactlin.integer_inverse(A)
-    assert den > 0 and all(type(x) is int for row in X for x in row)
+    assert den == abs(exactlin.det_exact(A)) > 0 and all(type(x) is int for row in X for x in row)
     R, _ = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
     assert [[Fraction(x, den) for x in row] for row in X] == [row[n:] for row in R]
 
 
-def test_integer_inverse_scales_by_the_lcm_of_the_pivots():
-    # Pivots 2 and -3: den is their lcm, and a negative pivot keeps den > 0.
+def test_integer_inverse_scales_by_the_absolute_determinant():
+    # X A = den I with den = |det A| > 0: X is the adjugate up to the sign
+    # of det A.  On diag(2, 2) this is den 4, not the pivots' lcm 2.
     assert exactlin.integer_inverse([[2, 0], [0, -3]]) == ([[3, 0], [0, -2]], 6)
+    assert exactlin.integer_inverse([[2, 0], [0, 2]]) == ([[2, 0], [0, 2]], 4)
+    assert exactlin.integer_inverse([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
     assert exactlin.integer_inverse([]) == ([], 1)
 
 

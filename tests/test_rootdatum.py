@@ -177,6 +177,20 @@ def test_from_json_dict_rejects_a_repeated_pair():
     assert rootdatum.from_json_dict({**obj, "coroots": [[1], [-1], [3], [-3]]}).nroots == 4
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"rank":1,"roots":[[2],[-2]],"coroots":[[1],[-1]],"rank":1}', "rank"),
+    ('{"rank":1,"roots":[[2],[-2]],"coroots":[[1],[-1]],"roots":[[2],[-2]]}', "roots"),
+    ('{"label":"A1","rank":1,"roots":[[2],[-2]],"coroots":[[1],[-1]],"label":"B1"}', "label"),
+    ('{"rank":1,"roots":[[2],[-2]],"coroots":[[1],[-1]],"extra":{"a":1,"a":2}}', "a"),
+], ids=["same-value", "roots", "label", "nested"])
+def test_from_json_refuses_a_repeated_key(text, key):
+    # json.loads alone keeps the last value of a repeated key; the strict
+    # reader names the key instead.
+    with pytest.raises(ValueError, match=rf"^root datum key '{key}' is listed twice$"):
+        rootdatum.from_json(text)
+    assert rootdatum.from_json('{"rank":1,"roots":[[2],[-2]],"coroots":[[1],[-1]]}').nroots == 2
+
+
 def test_json_nested_near_the_recursion_limit_is_a_value_error():
     # Just below the limit json.loads can succeed and the repr of the nested
     # coordinate in the error message overflow instead; both are bad input.
