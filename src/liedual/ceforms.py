@@ -145,12 +145,14 @@ def cartan_three_form(L) -> InvariantForm:
         for i, v in vals.items():
             if not v or i == j or i == k:
                 continue
-            key, sign = sort_sign((i, j, k))
-            stored = sign * v
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = stored
-            elif prev != stored:
+            # Table keys have j < k, so i sorts in at one of three places.
+            if i < j:
+                key = (i, j, k)
+            elif i < k:
+                key, v = (j, i, k), -v
+            else:
+                key = (j, k, i)
+            if terms.setdefault(key, v) != v:
                 raise ValueError(f"K(x,[y,z]) is not totally antisymmetric at {key}")
     return InvariantForm(L, 3, terms)
 

@@ -101,7 +101,8 @@ class _NTable:
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
-        P = datum.pairing
+        P = self.pairing = datum.pairing
+        self.chamber = (pos_indices, simple_indices)
         self.roots = datum.roots
         X, den = exactlin.integer_inverse([[P[s][t] for t in simple_indices] for s in simple_indices])
         refuse = "{} is not an integral combination of the simple vectors".format
@@ -181,12 +182,17 @@ class _NTable:
         return q
 
 
-def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
+def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
     """Construct the reductive Lie algebra of a valid root datum.
 
     The radical block is the integral kernel of the roots on Lambda; the
     semisimple block is built on the simple coroots and one root vector per
     root.  Jacobi is certified by ``jacobi_witness`` before returning.
+    The N-table is read off the pairing on the chamber alone.  ``tables``,
+    when given, is a list of the N-tables built so far: one with d's
+    pairing and chamber is read instead of building d's own, which is
+    appended otherwise.  An ADE datum and its dual have one P (it is
+    symmetric) and one chamber, so they share one.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
@@ -194,12 +200,21 @@ def build_lie_algebra(d: RootDatum) -> ReductiveLieAlgebra:
 
     pos_indices, simple_indices = rootdatum.positive_system(d)
 
-    if d.nroots:
-        radical_basis = exactlin.integer_kernel([list(r) for r in d.roots])
-    else:
+    if not d.nroots:
         radical_basis = [[1 if i == j else 0 for j in range(d.rank)] for i in range(d.rank)]
+    elif len(simple_indices) == d.rank:
+        # d is valid, so its simple roots are a base of the root system and
+        # independent: rank of them leave an integer kernel of 0.
+        radical_basis = []
+    else:
+        radical_basis = exactlin.integer_kernel([list(r) for r in d.roots])
 
-    ntab = _NTable(d, pos_indices, simple_indices)
+    chamber = (pos_indices, simple_indices)
+    ntab = next((t for t in tables or () if t.chamber == chamber and t.pairing == d.pairing), None)
+    if ntab is None:
+        ntab = _NTable(d, pos_indices, simple_indices)
+        if tables is not None:
+            tables.append(ntab)
 
     # Basis order: radical, simple coroots, root vectors (positives by
     # height/lex, then the matching negatives).

@@ -284,7 +284,9 @@ class DynkinDescriptor:
             raise ValueError("torus rank must be nonnegative")
 
 
-_DESC_TOKEN = re.compile(r"^([A-G])([0-9]+)(?::(sc|adj))?$|^T([0-9]+)(?::(sc|adj))?$")
+# A rank is written without a leading zero, so "A01" or "T00" is refused,
+# not read as A1 or T0.
+_DESC_TOKEN = re.compile(r"^([A-G])([1-9][0-9]*)(?::(sc|adj))?$|^T(0|[1-9][0-9]*)(?::(sc|adj))?$")
 
 
 def parse_descriptor(text: str) -> DynkinDescriptor:

@@ -67,10 +67,13 @@ def build_pair(d: RootDatum) -> ProductPair:
     """Build g, g_dual on a shared simple system, check the isomorphism,
     invert each factor's Cartan basis, build the fiber pairing of the
     dualizing 2-form F = F0 + F_P, and the basis B of the fiber-product
-    tangent space span(S) that the flux check runs on."""
-    L = build_lie_algebra(d)
+    tangent space span(S) that the flux check runs on.  The two builds
+    share their N-tables, so an ADE pair builds one; both bracket tables
+    are still built and certified."""
+    tables = []
+    L = build_lie_algebra(d, tables=tables)
     dd = rootdatum.dualize(d)
-    Ldual = build_lie_algebra(dd)
+    Ldual = build_lie_algebra(dd, tables=tables)
     iso = good_isomorphism(L, Ldual)
     inverse, dual_inverse = _cartan_inverse(L), _cartan_inverse(Ldual)
     fiber_pairing = dualizing_pairing(L, Ldual, *inverse)
@@ -263,11 +266,16 @@ def check_integrality(M):
 
 def check_angle_positivity(pairobj: ProductPair):
     """alpha(h_beta) beta(h_alpha) lies in {0,...,4} for all root pairs.
-    Row i holds the products P[j][i] P[i][j] over j, formed by one map of
-    column i with row i; only a row whose minimum or maximum is out of
-    range is scanned for its first failing j."""
+    On a symmetric P each product is the square P[i][j]^2, so the check
+    passes exactly when every |P[i][j]| <= 2, read off the two extremes of
+    P.  Otherwise row i holds the products P[j][i] P[i][j] over j, formed
+    by one map of column i with row i; only a row whose minimum or maximum
+    is out of range is scanned for its first failing j."""
     P = pairobj.datum.pairing
-    for i, (col, row) in enumerate(zip(zip(*P), P)):
+    cols = tuple(zip(*P))
+    if P == cols and min(map(min, P), default=0) >= -2 and max(map(max, P), default=0) <= 2:
+        return CheckRecord("angle_positivity", True)
+    for i, (col, row) in enumerate(zip(cols, P)):
         values = list(map(mul, col, row))
         if min(values) < 0 or max(values) > 4:
             j, v = next((j, v) for j, v in enumerate(values) if v < 0 or v > 4)

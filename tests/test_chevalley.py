@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import build
-from liedual import chevalley, rootdatum
+from liedual import chevalley, exactlin, rootdatum
 from liedual.chevalley import build_lie_algebra
 from oracles import (
     bracket,
@@ -14,6 +14,7 @@ from oracles import (
     sln_matching_killing,
     verify_coroot_identity,
 )
+from test_rootdatum import RANK8_TYPES
 
 
 DIMS = {"A1:sc": 3, "A1:adj": 3, "A2:sc": 8, "B2:sc": 10, "G2": 14,
@@ -121,6 +122,23 @@ def test_invalid_datum_is_rejected():
     broken = rootdatum.RootDatum(rank=1, roots=d.roots, coroots=((3,), (-3,)))
     with pytest.raises(ValueError):
         build_lie_algebra(broken)
+
+
+def spin32_z2():
+    """D16 on the lattice spanned by the half-spin coweight and the simple
+    coroots 2..16, the gauge group Spin(32)/Z2 of the heterotic string."""
+    A = rootdatum.family_cartan("D", 16)
+    basis = [[int(j == 15) for j in range(16)]] + A[1:]
+    return rootdatum.build_from_dynkin(rootdatum.DynkinDescriptor((("D", 16, "sc"),), custom_basis=tuple(map(tuple, basis))))
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES + ["T0", "T3", "A3xT2:sc", "Spin(32)/Z2"])
+def test_the_radical_is_the_integer_kernel_of_the_roots(typ):
+    # A semisimple datum skips the Smith form: rank simple roots leave no
+    # radical.  A torus, with no roots, has the whole lattice as radical.
+    d = spin32_z2() if typ == "Spin(32)/Z2" else build(typ)
+    kernel = exactlin.integer_kernel([list(r) for r in d.roots] or [[0] * d.rank])
+    assert build_lie_algebra(d).radical_basis == kernel
 
 
 def test_structure_constant_dump_schema():

@@ -269,6 +269,13 @@ def test_an_empty_descriptor_exits_2(capsys, cmd):
     assert err == "error: cannot parse descriptor factor: ''\n"
 
 
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+@pytest.mark.parametrize("desc,token", [("A01", "A01"), ("E06", "E06"), ("A1xT00", "T00")])
+def test_a_rank_with_a_leading_zero_exits_2(capsys, cmd, desc, token):
+    code, out, err = run(capsys, cmd, "--type", desc)
+    assert (code, out, err) == (2, "", f"error: cannot parse descriptor factor: '{token}'\n")
+
+
 def test_the_parser_is_built_once(capsys):
     cli._parser.cache_clear()
     # The spy stands in for the module as cli sees it, so argparse's own

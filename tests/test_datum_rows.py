@@ -295,16 +295,24 @@ def test_exact_quotients_refuse_the_smallest_failing_vector_across_rows():
 
 
 @settings(max_examples=150, deadline=None)
-@given(typ=st.sampled_from(["A2:sc", "B2:sc", "G2", "A1xT1:sc", "D4:sc", "C3:adj"]), data=st.data())
-def test_angle_positivity_gives_the_loop_witness_on_a_seeded_defect(typ, data):
+@given(typ=st.sampled_from(["A2:sc", "B2:sc", "G2", "A1xT1:sc", "D4:sc", "C3:adj"]), symmetric=st.booleans(),
+       data=st.data())
+def test_angle_positivity_gives_the_loop_witness_on_a_seeded_defect(typ, symmetric, data):
     d = build(typ)
     P = [list(row) for row in d.pairing]
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, d.nroots - 1))
         j = data.draw(st.integers(0, d.nroots - 1))
-        P[i][j] = data.draw(st.integers(-6, 6))
+        if symmetric:
+            # A symmetric P stays symmetric, with one |P[i][j]| = 3 > 2: the
+            # extremes refuse it, and the scan names the witness.
+            P[i][j] = P[j][i] = data.draw(st.sampled_from([-3, 3]))
+        else:
+            P[i][j] = data.draw(st.integers(-6, 6))
     seeded = fresh(d)
     seeded.__dict__["pairing"] = tuple(map(tuple, P))
     pairobj = SimpleNamespace(datum=seeded)
     rec = tduality.check_angle_positivity(pairobj)
     assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
+    if symmetric:
+        assert not rec.passed

@@ -302,7 +302,9 @@ def test_validate_reducedness_edge_cases_match_the_oracle(coroots, reduced_witne
 
 
 def test_descriptor_errors():
-    for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", ""):
+    # A rank with a leading zero is refused: int() would read "A01" as A1
+    # and "T00" as no torus.
+    for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", "", "A01", "E06", "A1xT00", "T01", "B03:adj"):
         with pytest.raises(ValueError):
             rootdatum.parse_descriptor(bad)
 
@@ -313,6 +315,7 @@ def test_descriptor_products_and_tori():
     assert d.rank == 5
     assert d.nroots == 6 + 8
     assert rootdatum.parse_descriptor("T3").torus_rank == 3
+    assert rootdatum.parse_descriptor("A10xT0xT10") == rootdatum.DynkinDescriptor((("A", 10, "sc"),), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build
-from liedual import ceforms, exactlin, rootdatum, tduality
+from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
+from liedual.chevalley import build_lie_algebra
 from liedual.tduality import (
     NotADEError,
     build_pair,
@@ -47,7 +48,7 @@ from oracles import (
     tautological_two_form,
     trace_killing_matrix,
 )
-from test_rootdatum import RANK8_TYPES, change_basis, shuffled, small_data, unimodular_pair
+from test_rootdatum import RANK8_TYPES, change_basis, fresh, shuffled, small_data, unimodular_pair
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -340,6 +341,63 @@ def test_pairing_and_basis_agree_with_the_builders_under_basis_changes(d, dual, 
     assert_agrees_with_the_builders(any_pair_of(rootdatum.dualize(d) if dual else d))
 
 
+# ---------------------------------------------------------------------------
+# One N-table for an ADE pair, against a fresh build of the dual
+
+
+def assert_matches_a_fresh_build(L, d):
+    """L equals the algebra built on a copy of d with nothing cached."""
+    oracle = build_lie_algebra(fresh(d))
+    assert L.labels == oracle.labels
+    assert L.table == oracle.table
+    assert L.coroot_coords == oracle.coroot_coords
+    assert L.radical_basis == oracle.radical_basis
+
+
+def assert_dual_matches_a_fresh_build(d, pair_of):
+    """pair_of(d) gives the pair; its dual algebra is built on the source's
+    N-table exactly when d is ADE (P symmetric), and either way equals a
+    build of the dual on a copy of it with nothing cached."""
+    with mock.patch.object(chevalley, "_NTable", wraps=chevalley._NTable) as tables:
+        pair = pair_of(d)
+    assert tables.call_count == (1 if rootdatum.is_ade(d) else 2)
+    assert_matches_a_fresh_build(pair.Ldual, pair.dual_datum)
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if rootdatum.is_ade(build(t))])
+def test_the_dual_built_on_the_shared_n_table_equals_a_fresh_build(typ):
+    assert_dual_matches_a_fresh_build(build(typ), build_pair)
+
+
+@pytest.mark.parametrize("typ", ["B2:sc", "B2:adj", "G2"])
+def test_a_non_ade_pair_builds_two_n_tables(typ):
+    assert_dual_matches_a_fresh_build(build(typ), any_pair_of)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_the_dual_built_on_the_shared_n_table_equals_a_fresh_build_under_basis_changes(d, data):
+    # ADE or not: only an ADE datum, whose dual has the same P, shares.
+    d = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert_dual_matches_a_fresh_build(d, any_pair_of)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=small_data(), data=st.data())
+def test_an_n_table_is_read_only_on_its_pairing_and_chamber(d, data):
+    # A change of basis keeps P but may move the chamber; the dual of a
+    # non-ADE datum keeps the chamber but transposes P.  A table is read
+    # only where both agree, and the build equals a fresh one either way.
+    moved = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    for other in (moved, rootdatum.dualize(d)):
+        tables = []
+        build_lie_algebra(d, tables=tables)
+        L = build_lie_algebra(other, tables=tables)
+        shared = other.chamber == d.chamber and other.pairing == d.pairing
+        assert len(tables) == (1 if shared else 2)
+        assert_matches_a_fresh_build(L, other)
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=small_data(), dual=st.booleans(), data=st.data())
 def test_the_eigen_relation_agrees_with_the_loop_under_basis_changes(d, dual, data):
@@ -521,13 +579,14 @@ def test_verify_all_builds_each_derived_object_once(scales):
 
 @pytest.mark.parametrize("typ", ["A1xT1:sc", "E6:sc"])
 def test_verify_all_inverts_each_cartan_basis_once(typ):
-    # One integer inverse for each factor's N-table, and one for each
-    # factor's (z, h) basis, which build_pair stores on the pair for the
-    # fiber pairing and the lattice pairing to share.
+    # One integer inverse for the N-table, which an ADE datum and its dual
+    # share (one pairing, one chamber), and one for each factor's (z, h)
+    # basis, which build_pair stores on the pair for the fiber pairing and
+    # the lattice pairing to share.
     d = build(typ)
     with mock.patch.object(exactlin, "integer_inverse", wraps=exactlin.integer_inverse) as inverses:
         assert verify_all(d, scales=(2,)).overall
-    assert inverses.call_count == 4
+    assert inverses.call_count == 3
 
 
 def test_scale_zero_is_rejected():
