@@ -26,7 +26,7 @@ class JacobiError(RuntimeError):
 
 
 class ReductiveLieAlgebra:
-    def __init__(self, datum, labels, table, radical_basis, simple_indices, coroot_coords):
+    def __init__(self, datum, labels, table, radical_basis, simple_indices, coroot_coords, kappa):
         self.datum = datum
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(labels)}
@@ -35,6 +35,7 @@ class ReductiveLieAlgebra:
         self.radical_basis = radical_basis      # integer vectors in Lambda
         self.simple_indices = tuple(simple_indices)
         self.coroot_coords = coroot_coords      # root index -> int coords in simple coroots, off the pairing
+        self.kappa = kappa                      # root index -> K(h_a, h_a), the N-table's root sums
         self._killing = None
 
     # -- bracket ----------------------------------------------------------
@@ -47,30 +48,27 @@ class ReductiveLieAlgebra:
     # -- Killing form -----------------------------------------------------
 
     def killing_matrix(self):
-        """Exact trace form Tr(ad X ad Y) on the basis, cached, read off the
-        pairing P of the datum and stored as its nonzero rows: row i is
-        {j: K(e_i, e_j)} for the nonzero entries only.
+        """The Killing form K(X, Y) = Tr(ad X ad Y) on the basis, cached, and
+        stored as its nonzero rows: row i is {j: K(e_i, e_j)} for the
+        nonzero entries only.
 
-        ad h is diagonal with alpha(h_s) = P[s][alpha] on x_alpha, so
-        K(h_s, h_t) = sum_alpha P[s][alpha] P[t][alpha] on the simple
-        coroots.  ad x_a ad x_b shifts weights by a + b, so x_a pairs only
-        with x_-a, and the radical is central, so its rows are empty.
+        Its one source is kappa, kappa[a] = K(h_a, h_a) = sum_b P[a][b]^2
+        (ad h_a is diagonal with b(h_a) = P[a][b] on x_b), the root sums of
+        the N-table.  ad x_a ad x_b shifts weights by a + b, so x_a pairs
+        only with x_-a, and the radical is central, so its rows are empty.
         Invariance, which Jacobi gives (the table is certified before any K
-        is read), turns K(h_a, h_s) = K([x_a, x_-a], h_s) into
-        a(h_s) K(x_a, x_-a).  So K(x_a, x_-a) is the Cartan row G[s] of the
-        first simple s with a(h_s) != 0 (one exists: a(h_a) = 2) at the
-        simple-coroot coordinates of h_a, divided by a(h_s)."""
+        is read), reads the rest off kappa and P:
+        K(h_a, h_a) = K(h_a, [x_a, x_-a]) = a(h_a) K(x_a, x_-a) gives
+        K(x_a, x_-a) = kappa[a] / 2, and likewise
+        K(h_s, h_t) = t(h_s) K(x_t, x_-t) = P[s][t] kappa[t] / 2 on the
+        simple coroots.  kappa[a] is even, as b and -b give equal squares."""
         if self._killing is None:
-            P, nz = self.datum.pairing, len(self.radical_basis)
-            rows = [P[s] for s in self.simple_indices]
-            G = [[sum(map(mul, row, other)) for other in rows] for row in rows]
+            P, kappa, nz = self.datum.pairing, self.kappa, len(self.radical_basis)
             K = [{} for _ in range(nz)]
-            K += [{t: v for t, v in enumerate(g, nz) if v} for g in G]
+            K += [{t: P[s][ti] * kappa[ti] // 2 for t, ti in enumerate(self.simple_indices, nz) if P[s][ti]}
+                  for s in self.simple_indices]
             sigma = _involution(self)
-            for x in range(nz + len(rows), self.dim):
-                a = self.labels[x][1]
-                s = next(s for s, row in enumerate(rows) if row[a])
-                K.append({sigma[x]: sum(map(mul, self.coroot_coords[a], G[s])) // rows[s][a]})
+            K += [{sigma[x]: kappa[self.labels[x][1]] // 2} for x in range(len(K), self.dim)]
             self._killing = K
         return self._killing
 
@@ -97,7 +95,9 @@ class _NTable:
     of height.  Each one fixes the other five pairs of its triple in closed
     form, through N_{-a,-b} = -N_{a,b} and the cyclic relation
     N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0, with K(h_a,h_a)
-    = sum_b <h_a, b>^2 (the root-sum formula).
+    = sum_b <h_a, b>^2 (the root-sum formula), kept as kappa by root index.
+    kappa also feeds the Killing form and the eigen-relation: nothing else
+    computes K(h_a, h_a).
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
@@ -114,7 +114,7 @@ class _NTable:
         self.code = rootdatum._functional_values(coords, M)
         self.by_code = {x: i for i, x in enumerate(self.code)}
         self.neg = [self.by_code[-x] for x in self.code]
-        self.K = [sum(map(mul, row, row)) for row in P]
+        self.kappa = [sum(map(mul, row, row)) for row in P]
         self.height = [sum(c) for c in coords]
         # The positive roots in order of height, then of coordinates.
         self.positives = sorted(pos_indices, key=lambda i: (self.height[i], coords[i]))
@@ -154,9 +154,9 @@ class _NTable:
         a + b + c = 0 and of its negative."""
         s = self.by_code[self.code[a] + self.code[b]]
         na, nb, c = self.neg[a], self.neg[b], self.neg[s]
-        K = self.K
-        n_bc = self._ratio(b, c, n * K[c], K[a])
-        n_ca = self._ratio(c, a, n * K[c], K[b])
+        kappa = self.kappa
+        n_bc = self._ratio(b, c, n * kappa[c], kappa[a])
+        n_ca = self._ratio(c, a, n * kappa[c], kappa[b])
         T = self.table
         T[a, b], T[b, a], T[na, nb], T[nb, na] = n, -n, -n, n
         T[b, c], T[c, b], T[nb, s], T[s, nb] = n_bc, -n_bc, -n_bc, n_bc
@@ -172,7 +172,7 @@ class _NTable:
         t2 = 0 if d2 is None else T[nb, a1] * T[d2, na]
         # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0),
         # and N(a, b) = (t1 + t2) / N(-gamma, a1).
-        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.K[b1], T[a1, b1] * self.K[gamma]))
+        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.kappa[b1], T[a1, b1] * self.kappa[gamma]))
 
     def _ratio(self, a, b, num, den):
         """N_{a,b} = num / den, refused unless the division is exact."""
@@ -260,7 +260,7 @@ def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
         table[xa, ys] = {yb: -n_ca}
         table[xs, ya] = {xb: -n_ca}
 
-    L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords)
+    L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords, ntab.kappa)
     bad = jacobi_witness(L)
     if bad is not None:
         raise JacobiError(f"Jacobi identity fails on basis triple {bad}")

@@ -216,16 +216,11 @@ def check_nondegeneracy(pairobj: ProductPair):
     if det == 0:
         return CheckRecord("nondegeneracy", False, "fiber pairing matrix is singular", "0/1")
     d = pairobj.datum
-    L = pairobj.L
     # T = sum_alpha alpha^vee (x) alpha maps h to sum_alpha alpha(h) h_alpha
-    # in lattice coordinates; K(h_beta, h_beta) reads the Cartan block of
-    # the Killing form at the simple-coroot coordinates of h_beta.
+    # in lattice coordinates; K(h_beta, h_beta) is kappa[beta], the root sum
+    # of the N-table.
     T = [[sum(map(mul, col, row)) for row in zip(*d.roots)] for col in zip(*d.coroots)]
-    nz = len(L.radical_basis)
-    K = L.killing_matrix()
-    for ri, coroot in enumerate(d.coroots):
-        coords = [(nz + s, u) for s, u in enumerate(L.coroot_coords[ri]) if u]
-        c = sum(u * v * K[s].get(t, 0) for s, u in coords for t, v in coords)
+    for ri, (coroot, c) in enumerate(zip(d.coroots, pairobj.L.kappa)):
         diff = [2 * sum(map(mul, row, coroot)) - c * y for row, y in zip(T, coroot)]
         if any(diff):
             return CheckRecord(

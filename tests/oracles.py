@@ -25,7 +25,8 @@ functional order of canonicalize, exact quotients one dot product at a
 time, and the reflection test on every root column, negative twins
 included.  The
 trace of ad e_i ad e_j over the bracket table is the oracle of the Killing
-matrix read off the pairing, the stdlib's JSON encoder is the oracle of
+matrix read off the N-table's root sums kappa, and of the eigen-relation's
+K(h, h), the stdlib's JSON encoder is the oracle of
 the CLI's writer, and the Smith form with its pivot searched twice is that
 of the one search.  A form's value on basis indices and on coefficient
 vectors, the sum and the difference of two forms, the bracket of two
@@ -440,6 +441,18 @@ def trace_killing_matrix(L):
                 for j, v in right:
                     K_i[j] += c * v
     return K
+
+
+def trace_kappa(L):
+    """K(h_a, h_a) for every root index a, read off trace_killing_matrix(L)
+    at the full coroot vector of h_a: the trace form of the table, which
+    neither kappa nor killing_matrix enters."""
+    K = trace_killing_matrix(L)
+    out = []
+    for ri in range(L.datum.nroots):
+        h = [(i, a) for i, a in enumerate(coroot_vector(L, ri)) if a]
+        out.append(sum(a * b * K[i][j] for i, a in h for j, b in h))
+    return out
 
 
 def dense_killing(L):
@@ -1125,19 +1138,17 @@ def full_space_residual(pairobj: ProductPair):
 
 def loop_nondegeneracy(pairobj: ProductPair):
     """check_nondegeneracy as it was: the determinant of F read back from the
-    two builders, K(h_beta, h_beta) from killing_form on the full coroot
-    vector, and the eigen-relation summed over every pairing entry, zeros
-    included.  Returns (passed, witness, residual); the residual of a failed
-    eigen-relation is its first nonzero coordinate."""
+    two builders, K(h_beta, h_beta) from trace_kappa, the trace form of the
+    table at the full coroot vector (kappa and killing_matrix enter it
+    nowhere), and the eigen-relation summed over every pairing entry, zeros
+    included.  Returns (passed, witness, residual); the residual of a
+    failed eigen-relation is its first nonzero coordinate."""
     M = fiber_pairing_matrix(pairobj, dualizing_form(pairobj))
     det = det_exact(M)
     if det == 0:
         return False, "fiber pairing matrix is singular", "0/1"
     d = pairobj.datum
-    L = pairobj.L
-    for ri in range(d.nroots):
-        hb = coroot_vector(L, ri)
-        c = killing_form(L, hb, hb)
+    for ri, c in enumerate(trace_kappa(pairobj.L)):
         lhs = [0] * d.rank
         for rj, a_on_hb in enumerate(d.pairing[ri]):
             for t in range(d.rank):

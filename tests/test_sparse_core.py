@@ -23,9 +23,9 @@ from liedual.chevalley import build_lie_algebra
 import oracles
 from oracles import (FractionNTable, VectorNTable, bracket_basis, dense_killing, generates,
                      generator_certificate, ordered_sweep, pairwise_structure_table, signed_rows,
-                     trace_killing_matrix)
+                     trace_kappa, trace_killing_matrix)
 from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
-from test_tduality import NON_SPLIT
+from test_tduality import NON_SPLIT, any_pair_of
 
 ORACLE_TYPES = ["A2:sc", "D4:sc", "A3:adj", "B3:sc", "G2:sc", "A1xT1:sc"]
 
@@ -454,6 +454,60 @@ def test_the_killing_matrix_survives_a_change_of_lattice_basis(d, dual, data):
     d = rootdatum.dualize(d) if dual else d
     L = build_lie_algebra(change_basis(d, *data.draw(unimodular_pair(d.rank))))
     assert_killing_rows_are_the_trace_form(L)
+
+
+def assert_kappa_is_the_trace_diagonal(L):
+    """L.kappa is K(h_a, h_a) of the trace form at every root index a, and
+    even."""
+    assert L.kappa == trace_kappa(L)
+    assert all(c % 2 == 0 for c in L.kappa)
+
+
+@pytest.mark.parametrize("typ", RANK8_TYPES)
+def test_kappa_is_the_diagonal_of_the_trace_form(typ):
+    d = build(typ)
+    for x in (d, rootdatum.dualize(d)):
+        assert_kappa_is_the_trace_diagonal(build_lie_algebra(x))
+
+
+@pytest.mark.parametrize("name", NON_SPLIT)
+def test_kappa_of_non_split_data_is_the_diagonal_of_the_trace_form(name):
+    d = NON_SPLIT[name][0]
+    for x in (d, rootdatum.dualize(d)):
+        assert_kappa_is_the_trace_diagonal(build_lie_algebra(x))
+
+
+@pytest.mark.parametrize("typ", ["B2:sc", "G2"])
+def test_each_algebra_of_a_non_ade_pair_has_its_own_kappa(typ):
+    # Long and short roots trade places under dualization, so the two
+    # N-tables sum different squares at one root index.
+    pair = any_pair_of(build(typ))
+    assert_kappa_is_the_trace_diagonal(pair.L)
+    assert_kappa_is_the_trace_diagonal(pair.Ldual)
+    assert pair.L.kappa != pair.Ldual.kappa
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.one_of(small_data(), st.sampled_from([d for d, _, _ in NON_SPLIT.values()])),
+       dual=st.booleans(), data=st.data())
+def test_kappa_is_the_trace_diagonal_under_a_change_of_lattice_basis(d, dual, data):
+    d = rootdatum.dualize(d) if dual else d
+    assert_kappa_is_the_trace_diagonal(build_lie_algebra(change_basis(d, *data.draw(unimodular_pair(d.rank)))))
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A1xT1:sc"])
+def test_a_kappa_bump_at_a_simple_root_moves_the_killing_matrix_off_the_trace_form(typ):
+    # kappa[a] + 2 stays even.  It moves K(x_a, x_-a) = kappa[a] / 2 and
+    # the Cartan column of h_a, K(h_s, h_a) = P[s][a] kappa[a] / 2, and
+    # nothing else: the row of x_-a reads kappa at -a.
+    L = build_lie_algebra(build(typ))
+    a, t = L.simple_indices[0], L.index[("h", 0)]
+    L.kappa = [c + 2 * (i == a) for i, c in enumerate(L.kappa)]
+    K, trace = dense_killing(L), trace_killing_matrix(L)
+    moved = {(i, j) for i in range(L.dim) for j in range(L.dim) if K[i][j] != trace[i][j]}
+    xa, x_a = L.index[("x", a)], chevalley._involution(L)[L.index[("x", a)]]
+    cartan = {(L.index[("h", s)], t) for s, si in enumerate(L.simple_indices) if L.datum.pairing[si][a]}
+    assert moved == cartan | {(xa, x_a)}
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES)

@@ -173,48 +173,80 @@ def test_nondegeneracy_matches_the_loop_over_every_pairing_entry(typ):
     assert _record(rec) == loop_nondegeneracy(pair)
 
 
+def kappa_bumped(kappa, ri, bump):
+    """kappa with kappa[ri] raised by bump, as a new list: an ADE pair's two
+    algebras share the one of their N-table."""
+    return [c + bump * (i == ri) for i, c in enumerate(kappa)]
+
+
+def kappa_defect_record(d, ri, bump):
+    """The record of the eigen-relation with K(h_ri, h_ri) raised by bump
+    and nothing else moved: coroot ri fails first and alone, and its
+    difference is -bump h_ri, whose first nonzero coordinate is the
+    residual."""
+    return False, f"eigen-relation fails for coroot {ri}", frac_str(-bump * next(filter(None, d.coroots[ri])))
+
+
 @pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A2xT1:sc"])
 @pytest.mark.parametrize("defect", ["cartan-killing", "coroot-coords", "coroot-vector"])
 def test_a_seeded_eigen_relation_defect_gives_the_loop_witness(typ, defect):
+    # The check reads K(h_beta, h_beta) off kappa; the loop reads it off the
+    # trace form of the table, which a defect in kappa leaves alone, so the
+    # loop passes there and the check gives the loop's record with
+    # K(h_beta, h_beta) moved: cartan-killing raises K(h_s, h_s) of the
+    # second simple coroot, the Cartan entry of K that kappa[s] gives, by
+    # 1; coroot-coords reads the last coroot at doubled coordinates,
+    # K(2 h, 2 h) = 4 kappa.
     pair = build_pair(build(typ))
     L, d = pair.L, pair.datum
-    nz = len(L.radical_basis)
-    if defect == "cartan-killing":
-        K = [dict(row) for row in L.killing_matrix()]
-        K[nz + 1][nz + 1] += 1
-        L._killing = K
-    elif defect == "coroot-coords":
-        ri = d.nroots - 1
-        L.coroot_coords = {**L.coroot_coords, ri: [2 * c for c in L.coroot_coords[ri]]}
-    else:
+    if defect == "coroot-vector":
         # One coroot vector moved off the datum the pair was built from: the
         # eigen-relation reads every coroot vector, through T.
         coroots = [list(c) for c in d.coroots]
         coroots[2][0] += 1
         pair = dataclasses.replace(pair, datum=dataclasses.replace(d, coroots=coroots))
+        expected = loop_nondegeneracy(pair)
+    else:
+        ri = L.simple_indices[1] if defect == "cartan-killing" else d.nroots - 1
+        bump = 1 if defect == "cartan-killing" else 3 * L.kappa[ri]
+        L.kappa = kappa_bumped(L.kappa, ri, bump)
+        assert loop_nondegeneracy(pair)[0]
+        expected = kappa_defect_record(d, ri, bump)
     rec = check_nondegeneracy(pair)
     assert not rec.passed
     assert rec.witness.startswith("eigen-relation fails for coroot ")
     assert Fraction(rec.residual) != 0 and rec.residual == tduality.frac_str(rec.residual)
-    assert _record(rec) == loop_nondegeneracy(pair)
+    assert _record(rec) == expected
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A2xT1:sc"])
+def test_a_kappa_bump_at_any_root_names_that_coroot(typ):
+    pair = build_pair(build(typ))
+    L, d = pair.L, pair.datum
+    kappa = L.kappa
+    for ri in range(d.nroots):
+        for bump in (1, -2):
+            L.kappa = kappa_bumped(kappa, ri, bump)
+            assert _record(check_nondegeneracy(pair)) == kappa_defect_record(d, ri, bump), (ri, bump)
+    L.kappa = kappa
+    assert check_nondegeneracy(pair).passed
 
 
 def test_the_eigen_relation_residual_is_the_first_nonzero_coordinate():
-    # On A1:sc (rank 1) the coroots are h = +-1 and K(h, h) = 8: with K
-    # bumped to 9, 2 sum_alpha alpha(h) h_alpha = 2 (2 h + (-2)(-h)) = 8 h
-    # and K(h, h) h = 9 h, so the first coroot leaves -h.
+    # On A1:sc (rank 1) the coroots are h = +-1 and K(h, h) = kappa = 8:
+    # with kappa[0] raised to 9, 2 sum_alpha alpha(h) h_alpha =
+    # 2 (2 h + (-2)(-h)) = 8 h and K(h, h) h = 9 h, so the first coroot
+    # leaves -h.  The loop reads the trace form, which kappa does not
+    # enter, and passes.
     pair = build_pair(build("A1:sc"))
     h = pair.datum.coroots[0]
     assert h in ((1,), (-1,))
     L = pair.L
-    nz = len(L.radical_basis)
-    K = [dict(row) for row in L.killing_matrix()]
-    assert K[nz][nz] == 8
-    K[nz][nz] += 1
-    L._killing = K
+    assert L.kappa == [8, 8]
+    L.kappa = [9, 8]
     rec = check_nondegeneracy(pair)
     assert (rec.passed, rec.witness, rec.residual) == (False, "eigen-relation fails for coroot 0", f"{-h[0]}/1")
-    assert _record(rec) == loop_nondegeneracy(pair)
+    assert loop_nondegeneracy(pair)[0]
 
 
 def test_eigen_constant_values():
