@@ -130,7 +130,7 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
 
 
 def cartan_three_form(L) -> InvariantForm:
-    """H(x,y,z) = K(x,[y,z]) on basis triples, in units of -1/(4 pi^2): the
+    """H(x,y,z) = K(x,[y,z]) on each basis triple, in units of -1/(4 pi^2): the
     Cartan 3-form is -1/(4 pi^2) K(x,[y,z]), and F, dF and phi share that
     unit (module docstring).  Each bracket [e_j, e_k] = sum_m c_m e_m is read
     against only the nonzero entries of column m of K, which is its row m, as

@@ -5,13 +5,14 @@ Basis labels are tuples: ("z", k) for the radical block, ("h", i) for the
 i-th simple coroot, ("x", ri) for the root vector of root index ri.
 Structure constants, Killing values and coroot coordinates are exact ints
 (integral by the Chevalley basis theorem); the sign convention comes from the
-extraspecial-pair method, and each positive triple a + b = s of the N-table
-gives the six brackets of its roots and their negatives.  The table is
-certified post hoc on the generators: the simple root vectors and the
-radical generate the algebra, the Chevalley involution is an automorphism of
-the table, and ad z_k and ad x_a (a simple) are derivations.  A table that
-fails this is checked the same way on every basis element, which names the
-first failing triple.
+extraspecial-pair method.  The N-table is the one writer of the bracket
+table: each positive triple a + b = s writes the six brackets of its roots
+and their negatives, and an algebra holds a copy of the table's top-level
+dict.  The table is certified post hoc on the generators: the simple root
+vectors and the radical generate the algebra, the Chevalley involution is an
+automorphism of the table, and ad z_k and ad x_a (a simple) are derivations.
+A table that fails this is checked the same way on every basis element,
+which names the first failing triple.
 """
 
 from collections import defaultdict
@@ -78,8 +79,10 @@ class ReductiveLieAlgebra:
 
 
 class _NTable:
-    """Chevalley constants N_{a,b} for every root pair with a+b a root,
-    keyed by root index.
+    """The bracket table {(i, j) i<j: {k: c}} of the Chevalley basis, the one
+    store of its structure constants.  It fixes the basis order: the radical
+    and the simple coroots, rank in all, then the root vectors, x_a at rank + t
+    for a = positives[t] (by height, then coordinates) and x_-a at rank + npos + t.
 
     The simple-root coordinates c of each root b are read off the pairing,
     c = A^-1 (P[s][b])_s with A = (P[s][t]) the Cartan matrix over the
@@ -91,18 +94,20 @@ class _NTable:
     up (b - 4a, ending a root string in _p, is the longest) differs from a
     root by entries below M in absolute value.
 
-    Positive-pair values are fixed by the extraspecial-pair method in order
-    of height.  Each one fixes the other five pairs of its triple in closed
-    form, through N_{-a,-b} = -N_{a,b} and the cyclic relation
-    N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a) for a+b+c = 0, with K(h_a,h_a)
-    = sum_b <h_a, b>^2 (the root-sum formula), kept as kappa by root index.
+    [h_s, x_a] = a(h_s) x_a and [x_a, x_-a] = h_a are read off the pairing
+    and the coroot coordinates.  Positive-pair values N_{a,b} are fixed by
+    the extraspecial-pair method in order of height.  Each one fixes the
+    other five pairs of its triple in closed form, through N_{-a,-b} =
+    -N_{a,b} and the cyclic relation N_{a,b} K(h_c,h_c) = N_{b,c} K(h_a,h_a)
+    for a+b+c = 0, with K(h_a,h_a) = sum_b <h_a, b>^2 (the root-sum formula),
+    kept as kappa by root index; _n reads N_{a,b} back off the brackets.
     kappa also feeds the Killing form and the eigen-relation: nothing else
     computes K(h_a, h_a).
     """
 
     def __init__(self, datum, pos_indices, simple_indices):
         P = self.pairing = datum.pairing
-        self.chamber = (pos_indices, simple_indices)
+        self.rank, self.chamber = datum.rank, (pos_indices, simple_indices)
         self.roots = datum.roots
         X, den = exactlin.integer_inverse([[P[s][t] for t in simple_indices] for s in simple_indices])
         refuse = "{} is not an integral combination of the simple vectors".format
@@ -116,10 +121,18 @@ class _NTable:
         self.neg = [self.by_code[-x] for x in self.code]
         self.kappa = [sum(map(mul, row, row)) for row in P]
         self.height = [sum(c) for c in coords]
-        # The positive roots in order of height, then of coordinates.
+        # The positive roots in order of height, then of coordinates; the
+        # root vectors in basis order, and the basis index x[a] of x_a.
         self.positives = sorted(pos_indices, key=lambda i: (self.height[i], coords[i]))
-        self.table = {}     # (a, b) -> N_{a,b}, both orders, all signs
-        self.triples = []   # (a, b, a + b, N_{a,b}, N_{b,-(a+b)}, N_{-(a+b),a}) for positive a < b
+        self.order = self.positives + [self.neg[a] for a in self.positives]
+        self.x = {a: x for x, a in enumerate(self.order, datum.rank)}
+        # [h_s, x_a] = a(h_s) x_a ; the radical brackets to zero.  Then
+        # [x_a, x_-a] = h_a for a positive; _fill writes each positive triple.
+        nz, npos = datum.rank - len(simple_indices), len(self.positives)
+        self.table = {(h, x): {x: P[s][a]} for h, s in enumerate(simple_indices, nz)
+                      for x, a in enumerate(self.order, datum.rank) if P[s][a]}
+        for x, a in enumerate(self.positives, datum.rank):
+            self.table[x, x + npos] = {h: v for h, v in enumerate(self.coroot_coords[a], nz) if v}
         self._fill()
 
     def _p(self, a, b):
@@ -150,29 +163,40 @@ class _NTable:
                 self._derive(a, b, a1, b1, gamma)
 
     def _set(self, a, b, n):
-        """N_{a,b} = n for positive a, b, and the other pairs of the triple
-        a + b + c = 0 and of its negative."""
+        """N_{a,b} = n for positive a before b: the six brackets of the
+        triple a + b = s, with c = -s,
+        [x_a, x_b] = N_ab x_s, [x_-a, x_-b] = -N_ab x_-s, [x_b, x_c] = N_bc x_-a,
+        [x_-b, x_s] = -N_bc x_a, [x_c, x_a] = N_ca x_-b, [x_s, x_-a] = -N_ca x_b.
+        Positives precede negatives, so each key below has i < j."""
         s = self.by_code[self.code[a] + self.code[b]]
-        na, nb, c = self.neg[a], self.neg[b], self.neg[s]
-        kappa = self.kappa
+        c, kappa = self.neg[s], self.kappa
         n_bc = self._ratio(b, c, n * kappa[c], kappa[a])
         n_ca = self._ratio(c, a, n * kappa[c], kappa[b])
+        x, neg = self.x, self.neg
+        xa, xb, xs = x[a], x[b], x[s]
+        ya, yb, ys = x[neg[a]], x[neg[b]], x[c]
         T = self.table
-        T[a, b], T[b, a], T[na, nb], T[nb, na] = n, -n, -n, n
-        T[b, c], T[c, b], T[nb, s], T[s, nb] = n_bc, -n_bc, -n_bc, n_bc
-        T[c, a], T[a, c], T[s, na], T[na, s] = n_ca, -n_ca, -n_ca, n_ca
-        self.triples.append((a, b, s, n, n_bc, n_ca))
+        T[xa, xb], T[ya, yb] = {xs: n}, {ys: -n}
+        T[xb, ys], T[xs, yb] = {ya: n_bc}, {xa: n_bc}
+        T[xa, ys], T[xs, ya] = {yb: -n_ca}, {xb: -n_ca}
+
+    def _n(self, a, b):
+        """N_{a,b} for roots a, b with a + b a root, off the one term of
+        [x_a, x_b] = N_{a,b} x_{a+b}."""
+        i, j = self.x[a], self.x[b]
+        (n,) = self.table[i, j].values() if i < j else self.table[j, i].values()
+        return n if i < j else -n
 
     def _derive(self, a, b, a1, b1, gamma):
         # Jacobi on (x_{a1}, x_{-a}, x_{-b}); all terms land in g_{-b1}.
-        T, code, by_code = self.table, self.code, self.by_code
+        N, code, by_code = self._n, self.code, self.by_code
         na, nb = self.neg[a], self.neg[b]
         d, d2 = by_code.get(code[a1] - code[a]), by_code.get(code[a1] - code[b])
-        t1 = 0 if d is None else T[a1, na] * T[d, nb]
-        t2 = 0 if d2 is None else T[nb, a1] * T[d2, na]
+        t1 = 0 if d is None else N(a1, na) * N(d, nb)
+        t2 = 0 if d2 is None else N(nb, a1) * N(d2, na)
         # N(-gamma, a1) = N(a1, b1) K_gamma / K_{b1}  (cycle -gamma+a1+b1=0),
         # and N(a, b) = (t1 + t2) / N(-gamma, a1).
-        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.kappa[b1], T[a1, b1] * self.kappa[gamma]))
+        self._set(a, b, self._ratio(a, b, (t1 + t2) * self.kappa[b1], N(a1, b1) * self.kappa[gamma]))
 
     def _ratio(self, a, b, num, den):
         """N_{a,b} = num / den, refused unless the division is exact."""
@@ -186,13 +210,13 @@ def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
     """Construct the reductive Lie algebra of a valid root datum.
 
     The radical block is the integral kernel of the roots on Lambda; the
-    semisimple block is built on the simple coroots and one root vector per
-    root.  Jacobi is certified by ``jacobi_witness`` before returning.
-    The N-table is read off the pairing on the chamber alone.  ``tables``,
+    bracket table is the N-table's, read off the pairing on the chamber and
+    the rank alone, and the algebra holds a copy of its top-level dict.
+    Jacobi is certified by ``jacobi_witness`` before returning.  ``tables``,
     when given, is a list of the N-tables built so far: one with d's
-    pairing and chamber is read instead of building d's own, which is
+    pairing, chamber and rank is read instead of building d's own, which is
     appended otherwise.  An ADE datum and its dual have one P (it is
-    symmetric) and one chamber, so they share one.
+    symmetric), one chamber and one rank, so they share one: the whole table.
     """
     rep = rootdatum.validate(d)
     if not rep.ok:
@@ -209,58 +233,25 @@ def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
     else:
         radical_basis = exactlin.integer_kernel([list(r) for r in d.roots])
 
+    # The table's basis offsets hang on the rank: A1:sc and A1xT1:sc have
+    # one P and one chamber, but not one table.
     chamber = (pos_indices, simple_indices)
-    ntab = next((t for t in tables or () if t.chamber == chamber and t.pairing == d.pairing), None)
+    ntab = next((t for t in tables or () if (t.rank, t.chamber, t.pairing) == (d.rank, chamber, d.pairing)), None)
     if ntab is None:
         ntab = _NTable(d, pos_indices, simple_indices)
         if tables is not None:
             tables.append(ntab)
 
-    # Basis order: radical, simple coroots, root vectors (positives by
-    # height/lex, then the matching negatives).
-    pos_sorted = ntab.positives
-    root_order = pos_sorted + [ntab.neg[i] for i in pos_sorted]
-    nz, ns = len(radical_basis), len(simple_indices)
+    # Basis order: radical, simple coroots, root vectors in ntab.order; the
+    # coroot coordinates in the simple-coroot basis, in basis order.
     labels = (
-        [("z", k) for k in range(nz)]
-        + [("h", i) for i in range(ns)]
-        + [("x", ri) for ri in root_order]
+        [("z", k) for k in range(len(radical_basis))]
+        + [("h", i) for i in range(len(simple_indices))]
+        + [("x", ri) for ri in ntab.order]
     )
+    coroot_coords = {ri: ntab.coroot_coords[ri] for ri in ntab.order}
 
-    # Coroot coordinates in the simple-coroot basis, in basis order.
-    coroot_coords = {ri: ntab.coroot_coords[ri] for ri in root_order}
-
-    table = {}
-    # [h, x_alpha] = alpha(h) x_alpha ; the radical brackets to zero.
-    first_x = nz + ns
-    for s, si in enumerate(simple_indices):
-        row = d.pairing[si]
-        for x, ri in enumerate(root_order, first_x):
-            if row[ri]:
-                table[nz + s, x] = {x: row[ri]}
-
-    # [x_alpha, x_{-alpha}] = h_alpha for alpha positive; x_a (x_-a) is the
-    # basis element first_x + t (first_x + npos + t) for a = pos_sorted[t].
-    npos = len(pos_sorted)
-    for t, ri in enumerate(pos_sorted):
-        table[first_x + t, first_x + npos + t] = {nz + c: v for c, v in enumerate(coroot_coords[ri]) if v}
-
-    # Each positive triple a + b = s gives its six brackets, with c = -s:
-    # [x_a, x_b] = N_ab x_s, [x_-a, x_-b] = -N_ab x_-s, [x_b, x_c] = N_bc x_-a,
-    # [x_-b, x_s] = -N_bc x_a, [x_c, x_a] = N_ca x_-b, [x_s, x_-a] = -N_ca x_b.
-    # Positives precede negatives, so each key below has i < j.
-    x_pos = {ri: x for x, ri in enumerate(pos_sorted, first_x)}
-    for a, b, s, n, n_bc, n_ca in ntab.triples:
-        xa, xb, xs = x_pos[a], x_pos[b], x_pos[s]
-        ya, yb, ys = xa + npos, xb + npos, xs + npos
-        table[xa, xb] = {xs: n}
-        table[ya, yb] = {ys: -n}
-        table[xb, ys] = {ya: n_bc}
-        table[xs, yb] = {xa: n_bc}
-        table[xa, ys] = {yb: -n_ca}
-        table[xs, ya] = {xb: -n_ca}
-
-    L = ReductiveLieAlgebra(d, labels, table, radical_basis, simple_indices, coroot_coords, ntab.kappa)
+    L = ReductiveLieAlgebra(d, labels, dict(ntab.table), radical_basis, simple_indices, coroot_coords, ntab.kappa)
     bad = jacobi_witness(L)
     if bad is not None:
         raise JacobiError(f"Jacobi identity fails on basis triple {bad}")

@@ -285,8 +285,8 @@ class DynkinDescriptor:
 
 
 # A rank is written without a leading zero, so "A01" or "T00" is refused,
-# not read as A1 or T0.
-_DESC_TOKEN = re.compile(r"^([A-G])([1-9][0-9]*)(?::(sc|adj))?$|^T(0|[1-9][0-9]*)(?::(sc|adj))?$")
+# not read as A1 or T0.  A token matches whole: "A2\n" is refused too.
+_DESC_TOKEN = re.compile(r"([A-G])([1-9][0-9]*)(?::(sc|adj))?|T(0|[1-9][0-9]*)(?::(sc|adj))?")
 
 
 def parse_descriptor(text: str) -> DynkinDescriptor:
@@ -295,7 +295,7 @@ def parse_descriptor(text: str) -> DynkinDescriptor:
     factors = []
     torus = 0
     for tok in text.replace(" ", "").split("x"):
-        m = _DESC_TOKEN.match(tok)
+        m = _DESC_TOKEN.fullmatch(tok)
         if not m:
             raise ValueError(f"cannot parse descriptor factor: {tok!r}")
         if m.group(4) is not None:

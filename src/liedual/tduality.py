@@ -52,6 +52,8 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     each basis vector to its namesake (h_i to h_i^dual, x_alpha to
     x_alpha^dual, radical to the dual radical basis) does the job; it is
     certified as a bracket homomorphism by comparing structure tables.
+    ``build_pair`` builds an ADE pair on one N-table, so the two tables
+    hold one set of entries and the comparison is of equal dicts.
     """
     if not rootdatum.is_ade(L.datum):
         witness = rootdatum.ade_symmetry_witness(L.datum)
@@ -68,8 +70,8 @@ def build_pair(d: RootDatum) -> ProductPair:
     invert each factor's Cartan basis, build the fiber pairing of the
     dualizing 2-form F = F0 + F_P, and the basis B of the fiber-product
     tangent space span(S) that the flux check runs on.  The two builds
-    share their N-tables, so an ADE pair builds one; both bracket tables
-    are still built and certified."""
+    share their N-tables, so an ADE pair builds one bracket table, which
+    the dual copies; each build still certifies its own copy."""
     tables = []
     L = build_lie_algebra(d, tables=tables)
     dd = rootdatum.dualize(d)
@@ -367,7 +369,7 @@ def verify_all(d: RootDatum, scales=()) -> VerificationReport:
     flux = run(check_flux_equation, pairobj, flux_residual_form(pairobj))
     for n in scales:
         report.scaled_n.append(n)
-        # n*phi has the nonzero triples of phi (n != 0), each n times the value.
+        # n*phi has the nonzero terms of phi (n != 0), each n times the value.
         residual = None if flux.passed else frac_str(n * Fraction(flux.residual))
         report.checks.append(CheckRecord(f"flux_equation[scale={n}]", flux.passed, flux.witness, residual))
         rec = run(check_integrality, [[n * v for v in row] for row in M])

@@ -276,6 +276,14 @@ def test_a_rank_with_a_leading_zero_exits_2(capsys, cmd, desc, token):
     assert (code, out, err) == (2, "", f"error: cannot parse descriptor factor: '{token}'\n")
 
 
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+@pytest.mark.parametrize("desc,token", [("A2\n", "A2\n"), ("A1\nxT1", "A1\n")])
+def test_a_factor_ending_in_a_newline_exits_2(capsys, cmd, desc, token):
+    # "A2\n" and "A1\nxT1" once built A2 and A1xT1 with exit 0.
+    code, out, err = run(capsys, cmd, "--type", desc)
+    assert (code, out, err) == (2, "", f"error: cannot parse descriptor factor: {token!r}\n")
+
+
 def test_the_parser_is_built_once(capsys):
     cli._parser.cache_clear()
     # The spy stands in for the module as cli sees it, so argparse's own

@@ -197,18 +197,21 @@ def test_central_free_rank_matches_the_rank_of_the_coroots(d, data):
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
 def test_int_n_table_matches_the_fraction_steps(typ):
-    # The int table holds every ordered pair (a, b) with a+b a root, each
+    # The bracket table holds one entry [x_a, x_b] for each unordered pair
+    # with a+b a root, and N_{a,b} read off it, in either order, is an int
     # equal to the recursive Fraction oracle's value.
     d = build(typ)
     pos, simple = rootdatum.positive_system(d)
     new = chevalley._NTable(d, pos, simple)
     old = FractionNTable(d, pos, simple)
-    table = {(d.roots[a], d.roots[b]): n for (a, b), n in new.table.items()}
-    pairs = [(a, b) for a in d.roots for b in d.roots if tuple(x + y for x, y in zip(a, b)) in old.by_vec]
-    assert len(table) == len(new.table) and set(table) == set(pairs)
-    assert all(type(v) is int for v in table.values())
+    npos = len(new.positives)
+    root_keys = [(i, j) for i, j in new.table if i >= d.rank and j != i + npos]
+    pairs = [(a, b) for a in range(d.nroots) for b in range(d.nroots)
+             if tuple(x + y for x, y in zip(d.roots[a], d.roots[b])) in old.by_vec]
+    assert len(pairs) == 2 * len(root_keys)
     for a, b in pairs:
-        assert table[a, b] == old.constant(a, b)
+        n = new._n(a, b)
+        assert type(n) is int and n == old.constant(d.roots[a], d.roots[b])
 
 
 def test_a_non_integral_ratio_step_is_refused():
@@ -217,8 +220,11 @@ def test_a_non_integral_ratio_step_is_refused():
     ntab = chevalley._NTable(d, pos, simple)
     # Each positive pair fixes the mixed pairs of its triple through a ratio
     # of Killing values; with N = +-1, a ratio of 1/2 has no integral image.
+    pairs = [(a, b) for t, a in enumerate(ntab.positives) for b in ntab.positives[t + 1:]
+             if ntab.code[a] + ntab.code[b] in ntab.by_code]
     outcomes = []
-    for a, b, s, n, _, _ in list(ntab.triples):
+    for a, b in pairs:
+        n, s = ntab._n(a, b), ntab.by_code[ntab.code[a] + ntab.code[b]]
         try:
             ntab._set(a, b, 1 if n > 0 else -1)
             outcomes.append(int)

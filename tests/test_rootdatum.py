@@ -303,8 +303,10 @@ def test_validate_reducedness_edge_cases_match_the_oracle(coroots, reduced_witne
 
 def test_descriptor_errors():
     # A rank with a leading zero is refused: int() would read "A01" as A1
-    # and "T00" as no torus.
-    for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", "", "A01", "E06", "A1xT00", "T01", "B03:adj"):
+    # and "T00" as no torus.  A trailing newline in a factor is refused, as
+    # a tab is: "$" once matched before it, reading "A2\n" as A2.
+    for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", "", "A01", "E06", "A1xT00", "T01", "B03:adj",
+                "A2\n", "A1\nxT1", "A2\t"):
         with pytest.raises(ValueError):
             rootdatum.parse_descriptor(bad)
 

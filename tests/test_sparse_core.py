@@ -520,11 +520,11 @@ def test_the_triple_walk_matches_the_pairwise_builder(typ):
 
 
 def by_vectors(d, ntab):
-    """The index-keyed table and triples of ntab, with each root index
-    replaced by its root vector, in the layout of VectorNTable."""
-    r = d.roots
-    return ({(r[a], r[b]): n for (a, b), n in ntab.table.items()},
-            [(r[a], r[b], n, n_bc, n_ca) for a, b, _, n, n_bc, n_ca in ntab.triples])
+    """N_{a,b} read off ntab's bracket table for every ordered pair with
+    a + b a root, keyed by root vectors, in the layout of VectorNTable."""
+    r, code = d.roots, ntab.code
+    return {(r[a], r[b]): ntab._n(a, b) for a in range(d.nroots) for b in range(d.nroots)
+            if code[a] + code[b] in ntab.by_code}
 
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
@@ -535,19 +535,23 @@ def test_fill_matches_the_three_difference_sweep(typ):
     old = VectorNTable(d, pos, simple)
     old.table = {}
     legacy_fill(old)
-    assert old.table == by_vectors(d, ntab)[0]
+    assert old.table == by_vectors(d, ntab)
 
 
 @pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if t[0] != "T"])
 def test_the_index_table_matches_the_vector_table(typ):
-    # Same constants, same triples in the same order, and the same
-    # positive order; a + b of each triple is the root of index s.
+    # Same constants and the same positive order; the output of each
+    # [x_a, x_b] with b != -a is x_{a+b}.
     d = build(typ)
     pos, simple = rootdatum.positive_system(d)
     new, old = chevalley._NTable(d, pos, simple), VectorNTable(d, pos, simple)
-    assert by_vectors(d, new) == (old.table, old.triples)
+    assert by_vectors(d, new) == old.table
     assert [d.roots[i] for i in new.positives] == sorted(old.pos, key=old.order.get)
-    assert all(d.roots[s] == tuple(map(sum, zip(d.roots[a], d.roots[b]))) for a, b, s, *_ in new.triples)
+    root_of = {x: a for a, x in new.x.items()}
+    for (i, j), out in new.table.items():
+        if i in root_of and j != new.x[new.neg[root_of[i]]]:
+            (k,) = out
+            assert d.roots[root_of[k]] == tuple(map(sum, zip(d.roots[root_of[i]], d.roots[root_of[j]])))
     assert [d.roots[i] for i in new.neg] == [tuple(-x for x in r) for r in d.roots]
 
 
@@ -605,16 +609,16 @@ def test_the_chevalley_core_stores_plain_ints(typ):
 
 
 def test_a_non_integral_structure_constant_is_refused():
-    # The int table holds only ints, which build_lie_algebra reads as they
+    # The bracket table holds only ints, which build_lie_algebra copies as they
     # are; the Fraction oracle's constant() refuses a non-integral value.
     d = build("A2:sc")
     pos, simple = rootdatum.positive_system(d)
     ntab = chevalley._NTable(d, pos, simple)
-    a, b = next(iter(ntab.table))
-    assert type(ntab.table[a, b]) is int
+    a, b = ntab.positives[:2]
+    assert type(ntab._n(a, b)) is int
     old = FractionNTable(d, pos, simple)
     ra, rb = d.roots[a], d.roots[b]
-    assert old.constant(ra, rb) == ntab.table[a, b]
+    assert old.constant(ra, rb) == ntab._n(a, b)
     old.table[(ra, rb)] = Fraction(1, 2)
     with pytest.raises(ValueError, match="non-integral"):
         old.constant(ra, rb)

@@ -425,9 +425,22 @@ def test_an_n_table_is_read_only_on_its_pairing_and_chamber(d, data):
         tables = []
         build_lie_algebra(d, tables=tables)
         L = build_lie_algebra(other, tables=tables)
-        shared = other.chamber == d.chamber and other.pairing == d.pairing
+        shared = (other.rank, other.chamber, other.pairing) == (d.rank, d.chamber, d.pairing)
         assert len(tables) == (1 if shared else 2)
         assert_matches_a_fresh_build(L, other)
+
+
+@pytest.mark.parametrize("typ,other", [("A1:sc", "A1xT1:sc"), ("D4:sc", "D4xT2:sc")])
+def test_an_n_table_is_not_read_at_another_rank(typ, other):
+    # One P and one chamber, but the radical, rank - |simple| long, moves
+    # every root vector's basis index: the second build makes its own table.
+    d, e = build(typ), build(other)
+    assert (e.chamber, e.pairing) == (d.chamber, d.pairing) and e.rank != d.rank
+    tables = []
+    build_lie_algebra(d, tables=tables)
+    L = build_lie_algebra(e, tables=tables)
+    assert len(tables) == 2
+    assert_matches_a_fresh_build(L, e)
 
 
 @settings(max_examples=40, deadline=None)
