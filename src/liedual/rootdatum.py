@@ -46,13 +46,23 @@ class RootDatum:
     def nroots(self):
         return len(self.roots)
 
-    # Derived facts, computed once per datum.  cached_property writes the
-    # instance __dict__, which equality, hashing and JSON never read.
+    # The four derived facts (P, its asymmetry, the axioms, the chamber),
+    # cached once per datum in the __dict__ that equality, hashing and JSON never read.
 
     @cached_property
     def pairing(self):
         """P[i][j] = <coroot_i, root_j>."""
         return _pairing(self.coroots, self.roots, self.rank)
+
+    @cached_property
+    def asymmetry(self):
+        """The first root pair (i, j), row by row, with P[j][i] != P[i][j], or None.
+        Row i meets column i, the columns drawn one at a time: P^T is never held."""
+        P = self.pairing
+        for i, (row, col) in enumerate(zip(P, zip(*P))):
+            if row != col:
+                return i, next(j for j, (x, y) in enumerate(zip(row, col)) if x != y)
+        return None
 
     @cached_property
     def axioms(self):
@@ -229,7 +239,7 @@ def dualize(d: RootDatum) -> RootDatum:
     Pure data transposition in coordinates, so dualize(dualize(d)) == d
     entry for entry (the label wraps and unwraps in step).  The dual copies
     the facts its source has already computed and computes none itself.
-    """
+    Its P is the transpose, and a P known to be symmetric is shared, not copied."""
     if d.label is None:
         label = None
     elif d.label.startswith("dual(") and d.label.endswith(")"):
@@ -237,9 +247,12 @@ def dualize(d: RootDatum) -> RootDatum:
     else:
         label = f"dual({d.label})"
     dd = RootDatum(rank=d.rank, roots=d.coroots, coroots=d.roots, label=label)
+    if "asymmetry" in d.__dict__:
+        dd.__dict__["asymmetry"] = d.asymmetry      # P[j][i] != P[i][j] reads the same on P^T
     if "pairing" in d.__dict__:
         # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.
-        dd.__dict__["pairing"] = tuple(zip(*d.pairing))
+        symmetric = "asymmetry" in d.__dict__ and d.asymmetry is None
+        dd.__dict__["pairing"] = d.pairing if symmetric else tuple(zip(*d.pairing))
     if "chamber" in d.__dict__:
         # _positive_system commutes with dualization: the same indices.
         dd.__dict__["chamber"] = d.chamber
@@ -284,8 +297,8 @@ class DynkinDescriptor:
             raise ValueError("torus rank must be nonnegative")
 
 
-# A rank is written without a leading zero, so "A01" or "T00" is refused,
-# not read as A1 or T0.  A token matches whole: "A2\n" is refused too.
+# Factors FAMILY rank [:sc|:adj] or T rank [:sc] joined by "x", spaces only around an "x".  A
+# rank has no leading zero ("A01", "T00"), and a token matches whole ("A2\n", "A 2", " A2").
 _DESC_TOKEN = re.compile(r"([A-G])([1-9][0-9]*)(?::(sc|adj))?|T(0|[1-9][0-9]*)(?::(sc|adj))?")
 
 
@@ -294,7 +307,7 @@ def parse_descriptor(text: str) -> DynkinDescriptor:
     factor takes :sc, its default, but no :adj."""
     factors = []
     torus = 0
-    for tok in text.replace(" ", "").split("x"):
+    for tok in re.split(r" *x *", text):
         m = _DESC_TOKEN.fullmatch(tok)
         if not m:
             raise ValueError(f"cannot parse descriptor factor: {tok!r}")
@@ -483,16 +496,12 @@ def cartan_matrix(d: RootDatum):
 def is_ade(d: RootDatum) -> bool:
     """ADE-type test: the pairing is symmetric in root pairs, which for a
     valid datum is a symmetric Cartan matrix; vacuously true for a torus."""
-    return ade_symmetry_witness(d) is None
+    return d.asymmetry is None
 
 
 def ade_symmetry_witness(d: RootDatum):
-    """First root pair (i, j) with alpha_i(h_j) != alpha_j(h_i), or None.
-    A symmetric pairing is found by one comparison with its transpose."""
-    P = d.pairing
-    if P == tuple(zip(*P)):
-        return None
-    return next(((i, j) for i in range(d.nroots) for j in range(d.nroots) if P[j][i] != P[i][j]), None)
+    """First root pair (i, j) with alpha_i(h_j) != alpha_j(h_i), or None."""
+    return d.asymmetry
 
 
 def fundamental_group(d: RootDatum):

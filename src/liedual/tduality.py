@@ -55,11 +55,9 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     ``build_pair`` builds an ADE pair on one N-table, so the two tables
     hold one set of entries and the comparison is of equal dicts.
     """
-    if not rootdatum.is_ade(L.datum):
-        witness = rootdatum.ade_symmetry_witness(L.datum)
-        raise NotADEError(
-            f"no coroot-preserving isomorphism for non-ADE datum (witness root pair {witness})"
-        )
+    witness = rootdatum.ade_symmetry_witness(L.datum)
+    if witness is not None:
+        raise NotADEError(f"no coroot-preserving isomorphism for non-ADE datum (witness root pair {witness})")
     if L.labels != Ldual.labels or L.table != Ldual.table:
         raise NotADEError("basis-wise identification is not a bracket homomorphism")
     return {lab: lab for lab in L.labels}
@@ -74,6 +72,7 @@ def build_pair(d: RootDatum) -> ProductPair:
     the dual copies; each build still certifies its own copy."""
     tables = []
     L = build_lie_algebra(d, tables=tables)
+    rootdatum.is_ade(d)     # settles P's symmetry, so the dual of an ADE datum shares P
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd, tables=tables)
     iso = good_isomorphism(L, Ldual)
@@ -263,16 +262,15 @@ def check_integrality(M):
 
 def check_angle_positivity(pairobj: ProductPair):
     """alpha(h_beta) beta(h_alpha) lies in {0,...,4} for all root pairs.
-    On a symmetric P each product is the square P[i][j]^2, so the check
-    passes exactly when every |P[i][j]| <= 2, read off the two extremes of
-    P.  Otherwise row i holds the products P[j][i] P[i][j] over j, formed
-    by one map of column i with row i; only a row whose minimum or maximum
-    is out of range is scanned for its first failing j."""
+    On a symmetric P (is_ade) each product is the square P[i][j]^2, so the
+    check passes exactly when every |P[i][j]| <= 2, read off the two
+    extremes of P.  Otherwise row i holds the products P[j][i] P[i][j] over
+    j, one map of column i, drawn one at a time, with row i; only a row
+    whose minimum or maximum is out of range is scanned for its first j."""
     P = pairobj.datum.pairing
-    cols = tuple(zip(*P))
-    if P == cols and min(map(min, P), default=0) >= -2 and max(map(max, P), default=0) <= 2:
+    if rootdatum.is_ade(pairobj.datum) and min(map(min, P), default=0) >= -2 and max(map(max, P), default=0) <= 2:
         return CheckRecord("angle_positivity", True)
-    for i, (col, row) in enumerate(zip(cols, P)):
+    for i, (col, row) in enumerate(zip(zip(*P), P)):
         values = list(map(mul, col, row))
         if min(values) < 0 or max(values) > 4:
             j, v = next((j, v) for j, v in enumerate(values) if v < 0 or v > 4)
@@ -285,15 +283,8 @@ def check_ade_symmetry(d: RootDatum):
     if w is None:
         return CheckRecord("ade_symmetry", True)
     i, j = w
-    return CheckRecord(
-        "ade_symmetry",
-        False,
-        {
-            "roots": [i, j],
-            "alpha(h_beta)": frac_str(d.pairing[j][i]),
-            "beta(h_alpha)": frac_str(d.pairing[i][j]),
-        },
-    )
+    return CheckRecord("ade_symmetry", False, {"roots": [i, j], "alpha(h_beta)": frac_str(d.pairing[j][i]),
+                                               "beta(h_alpha)": frac_str(d.pairing[i][j])})
 
 
 # ---------------------------------------------------------------------------

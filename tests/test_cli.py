@@ -284,6 +284,14 @@ def test_a_factor_ending_in_a_newline_exits_2(capsys, cmd, desc, token):
     assert (code, out, err) == (2, "", f"error: cannot parse descriptor factor: {token!r}\n")
 
 
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+@pytest.mark.parametrize("desc", ["A 2", "A2 :sc", " A2"])
+def test_a_space_inside_a_factor_exits_2(capsys, cmd, desc):
+    # Every space was once deleted before parsing: these built A2 with exit 0.
+    code, out, err = run(capsys, cmd, "--type", desc)
+    assert (code, out, err) == (2, "", f"error: cannot parse descriptor factor: {desc!r}\n")
+
+
 def test_the_parser_is_built_once(capsys):
     cli._parser.cache_clear()
     # The spy stands in for the module as cli sees it, so argparse's own

@@ -31,6 +31,7 @@ from oracles import (
 )
 from test_rootdatum import (
     RANK8_TYPES,
+    ade_symmetry_scan,
     arbitrary_data,
     change_basis,
     fresh,
@@ -316,3 +317,33 @@ def test_angle_positivity_gives_the_loop_witness_on_a_seeded_defect(typ, symmetr
     assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
     if symmetric:
         assert not rec.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(typ=st.sampled_from(["A2:sc", "D4:sc", "E6:sc"]), data=st.data())
+def test_the_asymmetry_of_a_seeded_pairing_is_the_ordered_scan(typ, data):
+    # The negative control of the cached symmetry fact: 1-3 off-diagonal
+    # entries of an ADE pairing are patched, each to its mirror entry plus a
+    # nonzero step, so the pair patched last stays asymmetric.
+    d = build(typ)
+    P = [list(row) for row in d.pairing]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, d.nroots - 1))
+        j = data.draw(st.integers(0, d.nroots - 1).filter(lambda j: j != i))
+        P[i][j] = P[j][i] + data.draw(st.sampled_from([-2, -1, 1, 2]))
+    seeded = fresh(d)
+    seeded.__dict__["pairing"] = tuple(map(tuple, P))
+    w = rootdatum.ade_symmetry_witness(seeded)
+    assert w == ade_symmetry_scan(seeded) is not None
+    assert not rootdatum.is_ade(seeded)
+    rec = tduality.check_ade_symmetry(seeded)
+    i, j = w
+    assert (rec.passed, rec.witness) == (False, {"roots": [i, j], "alpha(h_beta)": f"{P[j][i]}/1",
+                                                 "beta(h_alpha)": f"{P[i][j]}/1"})
+    pairobj = SimpleNamespace(datum=seeded)
+    rec = tduality.check_angle_positivity(pairobj)
+    assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
+    # The dual carries the witness over and transposes P.
+    dual = rootdatum.dualize(seeded)
+    assert dual.pairing == tuple(zip(*seeded.pairing))
+    assert dual.asymmetry == w == ade_symmetry_scan(dual)

@@ -304,9 +304,11 @@ def test_validate_reducedness_edge_cases_match_the_oracle(coroots, reduced_witne
 def test_descriptor_errors():
     # A rank with a leading zero is refused: int() would read "A01" as A1
     # and "T00" as no torus.  A trailing newline in a factor is refused, as
-    # a tab is: "$" once matched before it, reading "A2\n" as A2.
+    # a tab is: "$" once matched before it, reading "A2\n" as A2.  A space
+    # stands only around an "x": every space was once deleted first, so
+    # "A 2", "A2 :sc" and " A2" read as A2.
     for bad in ("NOPE", "A0", "E9", "B1:sc", "A1:weird", "", "A01", "E06", "A1xT00", "T01", "B03:adj",
-                "A2\n", "A1\nxT1", "A2\t"):
+                "A2\n", "A1\nxT1", "A2\t", "A 2", "A2 :sc", " A2", "A2 ", "A2: sc", "A2 x T1 "):
         with pytest.raises(ValueError):
             rootdatum.parse_descriptor(bad)
 
@@ -318,6 +320,10 @@ def test_descriptor_products_and_tori():
     assert d.nroots == 6 + 8
     assert rootdatum.parse_descriptor("T3").torus_rank == 3
     assert rootdatum.parse_descriptor("A10xT0xT10") == rootdatum.DynkinDescriptor((("A", 10, "sc"),), 10)
+    # Spaces may stand around an "x", on either side or both.
+    for text in ("D4:adj x T2", "D4:adjx T2", "D4:adj  xT2"):
+        assert rootdatum.parse_descriptor(text) == rootdatum.DynkinDescriptor((("D", 4, "adj"),), 2)
+    assert rootdatum.parse_descriptor("A2 x T1 x B2:sc") == desc
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from oracles import (
     tautological_two_form,
     trace_killing_matrix,
 )
-from test_rootdatum import RANK8_TYPES, change_basis, fresh, shuffled, small_data, unimodular_pair
+from test_rootdatum import RANK8_TYPES, ade_symmetry_scan, change_basis, fresh, shuffled, small_data, unimodular_pair
 
 PASSING = ["T1", "T2", "A1:sc", "A1:adj", "A2:sc", "A3:adj", "A1xT1:sc", "D4:sc"]
 
@@ -404,6 +404,44 @@ def test_the_dual_built_on_the_shared_n_table_equals_a_fresh_build(typ):
 @pytest.mark.parametrize("typ", ["B2:sc", "B2:adj", "G2"])
 def test_a_non_ade_pair_builds_two_n_tables(typ):
     assert_dual_matches_a_fresh_build(build(typ), any_pair_of)
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if rootdatum.is_ade(build(t))] + ["D16:sc"])
+def test_an_ade_dual_shares_the_source_pairing(typ):
+    # A symmetric P is its own transpose: the dual holds the source's P
+    # object, not a copy, and the share guard meets the same rows.
+    pair = build_pair(build(typ))
+    assert pair.dual_datum.pairing is pair.datum.pairing
+    assert pair.dual_datum.asymmetry is pair.datum.asymmetry is None
+
+
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:sc", "A1xT1:sc"])
+def test_an_ade_verify_shares_the_source_pairing(typ):
+    rep = verify_all(build(typ))
+    assert rep.overall and rep.dual.pairing is rep.datum.pairing
+
+
+@pytest.mark.parametrize("typ", ["B2:sc", "B2:adj", "G2"])
+def test_a_non_ade_dual_transposes_the_source_pairing(typ):
+    d = build(typ)
+    pair = any_pair_of(d)
+    P, dual = d.pairing, pair.dual_datum
+    assert dual.pairing == tuple(zip(*P)) == rootdatum.dualize(d).pairing
+    assert dual.pairing is not P
+    # The witness carries over, uncomputed: P[j][i] != P[i][j] reads the
+    # same on P^T.
+    assert dual.__dict__["asymmetry"] == d.asymmetry == ade_symmetry_scan(fresh(dual)) is not None
+    assert rootdatum.dualize(dual).pairing == P
+
+
+@pytest.mark.parametrize("typ", ["B2:sc", "A2:sc"])
+def test_good_isomorphism_makes_one_symmetry_query(typ):
+    pair = any_pair(typ)
+    with mock.patch.object(rootdatum, "ade_symmetry_witness", wraps=rootdatum.ade_symmetry_witness) as witness, \
+            mock.patch.object(rootdatum, "is_ade", wraps=rootdatum.is_ade) as ade:
+        with contextlib.suppress(NotADEError):
+            good_isomorphism(pair.L, pair.Ldual)
+    assert witness.call_count + ade.call_count == 1
 
 
 @settings(max_examples=40, deadline=None)
