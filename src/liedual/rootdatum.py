@@ -238,8 +238,9 @@ def dualize(d: RootDatum) -> RootDatum:
 
     Pure data transposition in coordinates, so dualize(dualize(d)) == d
     entry for entry (the label wraps and unwraps in step).  The dual copies
-    the facts its source has already computed and computes none itself.
-    Its P is the transpose, and a P known to be symmetric is shared, not copied."""
+    the facts its source has already computed.  A computed P brings its
+    asymmetry along, settled on the source if need be: the dual's P is the
+    transpose, and a symmetric P is shared, not copied."""
     if d.label is None:
         label = None
     elif d.label.startswith("dual(") and d.label.endswith(")"):
@@ -247,12 +248,11 @@ def dualize(d: RootDatum) -> RootDatum:
     else:
         label = f"dual({d.label})"
     dd = RootDatum(rank=d.rank, roots=d.coroots, coroots=d.roots, label=label)
-    if "asymmetry" in d.__dict__:
-        dd.__dict__["asymmetry"] = d.asymmetry      # P[j][i] != P[i][j] reads the same on P^T
     if "pairing" in d.__dict__:
-        # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.
-        symmetric = "asymmetry" in d.__dict__ and d.asymmetry is None
-        dd.__dict__["pairing"] = d.pairing if symmetric else tuple(zip(*d.pairing))
+        # <coroot'_i, root'_j> = <root_i, coroot_j>: the transpose.  The
+        # asymmetry P[j][i] != P[i][j] reads the same on P^T.
+        dd.__dict__["asymmetry"] = d.asymmetry
+        dd.__dict__["pairing"] = d.pairing if d.asymmetry is None else tuple(zip(*d.pairing))
     if "chamber" in d.__dict__:
         # _positive_system commutes with dualization: the same indices.
         dd.__dict__["chamber"] = d.chamber

@@ -57,7 +57,9 @@ def good_isomorphism(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra):
     """
     witness = rootdatum.ade_symmetry_witness(L.datum)
     if witness is not None:
-        raise NotADEError(f"no coroot-preserving isomorphism for non-ADE datum (witness root pair {witness})")
+        raise NotADEError(
+            f"no coroot-preserving isomorphism for non-ADE datum (witness root pair {witness})"
+        )
     if L.labels != Ldual.labels or L.table != Ldual.table:
         raise NotADEError("basis-wise identification is not a bracket homomorphism")
     return {lab: lab for lab in L.labels}
@@ -72,7 +74,6 @@ def build_pair(d: RootDatum) -> ProductPair:
     the dual copies; each build still certifies its own copy."""
     tables = []
     L = build_lie_algebra(d, tables=tables)
-    rootdatum.is_ade(d)     # settles P's symmetry, so the dual of an ADE datum shares P
     dd = rootdatum.dualize(d)
     Ldual = build_lie_algebra(dd, tables=tables)
     iso = good_isomorphism(L, Ldual)
@@ -283,8 +284,15 @@ def check_ade_symmetry(d: RootDatum):
     if w is None:
         return CheckRecord("ade_symmetry", True)
     i, j = w
-    return CheckRecord("ade_symmetry", False, {"roots": [i, j], "alpha(h_beta)": frac_str(d.pairing[j][i]),
-                                               "beta(h_alpha)": frac_str(d.pairing[i][j])})
+    return CheckRecord(
+        "ade_symmetry",
+        False,
+        {
+            "roots": [i, j],
+            "alpha(h_beta)": frac_str(d.pairing[j][i]),
+            "beta(h_alpha)": frac_str(d.pairing[i][j]),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

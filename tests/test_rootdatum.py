@@ -422,6 +422,20 @@ def test_derived_data_inherit_the_pairing(d, data):
     assert rootdatum.canonicalize(dual).pairing == fresh(rootdatum.canonicalize(dual)).pairing
 
 
+@pytest.mark.parametrize("typ", ["A2:sc", "D4:adj", "E6:sc", "A1xT1:sc", "B3:sc", "G2"])
+def test_a_computed_pairing_brings_its_asymmetry_to_the_dual(typ):
+    # With P computed and its asymmetry not yet asked, as after validate,
+    # dualize settles the asymmetry itself: a symmetric P is shared.
+    d = fresh(build(typ))
+    d.pairing
+    dual = rootdatum.dualize(d)
+    assert dual.__dict__["asymmetry"] == d.__dict__["asymmetry"] == ade_symmetry_scan(d)
+    if rootdatum.is_ade(d):
+        assert dual.pairing is d.pairing
+    else:
+        assert dual.pairing == tuple(zip(*d.pairing)) and dual.pairing is not d.pairing
+
+
 @pytest.mark.parametrize("typ", ["B3:sc", "G2xT1", "A2:adj"])
 def test_derived_pairings_are_read_off_the_source(typ):
     # A marked source pairing shows through: the dual transposes what the
