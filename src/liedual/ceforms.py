@@ -2,11 +2,14 @@
 Lie algebra: wedge products, the invariant-form differential, the Cartan
 3-form, and the flat-torus duality transform.
 
-Forms are stored sparsely on sorted index subsets with exact coefficients
-(ints on a Chevalley basis) and hold nothing else.  The flux equation is
-linear, so the prefactor -1/(4 pi^2) that F, dF, H, Hdual and phi share
-cancels out of phi = 0: they are all stored as integers in units of
--1/(4 pi^2).
+Forms are stored sparsely, as built less their zero terms, with exact
+coefficients (ints on a Chevalley basis), and hold nothing else.  No key is
+checked: each builder writes its keys as tuples of `degree` strictly
+increasing basis indices (sort_sign, cartan_three_form's three-place insert,
+F's (a, L.dim + b)), and assert_stored_form in tests/oracles.py checks
+each builder.  The flux equation is linear, so the prefactor -1/(4 pi^2)
+that F, dF, H, Hdual and phi share cancels out of phi = 0: they are all
+stored as integers in units of -1/(4 pi^2).
 """
 
 from fractions import Fraction
@@ -54,20 +57,13 @@ def sort_sign(idx):
 
 class InvariantForm:
     """Degree-k alternating form, sparse over sorted k-subsets of basis
-    indices.  Degree 0 is a single scalar stored under the empty tuple."""
+    indices, keys unchecked (module docstring); zero terms are dropped, as
+    is_zero and == need.  Degree 0 is one scalar under the empty tuple."""
 
     def __init__(self, algebra, degree, terms=None):
         self.algebra = algebra
         self.degree = degree
-        clean = {}
-        for key, val in (terms or {}).items():
-            if len(key) != degree:
-                raise ValueError("term arity does not match the degree")
-            if list(key) != sorted(set(key)):
-                raise ValueError("term keys must be sorted and distinct")
-            if val:
-                clean[tuple(key)] = val
-        self.terms = clean
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     def is_zero(self):
         return not self.terms
@@ -111,8 +107,6 @@ def ce_differential(w: InvariantForm) -> InvariantForm:
     sorts (i, j, rest), whatever the order of i and j.  The brackets are
     read from each bracket table of alg.blocks in place, at its offset."""
     alg = w.algebra
-    if w.degree == 0:
-        return InvariantForm(alg, 1)
     by_index = {}                   # k -> [(rest of key, w(e_k, rest))]
     for key, v in w.terms.items():
         for pos, k in enumerate(key):
@@ -180,7 +174,7 @@ def torus_fm_transform(w: InvariantForm, pairing) -> InvariantForm:
         raise ValueError("pairing form is degenerate")
 
     product = AbelianAlgebra(2 * n)
-    lifted = InvariantForm(product, w.degree, dict(w.terms))
+    lifted = InvariantForm(product, w.degree, w.terms)
     f0 = InvariantForm(
         product,
         2,

@@ -7,6 +7,7 @@ usage/input error.
 import argparse
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -111,8 +112,12 @@ def cmd_export_algebra(args):
 
 
 def cmd_verify(args):
+    # int() would take " 2" or "2_0"; argparse < 3.13 reads --scale=-- as []; verify_all refuses "0".
+    for text in args.scale:
+        if type(text) is not str or not re.fullmatch("-?[1-9][0-9]*|0", text):
+            raise ValueError(f"scale must be a nonzero integer, as in 3 or -2, not {text!r}")
     d = _load_datum(args)
-    report = tduality.verify_all(d, scales=tuple(args.scale))
+    report = tduality.verify_all(d, scales=tuple(map(int, args.scale)))
     _emit(report.as_dict(timing=not args.no_timing), args.out)
     return EXIT_OK if report.overall else EXIT_MATH_FAIL
 
@@ -142,7 +147,7 @@ def _parser():
         p.add_argument("--out", help="write JSON to a file instead of stdout")
         if func is cmd_verify:
             # append copies the list before it appends, so the shared default stays empty.
-            p.add_argument("--scale", type=int, action="append", default=[],
+            p.add_argument("--scale", action="append", default=[],
                            help="additionally verify with this integer multiple of F and H (repeatable)")
             p.add_argument("--no-timing", action="store_true", help="omit timing fields for byte-stable output")
         p.set_defaults(func=func)

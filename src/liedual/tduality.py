@@ -143,8 +143,8 @@ def dualizing_pairing(L: ReductiveLieAlgebra, Ldual: ReductiveLieAlgebra, X, d):
 def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     """phi = dF - (q*H - qdual*Hdual) as a stored 3-form on the whole pair;
     identically zero only after restriction to span(S).  F is the 2-form
-    with the fiber pairing entry (a, b) on the term (a, L.dim + b).  dF, H
-    and Hdual (shifted to the second factor) are summed into one dict.
+    with the fiber pairing entry (a, b) on the term (a, L.dim + b).  H and
+    Hdual (shifted to the second factor) are summed into dF's own dict.
     phi is linear in (F, H, Hdual) together, so the residual at scale n is
     phi.scale(n)."""
     n = pairobj.L.dim
@@ -154,7 +154,7 @@ def flux_residual_form(pairobj: ProductPair) -> InvariantForm:
     dF = ceforms.ce_differential(F)
     H = ceforms.cartan_three_form(pairobj.L)
     Hd = ceforms.cartan_three_form(pairobj.Ldual)
-    terms = dict(dF.terms)
+    terms = dF.terms
     for key, v in H.terms.items():
         terms[key] = terms.get(key, 0) - v
     for (i, j, k), v in Hd.terms.items():

@@ -29,9 +29,9 @@ matrix read off the N-table's root sums kappa, and of the eigen-relation's
 K(h, h), the stdlib's JSON encoder is the oracle of
 the CLI's writer, and the Smith form with its pivot searched twice is that
 of the one search.  A form's value on basis indices and on coefficient
-vectors, the sum and the difference of two forms, the bracket of two
-basis elements, and the coroot vector h_alpha are helpers the tests alone
-use.
+vectors, the key contract every stored form meets, the sum and the
+difference of two forms, the bracket of two basis elements, and the coroot
+vector h_alpha are helpers the tests alone use.
 """
 
 import json
@@ -1019,6 +1019,18 @@ def evaluate(w: InvariantForm, *vectors):
 
     rec(0, (), 1)
     return total
+
+
+def assert_stored_form(w: InvariantForm):
+    """The key contract that InvariantForm takes on trust from its
+    builders: every key a tuple of w.degree strictly increasing int basis
+    indices in [0, dim), and no value 0."""
+    dim = algebra_dim(w.algebra)
+    for key, v in w.terms.items():
+        assert type(key) is tuple and len(key) == w.degree, f"key {key!r} is not a {w.degree}-tuple"
+        assert all(type(i) is int and 0 <= i < dim for i in key), f"key {key!r} leaves [0, {dim})"
+        assert all(a < b for a, b in zip(key, key[1:])), f"key {key!r} is not strictly increasing"
+        assert v != 0, f"key {key!r} holds a zero"
 
 
 def add_forms(a: InvariantForm, b: InvariantForm) -> InvariantForm:

@@ -18,6 +18,7 @@ from liedual.ceforms import (
 )
 from liedual.chevalley import build_lie_algebra
 from oracles import (
+    assert_stored_form,
     coroot_vector,
     embed_left,
     embed_right,
@@ -57,6 +58,7 @@ def test_wedge_on_a_torus():
     dx = InvariantForm(T, 1, {(0,): Fraction(1)})
     dy = InvariantForm(T, 1, {(1,): Fraction(1)})
     w = wedge(dx, dy)
+    assert_stored_form(w)
     assert value_on_indices(w, (0, 1)) == 1
     assert value_on_indices(w, (1, 0)) == -1
 
@@ -67,6 +69,7 @@ def test_wedge_of_root_with_dual_root_in_product_context():
     a = pullback_first(pair, extended_root_form(pair.L, ri))
     av = pullback_second(pair, extended_root_form(pair.Ldual, ri))
     w = wedge(a, av)
+    assert_stored_form(w)
     h = embed_left(pair, coroot_vector(pair.L, ri))
     hv = embed_right(pair, coroot_vector(pair.Ldual, ri))
     assert evaluate(w, h, hv) == 4
@@ -97,6 +100,8 @@ def test_leibniz_rule_sample():
     L = build_lie_algebra(build("A2:sc"))
     a = extended_root_form(L, L.simple_indices[0])
     b = extended_root_form(L, L.simple_indices[1])
+    for w in (wedge(a, b), wedge(ce_differential(a), b), wedge(a, ce_differential(b))):
+        assert_stored_form(w)
     lhs = ce_differential(wedge(a, b))
     rhs = subtract(wedge(ce_differential(a), b), wedge(a, ce_differential(b)))
     assert lhs == rhs
@@ -138,6 +143,7 @@ def test_a_non_closed_form_is_detected():
     xi = L2.index[("x", L2.simple_indices[0])]
     w2 = InvariantForm(L2, 2, {tuple(sorted((L2.index[("h", 0)], xi))): Fraction(1)})
     assert not is_closed(w2)
+    assert_stored_form(ce_differential(w2))
 
 
 def test_top_degree_forms_are_closed():
@@ -171,6 +177,7 @@ def test_torus_transform_first_order():
     T = AbelianAlgebra(1)
     one = InvariantForm(T, 0, {(): Fraction(1)})
     out = torus_fm_transform(one, [[Fraction(3)]])
+    assert_stored_form(out)
     assert out.degree == 1 and out.terms == {(0,): Fraction(3)}
 
 
@@ -192,6 +199,8 @@ def test_torus_transform_degree_reversal_and_involutivity(n):
             t1 = torus_fm_transform(w, I)
             assert t1.degree == n - k
             t2 = torus_fm_transform(t1, I)
+            assert_stored_form(t1)
+            assert_stored_form(t2)
             assert t2.degree == k
             assert t2.terms in ({key: Fraction(1)}, {key: Fraction(-1)})
             signs.add(t2.terms[key])
@@ -226,6 +235,7 @@ def test_indexed_differential_matches_the_gathering_one_on_f_and_h(typ):
     H = cartan_three_form(pair.L)
     for w in (pairing_form(pair), pairing_form(doubled_F(pair)), H, extended_root_form(pair.L, pair.L.simple_indices[0])):
         assert ce_differential(w) == gathered_ce_differential(w)
+        assert_stored_form(ce_differential(w))
 
 
 @settings(max_examples=80, deadline=None)
@@ -236,8 +246,29 @@ def test_indexed_differential_matches_the_gathering_one_on_random_forms(typ, deg
     terms = data.draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
     w = InvariantForm(L, degree, terms)
     assert ce_differential(w) == gathered_ce_differential(w)
+    assert_stored_form(ce_differential(w))
 
 
 @lru_cache(maxsize=None)
 def _algebra(typ):
     return build_lie_algebra(build(typ))
+
+
+# ---------------------------------------------------------------------------
+# The key contract, which InvariantForm leaves to its builders
+
+
+@pytest.mark.parametrize("terms,fault", [
+    ({(2, 0, 1): 1}, "not strictly increasing"),
+    ({(0, 0, 1): 1}, "not strictly increasing"),
+    ({(0, 1): 1}, "not a 3-tuple"),
+    ({(0, 1, 3): 1}, r"leaves \[0, 3\)"),
+    ({(0, 1, 2): 0}, "holds a zero"),
+])
+def test_the_stored_form_check_fails_on_a_seeded_key_or_zero(terms, fault):
+    w = InvariantForm(AbelianAlgebra(3), 3, {(0, 1, 2): 1})
+    assert_stored_form(w)
+    # Seeded past the constructor, which would drop the zero.
+    w.terms.update(terms)
+    with pytest.raises(AssertionError, match=fault):
+        assert_stored_form(w)

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import re
 from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from liedual import cli, rootdatum
 
@@ -308,6 +313,16 @@ def test_a_zero_scale_exits_2_before_the_run(capsys, typ):
     assert (code, out, err) == (2, "", "error: scale must be a nonzero integer\n")
 
 
+@pytest.mark.parametrize("scale", [" 2", "2 ", "+2", "02", "2_0", "\uff12", "\u0663",
+                                   "-0", "00", "+0", "", "x", "2.0", "2\n"])
+def test_a_scale_not_written_as_a_nonzero_ascii_integer_exits_2(capsys, scale):
+    # int() once read the first seven as 2, 2, 2, 2, 20, 2 (full-width) and
+    # 3 (Arabic-Indic), and the run went on; "x" and "" exited 2 through
+    # argparse, with a usage line and no line starting "error:".
+    code, out, err = run(capsys, "verify", "--type", "A1:sc", "--scale", scale, "--no-timing")
+    assert (code, out, err) == (2, "", f"error: scale must be a nonzero integer, as in 3 or -2, not {scale!r}\n")
+
+
 def test_scale_lists_are_not_shared_between_calls(capsys):
     for argv, scaled in ((["--scale", "2"], [2]), ([], [])):
         code, out, _ = run(capsys, "verify", "--type", "A1:sc", *argv, "--no-timing")
@@ -338,3 +353,172 @@ def test_the_e8_report_keeps_its_bytes(capsys, scales):
     code, out, _ = run(capsys, "verify", "--type", "E8:sc", *scales, "--no-timing")
     assert code == 0 and json.loads(out)["overall"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == E8_DIGESTS[scales]
+
+
+# ---------------------------------------------------------------------------
+# The descriptor and scale grammars of the README, as properties
+
+
+def run_captured(*argv):
+    """cli.main with its output captured, for tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, (code, out, err)
+
+
+_FACTOR = r"([A-G])([1-9][0-9]*)(?::(sc|adj))?|T(0|[1-9][0-9]*)(?::sc)?"
+DESCRIPTOR = re.compile(rf"(?:{_FACTOR})(?: *x *(?:{_FACTOR}))*")
+SCALE = re.compile(r"-?[1-9][0-9]*")
+LEGAL_RANK = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 2, "D": lambda n: n >= 3,
+              "E": lambda n: n in (6, 7, 8), "F": lambda n: n == 4, "G": lambda n: n == 2}
+# classify_label names a factor by its diagram, and C2 and D3 have those of B2 and A3.
+DIAGRAM = {"C2": "B2", "D3": "A3"}
+
+
+def predicted_info(text):
+    """(rank, type factors, label) that info prints for the descriptor text
+    by the grammar, or None when the text is outside it or names a family
+    at a rank it lacks.  The type lists its factors in the order of the
+    canonical simple system, so they are given sorted."""
+    if not DESCRIPTOR.fullmatch(text):
+        return None
+    factors, torus = [], 0
+    for fam, rank, tag, trank in re.findall(_FACTOR, text):
+        if trank:
+            torus += int(trank)
+            continue
+        if not LEGAL_RANK[fam](int(rank)):
+            return None
+        factors.append((fam + rank, tag or "sc"))
+    names = [DIAGRAM.get(name, name) for name, _ in factors] + [f"T{torus}"] * bool(torus)
+    labels = [f"{name}:{tag}" for name, tag in factors] + [f"T{torus}"] * bool(torus)
+    rank = sum(int(name[1:]) for name, _ in factors) + torus
+    return rank, sorted(names or ["T0"]), " x ".join(labels) or "T0"
+
+
+# The alphabet: family letters, T, x and X, ASCII digits and non-ASCII ones
+# (Arabic-Indic 3, full-width 2, mathematical bold 2), the tags, space, tab,
+# newline and full-width letters.
+PIECES = list("ABCDEFGTxX:0123456789") + ["sc", "adj", " ", "\t", "\n", "\u0663", "\uff12", "\U0001d7d0",
+                                          "\uff21", "\uff34", "\uff58"]
+# Legal factors that build in milliseconds: A, B, C and D of rank at most 4, E6, F4, G2 and tori.
+LEGAL_FACTORS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "E6", "F4", "G2",
+                 "T0", "T1", "T2"]
+TAGS = ["", ":sc", ":adj"]
+SEPARATORS = ["x", " x ", "  x", "x "]
+# The ASCII digits in Arabic-Indic, full-width and mathematical bold form.
+OTHER_DIGITS = [{ord(str(k)): chr(base + k) for k in range(10)} for base in (0x660, 0xFF10, 0x1D7CE)]
+
+
+@st.composite
+def descriptors(draw, min_size=1):
+    """min_size to two legal factors, each with or without a tag, as the
+    list of their pieces: family, rank, tag, separator, family, rank, tag."""
+    parts = []
+    for name in draw(st.lists(st.sampled_from(LEGAL_FACTORS), min_size=min_size, max_size=2)):
+        parts += [name[0], name[1:], draw(st.sampled_from(TAGS)), draw(st.sampled_from(SEPARATORS))]
+    return parts[:-1]
+
+
+def misspelled_ranks(rank):
+    """rank with a leading zero, white space, a trailing non-ASCII digit,
+    or in non-ASCII digits."""
+    return ([f"0{rank}", f" {rank}", f"{rank} ", f"{rank}\n", f"{rank}\u0660"]
+            + [rank.translate(t) for t in OTHER_DIGITS])
+
+
+@st.composite
+def near_misses(draw):
+    """A descriptor with one rank, tag or separator spelled as the grammar
+    does not."""
+    kind = draw(st.sampled_from(["rank", "tag", "separator"]))
+    parts = draw(descriptors(min_size=2 if kind == "separator" else 1))
+    i = draw(st.sampled_from(range({"rank": 1, "tag": 2, "separator": 3}[kind], len(parts), 4)))
+    if kind == "rank":
+        spellings = misspelled_ranks(parts[i])
+    elif kind == "tag":
+        spellings = [":SC", ": sc", ":sc ", "sc", ":", ":ADJ", ":adj:sc", "\uff1asc"]
+    else:
+        spellings = ["X", "\tx", "x\t", "x\n", "\nx", "xx", "x x", "\uff58", ""]
+    parts[i] = draw(st.sampled_from(spellings))
+    return "".join(parts)
+
+
+@st.composite
+def misspelled_scales(draw):
+    """A nonzero integer with a sign "+", an underscore, or a rank misspelling."""
+    n = draw(st.integers(1, 10**6))
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = str(n)
+    return sign + draw(st.sampled_from(misspelled_ranks(digits) + [f"+{digits}", f"{digits[0]}_{digits[1:]}"]))
+
+
+def edited(base, pieces):
+    """base with up to two pieces inserted, swapped in or deleted."""
+    @st.composite
+    def draw_edits(draw):
+        text = draw(base)
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            pos = draw(st.integers(0, len(text)))
+            op = draw(st.sampled_from(["insert", "replace", "delete"]))
+            piece = "" if op == "delete" else draw(st.sampled_from(pieces))
+            text = text[:pos] + piece + text[pos + (op != "insert"):]
+        return text
+    return draw_edits()
+
+
+def padded(base, pieces):
+    """base with nothing, white space or a piece before it and after it."""
+    ends = st.one_of(st.just(""), st.sampled_from([" ", "\t", "\n"]), st.sampled_from(pieces))
+    return st.tuples(ends, base, ends).map("".join)
+
+
+_descriptors = descriptors().map("".join)
+DESCRIPTORS = st.one_of(_descriptors, near_misses(), edited(_descriptors, PIECES), padded(_descriptors, PIECES),
+                        st.lists(st.sampled_from(PIECES), max_size=6).map("".join))
+SCALE_PIECES = PIECES + ["+", "-", "_"]
+_scales = st.integers(-10**6, 10**6).map(str)
+SCALES = st.one_of(_scales, misspelled_scales(), edited(_scales, SCALE_PIECES), padded(_scales, SCALE_PIECES),
+                   st.lists(st.sampled_from(SCALE_PIECES), max_size=5).map("".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=DESCRIPTORS)
+# Near misses that random draws reach only now and then: X, a tab, a trailing
+# non-ASCII digit, a trailing newline, a torus tagged :adj.
+@example(text="A1XT1")
+@example(text="A2\tx T1")
+@example(text="A1\u0663")
+@example(text="B2:sc\n")
+@example(text="T1:adj")
+def test_a_descriptor_is_in_the_grammar_or_exits_2_with_one_error_line(text):
+    want = predicted_info(text)
+    # Ranks stay small, unless an edit has run two digits together.
+    assume(want is None or want[0] <= 12)
+    # --type=TEXT keeps argparse from reading a leading "-" as an option.
+    code, out, err = run_captured("info", f"--type={text}")
+    if want is None:
+        assert_one_error_line(code, out, err)
+    else:
+        obj = json.loads(out)
+        assert (code, err) == (0, "") and (obj["rank"], sorted(obj["type"].split(" x ")), obj["label"]) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=SCALES)
+# A sign "+", a trailing non-ASCII digit, and "--", which argparse before
+# Python 3.13 hands over as [] and which once raised TypeError.
+@example(text="+2")
+@example(text="1\u0663")
+@example(text="--")
+def test_a_scale_is_in_the_grammar_or_exits_2_with_one_error_line(text):
+    code, out, err = run_captured("verify", "--type", "A1:sc", f"--scale={text}", "--no-timing")
+    if SCALE.fullmatch(text):
+        assert (code, err) == (0, "") and json.loads(out)["scaled_n"] == [int(text)]
+    else:
+        assert_one_error_line(code, out, err)

@@ -18,26 +18,33 @@ from conftest import build
 from oracles import (
     add_forms,
     algebra_dim,
+    assert_stored_form,
     basis_owners,
     composed_phi,
     dense_spanning_set,
     densify,
+    dualizing_form,
     evaluate,
+    extended_root_form,
+    gathered_ce_differential,
     lattice_poincare_correction,
     pairing_form,
+    per_root_tautological_two_form,
+    poincare_correction,
     pullback_first,
     pullback_second,
     spanning_set_with_basis,
     subtract,
     tautological_two_form,
 )
-from liedual import ceforms, tduality
+from liedual import ceforms, rootdatum, tduality
 from liedual.tduality import (
     build_pair,
     check_flux_equation,
     check_integrality,
     lattice_pairing_matrix,
 )
+from test_rootdatum import RANK8_TYPES
 
 ORACLE_TYPES = ["T2", "A1xT1:sc", "A1:sc", "A2:sc", "A3:adj", "D4:sc"]
 DEFECT_TYPES = [t for t in ORACLE_TYPES if t != "T2"]
@@ -393,3 +400,57 @@ def test_phi_in_one_dict_equals_the_composed_pullbacks(typ, defect):
     if defect:
         pair = doubled_F(pair)
     assert tduality.flux_residual_form(pair) == composed_phi(pair)
+
+
+# ---------------------------------------------------------------------------
+# The key contract, which InvariantForm leaves to its builders
+
+
+@pytest.mark.parametrize("typ", [t for t in RANK8_TYPES if rootdatum.is_ade(build(t))] + ["A2xT2:sc"])
+def test_every_form_of_the_flux_stage_keeps_the_key_contract(typ):
+    # F, dF, H and Hdual are checked as they are built, since phi is
+    # summed into dF's own dict afterwards.
+    degrees = []
+
+    def checked(builder):
+        def call(arg):
+            out = builder(arg)
+            for w in (arg, out) if isinstance(arg, ceforms.InvariantForm) else (out,):
+                assert_stored_form(w)
+                degrees.append(w.degree)
+            return out
+        return call
+
+    pair = build_pair(build(typ))
+    with mock.patch.object(ceforms, "ce_differential", checked(ceforms.ce_differential)), \
+            mock.patch.object(ceforms, "cartan_three_form", checked(ceforms.cartan_three_form)):
+        phi = tduality.flux_residual_form(pair)
+    assert degrees == [2, 3, 3, 3]
+    for w in (phi, phi.scale(2), phi.scale(-3)):
+        assert_stored_form(w)
+
+
+@pytest.mark.parametrize("typ", ["A1xT1:sc", "A3:adj", "A2xT2:sc", "D4:adj x T2"])
+@pytest.mark.parametrize("defect", [False, True])
+def test_every_form_the_oracles_build_keeps_the_key_contract(typ, defect):
+    pair = build_pair(build(typ))
+    if defect:
+        pair = doubled_F(pair)
+    H = ceforms.cartan_three_form(pair.L)
+    forms = [
+        extended_root_form(pair.L, pair.L.simple_indices[0]),
+        extended_root_form(pair.Ldual, pair.Ldual.simple_indices[-1]),
+        tautological_two_form(pair),
+        poincare_correction(pair),
+        lattice_poincare_correction(pair),
+        dualizing_form(pair),
+        pairing_form(pair),
+        per_root_tautological_two_form(pair),
+        pullback_first(pair, H),
+        pullback_second(pair, ceforms.cartan_three_form(pair.Ldual)),
+        subtract(H, H.scale(2)),
+        gathered_ce_differential(pairing_form(pair)),
+        composed_phi(pair),
+    ]
+    for w in forms:
+        assert_stored_form(w)
