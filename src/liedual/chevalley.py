@@ -8,11 +8,12 @@ Structure constants, Killing values and coroot coordinates are exact ints
 extraspecial-pair method.  The N-table is the one writer of the bracket
 table: each positive triple a + b = s writes the six brackets of its roots
 and their negatives, and an algebra holds a copy of the table's top-level
-dict.  The table is certified post hoc on the generators: the simple root
-vectors and the radical generate the algebra, the Chevalley involution is an
-automorphism of the table, and ad z_k and ad x_a (a simple) are derivations.
-A table that fails this is checked the same way on every basis element,
-which names the first failing triple.
+dict.  Jacobi is certified post hoc, each step run only when the one before
+fails: a simply-laced table is read entry by entry against the Frenkel-Kac
+cocycle table twisted by signs; then the simple root vectors and the radical
+generate the algebra, the Chevalley involution is an automorphism of the
+table, and ad z_k and ad x_a (a simple) are derivations; then that last
+test runs on every basis element, which names the first failing triple.
 """
 
 from collections import defaultdict
@@ -261,10 +262,13 @@ def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
 def jacobi_witness(L: ReductiveLieAlgebra):
     """First basis triple violating Jacobi, in combinations order, or None.
 
-    The generator certificate of ``_certificate`` runs first.  If it fails,
-    each basis element g in turn is tested the same way: the first g where
-    ad g is not a derivation, with its first failing pair j < k, is the
-    first failing triple, since the Jacobiator is alternating."""
+    The cocycle certificate of ``_cocycle_certificate`` (simply-laced tables)
+    runs first, then the generator certificate of ``_certificate``.  If both
+    fail, each basis element g in turn is tested as a generator is: the
+    first g where ad g is not a derivation, with its first failing pair
+    j < k, is the first failing triple, since the Jacobiator is alternating."""
+    if _cocycle_certificate(L):
+        return None
     rows, into, certified = _certificate(L)
     if certified:
         return None
@@ -273,6 +277,64 @@ def jacobi_witness(L: ReductiveLieAlgebra):
         if bad:
             return (g, *min(bad))
     return None
+
+
+def _cocycle_certificate(L):
+    """True when the simple Cartan block A is symmetric, so that its
+    off-diagonal entries are 0 or -1 (a_ij a_ji < 4 on a valid datum), and
+    L.table is the Frenkel-Kac table twisted by signs
+    (Frenkel-Kac, Invent. Math. 62, 1980; Kac, Infinite-dimensional Lie
+    algebras, 7.8).  That table, [h, E_a] = (h, a) E_a, [E_a, E_-a] = -h_a and
+    [E_a, E_b] = eps(a, b) E_(a+b) for a + b a root, is a Lie algebra when
+    eps(a_i, a_j) = -1 for i = j, or i < j and A_ij = -1, else 1, extended
+    bimultiplicatively: eps reads the root coordinates mod 2, packed in an
+    int.  x_a = s_a E_a with s_a = +-1 and s_-a = -s_a is an isomorphism, so
+    Jacobi holds when [h_s, x_a] = P[s][a] x_a, [x_a, x_-a] = h_a and
+    [x_a, x_b] = s_a s_b s_(a+b) eps(a, b) x_(a+b).  A valid datum with such
+    an A is simply laced, so P[a][b] = (a, b) is symmetric: a + b is a root
+    exactly when P[a][b] = -1, and the coroot coordinates (A^-1)^T (P[a][s])_s
+    are the root coordinates A^-1 (P[s][a])_s.  s = 1 on the simple roots,
+    and s_g = s_i s_b eps(a_i, b) N(a_i, b) for g = a_i + b, going up by
+    height.  Every nonzero entry is then read once, and their count must be
+    exact, so no bracket is missing: an N read wrong fails there."""
+    P, simple, table = L.datum.pairing, L.simple_indices, L.table
+    r, nz = len(simple), len(L.radical_basis)
+    A = [[P[s][t] for t in simple] for s in simple]
+    if any(A[i][j] != A[j][i] for i in range(r) for j in range(i)):
+        return False
+    first, roots = nz + r, [lab[1] for lab in L.labels[nz + r:]]
+    coords, npos = [L.coroot_coords[a] for a in roots], len(roots) // 2
+    code = [0] * first + rootdatum._functional_values(coords, 4 * max(map(max, coords), default=0) + 1)
+    bits = [0] * first + rootdatum._functional_values([[c & 1 for c in v] for v in coords], 2)
+    masks = [sum(1 << j for j in range(k, r) if j == k or A[k][j]) for k in range(r)]
+    up = [sum(((b & m).bit_count() & 1) << k for k, m in enumerate(masks)) for b in bits]
+    by_code, xs = dict(zip(code[first:], range(first, L.dim))), [L.index[("x", a)] for a in simple]
+    sign = [0] * L.dim                  # s_x = (-1) ** sign[x]
+    for g in range(first, first + npos):
+        for x in xs:                    # g = a_i + b, a_i the first simple root that fits
+            y = by_code.get(code[g] - code[x])
+            if y is not None:
+                n = table.get((min(x, y), max(x, y)), {}).get(g, 0) * (1 if x < y else -1)
+                sign[g] = (sign[x] ^ sign[y] ^ (bits[x] & up[y]).bit_count() ^ (n < 0)) & 1
+                break
+        sign[g + npos] = sign[g] ^ 1
+    count = 0
+    for (i, j), out in table.items():
+        for k, c in out.items():
+            if not c:
+                continue
+            count += 1
+            if i >= first and j - i == npos:            # [x_a, x_-a] = h_a
+                ok = nz <= k < first and c == coords[i - first][k - nz]
+            elif i >= first:                            # [x_a, x_b] = N x_(a+b)
+                parity = sign[i] ^ sign[j] ^ sign[k] ^ (bits[i] & up[j]).bit_count()
+                ok = code[i] + code[j] == code[k] and c == 1 - 2 * (parity & 1)
+            else:                                       # [h_s, x_a] = P[s][a] x_a
+                ok = nz <= i and k == j >= first and c == P[simple[i - nz]][roots[j - first]]
+            if not ok:
+                return False
+    return count == (sum(len(P[s]) - P[s].count(0) for s in simple)
+                     + sum(len(v) - v.count(0) for v in coords[:npos]) + sum(row.count(-1) for row in P) // 2)
 
 
 def _certificate(L):

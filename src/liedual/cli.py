@@ -21,15 +21,22 @@ EXIT_USAGE = 2
 def _load_datum(args):
     """Root datum from --type or --input; raises ValueError on bad input."""
     if args.type is not None:
-        desc = rootdatum.parse_descriptor(args.type)
+        desc = rootdatum.parse_descriptor(_text(args.type, "--type"))
         d = rootdatum.build_from_dynkin(desc)
     else:
-        with open(args.input) as fh:
+        with open(_text(args.input, "--input")) as fh:
             d = rootdatum.from_json(fh.read())
     rep = rootdatum.validate(d)
     if not rep.ok:
         raise ValueError("root datum fails the axioms: " + json.dumps(rep.as_dict(), sort_keys=True))
     return d
+
+
+def _text(value, option):
+    """value if a str (argparse < 3.13 reads --type=-- as []); "" fails in the parser or open."""
+    if type(value) is not str:
+        raise ValueError(f"{option} must be text, not {value!r}")
+    return value
 
 
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -66,8 +73,8 @@ def _dumps(obj, ind="\n"):
 
 def _emit(obj, out_path=None):
     text = _dumps(obj)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if out_path is not None:
+        with open(_text(out_path, "--out"), "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

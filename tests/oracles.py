@@ -31,7 +31,10 @@ the CLI's writer, and the Smith form with its pivot searched twice is that
 of the one search.  A form's value on basis indices and on coefficient
 vectors, the key contract every stored form meets, the sum and the
 difference of two forms, the bracket of two basis elements, and the coroot
-vector h_alpha are helpers the tests alone use.
+vector h_alpha are helpers the tests alone use.  The Frenkel-Kac table of
+a simply-laced datum, built from its sign cocycle eps and a sign per root
+(read off a built table by cocycle_signs), is the bracket oracle of D and E
+that is no extraspecial-pair recursion.
 """
 
 import json
@@ -720,6 +723,76 @@ def pairwise_structure_table(d: RootDatum):
         elif s in by_vec:
             put(i, j, {index[("x", by_vec[s])]: ntab.constant(a, b)})
     return labels, table
+
+
+def cocycle_eps(A, a, b):
+    """eps(a, b) = (-1)^(sum_i a_i b_i + sum_(i<j, A_ij=-1) a_i b_j) on the
+    simple-root coordinates a, b: the bimultiplicative sign of Frenkel-Kac
+    with eps(a_i, a_j) = -1 when i = j, or i < j and A_ij = -1."""
+    r = len(A)
+    e = sum(a[i] * b[i] for i in range(r)) + sum(a[i] * b[j] for i in range(r) for j in range(i + 1, r) if A[i][j] == -1)
+    return -1 if e % 2 else 1
+
+
+def _cocycle_roots(d):
+    """(simple, A, coordinates, root index by coordinates, positives by height
+    then coordinates, negative of each root index) of d, the coordinates from
+    the Gram solve."""
+    pos, simple = positive_system(d)
+    A = [[d.pairing[s][t] for t in simple] for s in simple]
+    c = simple_coords(d.roots, simple, d.roots)
+    by_vec = {tuple(v): i for i, v in enumerate(c)}
+    neg = [by_vec[tuple(-x for x in v)] for v in c]
+    return simple, A, c, by_vec, sorted(pos, key=lambda i: (sum(c[i]), tuple(c[i]))), neg
+
+
+def cocycle_table(d: RootDatum, signs=None):
+    """(labels, table) of the Frenkel-Kac Lie algebra of a simply-laced datum
+    d (Kac, Infinite-dimensional Lie algebras, 7.8), in the basis order of
+    build_lie_algebra, with x_a = s_a E_a for signs = {root index: s_a}, or
+    s = 1 (the untwisted table) when signs is None:
+    [h_s, x_a] = (a_s, a) x_a, [x_a, x_-a] = -s_a s_-a h_a and
+    [x_a, x_b] = s_a s_b s_(a+b) eps(a, b) x_(a+b), with (a_s, a) and h_a
+    read off the simple-root coordinates of a and the Cartan matrix.  Built
+    from eps and s alone: no N-table and no pairing beyond A."""
+    simple, A, c, by_vec, positives, neg = _cocycle_roots(d)
+    nz = len(integer_kernel([list(r) for r in d.roots])) if d.nroots else d.rank
+    order = positives + [neg[i] for i in positives]
+    labels = [("z", k) for k in range(nz)] + [("h", i) for i in range(len(simple))] + [("x", ri) for ri in order]
+    x = {ri: k for k, ri in enumerate(order, nz + len(simple))}
+    s = signs or dict.fromkeys(range(d.nroots), 1)
+    table = {}
+    for t, row in enumerate(A):
+        for ri in order:
+            v = sum(map(mul, row, c[ri]))
+            if v:
+                table[nz + t, x[ri]] = {x[ri]: v}
+    for a, b in combinations(order, 2):
+        g = by_vec.get(tuple(p + q for p, q in zip(c[a], c[b])))
+        if b == neg[a]:
+            table[x[a], x[b]] = {nz + k: -s[a] * s[b] * v for k, v in enumerate(c[a]) if v}
+        elif g is not None:
+            table[x[a], x[b]] = {x[g]: s[a] * s[b] * s[g] * cocycle_eps(A, c[a], c[b])}
+    return labels, table
+
+
+def cocycle_signs(L):
+    """{root index: s_a} read off L.table going up by height: s = 1 on the
+    simple roots, s_g = s_i s_b eps(a_i, b) N(a_i, b) for g = a_i + b with
+    a_i the last simple root that fits, and s_-a = -s_a."""
+    simple, A, c, by_vec, positives, neg = _cocycle_roots(L.datum)
+    s = {}
+    for g in positives:
+        for k in reversed(range(len(simple))):
+            b = by_vec.get(tuple(v - (i == k) for i, v in enumerate(c[g])))
+            if b is not None:               # a positive root: g is not simple
+                xa, xb, xg = (L.index["x", ri] for ri in (simple[k], b, g))
+                s[g] = s[simple[k]] * s[b] * cocycle_eps(A, c[simple[k]], c[b]) * bracket_basis(L, xa, xb)[xg]
+                break
+        else:
+            s[g] = 1
+        s[neg[g]] = -s[g]
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,17 @@ def test_an_empty_descriptor_exits_2(capsys, cmd):
 
 
 @pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
+@pytest.mark.parametrize("argv", [["--type=--"], ["--input=--"], ["--type", "A1:sc", "--out=--"],
+                                  ["--type", "A1:sc", "--out", ""]])
+def test_an_option_with_no_text_exits_2(capsys, cmd, argv):
+    # argparse before 3.13 reads --type=-- and --input=-- as [], which once
+    # died with a TypeError, exit 1; --out=-- (also []) and --out "" once
+    # printed to stdout with exit 0.
+    code, out, err = run(capsys, cmd, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
 @pytest.mark.parametrize("desc,token", [("A01", "A01"), ("E06", "E06"), ("A1xT00", "T00")])
 def test_a_rank_with_a_leading_zero_exits_2(capsys, cmd, desc, token):
     code, out, err = run(capsys, cmd, "--type", desc)

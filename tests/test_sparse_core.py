@@ -14,16 +14,16 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build
 from liedual import ceforms, chevalley, exactlin, rootdatum, tduality
 from liedual.chevalley import build_lie_algebra
 import oracles
-from oracles import (FractionNTable, VectorNTable, bracket_basis, dense_killing, generates,
-                     generator_certificate, ordered_sweep, pairwise_structure_table, signed_rows,
-                     trace_kappa, trace_killing_matrix)
+from oracles import (FractionNTable, VectorNTable, bracket_basis, cartan_is_ade, cocycle_signs, cocycle_table,
+                     dense_killing, generates, generator_certificate, ordered_sweep, pairwise_structure_table,
+                     signed_rows, trace_kappa, trace_killing_matrix)
 from test_rootdatum import RANK8_TYPES, change_basis, small_data, unimodular_pair
 from test_tduality import NON_SPLIT, any_pair_of
 
@@ -224,16 +224,153 @@ CERTIFIED_TYPES = [t for t in RANK8_TYPES if "x" not in t and t[0] != "T"] + ["A
 
 @pytest.mark.parametrize("typ", CERTIFIED_TYPES)
 def test_the_generator_certificate_passes_without_the_sweep(typ):
-    # One Jacobiator per half generator (z_k and x_a, a simple) and none on
-    # any other basis element: the sweep does not run.
+    # A simply-laced table (a torus's included) passes the cocycle
+    # certificate, and no Jacobiator runs.  On B, C, F and G, one
+    # Jacobiator per half generator (z_k and x_a, a simple) and none on any
+    # other basis element: the sweep does not run.  The generator
+    # certificate passes on every type.
     with mock.patch.object(chevalley, "jacobi_witness", wraps=chevalley.jacobi_witness) as witness, \
             mock.patch.object(chevalley, "_jacobiator", wraps=chevalley._jacobiator) as jacobiator:
         L = build_lie_algebra(build(typ))
     assert witness.call_count == 1
     sigma = chevalley._involution(L)
     half = [g for g in chevalley._generators(L, sigma) if g <= sigma[g]]
-    assert [call.args[2] for call in jacobiator.call_args_list] == half
+    ade = cartan_is_ade(L.datum)
+    assert [call.args[2] for call in jacobiator.call_args_list] == ([] if ade else half)
+    assert chevalley._cocycle_certificate(L) is ade
     assert chevalley._certificate(L)[2] is True
+
+
+COCYCLE_TYPES = [t for t in RANK8_TYPES if not set("BCFG") & set(t)]
+
+
+def untwisted(L):
+    """A shallow copy of L holding the untwisted cocycle table of its datum."""
+    labels, table = cocycle_table(L.datum)
+    assert labels == list(L.labels)
+    U = copy.copy(L)
+    U.table, U._killing = table, None
+    return U
+
+
+@pytest.fixture(scope="module")
+def dense_verdicts():
+    """dense_jacobi_witness by table, so that data with one table (A2:sc and
+    A2:adj) sweep it once."""
+    return {}
+
+
+@pytest.mark.parametrize("typ", COCYCLE_TYPES + ["D16:sc"])
+def test_the_untwisted_cocycle_table_is_a_lie_algebra(typ, dense_verdicts):
+    # Frenkel-Kac: the table of eps alone satisfies Jacobi.  Its involution
+    # is E_a -> E_-a, h -> -h, so the Chevalley involution omega
+    # (x_a -> -x_-a) is no automorphism of it once a root pair brackets to
+    # a root; it is of the twisted table, where s_-a = -s_a.
+    U = untwisted(build_lie_algebra(build(typ)))
+    generated, omega, derivations = generator_certificate(U)
+    assert generated and derivations
+    root_to_root = any(U.labels[i][0] == U.labels[next(iter(out))][0] == "x" for (i, _), out in U.table.items())
+    assert omega is not root_to_root
+    key = tuple(sorted((ij, tuple(sorted(out.items()))) for ij, out in U.table.items()))
+    if key not in dense_verdicts:
+        dense_verdicts[key] = dense_jacobi_witness(U)
+    assert dense_verdicts[key] is None
+
+
+def assert_twisted_cocycle_table(d):
+    """The built table of d is the cocycle table twisted by the signs read
+    off it, entry for entry, with the same labels."""
+    L = build_lie_algebra(d)
+    assert cocycle_table(d, cocycle_signs(L)) == (list(L.labels), L.table)
+
+
+@pytest.mark.parametrize("typ", COCYCLE_TYPES + ["D16:sc", "E8xE8:sc"])
+def test_the_built_table_is_the_twisted_cocycle_table(typ):
+    assert_twisted_cocycle_table(build(typ))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=small_data(), dual=st.booleans(), data=st.data())
+def test_the_twisted_cocycle_table_survives_a_change_of_lattice_basis(d, dual, data):
+    assume(cartan_is_ade(d))
+    d = rootdatum.dualize(d) if dual else d
+    assert_twisted_cocycle_table(change_basis(d, *data.draw(unimodular_pair(d.rank))))
+
+
+def parent_witness(L):
+    """jacobi_witness(L) with the cocycle certificate refusing every table:
+    the generator certificate, then the sweep."""
+    with mock.patch.object(chevalley, "_cocycle_certificate", return_value=False):
+        return chevalley.jacobi_witness(L)
+
+
+def test_the_cocycle_certificate_agrees_with_the_dense_oracle(omega_bases, central_bases):
+    passes = Counter()
+    for typ, kind, detail, L in perturbation_families(omega_bases, central_bases):
+        witness = chevalley.jacobi_witness(L)
+        if chevalley._cocycle_certificate(L):
+            passes[kind] += 1
+            assert dense_jacobi_witness(L) is None, (typ, kind, detail)
+        assert witness == parent_witness(L), (typ, kind, detail)
+    # No perturbation is a sign twist of the table: each is refused.
+    assert passes == {}
+    for typ, base in sorted({**omega_bases, **central_bases}.items()):
+        assert chevalley._cocycle_certificate(base) is cartan_is_ade(base.datum), typ
+
+
+def moved_weight(L):
+    """L with one nonzero [h_s, x_a] = c x_a moved to a key [h_s, x_b]
+    whose bracket is 0, as c x_b: the nonzero count stays the same."""
+    key = _first_entry(L, "weight")
+    (c,) = L.table[key].values()
+    new = next((key[0], j) for j in range(key[1] + 1, L.dim) if (key[0], j) not in L.table)
+    L.table = {k: v for k, v in L.table.items() if k != key}
+    L.table[new] = {new[1]: c}
+    return L
+
+
+def moved_output(L):
+    """L with one [x_a, x_b] = c x_(a+b) written as c x_g, for another root g
+    with the sign s_(a+b): the value is the twisted cocycle's, the output
+    root is not a + b."""
+    s = cocycle_signs(L)
+    # The last such entry brackets two negative roots, so no sign is read off it.
+    key = max(key for key, out in L.table.items() if {L.labels[x][0] for x in (*key, *out)} == {"x"})
+    ((k, c),) = L.table[key].items()
+    g = next(x for x in range(L.dim) if L.labels[x][0] == "x" and x != k and s[L.labels[x][1]] == s[L.labels[k][1]])
+    L.table = {**L.table, key: {g: c}}
+    return L
+
+
+def moved_to_the_radical(L):
+    """L with one [h_s, x_a] = c x_a (s the last simple root) moved to
+    [z_0, x_a] = c x_a: the radical is central, so no key starts at z."""
+    key = next(key for key in sorted(L.table) if L.labels[key[0]] == ("h", len(L.simple_indices) - 1))
+    L.table = {k: v for k, v in L.table.items() if k != key}
+    L.table[L.index["z", 0], key[1]] = {key[1]: L.datum.pairing[L.simple_indices[-1]][L.labels[key[1]][1]]}
+    return L
+
+
+MOVES = {"moved-weight": moved_weight, "moved-output": moved_output, "radical": moved_to_the_radical}
+
+
+@pytest.mark.parametrize("typ", ["A3:sc", "D4:sc", "E6:sc"])
+@pytest.mark.parametrize("kind", ["N", "coroot", "weight", "zeroed-N", *MOVES])
+def test_a_cocycle_control_falls_through_to_the_same_witness(typ, kind):
+    L = build_lie_algebra(build(typ.replace(":sc", "xT1:sc") if kind == "radical" else typ))
+    assert chevalley._cocycle_certificate(L)
+    if kind in MOVES:
+        L = MOVES[kind](L)
+    else:
+        key = _first_entry(L, "N" if kind == "zeroed-N" else kind)
+        # A zeroed N keeps its key with a zero-valued term, which the
+        # count of nonzero terms does not take for the bracket.
+        change = (lambda c: 0) if kind == "zeroed-N" else (lambda c: -c)
+        L.table = {**L.table, key: {k: change(c) for k, c in L.table[key].items()}}
+    assert not chevalley._cocycle_certificate(L)
+    witness = chevalley.jacobi_witness(L)
+    assert witness is not None
+    assert witness == parent_witness(L) == dense_jacobi_witness(L)
 
 
 def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
