@@ -295,8 +295,8 @@ def _cocycle_certificate(L):
     exactly when P[a][b] = -1, and the coroot coordinates (A^-1)^T (P[a][s])_s
     are the root coordinates A^-1 (P[s][a])_s.  s = 1 on the simple roots,
     and s_g = s_i s_b eps(a_i, b) N(a_i, b) for g = a_i + b, going up by
-    height.  Every nonzero entry is then read once, and their count must be
-    exact, so no bracket is missing: an N read wrong fails there."""
+    height.  Every nonzero entry of a key i < j is then read once, and their
+    count must be exact, so no bracket is missing: an N read wrong fails there."""
     P, simple, table = L.datum.pairing, L.simple_indices, L.table
     r, nz = len(simple), len(L.radical_basis)
     A = [[P[s][t] for t in simple] for s in simple]
@@ -320,6 +320,8 @@ def _cocycle_certificate(L):
         sign[g + npos] = sign[g] ^ 1
     count = 0
     for (i, j), out in table.items():
+        if i >= j:                                      # the formulas read [e_i, e_j] with i < j
+            return False
         for k, c in out.items():
             if not c:
                 continue

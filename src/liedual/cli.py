@@ -21,22 +21,15 @@ EXIT_USAGE = 2
 def _load_datum(args):
     """Root datum from --type or --input; raises ValueError on bad input."""
     if args.type is not None:
-        desc = rootdatum.parse_descriptor(_text(args.type, "--type"))
+        desc = rootdatum.parse_descriptor(args.type)
         d = rootdatum.build_from_dynkin(desc)
     else:
-        with open(_text(args.input, "--input")) as fh:
+        with open(args.input) as fh:
             d = rootdatum.from_json(fh.read())
     rep = rootdatum.validate(d)
     if not rep.ok:
         raise ValueError("root datum fails the axioms: " + json.dumps(rep.as_dict(), sort_keys=True))
     return d
-
-
-def _text(value, option):
-    """value if a str (argparse < 3.13 reads --type=-- as []); "" fails in the parser or open."""
-    if type(value) is not str:
-        raise ValueError(f"{option} must be text, not {value!r}")
-    return value
 
 
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -74,7 +67,7 @@ def _dumps(obj, ind="\n"):
 def _emit(obj, out_path=None):
     text = _dumps(obj)
     if out_path is not None:
-        with open(_text(out_path, "--out"), "w") as fh:
+        with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -164,6 +157,12 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        # argparse before 3.13 reads --type=-- as []; --type "" fails in the
+        # parser and --input "" in open, --out "" here, before any work.
+        for option in ("type", "input", "out"):
+            value = getattr(args, option)
+            if value is not None and (type(value) is not str or option == "out" and not value):
+                raise ValueError(f"--{option} must be non-empty text, not {value!r}")
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -275,14 +276,21 @@ def test_an_empty_descriptor_exits_2(capsys, cmd):
 
 
 @pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])
-@pytest.mark.parametrize("argv", [["--type=--"], ["--input=--"], ["--type", "A1:sc", "--out=--"],
-                                  ["--type", "A1:sc", "--out", ""]])
-def test_an_option_with_no_text_exits_2(capsys, cmd, argv):
+@pytest.mark.parametrize("argv", [
+    ["--type=--"], ["--input=--"], ["--type", "A1:sc", "--out", ""],
+    # Python 3.13 hands --out=-- over as "--", a file name like any other.
+    pytest.param(["--type", "A1:sc", "--out=--"],
+                 marks=pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse reads --out=-- as '--'"))])
+def test_an_option_with_no_text_exits_2(capsys, monkeypatch, tmp_path, cmd, argv):
     # argparse before 3.13 reads --type=-- and --input=-- as [], which once
-    # died with a TypeError, exit 1; --out=-- (also []) and --out "" once
-    # printed to stdout with exit 0.
-    code, out, err = run(capsys, cmd, *argv)
-    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, err
+    # died with a TypeError, exit 1; --out=-- (also [] there) and --out ""
+    # once printed to stdout with exit 0.  Each is refused before the datum
+    # is loaded, and no file is written.
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(cli, "_load_datum", side_effect=AssertionError("loaded")):
+        code, out, err = run(capsys, cmd, *argv)
+    assert (code, out) == (2, "") and re.fullmatch(r"error: --\w+ must be non-empty text, not .*\n", err), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", [name for name, _, _ in cli.COMMANDS])

@@ -253,28 +253,20 @@ def untwisted(L):
     return U
 
 
-@pytest.fixture(scope="module")
-def dense_verdicts():
-    """dense_jacobi_witness by table, so that data with one table (A2:sc and
-    A2:adj) sweep it once."""
-    return {}
-
-
 @pytest.mark.parametrize("typ", COCYCLE_TYPES + ["D16:sc"])
-def test_the_untwisted_cocycle_table_is_a_lie_algebra(typ, dense_verdicts):
-    # Frenkel-Kac: the table of eps alone satisfies Jacobi.  Its involution
-    # is E_a -> E_-a, h -> -h, so the Chevalley involution omega
-    # (x_a -> -x_-a) is no automorphism of it once a root pair brackets to
-    # a root; it is of the twisted table, where s_-a = -s_a.
+def test_the_untwisted_cocycle_table_is_a_lie_algebra(typ):
+    # Frenkel-Kac: the table of eps alone satisfies Jacobi, on every triple
+    # (the streaming oracle skips only those with three absent brackets,
+    # whose Jacobiator is 0).  Its involution is E_a -> E_-a, h -> -h, so
+    # the Chevalley involution omega (x_a -> -x_-a) is no automorphism of
+    # it once a root pair brackets to a root; it is of the twisted table,
+    # where s_-a = -s_a.
     U = untwisted(build_lie_algebra(build(typ)))
     generated, omega, derivations = generator_certificate(U)
     assert generated and derivations
     root_to_root = any(U.labels[i][0] == U.labels[next(iter(out))][0] == "x" for (i, _), out in U.table.items())
     assert omega is not root_to_root
-    key = tuple(sorted((ij, tuple(sorted(out.items()))) for ij, out in U.table.items()))
-    if key not in dense_verdicts:
-        dense_verdicts[key] = dense_jacobi_witness(U)
-    assert dense_verdicts[key] is None
+    assert streaming_jacobi_witness(U) is None
 
 
 def assert_twisted_cocycle_table(d):
@@ -351,7 +343,17 @@ def moved_to_the_radical(L):
     return L
 
 
-MOVES = {"moved-weight": moved_weight, "moved-output": moved_output, "radical": moved_to_the_radical}
+def reversed_key(L):
+    """L with one [h_s, x_a] = x_a written under the key (x_a, h_s): same
+    entry and count, but read in key order it says [h_s, x_a] = -x_a.  Read
+    as [x_a, x_b] with x_b = h_s, the value 1 looks like an N of sign +1."""
+    key = min(key for key, out in L.table.items() if L.labels[key[0]][0] == "h" and out == {key[1]: 1})
+    L.table = {(k[::-1] if k == key else k): v for k, v in L.table.items()}
+    return L
+
+
+MOVES = {"moved-weight": moved_weight, "moved-output": moved_output, "radical": moved_to_the_radical,
+         "reversed": reversed_key}
 
 
 @pytest.mark.parametrize("typ", ["A3:sc", "D4:sc", "E6:sc"])
@@ -370,7 +372,10 @@ def test_a_cocycle_control_falls_through_to_the_same_witness(typ, kind):
     assert not chevalley._cocycle_certificate(L)
     witness = chevalley.jacobi_witness(L)
     assert witness is not None
-    assert witness == parent_witness(L) == dense_jacobi_witness(L)
+    assert witness == parent_witness(L)
+    # The sweep reads a key (i, j) as i < j, as every built table writes it,
+    # so on a reversed key its witness need not be the dense one.
+    assert dense_jacobi_witness(L) == witness if kind != "reversed" else dense_jacobi_witness(L) is not None
 
 
 def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
