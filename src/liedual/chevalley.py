@@ -10,10 +10,10 @@ table: each positive triple a + b = s writes the six brackets of its roots
 and their negatives, and an algebra holds a copy of the table's top-level
 dict.  Jacobi is certified post hoc, each step run only when the one before
 fails: a simply-laced table is read entry by entry against the Frenkel-Kac
-cocycle table twisted by signs; then the simple root vectors and the radical
-generate the algebra, the Chevalley involution is an automorphism of the
-table, and ad z_k and ad x_a (a simple) are derivations; then that last
-test runs on every basis element, which names the first failing triple.
+cocycle table twisted by signs, h_a checked against P; then the simple root
+vectors and the radical generate the algebra, the Chevalley involution is an
+automorphism of the table, and ad z_k, ad x_a (a simple) are derivations; then
+that last test runs on every basis element, naming the first failing triple.
 """
 
 from collections import defaultdict
@@ -28,7 +28,7 @@ class JacobiError(RuntimeError):
 
 
 class ReductiveLieAlgebra:
-    def __init__(self, datum, labels, table, radical_basis, simple_indices, coroot_coords, kappa):
+    def __init__(self, datum, labels, table, radical_basis, simple_indices, kappa):
         self.datum = datum
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(labels)}
@@ -36,7 +36,6 @@ class ReductiveLieAlgebra:
         self.table = table                      # {(i, j) i<j: {k: int}}
         self.radical_basis = radical_basis      # integer vectors in Lambda
         self.simple_indices = tuple(simple_indices)
-        self.coroot_coords = coroot_coords      # root index -> int coords in simple coroots, off the pairing
         self.kappa = kappa                      # root index -> K(h_a, h_a), the N-table's root sums
         self._killing = None
 
@@ -243,16 +242,14 @@ def build_lie_algebra(d: RootDatum, tables=None) -> ReductiveLieAlgebra:
         if tables is not None:
             tables.append(ntab)
 
-    # Basis order: radical, simple coroots, root vectors in ntab.order; the
-    # coroot coordinates in the simple-coroot basis, in basis order.
+    # Basis order: radical, simple coroots, root vectors in ntab.order.
     labels = (
         [("z", k) for k in range(len(radical_basis))]
         + [("h", i) for i in range(len(simple_indices))]
         + [("x", ri) for ri in ntab.order]
     )
-    coroot_coords = {ri: ntab.coroot_coords[ri] for ri in ntab.order}
 
-    L = ReductiveLieAlgebra(d, labels, dict(ntab.table), radical_basis, simple_indices, coroot_coords, ntab.kappa)
+    L = ReductiveLieAlgebra(d, labels, dict(ntab.table), radical_basis, simple_indices, ntab.kappa)
     bad = jacobi_witness(L)
     if bad is not None:
         raise JacobiError(f"Jacobi identity fails on basis triple {bad}")
@@ -292,22 +289,28 @@ def _cocycle_certificate(L):
     Jacobi holds when [h_s, x_a] = P[s][a] x_a, [x_a, x_-a] = h_a and
     [x_a, x_b] = s_a s_b s_(a+b) eps(a, b) x_(a+b).  A valid datum with such
     an A is simply laced, so P[a][b] = (a, b) is symmetric: a + b is a root
-    exactly when P[a][b] = -1, and the coroot coordinates (A^-1)^T (P[a][s])_s
-    are the root coordinates A^-1 (P[s][a])_s.  s = 1 on the simple roots,
-    and s_g = s_i s_b eps(a_i, b) N(a_i, b) for g = a_i + b, going up by
-    height.  Every nonzero entry of a key i < j is then read once, and their
-    count must be exact, so no bracket is missing: an N read wrong fails there."""
+    exactly when P[a][b] = -1.  Only P, the chamber, the layout and the table
+    are read: A c_a = (P[s][a])_s, c_a the h_a of [x_a, x_-a], makes c_a a's
+    root and coroot coordinates (A is invertible and symmetric); -a is coded
+    -c_a.  s = 1 on the simple roots, and s_g = s_i s_b eps(a_i, b) N(a_i, b)
+    for g = a_i + b, going up by height.  Every nonzero entry of a key i < j
+    is then read once, and their count must be exact, so no bracket is
+    missing: an N read wrong fails there."""
     P, simple, table = L.datum.pairing, L.simple_indices, L.table
     r, nz = len(simple), len(L.radical_basis)
     A = [[P[s][t] for t in simple] for s in simple]
     if any(A[i][j] != A[j][i] for i in range(r) for j in range(i)):
         return False
     first, roots = nz + r, [lab[1] for lab in L.labels[nz + r:]]
-    coords, npos = [L.coroot_coords[a] for a in roots], len(roots) // 2
-    code = [0] * first + rootdatum._functional_values(coords, 4 * max(map(max, coords), default=0) + 1)
-    bits = [0] * first + rootdatum._functional_values([[c & 1 for c in v] for v in coords], 2)
+    npos = len(roots) // 2
+    coords = [list(map(table.get((x, x + npos), {}).get, range(nz, first), [0] * r)) for x in range(first, first + npos)]
+    if exactlin.column_products(A, coords) != [[P[s][a] for a in roots[:npos]] for s in simple]:
+        return False                    # h_a is not a's coroot
+    code = rootdatum._functional_values(coords, 4 * max((max(map(abs, v)) for v in coords), default=0) + 1)
+    bits = rootdatum._functional_values([[c & 1 for c in v] for v in coords], 2)
     masks = [sum(1 << j for j in range(k, r) if j == k or A[k][j]) for k in range(r)]
-    up = [sum(((b & m).bit_count() & 1) << k for k, m in enumerate(masks)) for b in bits]
+    up = [0] * first + [sum(((b & m).bit_count() & 1) << k for k, m in enumerate(masks)) for b in bits] * 2
+    code, bits = [0] * first + code + [-x for x in code], [0] * first + bits * 2
     by_code, xs = dict(zip(code[first:], range(first, L.dim))), [L.index[("x", a)] for a in simple]
     sign = [0] * L.dim                  # s_x = (-1) ** sign[x]
     for g in range(first, first + npos):
@@ -327,7 +330,7 @@ def _cocycle_certificate(L):
                 continue
             count += 1
             if i >= first and j - i == npos:            # [x_a, x_-a] = h_a
-                ok = nz <= k < first and c == coords[i - first][k - nz]
+                ok = nz <= k < first
             elif i >= first:                            # [x_a, x_b] = N x_(a+b)
                 parity = sign[i] ^ sign[j] ^ sign[k] ^ (bits[i] & up[j]).bit_count()
                 ok = code[i] + code[j] == code[k] and c == 1 - 2 * (parity & 1)
@@ -336,7 +339,7 @@ def _cocycle_certificate(L):
             if not ok:
                 return False
     return count == (sum(len(P[s]) - P[s].count(0) for s in simple)
-                     + sum(len(v) - v.count(0) for v in coords[:npos]) + sum(row.count(-1) for row in P) // 2)
+                     + sum(len(v) - v.count(0) for v in coords) + sum(row.count(-1) for row in P) // 2)
 
 
 def _certificate(L):

@@ -31,13 +31,14 @@ the CLI's writer, and the Smith form with its pivot searched twice is that
 of the one search.  A form's value on basis indices and on coefficient
 vectors, the key contract every stored form meets, the sum and the
 difference of two forms, the bracket of two basis elements, and the coroot
-vector h_alpha are helpers the tests alone use.  The Frenkel-Kac table of
-a simply-laced datum, built from its sign cocycle eps and a sign per root
-(read off a built table by cocycle_signs), is the bracket oracle of D and E
-that is no extraspecial-pair recursion.
+vector h_alpha, solved off the datum's coroots, are helpers the tests alone
+use.  The Frenkel-Kac table of a simply-laced datum, built from its sign
+cocycle eps and a sign per root (read off a built table by cocycle_signs),
+is the bracket oracle of D and E that is no extraspecial-pair recursion.
 """
 
 import json
+import weakref
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd
@@ -411,11 +412,26 @@ def bracket(L, x, y):
     return out
 
 
+_COROOT_COORDS = weakref.WeakKeyDictionary()
+
+
+def coroot_coordinates(L):
+    """The coordinates of every coroot of L's datum in its simple coroots,
+    by root index, from one Gram solve per algebra (simple_coords), kept
+    while L lives.  Neither the N-table nor the bracket table enters, so
+    the oracles built on h_alpha do not agree with a wrong coroot list."""
+    coords = _COROOT_COORDS.get(L)
+    if coords is None:
+        d = L.datum
+        coords = _COROOT_COORDS[L] = simple_coords(d.coroots, L.simple_indices, d.coroots)
+    return coords
+
+
 def coroot_vector(L, root_index):
-    """h_alpha as a basis coefficient vector of L."""
+    """h_alpha as a basis coefficient vector of L, solved off the coroots."""
     out = [0] * L.dim
     nz = len(L.radical_basis)
-    out[nz : nz + len(L.simple_indices)] = L.coroot_coords[root_index]
+    out[nz : nz + len(L.simple_indices)] = coroot_coordinates(L)[root_index]
     return out
 
 
@@ -1451,9 +1467,9 @@ def spanning_set_with_basis(pairobj: ProductPair):
     h0, hd0 = len(L.radical_basis), n + len(Ldual.radical_basis)
     simple = set(L.simple_indices)
     for ri in range(d.nroots):
-        add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(L.coroot_coords[ri]) if v}, ri in simple)
+        add(f"h[{ri}]", {h0 + c: v for c, v in enumerate(coroot_coordinates(L)[ri]) if v}, ri in simple)
         add(f"x+phix[{ri}]", {L.index[("x", ri)]: 1, n + Ldual.index[("x", ri)]: 1}, True)
-        add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(Ldual.coroot_coords[ri]) if v}, ri in simple)
+        add(f"hdual[{ri}]", {hd0 + c: v for c, v in enumerate(coroot_coordinates(Ldual)[ri]) if v}, ri in simple)
     for k in range(len(L.radical_basis)):
         add(f"z[{k}]", {L.index[("z", k)]: 1}, True)
         add(f"zdual[{k}]", {n + Ldual.index[("z", k)]: 1}, True)

@@ -541,3 +541,121 @@ def test_a_scale_is_in_the_grammar_or_exits_2_with_one_error_line(text):
         assert (code, err) == (0, "") and json.loads(out)["scaled_n"] == [int(text)]
     else:
         assert_one_error_line(code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# Datum documents by mutation: every malformed one exits 2, every
+# re-serialization of a valid one prints the same bytes
+
+
+JSON_TYPES = ["A2:sc", "B2:sc", "A1xT1:sc", "G2"]
+INPUT_COMMANDS = [["info"], ["dualize"], ["cartan"], ["export-algebra"], ["verify", "--no-timing"]]
+DOCUMENTS = {typ: json.loads(rootdatum.to_json(rootdatum.build_from_dynkin(rootdatum.parse_descriptor(typ))))
+             for typ in JSON_TYPES}
+
+
+@pytest.fixture(scope="module")
+def datum_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "datum.json"
+
+
+def run_documents(path, data):
+    """(code, stdout, stderr) of every --input command on the bytes data."""
+    path.write_bytes(data)
+    return [run_captured(*cmd, "--input", str(path)) for cmd in INPUT_COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def canonical_runs(datum_file):
+    """By type, (code, stdout, stderr) of every --input command on its
+    to_json text: verify exits 1 on a datum outside ADE, and nothing writes
+    to stderr."""
+    runs = {typ: run_documents(datum_file, rootdatum.to_json(rootdatum.from_json_dict(obj)).encode())
+            for typ, obj in DOCUMENTS.items()}
+    assert all(code in (0, 1) and out and err == "" for r in runs.values() for code, out, err in r), runs
+    return runs
+
+
+def int_paths(obj):
+    """The paths (keys and list indices) of every int in the document."""
+    yield ("rank",)
+    for key in ("roots", "coroots"):
+        for i, v in enumerate(obj[key]):
+            yield from ((key, i, j) for j in range(len(v)))
+
+
+def replaced(obj, path, value):
+    """A deep copy of obj with the value at path (() for obj itself) set to
+    value(old)."""
+    if not path:
+        return value(obj)
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value(parent[path[-1]])
+    return obj
+
+
+@st.composite
+def malformed_documents(draw):
+    """(type, bytes) of one datum document with one mutation: a bool, float,
+    string, NaN, infinity or null for an int; an extra, missing or repeated
+    key; one more level of nesting; a byte-order mark; trailing text."""
+    typ = draw(st.sampled_from(JSON_TYPES))
+    obj = DOCUMENTS[typ]
+    kind = draw(st.sampled_from(["not-int", "extra", "missing", "repeated", "nested", "bom", "trailing"]))
+    text = None
+    if kind == "not-int":
+        path = draw(st.sampled_from(list(int_paths(obj))))
+        old = obj
+        for step in path:
+            old = old[step]
+        new = draw(st.sampled_from([True, False, float(old), str(old), float("nan"), float("inf"), None]))
+        obj = replaced(obj, path, lambda x: new)
+    elif kind == "extra":
+        obj = {**obj, draw(st.sampled_from(["Rank", "rank ", "lable", "weights", "", "\n"])): 0}
+    elif kind == "missing":
+        key = draw(st.sampled_from(["rank", "roots", "coroots"]))
+        obj = {k: v for k, v in obj.items() if k != key}
+    elif kind == "repeated":
+        key = draw(st.sampled_from(sorted(obj)))
+        text = "{" + f"{json.dumps(key)}: {json.dumps(obj[key])}, " + json.dumps(obj)[1:]
+    elif kind == "nested":
+        paths = [(), ("rank",), ("roots",), ("coroots",), *int_paths(obj)]
+        paths += [(key, i) for key in ("roots", "coroots") for i in range(len(obj[key]))]
+        obj = replaced(obj, draw(st.sampled_from(paths)), lambda x: [x])
+    text = json.dumps(obj) if text is None else text
+    if kind == "bom":
+        return typ, b"\xef\xbb\xbf" + text.encode()
+    if kind == "trailing":
+        text += draw(st.sampled_from(["x", "0", "{}", "[]", ",", "null", " 1", "\n}"]))
+    return typ, text.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=malformed_documents())
+def test_a_malformed_datum_document_exits_2_on_every_input_command(datum_file, document):
+    typ, data = document
+    for code, out, err in run_documents(datum_file, data):
+        assert_one_error_line(code, out, err)
+
+
+@st.composite
+def reserialized_documents(draw):
+    """(type, bytes) of one datum document with its keys in another order and
+    other white space between and around its tokens."""
+    typ = draw(st.sampled_from(JSON_TYPES))
+    obj = DOCUMENTS[typ]
+    keys = draw(st.permutations(sorted(obj)))
+    space = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \n\t"])
+    text = json.dumps({k: obj[k] for k in keys}, indent=draw(st.one_of(st.none(), st.integers(0, 3), space)),
+                      separators=(draw(space) + "," + draw(space), draw(space) + ":" + draw(space)))
+    return typ, (draw(space) + text + draw(space)).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=reserialized_documents())
+def test_a_reserialized_datum_document_prints_the_same_bytes(datum_file, canonical_runs, document):
+    typ, data = document
+    assert run_documents(datum_file, data) == canonical_runs[typ]

@@ -319,6 +319,24 @@ def test_angle_positivity_gives_the_loop_witness_on_a_seeded_defect(typ, symmetr
         assert not rec.passed
 
 
+def test_an_angle_product_of_five_is_refused():
+    # The bound is exact: on G2 the products P[i][j] P[j][i] run over 0..4,
+    # and a long-short product raised from 3 to 5 is refused, with the
+    # loop's witness.
+    d = build("G2")
+    assert tduality.check_angle_positivity(SimpleNamespace(datum=d)).passed
+    P = [list(row) for row in d.pairing]
+    i, j = next((i, j) for i, row in enumerate(P) for j, v in enumerate(row) if v == -3)
+    assert P[j][i] == -1
+    P[i][j] = -5
+    seeded = fresh(d)
+    seeded.__dict__["pairing"] = tuple(map(tuple, P))
+    pairobj = SimpleNamespace(datum=seeded)
+    rec = tduality.check_angle_positivity(pairobj)
+    assert (rec.passed, rec.residual) == (False, "5/1")
+    assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
+
+
 @settings(max_examples=100, deadline=None)
 @given(typ=st.sampled_from(["A2:sc", "D4:sc", "E6:sc"]), data=st.data())
 def test_the_asymmetry_of_a_seeded_pairing_is_the_ordered_scan(typ, data):

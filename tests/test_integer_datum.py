@@ -266,11 +266,18 @@ def test_coroot_coordinates_match_the_gram_solve_in_any_lattice_basis(d, data):
 
 @pytest.mark.parametrize("typ", ["A2:sc", "D4:adj x T2", "B3xG2", "E6:sc", "A1xT1:sc", "T1"])
 def test_the_algebra_takes_the_coroot_coordinates_of_its_n_table(typ):
+    # [x_a, x_-a] = h_a for each positive a, x_-a npos places after x_a:
+    # the table's h block is the N-table's coroot list and the Gram solve.
     d = build(typ)
     L = chevalley.build_lie_algebra(d)
-    roots = [ri for kind, ri in L.labels if kind == "x"]
-    assert list(L.coroot_coords) == roots
-    assert list(L.coroot_coords.values()) == simple_coords(d.coroots, L.simple_indices, [d.coroots[ri] for ri in roots])
+    nz, first = len(L.radical_basis), len(L.radical_basis) + len(L.simple_indices)
+    npos = (L.dim - first) // 2
+    positives = [L.labels[x][1] for x in range(first, first + npos)]
+    read = [tuple(L.table[x, x + npos].get(h, 0) for h in range(nz, first)) for x in range(first, first + npos)]
+    ntab = chevalley._NTable(d, *rootdatum.positive_system(d))
+    assert read == [ntab.coroot_coords[ri] for ri in positives]
+    assert read == simple_coords(d.coroots, L.simple_indices, [d.coroots[ri] for ri in positives])
+    assert all(set(L.table[x, x + npos]) <= set(range(nz, first)) for x in range(first, first + npos))
 
 
 def test_coroots_off_a_root_system_never_reach_the_pairing_coordinates():

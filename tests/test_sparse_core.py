@@ -6,6 +6,7 @@ value is refused rather than truncated, and that the Gram solve of simple
 coordinates (the oracle for the coordinates read off the pairing) matches
 one solve per vector."""
 
+import contextlib
 import copy
 import re
 from collections import Counter
@@ -378,6 +379,69 @@ def test_a_cocycle_control_falls_through_to_the_same_witness(typ, kind):
     assert dense_jacobi_witness(L) == witness if kind != "reversed" else dense_jacobi_witness(L) is not None
 
 
+def shift_coroot(c):
+    """c with twice its last coordinate added to its first: the same mod 2,
+    so the parity bits of the cocycle do not see it."""
+    return (c[0] + 2 * c[-1], *c[1:])
+
+
+@contextlib.contextmanager
+def shifted_coroot_builder():
+    """_NTable built with its coroot coordinates moved by shift_coroot: the
+    second exact_quotients call of each build, after the roots', is the
+    coroot one, so the table's [x_a, x_-a] is the shifted h_a."""
+    init, quotients = chevalley._NTable.__init__, exactlin.exact_quotients
+    calls = []
+
+    def shifted(*args):
+        calls.append(quotients(*args))
+        return [shift_coroot(c) for c in calls[-1]] if len(calls) == 2 else calls[-1]
+
+    def shifted_init(self, *args):
+        calls.clear()
+        with mock.patch.object(exactlin, "exact_quotients", shifted):
+            init(self, *args)
+
+    with mock.patch.object(chevalley._NTable, "__init__", shifted_init):
+        yield
+
+
+SHIFT_TYPES = ["A1xA1:sc", "D4:sc", "E6:sc", "A2xT1:sc"]
+
+
+@pytest.mark.parametrize("typ", SHIFT_TYPES)
+def test_a_builder_that_shifts_each_coroot_is_refused_with_the_streaming_witness(typ):
+    # The certificate reads h_a off the table it certifies and checks it
+    # against P: a coroot list built wrong writes a table that is no Lie
+    # algebra, and the generator certificate and the sweep name its triple.
+    d = build(typ)
+    with shifted_coroot_builder(), mock.patch.object(chevalley, "jacobi_witness", return_value=None):
+        L = build_lie_algebra(d)
+    assert L.table != build_lie_algebra(d).table
+    assert not chevalley._cocycle_certificate(L)
+    witness = streaming_jacobi_witness(L)
+    assert witness is not None
+    with shifted_coroot_builder(), pytest.raises(chevalley.JacobiError) as err:
+        build_lie_algebra(d)
+    assert str(err.value) == f"Jacobi identity fails on basis triple {witness}"
+    assert chevalley.jacobi_witness(L) == witness == parent_witness(L)
+
+
+@pytest.mark.parametrize("typ", SHIFT_TYPES)
+def test_every_coroot_entry_shifted_in_the_table_is_refused_with_the_streaming_witness(typ):
+    L = build_lie_algebra(build(typ))
+    nz, first = len(L.radical_basis), len(L.radical_basis) + len(L.simple_indices)
+    npos = (L.dim - first) // 2
+    L.table = dict(L.table)
+    for x in range(first, first + npos):
+        c = shift_coroot([L.table[x, x + npos].get(h, 0) for h in range(nz, first)])
+        L.table[x, x + npos] = {h: v for h, v in enumerate(c, nz) if v}
+    assert not chevalley._cocycle_certificate(L)
+    witness = chevalley.jacobi_witness(L)
+    assert witness is not None
+    assert witness == streaming_jacobi_witness(L) == parent_witness(L)
+
+
 def test_the_certificate_refuses_every_single_coefficient_perturbation(perturbation_bases):
     seen = cut_off = keep_omega = 0
     for base in perturbation_bases.values():
@@ -743,7 +807,8 @@ def test_the_chevalley_core_stores_plain_ints(typ):
     pair = tduality.build_pair(build(typ))
     L = pair.L
     assert all(type(c) is int for out in L.table.values() for c in out.values())
-    assert all(type(c) is int for coords in L.coroot_coords.values() for c in coords)
+    ntab = chevalley._NTable(L.datum, *rootdatum.positive_system(L.datum))
+    assert all(type(c) is int for coords in ntab.coroot_coords for c in coords)
     assert all(type(v) is int for row in L.killing_matrix() for v in row.values())
     assert all(type(v) is int for v in ceforms.cartan_three_form(L).terms.values())
     assert all(type(v) is int for row in pair.fiber_pairing for v in row)

@@ -28,6 +28,7 @@ from liedual.tduality import (
 from oracles import (
     algebra_dim,
     basis_owners,
+    bracket,
     coroot_vector,
     dense_killing,
     dense_spanning_set,
@@ -44,6 +45,7 @@ from oracles import (
     per_root_tautological_two_form,
     per_unit_lattice_pairing,
     poincare_correction,
+    root_vector,
     spanning_set_with_basis,
     tautological_two_form,
     trace_killing_matrix,
@@ -80,9 +82,12 @@ def test_good_isomorphism_fixes_coroots_and_generators():
     phi = good_isomorphism(pair.L, pair.Ldual)
     assert phi == pair.iso
     assert all(a == b for a, b in phi.items())
-    # h_alpha goes to the dual coroot through the index-identity map.
+    # h_alpha = [x_alpha, x_-alpha] goes to the dual coroot through the
+    # index-identity map, and both are the coroot solved off the datum.
     ri = pair.L.simple_indices[0]
-    assert pair.L.coroot_coords[ri] == pair.Ldual.coroot_coords[ri]
+    neg = pair.datum.roots.index(tuple(-c for c in pair.datum.roots[ri]))
+    h, hdual = (bracket(M, root_vector(M, ri), root_vector(M, neg)) for M in (pair.L, pair.Ldual))
+    assert h == hdual == coroot_vector(pair.L, ri) == coroot_vector(pair.Ldual, ri)
 
 
 @pytest.mark.parametrize("typ", ["A2:sc", "A1xT1:sc", "D4:adj"])
@@ -382,7 +387,6 @@ def assert_matches_a_fresh_build(L, d):
     oracle = build_lie_algebra(fresh(d))
     assert L.labels == oracle.labels
     assert L.table == oracle.table
-    assert L.coroot_coords == oracle.coroot_coords
     assert L.radical_basis == oracle.radical_basis
 
 
