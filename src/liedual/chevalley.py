@@ -86,13 +86,14 @@ class _NTable:
 
     The simple-root coordinates c of each root b are read off the pairing,
     c = A^-1 (P[s][b])_s with A = (P[s][t]) the Cartan matrix over the
-    simple s, t, and so are the simple-coroot coordinates of its coroot,
-    (A^-1)^T (P[b][s])_s: the simple coroots of a valid datum are a base of
-    its coroot system, so they span every coroot.  The root is coded as
-    the int sum_k M^k c_k, so -a, a + b and root strings are int sums and
-    dict lookups.  M = 6 max|c| + 1 keeps this exact: a combination looked
-    up (b - 4a, ending a root string in _p, is the longest) differs from a
-    root by entries below M in absolute value.
+    simple s, t, and so are the simple-coroot coordinates of the coroot of
+    each positive b, (A^-1)^T (P[b][s])_s, kept by root index: the simple
+    coroots of a valid datum are a base of its coroot system, so they span
+    every coroot, and only h_b for b positive is written.  The root is
+    coded as the int sum_k M^k c_k, so -a, a + b and root strings are int
+    sums and dict lookups.  M = 6 max|c| + 1 keeps this exact: a
+    combination looked up (b - 4a, ending a root string in _p, is the
+    longest) differs from a root by entries below M in absolute value.
 
     [h_s, x_a] = a(h_s) x_a and [x_a, x_-a] = h_a are read off the pairing
     and the coroot coordinates.  Positive-pair values N_{a,b} are fixed by
@@ -113,8 +114,9 @@ class _NTable:
         refuse = "{} is not an integral combination of the simple vectors".format
         coords = exactlin.exact_quotients(X, den, zip(*(P[s] for s in simple_indices)),
                                           lambda i: refuse(datum.roots[i]))
-        self.coroot_coords = exactlin.exact_quotients(list(zip(*X)), den, ([row[s] for s in simple_indices] for row in P),
-                                                      lambda i: refuse(datum.coroots[i]))
+        self.coroot_coords = dict(zip(pos_indices, exactlin.exact_quotients(
+            list(zip(*X)), den, ([P[a][s] for s in simple_indices] for a in pos_indices),
+            lambda i: refuse(datum.coroots[pos_indices[i]]))))
         M = 6 * max((abs(x) for c in coords for x in c), default=0) + 1
         self.code = rootdatum._functional_values(coords, M)
         self.by_code = {x: i for i, x in enumerate(self.code)}
@@ -427,19 +429,3 @@ def _jacobiator(rows, into, g):
             elif k < j:
                 acc[(k * dim + j) * dim + n] += c * cn
     return [divmod(key // dim, dim) for key, v in acc.items() if v]
-
-
-def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:
-    """Debug dump of the structure constants as JSON-ready data; each basis
-    label is named once, by basis index."""
-    names = [f"{lab[0]}{lab[1]}" for lab in L.labels]
-    pairs = []
-    for (i, j), out in sorted(L.table.items()):
-        pairs.append(
-            {
-                "x": names[i],
-                "y": names[j],
-                "out": [[names[k], f"{v.numerator}/{v.denominator}"] for k, v in sorted(out.items())],
-            }
-        )
-    return {"pairs": pairs}

@@ -33,6 +33,7 @@ def _load_datum(args):
 
 
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INT = {int}
 
 
 def _dumps(obj, ind="\n"):
@@ -47,7 +48,9 @@ def _dumps(obj, ind="\n"):
         return encode_basestring_ascii(obj)
     inner = ind + "  "
     if t is list or t is tuple:
-        items, brackets = [_dumps(v, inner) for v in obj], "[]"
+        # A vector of ints, the commonest list written, takes one map.
+        items = list(map(int.__repr__, obj)) if set(map(type, obj)) == _INT else [_dumps(v, inner) for v in obj]
+        brackets = "[]"
     elif t is dict:
         items, brackets = [encode_basestring_ascii(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)], "{}"
     elif t is int:
@@ -61,11 +64,21 @@ def _dumps(obj, ind="\n"):
         return "null"
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return _block(items, ind, brackets)
+
+
+def _block(items, ind, brackets="[]"):
+    """A list or dict of written items as _dumps lays it out, ind the line
+    break and indent of its own line."""
+    inner = ind + "  "
     return brackets[0] + inner + ("," + inner).join(items) + ind + brackets[1] if items else brackets
 
 
 def _emit(obj, out_path=None):
-    text = _dumps(obj)
+    _write(_dumps(obj), out_path)
+
+
+def _write(text, out_path):
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -103,12 +116,24 @@ def cmd_cartan(args):
 
 def cmd_export_algebra(args):
     d = _load_datum(args)
-    L = chevalley.build_lie_algebra(d)
-    dump = chevalley.structure_constant_dump(L)
-    dump["dim"] = L.dim
-    dump["basis"] = [f"{lab[0]}{lab[1]}" for lab in L.labels]
-    _emit(dump, args.out)
+    _write(_algebra_text(chevalley.build_lie_algebra(d)), args.out)
     return EXIT_OK
+
+
+def _algebra_text(L):
+    """The _dumps text of {"basis": names, "dim": L.dim, "pairs": [{"out":
+    [[name_k, "c/1"], ...], "x": name_i, "y": name_j}, ...]}, written
+    straight from L.table: one entry per key (i, j) of the table, in key
+    order, each output in basis order.  A basis element is named by its
+    label's kind and index run together, and a structure constant, an int,
+    is written as the fraction c/1."""
+    names = [encode_basestring_ascii(f"{kind}{k}") for kind, k in L.labels]
+    term = '[\n          {},\n          "{}/1"\n        ]'.format
+    pair = '{{\n      "out": {},\n      "x": {},\n      "y": {}\n    }}'.format
+    pairs = [pair(_block([term(names[k], c) for k, c in sorted(out.items())], "\n      "), names[i], names[j])
+             for (i, j), out in sorted(L.table.items())]
+    return _block(('"basis": ' + _block(names, "\n  "), f'"dim": {L.dim}', '"pairs": ' + _block(pairs, "\n  ")),
+                  "\n", "{}")
 
 
 def cmd_verify(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, floordiv, getitem, gt, mul, neg, sub
+from operator import add, floordiv, getitem, gt, itemgetter, mul, neg, sub
 
 from . import exactlin
 
@@ -172,14 +172,42 @@ def _check_axioms(d):
     diagonal = list(map(getitem, P, range(d.nroots)))
     if diagonal.count(2) != d.nroots:
         rep.pairing_witness = next(i for i, x in enumerate(diagonal) if x != 2)
-    # Reflect coroot i in root j (cocharacter lattice) and root i in coroot
-    # j (character lattice); a zero pairing is the identity.  Membership is
-    # tested on an integer functional that is injective on every vector
-    # involved, so each reflection costs two int operations, and each
-    # column j is tested as a whole; only a failing column is scanned for
-    # its first failing i.  A column k holding (-root_j, -coroot_j) runs
-    # column j's test term for term, so j is skipped when the first such k
-    # is earlier: the first failing column, and its witness, stay the same.
+    # The simple reflections certify every reflection at once; only when
+    # they do not is each column scanned for the first witness.
+    if not _reflections_certified(d):
+        rep.reflection_witness = _reflection_scan(d)
+    # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
+    # nonzero coroots on one line have the same content; a zero coroot is
+    # 0 times every other.  The coroots are grouped by direction, and the
+    # first failing pair is searched for only when a group fails.  The
+    # direction of a nonzero coroot v with content g is coded by |fc(v)| / g,
+    # fc of the primitive vector with the sign that makes it positive (fc
+    # vanishes on no nonzero sum or difference of two coroots, so it tells
+    # their directions apart); the zero coroot has content 0 and code 0.
+    fc = _injective_values(d.coroots, 1)
+    columns = list(zip(*d.coroots))
+    contents = list(map(gcd, *columns)) if columns else [0] * d.nroots
+    directions = list(map(floordiv, map(abs, fc), map(max, contents, repeat(1))))
+    if (0 in contents and any(contents)) or len(set(zip(directions, contents))) != len(set(directions)):
+        prim = [_primitive(c) for c in d.coroots]
+        rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
+                                   for j, pj in enumerate(prim)
+                                   if pj is None or (pj[0] == pi[0] and pj[1] != pi[1]))
+    return rep
+
+
+def _reflection_scan(d):
+    """The first (i, j), column by column, at which reflecting coroot i in
+    root j (cocharacter lattice) or root i in coroot j (character lattice)
+    leaves the coroots or the roots, or None; a zero pairing is the
+    identity.  Membership is tested on an integer functional that is
+    injective on every vector involved, so each reflection costs two int
+    operations, and each column j is tested as a whole; only a failing
+    column is scanned for its first failing i.  A column k holding
+    (-root_j, -coroot_j) runs column j's test term for term, so j is
+    skipped when the first such k is earlier: the first failing column, and
+    its witness, stay the same."""
+    P = d.pairing
     reach = 1 + _max_abs(P)
     fc = _injective_values(d.coroots, reach)
     fr = _injective_values(d.roots, reach)
@@ -191,27 +219,55 @@ def _check_axioms(d):
             continue
         if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))
                 and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
-            i = next(i for i, (n, m) in enumerate(zip(col, P[j]))
-                     if fc[i] - n * fc[j] not in coroot_set or fr[i] - m * fr[j] not in root_set)
-            rep.reflection_witness = (i, j)
-            break
-    # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
-    # nonzero coroots on one line have the same content; a zero coroot is
-    # 0 times every other.  The coroots are grouped by direction, and the
-    # first failing pair is searched for only when a group fails.  The
-    # direction of a nonzero coroot v with content g is coded by |fc(v)| / g,
-    # fc of the primitive vector with the sign that makes it positive (fc
-    # is injective on the coroots, so on their directions too); the zero
-    # coroot has content 0 and code 0.
-    columns = list(zip(*d.coroots))
-    contents = list(map(gcd, *columns)) if columns else [0] * d.nroots
-    directions = list(map(floordiv, map(abs, fc), map(max, contents, repeat(1))))
-    if (0 in contents and any(contents)) or len(set(zip(directions, contents))) != len(set(directions)):
-        prim = [_primitive(c) for c in d.coroots]
-        rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
-                                   for j, pj in enumerate(prim)
-                                   if pj is None or (pj[0] == pi[0] and pj[1] != pi[1]))
-    return rep
+            return next((i, j) for i, (n, m) in enumerate(zip(col, P[j]))
+                        if fc[i] - n * fc[j] not in coroot_set or fr[i] - m * fr[j] not in root_set)
+    return None
+
+
+def _reflections_certified(d):
+    """True when the simple reflections show that every reflection maps the
+    roots to roots and the coroots to coroots, so that the column scan of
+    _check_axioms would find no witness; False tells nothing.
+
+    For j in the simple indices of d.chamber, s_j maps a pair (r, c) to
+    (r - <c_j, r> r_j, c - <c, r_j> c_j).  The certificate holds when
+    P[j][j] = 2 for every simple j, each s_j sends every (root, coroot) pair
+    to a pair, and the s_j carry the simple pairs to every pair.  Then each
+    s_j preserves the pairing and permutes the pairs, and so does every
+    product w of them.  A pair (r, c) = w(r_t, c_t), t simple, has
+    s_(r, c) = w s_t w^-1, as
+    w s_t w^-1 x = x - <c_t, w^-1 x> w r_t = x - <c, x> r
+    and likewise on the coroots: a product of permutations of the pairs,
+    so column (r, c) of the scan passes.  (In a root datum the simple
+    reflections generate W and every root is W-conjugate to a simple one:
+    Humphreys, Introduction to Lie Algebras and Representation Theory, 10.3.)
+
+    A pair is looked up in one dict by the codes of its root and coroot,
+    injective on every u - n v with |n| at most the largest |entry| of the
+    simple rows and columns of P, the only entries read: |Phi| rank work,
+    where the scan reads all of P."""
+    P, simple = d.pairing, d.chamber[1]
+    if any(P[j][j] != 2 for j in simple):
+        return False
+    rows = [P[j] for j in simple]
+    cols = [list(map(itemgetter(j), P)) for j in simple]
+    reach = 1 + max(_max_abs(rows), _max_abs(cols))
+    fr, fc = _injective_values(d.roots, reach), _injective_values(d.coroots, reach)
+    pairs = list(zip(fr, fc))
+    index = dict(zip(pairs, range(d.nroots)))
+    images = []
+    for j, row, col in zip(simple, rows, cols):
+        image = list(map(index.get, zip(map(sub, fr, map(mul, row, repeat(fr[j]))),
+                                        map(sub, fc, map(mul, col, repeat(fc[j]))))))
+        if None in image:
+            return False
+        images.append(image)
+    frontier = {index[pairs[j]] for j in simple}
+    reached = set(frontier)
+    while frontier:
+        frontier = set(chain.from_iterable(map(image.__getitem__, frontier) for image in images)) - reached
+        reached |= frontier
+    return len(reached) == len(index)
 
 
 def _injective_values(vectors, reach):
@@ -349,88 +405,85 @@ def family_cartan(family, n):
 def generate_root_pairs(cartan):
     """Reflection closure from the simple roots of a Cartan matrix.
 
-    Returns the sorted list of (root, coroot labels) pairs: the root in
-    simple-root coordinates, and its coroot's Dynkin labels, the coroot's
-    pairings with the simple roots, which are its coordinates in the
-    fundamental coweights.
+    Returns the sorted list of quadruples (c, a, b, e), one per root: c its
+    simple-root coordinates, a its Dynkin labels (its pairings with the
+    simple coroots), b its coroot's labels (the coroot's pairings with the
+    simple roots, which are its coordinates in the fundamental coweights)
+    and e its coroot's simple-coroot coordinates.
 
-    Each root also carries its own labels a, its pairings with the simple
-    coroots.  The reflection s_i subtracts a_i from root coordinate i and
-    a_i times column i of the Cartan matrix from a; on the coroot labels b
-    it subtracts b_i times row i.  It fixes the root when a_i = 0, and a
-    root fixes its coroot.
+    The reflection s_i subtracts a_i from c_i and a_i times column i of the
+    Cartan matrix from a; on the coroot it subtracts b_i from e_i and b_i
+    times row i from b.  It fixes the root when a_i = 0, and a root fixes
+    its coroot.
     """
     n = len(cartan)
     rows = [tuple(row) for row in cartan]     # row i: labels of the simple coroot i
     cols = list(zip(*cartan))                 # column i: labels of the simple root i
-    found = {}                                # root -> coroot labels
-    frontier = []
+    found = {}                                # root c -> (a, b, e)
     for i in range(n):
         e = tuple(int(j == i) for j in range(n))
-        found[e] = rows[i]
-        frontier.append((e, cols[i]))
+        found[e] = (cols[i], rows[i], e)
+    frontier = list(found)
     while frontier:
         new = []
-        for root, a in frontier:
+        for root in frontier:
+            a, b, e = found[root]
             for i in compress(range(n), a):
-                ai = a[i]
-                root2 = root[:i] + (root[i] - ai,) + root[i + 1:]
+                root2 = root[:i] + (root[i] - a[i],) + root[i + 1:]
                 if root2 not in found:
-                    b = found[root]
-                    found[root2] = tuple(map(sub, b, map(mul, rows[i], repeat(b[i]))))
-                    new.append((root2, tuple(map(sub, a, map(mul, cols[i], repeat(ai))))))
+                    bi = b[i]
+                    found[root2] = (tuple(map(sub, a, map(mul, cols[i], repeat(a[i])))),
+                                    tuple(map(sub, b, map(mul, rows[i], repeat(bi)))),
+                                    e[:i] + (e[i] - bi,) + e[i + 1:])
+                    new.append(root2)
         frontier = new
-    return sorted(found.items())
+    return sorted((c, *v) for c, v in found.items())
 
 
 def build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
     """Construct the root datum of a reductive group from a descriptor.
 
-    The semisimple block is assembled factor by factor in coweight
-    coordinates; the isogeny choice fixes the lattice basis.  A central
-    torus contributes rank with no roots.
+    The semisimple block is assembled factor by factor, its coordinates
+    read off the closure; the isogeny choice fixes the lattice basis.  An sc
+    factor has the simple coroots as its basis, so a coroot's coordinates
+    are its simple-coroot coordinates e and a root's, in the dual basis, its
+    Dynkin labels a.  An adj factor has the fundamental coweights, so a
+    coroot's coordinates are its labels b and a root's its simple-root
+    coordinates c.  A central torus contributes rank with no roots.
     """
     ss_rank = sum(n for _, n, _ in desc.factors)
     rank = ss_rank + desc.torus_rank
-    # Lattice basis B for the semisimple block, rows in coweight
-    # coordinates.  Each coroot's coweight coordinates in its factor are its
-    # Dynkin labels; the root has simple root coordinates c.  Zeros place
-    # them in the semisimple block.
-    B, coweights, root_coords = [], [], []
+    custom = desc.custom_basis is not None
+    torus = (0,) * desc.torus_rank
+    roots, coroots = [], []
     off = 0
     for fam, n, iso in desc.factors:
-        A = family_cartan(fam, n)
-        left, right = (0,) * off, (0,) * (ss_rank - off - n)
-        # sc: lattice basis = simple coroots, whose coweight coords are the
-        # Cartan rows.  adj: lattice basis = coweights.
-        rows = A if iso == "sc" else [[int(i == j) for j in range(n)] for i in range(n)]
-        B += [left + tuple(row) + right for row in rows]
-        for root_c, labels in generate_root_pairs(A):
-            coweights.append(left + labels + right)
-            root_coords.append(left + root_c + right)
+        # A custom basis starts from the coweight coordinates, as adj does;
+        # zeros place each factor in the semisimple block.
+        coweight = custom or iso == "adj"
+        left, right = (0,) * off, (0,) * (ss_rank - off - n) + (() if custom else torus)
+        for c, a, b, e in generate_root_pairs(family_cartan(fam, n)):
+            roots.append(left + (c if coweight else a) + right)
+            coroots.append(left + (b if coweight else e) + right)
         off += n
-    # A custom basis overrides the isogeny tags.
-    if desc.custom_basis is not None:
+    if custom:
+        # A custom basis B, rows in coweight coordinates: a coweight vector b
+        # is x B with x = b X / den, X = den B^-1 from one integer inverse,
+        # and a root with simple-root coordinates c is B c, column by column.
+        # Every coroot is an integral combination of the simple coroots,
+        # which are coroots themselves, so the coroots are integral in B
+        # exactly when the lattice contains the coroot lattice: the one
+        # division checks it.
         B = [[_require_int(x, "custom basis entry") for x in row] for row in desc.custom_basis]
         if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
             raise ValueError("custom basis must be square of semisimple rank")
-    # Coordinates x in B of a coweight vector cw (x B = cw) are cw X / den,
-    # with X = den B^-1 from one integer inverse.
-    try:
-        X, den = exactlin.integer_inverse(B)
-    except ValueError:
-        raise ValueError("custom basis is singular") from None
-    # Express each coroot in the lattice basis B and each root in the dual
-    # basis of B: y = B . c, column by column.  Every coroot is an integral
-    # combination of the simple coroots, which are coroots themselves, so
-    # the coroots are integral in B exactly when the lattice contains the
-    # coroot lattice; an sc or adj basis always does.
-    coroots = exactlin.exact_quotients(list(zip(*X)), den, coweights,
-                                       lambda i: "custom lattice does not contain the coroot lattice")
-    torus = (0,) * desc.torus_rank
-    roots = [y + torus for y in zip(*exactlin.column_products(B, root_coords))]
-    coroots = [x + torus for x in coroots]
-
+        try:
+            X, den = exactlin.integer_inverse(B)
+        except ValueError:
+            raise ValueError("custom basis is singular") from None
+        coroots = [x + torus for x in exactlin.exact_quotients(
+            list(zip(*X)), den, coroots, lambda i: "custom lattice does not contain the coroot lattice")]
+        roots = [y + torus for y in zip(*exactlin.column_products(B, roots))]
     label = _descriptor_label(desc)
     return RootDatum(rank=rank, roots=tuple(roots), coroots=tuple(coroots), label=label)
 

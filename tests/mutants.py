@@ -44,9 +44,9 @@ MUTANTS = [
     Mutant(
         "coroot shifted by 2 c_last",
         "chevalley.py",
-        "                                                      lambda i: refuse(datum.coroots[i]))\n",
-        "                                                      lambda i: refuse(datum.coroots[i]))\n"
-        "        self.coroot_coords = [(c[0] + 2 * c[-1], *c[1:]) for c in self.coroot_coords]\n",
+        "            lambda i: refuse(datum.coroots[pos_indices[i]]))))\n",
+        "            lambda i: refuse(datum.coroots[pos_indices[i]]))))\n"
+        "        self.coroot_coords = {a: (c[0] + 2 * c[-1], *c[1:]) for a, c in self.coroot_coords.items()}\n",
         ("tests/test_sparse_core.py::test_jacobi_sweep_matches_the_streaming_oracle[E6:sc]",
          "tests/test_sparse_core.py::test_the_generator_certificate_passes_without_the_sweep[D4:sc]"),
     ),
@@ -93,6 +93,36 @@ MUTANTS = [
         "if min(values) < 0 or max(values) > 4:",
         "if min(values) < 0 or max(values) > 5:",
         ("tests/test_datum_rows.py::test_an_angle_product_of_five_is_refused",),
+    ),
+    # The reflection certificate keyed on the root code alone: a coroot
+    # that the simple reflections move off the coroots goes unseen, and a
+    # datum whose roots alone close up passes validate.
+    Mutant(
+        "reflection certificate keyed on the root alone",
+        "rootdatum.py",
+        "    pairs = list(zip(fr, fc))\n"
+        "    index = dict(zip(pairs, range(d.nroots)))\n"
+        "    images = []\n"
+        "    for j, row, col in zip(simple, rows, cols):\n"
+        "        image = list(map(index.get, zip(map(sub, fr, map(mul, row, repeat(fr[j]))),\n"
+        "                                        map(sub, fc, map(mul, col, repeat(fc[j]))))))\n",
+        "    pairs = fr\n"
+        "    index = dict(zip(pairs, range(d.nroots)))\n"
+        "    images = []\n"
+        "    for j, row, col in zip(simple, rows, cols):\n"
+        "        image = list(map(index.get, map(sub, fr, map(mul, row, repeat(fr[j])))))\n",
+        ("tests/test_integer_datum.py::test_coroots_off_a_root_system_never_reach_the_pairing_coordinates",
+         "tests/test_datum_rows.py::test_the_reflection_certificate_never_passes_a_datum_the_scan_refuses"),
+    ),
+    # An sc factor's coroots written in the fundamental coweights, as adj
+    # writes them, while its roots stay the Dynkin labels.
+    Mutant(
+        "sc coroots taken as the coroot labels",
+        "rootdatum.py",
+        "coroots.append(left + (b if coweight else e) + right)",
+        "coroots.append(left + b + right)",
+        ("tests/test_integer_datum.py::test_the_closure_build_equals_the_inverse_build_on_one_factor[A-2-sc-0]",
+         "tests/test_cli.py::test_info_a1"),
     ),
 ]
 

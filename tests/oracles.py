@@ -40,19 +40,24 @@ is the bracket oracle of D and E that is no extraspecial-pair recursion.
 import json
 import weakref
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, repeat
 from math import gcd
 from operator import mul, sub
 
 from liedual.ceforms import InvariantForm, cartan_three_form, ce_differential, sort_sign
 from liedual.chevalley import ReductiveLieAlgebra, _generators, _involution
+from liedual import exactlin
 from liedual.exactlin import det_exact, integer_inverse, integer_kernel, smith_normal_form, solve_exact
 from liedual.rootdatum import (
+    DynkinDescriptor,
     RootDatum,
+    _descriptor_label,
     _injective_values,
     _max_abs,
     _require_int,
     cartan_matrix,
+    family_cartan,
     pair,
     positive_system,
 )
@@ -287,6 +292,52 @@ def generate_root_pairs(cartan):
                     new.append(item)
         frontier = new
     return sorted(pairs)
+
+
+@cache
+def coweight_pairs(family, n):
+    """(root, coroot labels) of one simple family, sorted: the pairing
+    closure's roots in simple-root coordinates, and each coroot's pairings
+    with the simple roots, its coordinates in the fundamental coweights.
+    Cached per family and rank; the list is read, never changed."""
+    A = family_cartan(family, n)
+    return [(root, tuple(sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)))
+            for root, coroot in generate_root_pairs(A)]
+
+
+def inverse_build_from_dynkin(desc: DynkinDescriptor) -> RootDatum:
+    """build_from_dynkin as it read every datum off one integer inverse of
+    the lattice basis B, rows in coweight coordinates: the Cartan matrix of
+    each factor (sc), the identity (adj) or the custom basis.  A coroot
+    with coweight coordinates b is b B^-1, one exact division of them all,
+    and a root with simple-root coordinates c is B c in the dual basis."""
+    ss_rank = sum(n for _, n, _ in desc.factors)
+    B, coweights, root_coords = [], [], []
+    off = 0
+    for fam, n, iso in desc.factors:
+        A = family_cartan(fam, n)
+        left, right = (0,) * off, (0,) * (ss_rank - off - n)
+        rows = A if iso == "sc" else [[int(i == j) for j in range(n)] for i in range(n)]
+        B += [left + tuple(row) + right for row in rows]
+        for root_c, labels in coweight_pairs(fam, n):
+            coweights.append(left + labels + right)
+            root_coords.append(left + root_c + right)
+        off += n
+    if desc.custom_basis is not None:
+        B = [[_require_int(x, "custom basis entry") for x in row] for row in desc.custom_basis]
+        if len(B) != ss_rank or any(len(r) != ss_rank for r in B):
+            raise ValueError("custom basis must be square of semisimple rank")
+    try:
+        X, den = integer_inverse(B)
+    except ValueError:
+        raise ValueError("custom basis is singular") from None
+    coroots = exactlin.exact_quotients(list(zip(*X)), den, coweights,
+                                       lambda i: "custom lattice does not contain the coroot lattice")
+    torus = (0,) * desc.torus_rank
+    roots = [y + torus for y in zip(*exactlin.column_products(B, root_coords))]
+    coroots = [x + torus for x in coroots]
+    return RootDatum(rank=ss_rank + desc.torus_rank, roots=tuple(roots), coroots=tuple(coroots),
+                     label=_descriptor_label(desc))
 
 
 def checked_coordinates(key, vectors):
@@ -1542,3 +1593,29 @@ def per_unit_lattice_pairing(pairobj: ProductPair):
 def stdlib_emit(obj):
     """The text every CLI command writes before its final newline."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def structure_constant_dump(L: ReductiveLieAlgebra) -> dict:
+    """The structure constants as JSON-ready data, each basis label named
+    once, by basis index, and each constant as a fraction "n/d": the object
+    export-algebra built before it wrote its text from the table."""
+    names = [f"{lab[0]}{lab[1]}" for lab in L.labels]
+    pairs = []
+    for (i, j), out in sorted(L.table.items()):
+        pairs.append(
+            {
+                "x": names[i],
+                "y": names[j],
+                "out": [[names[k], f"{v.numerator}/{v.denominator}"] for k, v in sorted(out.items())],
+            }
+        )
+    return {"pairs": pairs}
+
+
+def export_algebra_object(L: ReductiveLieAlgebra) -> dict:
+    """The object whose stdlib text export-algebra writes: the dump, the
+    dimension and the basis names."""
+    dump = structure_constant_dump(L)
+    dump["dim"] = L.dim
+    dump["basis"] = [f"{lab[0]}{lab[1]}" for lab in L.labels]
+    return dump

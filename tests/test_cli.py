@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liedual import cli, rootdatum
+from test_datum_rows import assert_the_certificate_agrees
 
 
 def run(capsys, *argv):
@@ -639,6 +640,24 @@ def test_a_malformed_datum_document_exits_2_on_every_input_command(datum_file, d
     typ, data = document
     for code, out, err in run_documents(datum_file, data):
         assert_one_error_line(code, out, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=malformed_documents(), data=st.data())
+def test_the_reflection_certificate_agrees_on_mutated_documents(document, data):
+    # The mutations above, and each document with one coordinate moved by
+    # +-1 or 2, which the strict reader accepts: wherever a datum is read,
+    # the certificate agrees with the column scan and raises nothing.
+    typ, text = document
+    obj = DOCUMENTS[typ]
+    path = data.draw(st.sampled_from([p for p in int_paths(obj) if p != ("rank",)]))
+    moved = replaced(obj, path, lambda x: x + data.draw(st.sampled_from([-2, -1, 1, 2])))
+    for doc in (text.decode("utf-8", "replace"), json.dumps(moved)):
+        try:
+            d = rootdatum.from_json(doc)
+        except ValueError:
+            continue
+        assert_the_certificate_agrees(d)
 
 
 @st.composite

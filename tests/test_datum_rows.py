@@ -4,10 +4,12 @@ realization, the reflection closure, the coordinate type walk, the
 dot-product pairing, the functional chamber with its pairwise simple-root
 search, the functional order of canonicalize, exact quotients one dot
 product at a time, the double loop of angle positivity, and the
-reflection test on every root column, negative twins included.  They
-must agree on every RANK8_TYPES datum, under GL_n(Z) changes of basis, and
-on malformed data: zero and repeated roots, non-int coordinates, and
-coordinates of 2^7 and more, which take the wide pairing path."""
+reflection test on every root column, negative twins included, which the
+simple-reflection certificate may only pass when it finds no witness.
+They must agree on every RANK8_TYPES datum, under GL_n(Z) changes of
+basis, and on malformed data: zero and repeated roots, non-int
+coordinates, and coordinates of 2^7 and more, which take the wide pairing
+path."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -56,6 +58,7 @@ def assert_agrees(d):
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in d.pairing)
     assert rootdatum.validate(d) == oracle_validate(d)
     assert rootdatum.validate(d).reflection_witness == all_columns_reflection_witness(d)
+    assert_the_certificate_agrees(d)
     assert d.chamber == functional_positive_system(d)
     order = canonical_order(d)
     c = rootdatum.canonicalize(d)
@@ -64,6 +67,17 @@ def assert_agrees(d):
     pairobj = SimpleNamespace(datum=d)
     rec = tduality.check_angle_positivity(pairobj)
     assert (rec.passed, rec.witness, rec.residual) == loop_angle_positivity(pairobj)
+
+
+def assert_the_certificate_agrees(d):
+    """The reflection certificate on a fresh copy of d returns a bool
+    without raising, is True only where the column scan of every root finds
+    no witness, and is True on every valid datum."""
+    d = fresh(d)
+    certified = rootdatum._reflections_certified(d)
+    assert type(certified) is bool
+    assert not certified or all_columns_reflection_witness(d) is None
+    assert certified or not oracle_validate(d).ok
 
 
 FAMILIES = [(fam, n) for fam, ranks in (("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)),
@@ -88,11 +102,14 @@ def test_the_diagram_cartan_refuses_an_illegal_family_or_rank(fam, n):
 def test_the_label_closure_matches_the_pairing_closure(fam, n):
     A = rootdatum.family_cartan(fam, n)
     pairs = rootdatum.generate_root_pairs(A)
-    # The carried labels are the coroot's pairings with the simple roots.
-    assert pairs == [(root, tuple(sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)))
+    # The carried labels are the root's pairings with the simple coroots
+    # and the coroot's with the simple roots; the coroot's coordinates are
+    # the oracle's own.
+    assert pairs == [(root, tuple(sum(A[i][j] * c for j, c in enumerate(root)) for i in range(n)),
+                      tuple(sum(m * A[i][j] for i, m in enumerate(coroot)) for j in range(n)), coroot)
                      for root, coroot in generate_root_pairs(A)]
-    for _, labels in pairs:
-        assert type(labels) is tuple and all(type(x) is int for x in labels)
+    for quadruple in pairs:
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in quadruple)
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES)
@@ -111,6 +128,27 @@ def test_datum_rows_match_the_oracles_under_a_change_of_basis(typ, dual, data):
     e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
     assert_agrees(e)
     assert e.pairing == d.pairing
+
+
+@settings(max_examples=100, deadline=None)
+@given(typ=st.sampled_from(RANK8_TYPES), dual=st.booleans(), data=st.data())
+def test_the_reflection_certificate_never_passes_a_datum_the_scan_refuses(typ, dual, data):
+    # A GL_n(Z) rebasing of a valid datum is certified.  With one root or
+    # coroot coordinate moved, the certificate must still agree with the
+    # scan: a moved coroot leaves the roots, and the simple rows of P that
+    # reflect them, as they were.
+    d = build(typ)
+    d = rootdatum.dualize(d) if dual else d
+    e = change_basis(d, *data.draw(unimodular_pair(d.rank)))
+    assert rootdatum._reflections_certified(e)
+    assert_the_certificate_agrees(e)
+    if not e.nroots:
+        return
+    vecs = {"roots": list(e.roots), "coroots": list(e.coroots)}
+    moved = vecs[data.draw(st.sampled_from(sorted(vecs)))]
+    i, k = data.draw(st.integers(0, e.nroots - 1)), data.draw(st.integers(0, e.rank - 1))
+    moved[i] = tuple(x + data.draw(st.sampled_from([-2, -1, 1, 2])) * (t == k) for t, x in enumerate(moved[i]))
+    assert_the_certificate_agrees(rootdatum.RootDatum(rank=e.rank, **vecs))
 
 
 @st.composite
@@ -241,6 +279,7 @@ def test_repeated_pairs_and_their_twins_keep_the_witness(typ):
                 f = rootdatum.RootDatum(rank=e.rank, roots=broken, coroots=e.coroots)
                 assert rootdatum.validate(f) == oracle_validate(f)
                 assert rootdatum.validate(f).reflection_witness == all_columns_reflection_witness(f)
+                assert_the_certificate_agrees(f)
 
 
 @settings(max_examples=100, deadline=None)

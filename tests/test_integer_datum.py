@@ -1,9 +1,11 @@
-"""The integer datum layer against the Fraction code it replaced, kept as
-oracles: build_from_dynkin with one Fraction solve per root, the N-table
-with Fraction ratio steps and the Gram solve of simple coordinates (in
-oracles.py), and central_free_rank from a Fraction rank.  All must agree on
-every A-G type up to rank 8, on products, tori and custom lattices, and
-under changes of lattice basis."""
+"""The integer datum layer against the code it replaced, kept as oracles:
+build_from_dynkin with one Fraction solve per root and with one integer
+inverse of the lattice basis (in oracles.py), the N-table with Fraction
+ratio steps and the Gram solve of simple coordinates (in oracles.py), and
+central_free_rank from a Fraction rank.  All must agree on every A-G type
+up to rank 8, on every descriptor up to rank 10 (one or two factors in
+every sc/adj tag mix, and drawn products), on tori and custom lattices,
+and under changes of lattice basis."""
 
 from fractions import Fraction
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import chevalley, exactlin, rootdatum
-from oracles import FractionNTable, generate_root_pairs, simple_coords
+from oracles import FractionNTable, generate_root_pairs, inverse_build_from_dynkin, simple_coords
 from test_exactlin import rank_exact
 from test_rootdatum import FAMILY_RANKS, RANK8_TYPES, change_basis, small_data, unimodular_pair
 
@@ -85,6 +87,52 @@ def legacy_check_between_lattices(B, blocks, ss_rank):
 def test_build_from_dynkin_matches_one_fraction_solve_per_root(typ):
     desc = rootdatum.parse_descriptor(typ)
     assert rootdatum.build_from_dynkin(desc) == legacy_build_from_dynkin(desc)
+
+
+# Every simple family up to rank 10, and every unordered pair of them with
+# ranks summing to at most 10.
+FACTORS = [(fam, n) for fam in "ABCDEFG" for n in range(1, 11) if rootdatum._LEGAL[fam](n)]
+FACTOR_PAIRS = [(f, g) for k, f in enumerate(FACTORS) for g in FACTORS[k:] if f[1] + g[1] <= 10]
+
+
+def assert_closure_build_is_the_inverse_build(factors, torus):
+    desc = rootdatum.DynkinDescriptor(tuple(factors), torus)
+    d = rootdatum.build_from_dynkin(desc)
+    assert (d.rank, d.roots, d.coroots, d.label) == attrs(inverse_build_from_dynkin(desc))
+    assert all(type(x) is int for v in d.roots + d.coroots for x in v)
+
+
+def attrs(d):
+    return d.rank, d.roots, d.coroots, d.label
+
+
+@pytest.mark.parametrize("torus", [0, 1, 2])
+@pytest.mark.parametrize("iso", ["sc", "adj"])
+@pytest.mark.parametrize("fam,n", FACTORS)
+def test_the_closure_build_equals_the_inverse_build_on_one_factor(fam, n, iso, torus):
+    # sc reads the roots' labels a and the coroots' simple-coroot
+    # coordinates off the closure, adj the roots' simple-root coordinates
+    # and the coroots' labels b; the oracle divides by the lattice basis.
+    assert_closure_build_is_the_inverse_build([(fam, n, iso)], torus)
+
+
+@pytest.mark.parametrize("torus", [0, 1, 2])
+def test_the_closure_build_equals_the_inverse_build_on_two_factors(torus):
+    # All four tag mixes: the zeros around a factor, in either block.
+    for f, g in FACTOR_PAIRS:
+        for tags in (("sc", "sc"), ("sc", "adj"), ("adj", "sc"), ("adj", "adj")):
+            assert_closure_build_is_the_inverse_build([(*f, tags[0]), (*g, tags[1])], torus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_closure_build_equals_the_inverse_build_on_any_product(data):
+    factors, rank = [], 0
+    while rank < 10 and (not factors or data.draw(st.booleans())):
+        fam, n = data.draw(st.sampled_from([f for f in FACTORS if f[1] <= 10 - rank]))
+        factors.append((fam, n, data.draw(st.sampled_from(["sc", "adj"]))))
+        rank += n
+    assert_closure_build_is_the_inverse_build(factors, data.draw(st.integers(0, 2)))
 
 
 def lattice_basis(gens):
@@ -242,11 +290,20 @@ def test_a_non_integral_ratio_step_is_refused():
 # and build_from_dynkin's lattice coordinates against the Gram solve
 
 
+def all_coroot_coords(ntab, d):
+    """The N-table's coroot coordinates of the positive roots, by root
+    index, with h_-a = -h_a for the negative ones."""
+    coords = ntab.coroot_coords
+    return [coords[a] if a in coords else tuple(-x for x in coords[ntab.neg[a]]) for a in range(d.nroots)]
+
+
 def assert_coroot_coords_match_the_gram_solve(d):
+    # The N-table solves the positive half only; the Gram solve covers all.
     pos, simple = rootdatum.positive_system(d)
-    coords = chevalley._NTable(d, pos, simple).coroot_coords
-    assert coords == simple_coords(d.coroots, simple, d.coroots)
-    assert all(type(x) is int for c in coords for x in c)
+    ntab = chevalley._NTable(d, pos, simple)
+    assert sorted(ntab.coroot_coords) == sorted(pos)
+    assert all_coroot_coords(ntab, d) == simple_coords(d.coroots, simple, d.coroots)
+    assert all(type(x) is int for c in ntab.coroot_coords.values() for x in c)
 
 
 @pytest.mark.parametrize("typ", RANK8_TYPES)
@@ -282,9 +339,10 @@ def test_the_algebra_takes_the_coroot_coordinates_of_its_n_table(typ):
 
 def test_coroots_off_a_root_system_never_reach_the_pairing_coordinates():
     # h_-a = (-1, 0) is not -h_a = (-1, -1), but every pairing matches A1's,
-    # so the coordinates read off the pairing would call it -h_a; the Gram
-    # solve sees that it is off the span of h_a.  validate refuses the
-    # datum (reflecting h_-a in a gives (1, 2)), so no algebra is built.
+    # so the coordinates read off the pairing would call it -h_a (the
+    # N-table solves h_a only, and negation gives the rest); the Gram solve
+    # sees that it is off the span of h_a.  validate refuses the datum
+    # (reflecting h_-a in a gives (1, 2)), so no algebra is built.
     bad = rootdatum.RootDatum(rank=2, roots=((2, 0), (-2, 0)), coroots=((1, 1), (-1, 0)))
     assert bad.pairing == ((2, -2), (-2, 2))
     rep = rootdatum.validate(bad)
@@ -292,8 +350,9 @@ def test_coroots_off_a_root_system_never_reach_the_pairing_coordinates():
     with pytest.raises(ValueError, match="invalid root datum"):
         chevalley.build_lie_algebra(bad)
     pos, simple = rootdatum.positive_system(bad)
-    coords = chevalley._NTable(bad, pos, simple).coroot_coords
-    assert sorted(coords) == [(-1,), (1,)]
+    ntab = chevalley._NTable(bad, pos, simple)
+    assert list(ntab.coroot_coords.values()) == [(1,)]
+    assert sorted(all_coroot_coords(ntab, bad)) == [(-1,), (1,)]
     with pytest.raises(ValueError, match="is not an integral combination"):
         simple_coords(bad.coroots, simple, bad.coroots)
 
@@ -309,10 +368,12 @@ def test_a_custom_lattice_off_the_coroot_lattice_is_refused_by_the_coroot_divisi
 @pytest.mark.parametrize("desc", [rootdatum.parse_descriptor(t) for t in ("E6:sc", "D4:adj x T2", "B3xG2", "T2")]
                          + [desc for desc, _ in CUSTOM_LATTICES])
 def test_build_from_dynkin_runs_one_elimination_and_no_determinant(desc):
+    # The isogeny tags read every coordinate off the closure: no
+    # elimination.  A custom lattice inverts its basis once.
     with mock.patch.object(exactlin, "_eliminate", wraps=exactlin._eliminate) as spy, \
             mock.patch.object(exactlin, "det_exact", wraps=exactlin.det_exact) as dets:
         rootdatum.build_from_dynkin(desc)
-    assert (spy.call_count, dets.call_count) == (1, 0)
+    assert (spy.call_count, dets.call_count) == (int(desc.custom_basis is not None), 0)
 
 
 def built_or_refused(builder, desc):

@@ -1,6 +1,8 @@
 """The CLI's JSON writer against the stdlib encoder it replaced: the same
-text on arbitrary JSON trees and on every command's output, TypeError
-outside its domain, and no cyclic garbage left behind."""
+text on arbitrary JSON trees and on every command's output (export-algebra's
+against the object of tests/oracles.py, since it writes its text straight
+from the table), TypeError outside its domain, and no cyclic garbage left
+behind."""
 
 import gc
 import json
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import build
 from liedual import chevalley, cli, tduality
-from oracles import stdlib_emit
+from oracles import export_algebra_object, stdlib_emit
 
 SPECIAL_TEXT = ["", '"', "\\", "\x00", "\x1f", "\x7f", "\b\f\n\r\t", " ", "é", "\ud800", "\udfff",
                 "\u2028", "😀", '"\\/\ud800é']
@@ -81,31 +83,42 @@ ARGVS = [["info"], ["cartan"], ["dualize"], ["export-algebra"], ["verify"], ["ve
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_every_command_writes_the_stdlib_text(capsys, monkeypatch, tmp_path, typ, argv):
     # The object each run emits is caught on its way to the writer; verify
-    # with timing emits floats, which differ from run to run.
+    # with timing emits floats, which differ from run to run.  export-algebra
+    # emits no object: its text must be the oracle object's.
     emitted = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda obj, out_path=None: (emitted.append(obj), emit(obj, out_path)))
+    export = argv == ["export-algebra"]
     out_file = tmp_path / "out.json"
     for extra in ([], ["--out", str(out_file)]):
         code = cli.main([*argv, "--type", typ, *extra])
         out = capsys.readouterr().out
         assert code in (0, 1)
         written = out_file.read_bytes().decode("ascii") if extra else out
-        assert written == stdlib_emit(emitted[-1]) + "\n"
+        obj = export_algebra_object(chevalley.build_lie_algebra(build(typ))) if export else emitted[-1]
+        assert written == stdlib_emit(obj) + "\n"
         assert not extra or out == ""
-    assert len(emitted) == 2
+    assert len(emitted) == (0 if export else 2)
+
+
+@pytest.mark.parametrize("typ", ["T0", "T1", "A1:sc", "A2:sc x A1:adj x T1", "A3xT2:sc", "B3:adj", "G2xT1", "E8:sc"])
+def test_export_algebra_writes_the_stdlib_text_of_the_oracle_dump(capsys, typ):
+    # The text is laid out from the table itself: no bracket (T0, T1), a
+    # radical before the Cartan block, and 248 basis names.
+    L = chevalley.build_lie_algebra(build(typ))
+    assert cli.main(["export-algebra", "--type", typ]) == 0
+    assert capsys.readouterr().out == stdlib_emit(export_algebra_object(L)) + "\n"
 
 
 def test_the_writer_leaves_no_cyclic_garbage(capsys):
     report = tduality.verify_all(build("E6:sc")).as_dict(timing=True)
     L = chevalley.build_lie_algebra(build("A5:sc"))
-    dump = chevalley.structure_constant_dump(L)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         cli._emit(report)
-        cli._emit(dump)
+        cli._write(cli._algebra_text(L), None)
         assert gc.collect() == 0
         # The control: the stdlib's indenting encoder leaves reference cycles.
         stdlib_emit(report)
@@ -113,4 +126,4 @@ def test_the_writer_leaves_no_cyclic_garbage(capsys):
     finally:
         if enabled:
             gc.enable()
-    assert capsys.readouterr().out == stdlib_emit(report) + "\n" + stdlib_emit(dump) + "\n"
+    assert capsys.readouterr().out == stdlib_emit(report) + "\n" + stdlib_emit(export_algebra_object(L)) + "\n"

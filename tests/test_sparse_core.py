@@ -808,7 +808,7 @@ def test_the_chevalley_core_stores_plain_ints(typ):
     L = pair.L
     assert all(type(c) is int for out in L.table.values() for c in out.values())
     ntab = chevalley._NTable(L.datum, *rootdatum.positive_system(L.datum))
-    assert all(type(c) is int for coords in ntab.coroot_coords for c in coords)
+    assert all(type(c) is int for coords in ntab.coroot_coords.values() for c in coords)
     assert all(type(v) is int for row in L.killing_matrix() for v in row.values())
     assert all(type(v) is int for v in ceforms.cartan_three_form(L).terms.values())
     assert all(type(v) is int for row in pair.fiber_pairing for v in row)

@@ -523,8 +523,8 @@ def spin8_gm_mod_mu2(k):
     A = rootdatum.family_cartan("D", 4)
     pairs = rootdatum.generate_root_pairs(A)
     # build_from_dynkin lists the roots in closure order, at y = A c.
-    assert all(list(r) == [sum(map(mul, row, c)) for row in A] for r, (c, _) in zip(d.roots, pairs))
-    return rootdatum.RootDatum(rank=5, roots=[r + (c[k],) for r, (c, _) in zip(d.roots, pairs)],
+    assert all(list(r) == [sum(map(mul, row, c)) for row in A] for r, (c, *_) in zip(d.roots, pairs))
+    return rootdatum.RootDatum(rank=5, roots=[r + (c[k],) for r, (c, *_) in zip(d.roots, pairs)],
                                coroots=[x + (0,) for x in d.coroots])
 
 
