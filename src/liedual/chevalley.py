@@ -91,9 +91,9 @@ class _NTable:
     coroots of a valid datum are a base of its coroot system, so they span
     every coroot, and only h_b for b positive is written.  The root is
     coded as the int sum_k M^k c_k, so -a, a + b and root strings are int
-    sums and dict lookups.  M = 6 max|c| + 1 keeps this exact: a
-    combination looked up (b - 4a, ending a root string in _p, is the
-    longest) differs from a root by entries below M in absolute value.
+    sums and dict lookups.  The codes are rootdatum._injective_values at
+    reach 3, which tell a root from every b - n a with |n| <= 4: b - 4a,
+    ending a root string in _p, is the longest combination looked up.
 
     [h_s, x_a] = a(h_s) x_a and [x_a, x_-a] = h_a are read off the pairing
     and the coroot coordinates.  Positive-pair values N_{a,b} are fixed by
@@ -117,8 +117,7 @@ class _NTable:
         self.coroot_coords = dict(zip(pos_indices, exactlin.exact_quotients(
             list(zip(*X)), den, ([P[a][s] for s in simple_indices] for a in pos_indices),
             lambda i: refuse(datum.coroots[pos_indices[i]]))))
-        M = 6 * max((abs(x) for c in coords for x in c), default=0) + 1
-        self.code = rootdatum._functional_values(coords, M)
+        self.code = rootdatum._injective_values(coords, 3)
         self.by_code = {x: i for i, x in enumerate(self.code)}
         self.neg = [self.by_code[-x] for x in self.code]
         self.kappa = [sum(map(mul, row, row)) for row in P]
@@ -293,11 +292,13 @@ def _cocycle_certificate(L):
     an A is simply laced, so P[a][b] = (a, b) is symmetric: a + b is a root
     exactly when P[a][b] = -1.  Only P, the chamber, the layout and the table
     are read: A c_a = (P[s][a])_s, c_a the h_a of [x_a, x_-a], makes c_a a's
-    root and coroot coordinates (A is invertible and symmetric); -a is coded
-    -c_a.  s = 1 on the simple roots, and s_g = s_i s_b eps(a_i, b) N(a_i, b)
-    for g = a_i + b, going up by height.  Every nonzero entry of a key i < j
-    is then read once, and their count must be exact, so no bracket is
-    missing: an N read wrong fails there."""
+    root and coroot coordinates (A is invertible and symmetric), coded by
+    rootdatum._injective_values at reach 2, which tells a root from every
+    difference of two roots; -a is coded -c_a.  s = 1 on the simple roots,
+    and s_g = s_i s_b eps(a_i, b) N(a_i, b) for g = a_i + b, going up by
+    height.  Every nonzero entry of a key i < j is then read once, and
+    their count must be exact, so no bracket is missing: an N read wrong
+    fails there."""
     P, simple, table = L.datum.pairing, L.simple_indices, L.table
     r, nz = len(simple), len(L.radical_basis)
     A = [[P[s][t] for t in simple] for s in simple]
@@ -308,7 +309,7 @@ def _cocycle_certificate(L):
     coords = [list(map(table.get((x, x + npos), {}).get, range(nz, first), [0] * r)) for x in range(first, first + npos)]
     if exactlin.column_products(A, coords) != [[P[s][a] for a in roots[:npos]] for s in simple]:
         return False                    # h_a is not a's coroot
-    code = rootdatum._functional_values(coords, 4 * max((max(map(abs, v)) for v in coords), default=0) + 1)
+    code = rootdatum._injective_values(coords, 2)
     bits = rootdatum._functional_values([[c & 1 for c in v] for v in coords], 2)
     masks = [sum(1 << j for j in range(k, r) if j == k or A[k][j]) for k in range(r)]
     up = [0] * first + [sum(((b & m).bit_count() & 1) << k for k, m in enumerate(masks)) for b in bits] * 2

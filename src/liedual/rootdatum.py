@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, floordiv, getitem, gt, itemgetter, mul, neg, sub
+from operator import add, gt, itemgetter, mul, neg, sub
 
 from . import exactlin
 
@@ -164,36 +164,25 @@ def validate(d: RootDatum) -> AxiomReport:
 
 
 def _check_axioms(d):
-    rep = AxiomReport()
-    nonzero = list(map(any, d.roots))
-    if not all(nonzero):
-        rep.nonzero_witness = nonzero.index(False)
+    """The AxiomReport of d.  The reflection certificate decides validity
+    alone: it holds on every valid datum, and a datum it passes satisfies
+    all four axioms (see _reflections_certified).  Only a datum it refuses
+    is scanned, axiom by axiom, for the first witness of each."""
+    if _reflections_certified(d):
+        return AxiomReport()
     P = d.pairing
-    diagonal = list(map(getitem, P, range(d.nroots)))
-    if diagonal.count(2) != d.nroots:
-        rep.pairing_witness = next(i for i, x in enumerate(diagonal) if x != 2)
-    # The simple reflections certify every reflection at once; only when
-    # they do not is each column scanned for the first witness.
-    if not _reflections_certified(d):
-        rep.reflection_witness = _reflection_scan(d)
     # Reducedness: if x and c*x are both coroots then c = +-1, i.e. two
     # nonzero coroots on one line have the same content; a zero coroot is
-    # 0 times every other.  The coroots are grouped by direction, and the
-    # first failing pair is searched for only when a group fails.  The
-    # direction of a nonzero coroot v with content g is coded by |fc(v)| / g,
-    # fc of the primitive vector with the sign that makes it positive (fc
-    # vanishes on no nonzero sum or difference of two coroots, so it tells
-    # their directions apart); the zero coroot has content 0 and code 0.
-    fc = _injective_values(d.coroots, 1)
-    columns = list(zip(*d.coroots))
-    contents = list(map(gcd, *columns)) if columns else [0] * d.nroots
-    directions = list(map(floordiv, map(abs, fc), map(max, contents, repeat(1))))
-    if (0 in contents and any(contents)) or len(set(zip(directions, contents))) != len(set(directions)):
-        prim = [_primitive(c) for c in d.coroots]
-        rep.reduced_witness = next((i, j) for i, pi in enumerate(prim) if pi is not None
-                                   for j, pj in enumerate(prim)
-                                   if pj is None or (pj[0] == pi[0] and pj[1] != pi[1]))
-    return rep
+    # 0 times every other.
+    prim = list(map(_primitive, d.coroots))
+    return AxiomReport(
+        pairing_witness=next((i for i, row in enumerate(P) if row[i] != 2), None),
+        reflection_witness=_reflection_scan(d),
+        reduced_witness=next(((i, j) for i, pi in enumerate(prim) if pi is not None
+                              for j, pj in enumerate(prim)
+                              if pj is None or (pj[0] == pi[0] and pj[1] != pi[1])), None),
+        nonzero_witness=next((i for i, r in enumerate(d.roots) if not any(r)), None),
+    )
 
 
 def _reflection_scan(d):
@@ -203,20 +192,13 @@ def _reflection_scan(d):
     identity.  Membership is tested on an integer functional that is
     injective on every vector involved, so each reflection costs two int
     operations, and each column j is tested as a whole; only a failing
-    column is scanned for its first failing i.  A column k holding
-    (-root_j, -coroot_j) runs column j's test term for term, so j is
-    skipped when the first such k is earlier: the first failing column, and
-    its witness, stay the same."""
+    column is scanned for its first failing i."""
     P = d.pairing
     reach = 1 + _max_abs(P)
     fc = _injective_values(d.coroots, reach)
     fr = _injective_values(d.roots, reach)
     coroot_set, root_set = set(fc), set(fr)
-    first = dict(zip(zip(fr[::-1], fc[::-1]), range(d.nroots - 1, -1, -1)))
-    twin = list(map(first.get, zip(map(neg, fr), map(neg, fc)), repeat(d.nroots)))
     for j, col in enumerate(zip(*P)):
-        if twin[j] < j:
-            continue
         if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))
                 and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):
             return next((i, j) for i, (n, m) in enumerate(zip(col, P[j]))
@@ -225,22 +207,33 @@ def _reflection_scan(d):
 
 
 def _reflections_certified(d):
-    """True when the simple reflections show that every reflection maps the
-    roots to roots and the coroots to coroots, so that the column scan of
-    _check_axioms would find no witness; False tells nothing.
+    """True exactly when d is a root datum: every axiom of validate holds.
 
     For j in the simple indices of d.chamber, s_j maps a pair (r, c) to
     (r - <c_j, r> r_j, c - <c, r_j> c_j).  The certificate holds when
     P[j][j] = 2 for every simple j, each s_j sends every (root, coroot) pair
     to a pair, and the s_j carry the simple pairs to every pair.  Then each
     s_j preserves the pairing and permutes the pairs, and so does every
-    product w of them.  A pair (r, c) = w(r_t, c_t), t simple, has
-    s_(r, c) = w s_t w^-1, as
-    w s_t w^-1 x = x - <c_t, w^-1 x> w r_t = x - <c, x> r
-    and likewise on the coroots: a product of permutations of the pairs,
-    so column (r, c) of the scan passes.  (In a root datum the simple
-    reflections generate W and every root is W-conjugate to a simple one:
-    Humphreys, Introduction to Lie Algebras and Representation Theory, 10.3.)
+    product w of them.  Every pair is (r, c) = w(r_t, c_t) with t simple:
+    - pairing_two and nonzero: <c, r> = <c_t, r_t> = 2, so r is not zero.
+    - reflection: s_(r, c) = w s_t w^-1, as
+      w s_t w^-1 x = x - <c_t, w^-1 x> w r_t = x - <c, x> r
+      and likewise on the coroots: a product of permutations of the pairs,
+      so column (r, c) of the scan passes.
+    - reduced: the pairs are finitely many, so a root has one coroot (were
+      (r, c) and (r, c') pairs, the coroot reflections of the two would
+      send c to c + 2k(c' - c) for every k), and d is a root datum.  It is
+      reduced exactly when its dual is (Springer, Linear Algebraic Groups,
+      7.4), and a line of a root system holds +-v alone or +-v and +-2v
+      (Bourbaki, Lie Groups and Lie Algebras, VI 1.3).  Were 2v = w r_t a
+      root with v a root, then r_t = 2u with u = w^-1 v a root, and u is
+      positive in either candidate chamber of _positive_system, as r_t is:
+      the root code of u is half that of r_t, and the code of its coroot
+      twice that of c_t.  So r_t = u + u is a sum of two positive roots,
+      and t is not simple.
+    Conversely, in a root datum the simple reflections generate W and every
+    root is W-conjugate to a simple one (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.3), so the certificate holds.
 
     A pair is looked up in one dict by the codes of its root and coroot,
     injective on every u - n v with |n| at most the largest |entry| of the
@@ -271,10 +264,11 @@ def _reflections_certified(d):
 
 
 def _injective_values(vectors, reach):
-    """v -> sum_k M^k v_k on each vector, with M so large that the map is
-    injective on integer vectors whose entries are at most reach times the
-    largest entry of vectors in absolute value: on the vectors and on every
-    u - n v with |n| < reach."""
+    """v -> sum_k M^k v_k on each vector, with M = 2 reach m + 1 and m the
+    largest |entry| of vectors.  It tells x from y whenever
+    |x_k| + |y_k| <= 2 reach m for every k: it is injective on the vectors
+    and on every u - n v with |n| < reach, and tells a vector from every
+    u - n v with |n| <= 2 reach - 2."""
     return _functional_values(vectors, 2 * reach * _max_abs(vectors) + 1)
 
 
@@ -517,11 +511,11 @@ def _positive_system(d):
     with dualization and cartan_matrix(dualize(d)) is an exact transpose.
 
     A positive root is simple when it is no sum of two positive roots.
-    That is read off int codes, v -> sum_k M^k v_k with M = 4 max|x| + 1:
-    a root minus a root minus a root has entries below M in magnitude, so
-    code_i - code_j is the code of a root exactly when r_i - r_j is that
-    root.  A zero difference counts for no root: the zero vector, which a
-    malformed datum can hold, has code 0 and is dropped from the targets.
+    That is read off the int codes of _injective_values at reach 2,
+    injective on the roots and their differences, so code_i - code_j is
+    the code of a root exactly when r_i - r_j is that root.  A zero
+    difference counts for no root: the zero vector, which a malformed
+    datum can hold, has code 0 and is dropped from the targets.
     """
     n = d.nroots
     if n == 0:
@@ -531,7 +525,7 @@ def _positive_system(d):
                   for v in (d.roots, d.coroots)}
     chamber = min(candidates, key=lambda P: sorted(map(swap.__getitem__, P)))
     pos = sorted(chamber)
-    code = _functional_values(d.roots, 4 * _max_abs(d.roots) + 1)
+    code = _injective_values(d.roots, 2)
     pos_codes = set(map(code.__getitem__, pos))
     targets = pos_codes - {0}
     simple = [i for i in pos if targets.isdisjoint(map(sub, repeat(code[i]), pos_codes))]

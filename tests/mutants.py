@@ -114,6 +114,53 @@ MUTANTS = [
         ("tests/test_integer_datum.py::test_coroots_off_a_root_system_never_reach_the_pairing_coordinates",
          "tests/test_datum_rows.py::test_the_reflection_certificate_never_passes_a_datum_the_scan_refuses"),
     ),
+    # The certificate without its P[j][j] = 2 guard: a simple pair with
+    # <c, r> = 0 reflects every pair to itself, so it passes.
+    Mutant(
+        "reflection certificate without the pairing-two guard",
+        "rootdatum.py",
+        "    if any(P[j][j] != 2 for j in simple):\n        return False\n",
+        "",
+        ("tests/test_datum_rows.py::test_a_simple_pair_of_pairing_zero_is_refused[alone]",
+         "tests/test_datum_rows.py::test_a_simple_pair_of_pairing_zero_is_refused[beside-A1]"),
+    ),
+    # The witness scans run only on a datum the certificate refuses; each
+    # names the oracle's first witness of its axiom.  A zero root with a
+    # nonzero coroot is missed when the coroots are scanned.
+    Mutant(
+        "nonzero scan reads the coroots",
+        "rootdatum.py",
+        "nonzero_witness=next((i for i, r in enumerate(d.roots) if not any(r)), None),",
+        "nonzero_witness=next((i for i, r in enumerate(d.coroots) if not any(r)), None),",
+        ("tests/test_datum_rows.py::test_zero_and_repeated_roots_give_the_oracle_witnesses[zero-A2:sc]",),
+    ),
+    # A doubled root pairs 4 with its coroot.
+    Mutant(
+        "pairing scan passes a diagonal above 2",
+        "rootdatum.py",
+        "pairing_witness=next((i for i, row in enumerate(P) if row[i] != 2), None),",
+        "pairing_witness=next((i for i, row in enumerate(P) if row[i] < 2), None),",
+        ("tests/test_datum_rows.py::test_a_perturbed_root_gives_the_all_columns_witness_with_or_without_its_twin[A2:sc]",),
+    ),
+    # A1xT1 with root 1 repeating root 0: column 0 fails on the roots alone,
+    # so a column test of the coroots alone names column 1 first.
+    Mutant(
+        "reflection scan tests the coroots alone",
+        "rootdatum.py",
+        "        if not (coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j]))))\n"
+        "                and root_set.issuperset(map(sub, fr, map(mul, P[j], repeat(fr[j]))))):\n",
+        "        if not coroot_set.issuperset(map(sub, fc, map(mul, col, repeat(fc[j])))):\n",
+        ("tests/test_datum_rows.py::test_zero_and_repeated_roots_give_the_oracle_witnesses[repeat-A1xT1:sc]",),
+    ),
+    # BC_1's coroots 2e, -2e, e, -e: only a longer coroot j on the line of
+    # coroot i counts, so the witness (0, 2) becomes (2, 0).
+    Mutant(
+        "reducedness flags only a longer coroot",
+        "rootdatum.py",
+        "if pj is None or (pj[0] == pi[0] and pj[1] != pi[1])), None),",
+        "if pj is None or (pj[0] == pi[0] and pj[1] > pi[1])), None),",
+        ("tests/test_datum_rows.py::test_the_certificate_refuses_the_non_reduced_bc[1]",),
+    ),
     # An sc factor's coroots written in the fundamental coweights, as adj
     # writes them, while its roots stay the Dynkin labels.
     Mutant(

@@ -4,14 +4,15 @@ realization, the reflection closure, the coordinate type walk, the
 dot-product pairing, the functional chamber with its pairwise simple-root
 search, the functional order of canonicalize, exact quotients one dot
 product at a time, the double loop of angle positivity, and the
-reflection test on every root column, negative twins included, which the
-simple-reflection certificate may only pass when it finds no witness.
-They must agree on every RANK8_TYPES datum, under GL_n(Z) changes of
-basis, and on malformed data: zero and repeated roots, non-int
+reflection test on every root column.  The simple-reflection certificate
+must hold exactly where the axioms as first written all hold.  They must
+agree on every RANK8_TYPES datum, under GL_n(Z) changes of basis, on the
+non-reduced BC_n, and on malformed data: zero and repeated roots, non-int
 coordinates, and coordinates of 2^7 and more, which take the wide pairing
 path."""
 
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +45,10 @@ from test_rootdatum import (
 )
 
 
+# The oracle's report of a datum, computed once for the checks that read it.
+oracle_report = lru_cache(maxsize=64)(oracle_validate)
+
+
 def wide(d):
     """True when the pairing of d takes the dot-product path."""
     m = max((abs(x) for v in d.roots + d.coroots for x in v), default=0)
@@ -56,7 +61,7 @@ def assert_agrees(d):
     d = fresh(d)
     assert d.pairing == dot_pairing(d)
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in d.pairing)
-    assert rootdatum.validate(d) == oracle_validate(d)
+    assert rootdatum.validate(d) == oracle_report(d)
     assert rootdatum.validate(d).reflection_witness == all_columns_reflection_witness(d)
     assert_the_certificate_agrees(d)
     assert d.chamber == functional_positive_system(d)
@@ -71,13 +76,54 @@ def assert_agrees(d):
 
 def assert_the_certificate_agrees(d):
     """The reflection certificate on a fresh copy of d returns a bool
-    without raising, is True only where the column scan of every root finds
-    no witness, and is True on every valid datum."""
+    without raising, and is True exactly where all four axioms of the
+    oracle hold; validate, which decides on it alone, gives the oracle's
+    report."""
     d = fresh(d)
     certified = rootdatum._reflections_certified(d)
     assert type(certified) is bool
-    assert not certified or all_columns_reflection_witness(d) is None
-    assert certified or not oracle_validate(d).ok
+    assert certified == oracle_report(d).ok
+    assert rootdatum.validate(d) == oracle_report(d)
+
+
+def bc_datum(n):
+    """The non-reduced BC_n in Z^n: +-e_i with coroot +-2e_i, +-2e_i with
+    coroot +-e_i, and +-e_i +-e_j (i < j) with itself as its coroot."""
+    def e(*terms):
+        return tuple(sum(c for i, c in terms if i == k) for k in range(n))
+    pairs = [(e((i, s)), e((i, 2 * s))) for i in range(n) for s in (1, -1)]
+    pairs += [(e((i, 2 * s)), e((i, s))) for i in range(n) for s in (1, -1)]
+    pairs += [(e((i, s), (j, t)),) * 2 for i in range(n) for j in range(i + 1, n) for s in (1, -1) for t in (1, -1)]
+    return rootdatum.RootDatum(rank=n, roots=[r for r, _ in pairs], coroots=[c for _, c in pairs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_certificate_refuses_the_non_reduced_bc(n):
+    # Every reflection of BC_n permutes its pairs and every pairing is 2,
+    # so reducedness alone fails: 2e_i is W-conjugate to no simple root.
+    d = bc_datum(n)
+    assert d.nroots == 2 * n * n + 2 * n
+    assert rootdatum._reflections_certified(d) is False
+    rep = rootdatum.validate(d)
+    assert rep == oracle_report(d)
+    assert rep.reduced_witness is not None
+    assert (rep.pairing_witness, rep.reflection_witness, rep.nonzero_witness) == (None, None, None)
+    assert_the_certificate_agrees(d)
+
+
+@pytest.mark.parametrize("roots,coroots", [
+    (((0, 1),), ((1, 0),)),
+    (((2, 0, 0), (-2, 0, 0), (0, 1, 0)), ((1, 0, 0), (-1, 0, 0), (0, 0, 1))),
+], ids=["alone", "beside-A1"])
+def test_a_simple_pair_of_pairing_zero_is_refused(roots, coroots):
+    # The pair (r, c) with <c, r> = 0 is simple, and s_(r, c) fixes every
+    # pair: only the P[j][j] = 2 guard of the certificate refuses it.
+    d = rootdatum.RootDatum(rank=len(roots[0]), roots=roots, coroots=coroots)
+    j = len(roots) - 1
+    assert j in d.chamber[1] and d.pairing[j][j] == 0
+    rep = rootdatum.validate(d)
+    assert rep == oracle_report(d) == rootdatum.AxiomReport(pairing_witness=j)
+    assert_the_certificate_agrees(d)
 
 
 FAMILIES = [(fam, n) for fam, ranks in (("A", range(1, 11)), ("B", range(2, 11)), ("C", range(2, 11)),
@@ -253,8 +299,8 @@ def twin_perturbations(typ):
 
 @pytest.mark.parametrize("typ", ["A2:sc", "B3:sc"])
 def test_a_perturbed_root_gives_the_all_columns_witness_with_or_without_its_twin(typ):
-    # Column k, when there is one, runs column j's reflection test, and
-    # the later of the two is skipped; the witness must not move.
+    # Pair j perturbed, with or without its negation at column k: the
+    # scan names the all-columns witness either way.
     for case, d, j, k in twin_perturbations(typ):
         rep = rootdatum.validate(d)
         assert rep.reflection_witness is not None, case
